@@ -18,12 +18,13 @@ critical alpha and the field divergence does not vanish).
 Both spectral branches are provided: the non-degenerate branch (c_omega>0)
 has the anisotropic-oscillator point spectrum, the degenerate branch
 (c_omega=0) a half line starting at the bottom of a reduced oscillator.
-A direct finite-difference diagonalization serves as the validation oracle.
+The validation oracle diagonalizes K directly: by Rayleigh-Ritz in a tensor
+Hermite-function basis in the non-degenerate branch, and by central
+differences on a caller-given box in the degenerate one.
 """
 from __future__ import annotations
 
 import heapq
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -32,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
+from ._jsonfile import load_json_object
 from .sl_engine import ConvergenceError, SolverError, Spectrum1D
 from .montgomery import MinimizerReport, MinimizerState
 
@@ -113,18 +115,23 @@ class MiniwellGeometry:
 
     @classmethod
     def from_json(cls, source) -> "MiniwellGeometry":
-        """Load from a JSON document with exactly these field names."""
-        if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-            data = json.load(open(source)) if isinstance(source, (str, bytes)) \
-                else json.load(source)
-        else:
-            data = dict(source)
-        known = {"n", "omega01", "domega01", "hess_abs2", "omega02", "gdot00",
-                 "gdot0j", "gdotjl", "gamma00", "gammaj0", "domega_div"}
+        """Load from a JSON document with exactly these field names: a path,
+        an open file or an already parsed mapping. Malformed documents raise
+        ValueError."""
+        data = load_json_object(source, "geometry")
+        required = {"n", "omega01", "domega01", "hess_abs2"}
+        known = required | {"omega02", "gdot00", "gdot0j", "gdotjl",
+                            "gamma00", "gammaj0", "domega_div"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown geometry fields: {sorted(unknown)}")
-        return cls(**data)
+        missing = required - set(data)
+        if missing:
+            raise ValueError(f"missing geometry fields: {sorted(missing)}")
+        try:
+            return cls(**data)
+        except TypeError as exc:     # a field of the wrong JSON type
+            raise ValueError(f"malformed geometry: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,15 +172,12 @@ class Moments1D:
     m_tau_sq: float       # integral tau (tau^{k+1}/(k+1)-alpha)^2 u0^2
 
 
-def moments_1d(k: int, alpha_min: float, u0: Spectrum1D,
-               du0_dalpha: Optional[np.ndarray] = None) -> Moments1D:
+def moments_1d(k: int, alpha_min: float, u0: Spectrum1D) -> Moments1D:
     """Evaluate the three 1D moments on the converged grid of `u0`.
 
     The second derivative of the ground state uses the same central stencil
     as the assembled operator (Dirichlet ghosts beyond the walls), so the
-    moment is consistent with the discrete eigenproblem. `du0_dalpha` is
-    accepted for signature parity with the derivative state; the three
-    moments do not involve it.
+    moment is consistent with the discrete eigenproblem.
     """
     grid = u0.grid
     t = grid.interior_points()
@@ -275,7 +279,7 @@ def build_effective_operator(geometry: MiniwellGeometry, k: int,
         from .montgomery import minimizer_state
         state = minimizer_state(k)
     r = state.report
-    mom = moments_1d(k, r.alpha_min, state.spectrum, state.du0_dalpha)
+    mom = moments_1d(k, r.alpha_min, state.spectrum)
     return EffectiveOperatorK(
         c_omega=0.5 * r.d2,
         e_omega=geometry.e_omega,
@@ -392,10 +396,17 @@ def omega_orthogonal_direction(kop: EffectiveOperatorK) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # validation oracle
 
+HERMITE_START = 24      # Hermite functions per axis in the first basis
+HERMITE_STEP = 8
+HERMITE_CAP = 128
+HERMITE_TOL = 1e-9      # agreement of successive bases that ends the loop
+
+
 @dataclass(frozen=True)
 class OracleBox:
-    """Dirichlet tensor box for the direct discretization of K; the half
-    width may be per-axis (anisotropic wells want narrow fast axes)."""
+    """Dirichlet tensor box for the degenerate-branch discretization of K;
+    the half width may be per-axis (anisotropic wells want narrow fast
+    axes)."""
 
     half_width: float | tuple[float, ...]
     n_points: int | tuple[int, ...]
@@ -410,77 +421,109 @@ class OracleBox:
         return L, n
 
 
-def _fd_levels(kop: EffectiveOperatorK, count: int,
-               Ls: tuple[float, ...], ns: tuple[int, ...]) -> np.ndarray:
-    """Lowest levels of K discretized with central differences on the box;
-    the mixed kinetic term uses the tensor cross stencil."""
+def _fd_axis(L: float, n: int):
+    """(X, X^2, D, D^2) on the interior nodes of n equispaced points on
+    [-L, L]: multiplication operators and central differences with
+    Dirichlet walls."""
+    x = np.linspace(-L, L, n)[1:-1]
+    dx = 2.0 * L / (n - 1)
+    one = np.ones(len(x))
+    D = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * dx)
+    D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / dx**2
+    return sp.diags(x), sp.diags(x**2), D, D2
+
+
+def _hermite_axis(scale: float, n: int):
+    """(X, X^2, D, D^2) in the first n Hermite functions of width `scale`,
+    built from the ladder operator a as x = s (a + a^T)/sqrt(2) and
+    d/dx = (a - a^T)/(sqrt(2) s). The squares are formed at size n+1 and
+    then truncated, which makes them the exact Galerkin compressions of x^2
+    and d^2/dx^2 (a product of two truncations would lose the top level)."""
+    a = sp.diags(np.sqrt(np.arange(1.0, n + 1.0)), 1)     # size n+1
+    x = scale * (a + a.T) / np.sqrt(2.0)
+    d = (a - a.T) / (np.sqrt(2.0) * scale)
+    return tuple(m.tocsr()[:n, :n] for m in (x, x @ x, d, d @ d))
+
+
+def _levels(kop: EffectiveOperatorK, count: int, axes) -> np.ndarray:
+    """Lowest levels of -div(M grad) + sigma^T Omega sigma + Re(A) assembled
+    from per-axis matrices (X, X^2, D, D^2); the mixed kinetic and potential
+    terms are the tensor products D (x) D and X (x) X."""
     M = kop.kinetic_matrix()
-    a_re = kop.A_const.real
-
-    def axis(L, n):
-        x = np.linspace(-L, L, n)[1:-1]
-        dx = 2.0 * L / (n - 1)
-        m = len(x)
-        one = np.ones(m)
-        D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / dx**2
-        D1 = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * dx)
-        return x, D2, D1
-
+    om = kop.Omega
     if kop.dim == 1:
-        x, D2, _ = axis(Ls[0], ns[0])
-        H = (-M[0, 0] * D2 + sp.diags(kop.Omega[0, 0] * x**2)).tocsc()
-    elif kop.dim == 2:
-        x1, D2a, D1a = axis(Ls[0], ns[0])
-        x2, D2b, D1b = axis(Ls[1], ns[1])
-        Ia = sp.identity(len(x1))
-        Ib = sp.identity(len(x2))
-        Xa = sp.diags(x1)
-        Xb = sp.diags(x2)
-        H = (-M[0, 0] * sp.kron(D2a, Ib) - M[1, 1] * sp.kron(Ia, D2b)
-             - 2.0 * M[0, 1] * sp.kron(D1a, D1b)
-             + kop.Omega[0, 0] * sp.kron(Xa @ Xa, Ib)
-             + kop.Omega[1, 1] * sp.kron(Ia, Xb @ Xb)
-             + 2.0 * kop.Omega[0, 1] * sp.kron(Xa, Xb)).tocsc()
+        _, X2, _, D2 = axes[0]
+        H = -M[0, 0] * D2 + om[0, 0] * X2
     else:
-        raise ValueError("direct discretization is feasible for dim <= 2 only")
+        (Xa, X2a, Da, D2a), (Xb, X2b, Db, D2b) = axes
+        Ia = sp.identity(Xa.shape[0])
+        Ib = sp.identity(Xb.shape[0])
+        H = (-M[0, 0] * sp.kron(D2a, Ib) - M[1, 1] * sp.kron(Ia, D2b)
+             - 2.0 * M[0, 1] * sp.kron(Da, Db)
+             + om[0, 0] * sp.kron(X2a, Ib) + om[1, 1] * sp.kron(Ia, X2b)
+             + 2.0 * om[0, 1] * sp.kron(Xa, Xb))
+    H = H.tocsc()
     k_want = min(count + 4, H.shape[0] - 2)
     v0 = np.full(H.shape[0], 1.0 / np.sqrt(H.shape[0]))  # deterministic start
     vals = eigsh(H, k=k_want, sigma=0, which="LM", v0=v0,
                  return_eigenvectors=False)
-    return np.sort(vals)[:count] + a_re
+    return np.sort(vals)[:count] + kop.A_const.real
+
+
+def _hermite_levels(kop: EffectiveOperatorK, count: int) -> np.ndarray:
+    """Ritz values of K in growing tensor Hermite bases until two successive
+    bases agree to HERMITE_TOL."""
+    scales = (np.diag(kop.kinetic_matrix()) / np.diag(kop.Omega)) ** 0.25
+    sizes = range(max(HERMITE_START, count + 2), HERMITE_CAP + 1, HERMITE_STEP)
+    if len(sizes) < 2:
+        raise ValueError(f"count {count} exceeds what a basis of "
+                         f"{HERMITE_CAP} functions per axis can resolve")
+    prev = None
+    for n in sizes:
+        levels = _levels(kop, count, [_hermite_axis(s, n) for s in scales])
+        if prev is not None and np.max(np.abs(levels - prev)) <= HERMITE_TOL:
+            return levels
+        prev, last = levels, prev
+    j = int(np.argmax(np.abs(prev - last)))
+    raise ConvergenceError(
+        f"Hermite oracle unconverged at {HERMITE_CAP} functions per axis: "
+        f"level {j} moved by {abs(prev[j] - last[j]):.2e} in the last step",
+        estimates=(float(last[j]), float(prev[j])))
 
 
 def spectrum_K_oracle(kop: EffectiveOperatorK, count: int,
                       grid: Optional[OracleBox] = None) -> np.ndarray:
-    """Directly diagonalize K on a truncated box and Richardson-extrapolate
-    over one spacing halving. Independent of the closed-form route; the two
-    must agree to 1e-4 on feasible cases.
+    """Lowest `count` levels of K by direct diagonalization, independent of
+    the closed-form route: it reads only M, Omega and Re(A). The two must
+    agree to 1e-4 on feasible cases.
 
-    Raises ConvergenceError when the pair of grids is too coarse for the
-    extrapolation to be trustworthy.
+    Non-degenerate branch (c_omega > 0): Rayleigh-Ritz in a tensor basis of
+    Hermite functions, axis j scaled by (M_jj/Omega_jj)^{1/4}. Ritz values
+    bound the levels from above and never increase with the basis, which
+    grows from 24 functions per axis in steps of 8 until successive levels
+    agree to 1e-9. Raises ConvergenceError, carrying the last two estimates,
+    when 128 functions per axis do not suffice. `grid` must be omitted.
+
+    Degenerate branch (c_omega = 0): the spectrum is a half line and the
+    quantity checked is the bottom of a Dirichlet box, so `grid` is
+    required. Central differences on it and on one spacing halving are
+    Richardson-extrapolated; ConvergenceError flags a pair too coarse for
+    the extrapolation to be trustworthy.
     """
+    if kop.dim > 2:
+        raise ValueError("direct diagonalization is feasible for dim <= 2 only")
+    if kop.c_omega < 0:
+        raise SolverError("c_omega < 0 contradicts minimality of the band")
+    if kop.c_omega > 0:
+        if grid is not None:
+            raise ValueError("the non-degenerate oracle takes no grid")
+        return _hermite_levels(kop, count)
     if grid is None:
-        # size each axis from the turning ellipse of an upper bound for the
-        # count-th level, plus a few ground widths; the spacing target keeps
-        # the Richardson pair inside its asymptotic regime (finer in 1D
-        # where nodes are nearly free)
-        msqrt = np.eye(kop.dim) + (np.sqrt(max(kop.c_omega, 1e-12)) - 1.0) \
-            * np.outer(kop.e_omega, kop.e_omega)
-        w = np.sqrt(np.linalg.eigvalsh(msqrt @ kop.Omega @ msqrt))
-        e_top = abs(kop.A_const.real) + float(np.sum(w)) \
-            + 2.0 * count * float(np.max(w))
-        margin = 4.0 / np.sqrt(max(float(np.min(w)), 1e-6))
-        inv_diag = np.diag(np.linalg.inv(kop.Omega))
-        target = 0.05 if kop.dim == 1 else 0.09
-        Ls, ns = [], []
-        for j in range(kop.dim):
-            L = float(np.sqrt(e_top * inv_diag[j]) + margin)
-            Ls.append(L)
-            ns.append(int(np.ceil(2.0 * L / target)) + 1)
-        grid = OracleBox(half_width=tuple(Ls), n_points=tuple(ns))
+        raise ValueError("the degenerate-branch oracle needs a grid (OracleBox)")
     Ls, ns = grid.axes(kop.dim)
-    v1 = _fd_levels(kop, count, Ls, ns)
-    v2 = _fd_levels(kop, count, Ls, tuple(2 * (n - 1) + 1 for n in ns))
+    v1 = _levels(kop, count, [_fd_axis(L, n) for L, n in zip(Ls, ns)])
+    v2 = _levels(kop, count, [_fd_axis(L, 2 * (n - 1) + 1)
+                              for L, n in zip(Ls, ns)])
     gap = float(np.max(np.abs(v2 - v1)))
     if gap > 0.5:
         raise ConvergenceError(

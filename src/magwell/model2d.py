@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from ._jsonfile import load_json_object
 from .sl_engine import ConvergenceError, Grid1D, SolverError, assemble, lowest_eigenpairs
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
 
@@ -99,26 +100,30 @@ class Field2DConfig:
 
     @classmethod
     def from_json(cls, source) -> "Field2DConfig":
-        """Build the default-profile model from a JSON document with keys
-        k, omega_min, a, S, s1, T, h_list, points_per_and optional grid pins."""
-        if isinstance(source, (str, bytes)):
-            data = json.load(open(source))
-        elif hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            data = dict(source)
-        return cls.default(
-            k=int(data.get("k", 1)),
-            omega_min=float(data.get("omega_min", 1.0)),
-            a=float(data.get("a", 1.0)),
-            S=float(data.get("S", 14.0)),
-            s1=float(data.get("s1", 4.2)),
-            T=float(data.get("T", 0.8)),
-            h_list=tuple(data.get("h_list", ())) or (),
-            points_per_length=int(data.get("points_per_length", 20)),
-            n_s=data.get("n_s"),
-            n_t=data.get("n_t"),
-        )
+        """Build the default-profile model from a JSON document (a path, an
+        open file or an already parsed mapping) with keys k, omega_min, a,
+        S, s1, T, h_list, points_per_length and the optional grid pins n_s,
+        n_t. Malformed documents raise ValueError."""
+        data = load_json_object(source, "sweep config")
+        h_list = data.get("h_list", [])
+        if not isinstance(h_list, (list, tuple)):
+            raise ValueError(f"h_list must be a list of numbers, got {h_list!r}")
+        try:
+            pins = {key: None if data.get(key) is None else int(data[key])
+                    for key in ("n_s", "n_t")}
+            return cls.default(
+                k=int(data.get("k", 1)),
+                omega_min=float(data.get("omega_min", 1.0)),
+                a=float(data.get("a", 1.0)),
+                S=float(data.get("S", 14.0)),
+                s1=float(data.get("s1", 4.2)),
+                T=float(data.get("T", 0.8)),
+                h_list=tuple(h_list),
+                points_per_length=int(data.get("points_per_length", 20)),
+                **pins,
+            )
+        except TypeError as exc:     # a value of the wrong JSON type
+            raise ValueError(f"malformed sweep config: {exc}") from exc
 
     def magnetic_length_t(self, h: float) -> float:
         return (h / self.omega_min) ** (1.0 / (self.k + 2))

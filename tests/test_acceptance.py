@@ -134,7 +134,7 @@ def test_criterion_5_parity(states):
 
 
 def test_criterion_6_k_oracle():
-    """Closed-form K levels match the direct discretization to 1e-4 on 10
+    """Closed-form K levels match the Hermite-Galerkin oracle to 1e-4 on 10
     random SPD configurations (surface dimension <= 2), and rotating the
     frame moves no level by more than 1e-10."""
     rng = np.random.default_rng(0xACE5)

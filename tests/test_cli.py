@@ -48,6 +48,24 @@ class TestExitCodes:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli(["frobnicate"]) == 2
 
+    def test_geometry_missing_fields_is_usage_error(self, tmp_path):
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({"n": 2}))
+        assert run_cli(["miniwell", "--geometry", str(path),
+                        "--out", str(tmp_path)]) == 2
+
+    def test_sweep_config_not_object_is_usage_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([1, 2]))
+        assert run_cli(["validate2d", "--config", str(path),
+                        "--out", str(tmp_path)]) == 2
+
+    def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"h_list": "abc"}))
+        assert run_cli(["validate2d", "--config", str(path),
+                        "--out", str(tmp_path)]) == 2
+
 
 class TestTable1:
     def test_single_k(self, tmp_path, capsys):

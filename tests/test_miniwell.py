@@ -100,9 +100,10 @@ class TestGeometry:
         path = tmp_path / "geom.json"
         with open(path, "w") as fh:
             json.dump(g.to_json_dict(), fh)
-        g2 = MiniwellGeometry.from_json(str(path))
-        assert np.array_equal(g2.omega01, g.omega01)
-        assert g2.gdot00 == 0.7
+        for source in (str(path), path):
+            g2 = MiniwellGeometry.from_json(source)
+            assert np.array_equal(g2.omega01, g.omega01)
+            assert g2.gdot00 == 0.7
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -113,8 +114,7 @@ class TestGeometry:
 
 class TestMoments:
     def test_even_k_moments_vanish(self, state_k2):
-        m = moments_1d(2, state_k2.report.alpha_min, state_k2.spectrum,
-                       state_k2.du0_dalpha)
+        m = moments_1d(2, state_k2.report.alpha_min, state_k2.spectrum)
         assert abs(m.m_tau_upp) < 1e-6
         assert abs(m.m_tau_sq) < 1e-6
 
@@ -124,7 +124,7 @@ class TestMoments:
         from magwell.montgomery import family_potential
 
         st = state_k1
-        m = moments_1d(1, st.report.alpha_min, st.spectrum, st.du0_dalpha)
+        m = moments_1d(1, st.report.alpha_min, st.spectrum)
         g = st.spectrum.grid
         g2 = Grid1D(g.half_width, 2 * (g.n_points - 1) + 1)
         spec2 = lowest_eigenpairs(
@@ -267,8 +267,8 @@ class TestSpectrumK:
 class TestOracle:
     def test_oscillator_1d(self):
         kop = make_kop(1.0, [1.0], np.array([[1.0]]))
-        lv = spectrum_K_oracle(kop, 3, OracleBox(9.0, 201))
-        assert np.allclose(lv, [1, 3, 5], atol=1e-5)
+        lv = spectrum_K_oracle(kop, 3)
+        assert np.allclose(lv, [1, 3, 5], rtol=0, atol=1e-10)
 
     def test_random_spd_2d(self):
         rng = np.random.default_rng(11)
@@ -278,6 +278,18 @@ class TestOracle:
         kop = make_kop(2.0, e, Om)
         closed = spectrum_K(kop, 5).levels
         oracle = spectrum_K_oracle(kop, 5)
+        assert np.max(np.abs(closed - oracle)) < 1e-4
+
+    def test_near_degenerate_pair(self):
+        # levels 3 and 4 lie 6.7e-3 apart; a finite-difference pair of grids
+        # once swapped them and missed the closed form by 3.2e-3
+        kop = make_kop(0.34363789450727167,
+                       [-0.7707701163951114, -0.6371133554339182],
+                       [[2.077618140965868, -0.7486777164309614],
+                        [-0.7486777164309614, 1.0832030988225914]],
+                       A=-0.34553891893856015)
+        closed = spectrum_K(kop, 6).levels
+        oracle = spectrum_K_oracle(kop, 6)
         assert np.max(np.abs(closed - oracle)) < 1e-4
 
     def test_degenerate_branch_box_bottom(self):
@@ -297,14 +309,32 @@ class TestOracle:
         assert abs(vals[1] - bottom) < 0.05
 
     def test_too_coarse_raises(self):
-        kop = make_kop(1.0, [1.0, 0.0], np.diag([30.0, 40.0]))
+        kop = make_kop(0.0, [1.0, 0.0], np.diag([30.0, 40.0]))
         with pytest.raises(ConvergenceError, match="coarse"):
             spectrum_K_oracle(kop, 6, OracleBox(12.0, 17))
+
+    def test_basis_cap_raises(self):
+        # a rotated 1e4-anisotropic well is too elongated for an axis-aligned
+        # Hermite basis of 128 functions per axis
+        th = 0.7
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        kop = make_kop(1.0, [1.0, 0.0], R @ np.diag([0.01, 100.0]) @ R.T)
+        with pytest.raises(ConvergenceError, match="128") as info:
+            spectrum_K_oracle(kop, 6)
+        before, after = info.value.estimates
+        assert after <= before      # Ritz values never increase
+
+    def test_grid_only_on_degenerate_branch(self):
+        with pytest.raises(ValueError, match="no grid"):
+            spectrum_K_oracle(make_kop(1.0, [1.0], np.array([[1.0]])), 2,
+                              OracleBox(9.0, 201))
+        with pytest.raises(ValueError, match="needs a grid"):
+            spectrum_K_oracle(make_kop(0.0, [1.0], np.array([[1.0]])), 2)
 
     def test_dim3_refused(self):
         kop = make_kop(1.0, [1.0, 0.0, 0.0], np.eye(3))
         with pytest.raises(ValueError, match="dim <= 2"):
-            spectrum_K_oracle(kop, 2, OracleBox(6.0, 33))
+            spectrum_K_oracle(kop, 2)
 
 
 class TestFrameInvariance:

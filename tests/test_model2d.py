@@ -55,9 +55,10 @@ class TestConfig:
         path.write_text(json.dumps({"k": 1, "omega_min": 2.0, "a": 0.5,
                                     "S": 10.0, "s1": 3.0, "T": 0.7,
                                     "h_list": [0.05, 0.02]}))
-        cfg = Field2DConfig.from_json(str(path))
-        assert cfg.omega_min == 2.0
-        assert cfg.h_list == (0.05, 0.02)
+        for source in (str(path), path):
+            cfg = Field2DConfig.from_json(source)
+            assert cfg.omega_min == 2.0
+            assert cfg.h_list == (0.05, 0.02)
 
 
 class TestAssembly:
