@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from ._jsonfile import load_json_object
+from ._shift_invert import lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError, Spectrum1D
 from .montgomery import MinimizerReport, MinimizerState
 
@@ -445,29 +445,29 @@ def _hermite_axis(scale: float, n: int):
     return tuple(m.tocsr()[:n, :n] for m in (x, x @ x, d, d @ d))
 
 
-def _levels(kop: EffectiveOperatorK, count: int, axes) -> np.ndarray:
-    """Lowest levels of -div(M grad) + sigma^T Omega sigma + Re(A) assembled
-    from per-axis matrices (X, X^2, D, D^2); the mixed kinetic and potential
-    terms are the tensor products D (x) D and X (x) X."""
+def _oracle_matrix(kop: EffectiveOperatorK, axes):
+    """Real symmetric sparse matrix of -div(M grad) + sigma^T Omega sigma
+    assembled from per-axis matrices (X, X^2, D, D^2); the mixed kinetic and
+    potential terms are the tensor products D (x) D and X (x) X."""
     M = kop.kinetic_matrix()
     om = kop.Omega
     if kop.dim == 1:
         _, X2, _, D2 = axes[0]
-        H = -M[0, 0] * D2 + om[0, 0] * X2
-    else:
-        (Xa, X2a, Da, D2a), (Xb, X2b, Db, D2b) = axes
-        Ia = sp.identity(Xa.shape[0])
-        Ib = sp.identity(Xb.shape[0])
-        H = (-M[0, 0] * sp.kron(D2a, Ib) - M[1, 1] * sp.kron(Ia, D2b)
-             - 2.0 * M[0, 1] * sp.kron(Da, Db)
-             + om[0, 0] * sp.kron(X2a, Ib) + om[1, 1] * sp.kron(Ia, X2b)
-             + 2.0 * om[0, 1] * sp.kron(Xa, Xb))
-    H = H.tocsc()
+        return -M[0, 0] * D2 + om[0, 0] * X2
+    (Xa, X2a, Da, D2a), (Xb, X2b, Db, D2b) = axes
+    Ia = sp.identity(Xa.shape[0])
+    Ib = sp.identity(Xb.shape[0])
+    return (-M[0, 0] * sp.kron(D2a, Ib) - M[1, 1] * sp.kron(Ia, D2b)
+            - 2.0 * M[0, 1] * sp.kron(Da, Db)
+            + om[0, 0] * sp.kron(X2a, Ib) + om[1, 1] * sp.kron(Ia, X2b)
+            + 2.0 * om[0, 1] * sp.kron(Xa, Xb))
+
+
+def _levels(kop: EffectiveOperatorK, count: int, axes) -> np.ndarray:
+    """Lowest `count` levels of K on the given per-axis matrices."""
+    H = _oracle_matrix(kop, axes)
     k_want = min(count + 4, H.shape[0] - 2)
-    v0 = np.full(H.shape[0], 1.0 / np.sqrt(H.shape[0]))  # deterministic start
-    vals = eigsh(H, k=k_want, sigma=0, which="LM", v0=v0,
-                 return_eigenvectors=False)
-    return np.sort(vals)[:count] + kop.A_const.real
+    return lowest_sparse_eigenpairs(H, k_want)[:count] + kop.A_const.real
 
 
 def _hermite_levels(kop: EffectiveOperatorK, count: int) -> np.ndarray:
@@ -506,9 +506,10 @@ def spectrum_K_oracle(kop: EffectiveOperatorK, count: int,
 
     Degenerate branch (c_omega = 0): the spectrum is a half line and the
     quantity checked is the bottom of a Dirichlet box, so `grid` is
-    required. Central differences on it and on one spacing halving are
-    Richardson-extrapolated; ConvergenceError flags a pair too coarse for
-    the extrapolation to be trustworthy.
+    required and `count` must be 1 (higher box levels are artifacts of the
+    box that move with its spacing). Central differences on it and on one
+    spacing halving are Richardson-extrapolated; ConvergenceError flags a
+    pair too coarse for the extrapolation to be trustworthy.
     """
     if kop.dim > 2:
         raise ValueError("direct diagonalization is feasible for dim <= 2 only")
@@ -520,6 +521,9 @@ def spectrum_K_oracle(kop: EffectiveOperatorK, count: int,
         return _hermite_levels(kop, count)
     if grid is None:
         raise ValueError("the degenerate-branch oracle needs a grid (OracleBox)")
+    if count != 1:
+        raise ValueError("the degenerate-branch oracle checks only the bottom "
+                         f"of the half line: count must be 1, got {count}")
     Ls, ns = grid.axes(kop.dim)
     v1 = _levels(kop, count, [_fd_axis(L, n) for L, n in zip(Ls, ns)])
     v2 = _levels(kop, count, [_fd_axis(L, 2 * (n - 1) + 1)

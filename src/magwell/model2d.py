@@ -24,10 +24,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from ._jsonfile import load_json_object
-from .sl_engine import ConvergenceError, Grid1D, SolverError, assemble, lowest_eigenpairs
+from ._shift_invert import lowest_sparse_eigenpairs
+from .sl_engine import ConvergenceError, SolverError
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
 
 
@@ -268,19 +269,20 @@ def assemble_2d(config: Field2DConfig, h: float,
 def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
                           tol: float = 1e-9) -> np.ndarray:
     """m_count smallest eigenvalues by shift-invert Lanczos at sigma=0 (the
-    operator is positive definite). Every returned pair satisfies
-    |H v - lambda v| <= tol |v|; a larger residual raises."""
+    operator is positive definite). The operator is factored once, with the
+    symmetric minimum-degree ordering MMD_AT_PLUS_A, and that factor is freed
+    before this returns, so a sweep holds one factor at a time. Every
+    returned pair satisfies |H v - lambda v| <= tol |v|; a larger residual
+    raises."""
     H = operator.hermitian
     k_want = min(max(m_count + 2, 6), H.shape[0] - 2)
     if k_want < m_count:
         raise ValueError("operator too small for the requested eigenvalue count")
-    v0 = np.full(H.shape[0], 1.0 / np.sqrt(H.shape[0]))  # deterministic start
     try:
-        vals, vecs = eigsh(H, k=k_want, sigma=0, which="LM", v0=v0)
+        vals, vecs = lowest_sparse_eigenpairs(H, k_want, return_eigenvectors=True)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"2D eigensolver did not converge: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order][:m_count], vecs[:, order][:, :m_count]
+    vals, vecs = vals[:m_count], vecs[:, :m_count]
     for i in range(m_count):
         v = vecs[:, i]
         resid = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
@@ -288,31 +290,6 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
             raise ConvergenceError(
                 f"eigenpair {i} residual {resid:.2e} exceeds tol {tol:g}")
     return vals
-
-
-def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
-                      m_count: int = 2) -> np.ndarray:
-    """1D fiber spectrum of the s-independent-profile operator for one
-    discrete Fourier mode, built on the same t grid and the same staggered
-    link phases as the 2D assembly (so the union over modes reproduces the
-    2D spectrum to solver accuracy).
-
-    The fiber potential is the discrete s-symbol
-    (2 h^2/ds^2)(1 - cos(2 pi m / n_s - theta(t))), fed through the shared
-    1D assembly after dividing by h^2.
-    """
-    n_s, n_t = config.grid_for(h)
-    ds = config.S / n_s
-    kappa = 2.0 * np.pi * mode / n_s
-    omega_const = float(config.omega(np.array([0.0]))[0])
-
-    def fiber_potential(t):
-        theta = ds * t ** (config.k + 1) * omega_const / ((config.k + 1) * h)
-        return (2.0 / ds**2) * (1.0 - np.cos(kappa - theta))
-
-    grid = Grid1D(config.T, n_t)
-    spec = lowest_eigenpairs(assemble(fiber_potential, grid), m_count)
-    return h**2 * spec.eigenvalues
 
 
 @dataclass(frozen=True)

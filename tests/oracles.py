@@ -3,12 +3,15 @@
 These deliberately avoid the code paths they check: the shooting oracle
 integrates the Prufer phase ODE (no matrices at all), and the dense oracle
 runs the full-QR tridiagonal eigensolver (LAPACK stev) instead of bisection.
+The fiber oracle reduces the 2D operator with an s-independent profile to
+one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
-from magwell.sl_engine import Grid1D, assemble
+from magwell.model2d import Field2DConfig
+from magwell.sl_engine import Grid1D, assemble, lowest_eigenpairs
 
 
 def prufer_phase(V, lam, L):
@@ -61,3 +64,28 @@ def dense_converged(potential, m: int, half_width: float, n: int) -> float:
     r2 = (4 * ff - f) / 3
     # second extrapolation removes the next even order
     return (16 * r2 - r1) / 15
+
+
+def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
+                      m_count: int = 2) -> np.ndarray:
+    """1D fiber spectrum of the s-independent-profile operator for one
+    discrete Fourier mode, built on the same t grid and the same staggered
+    link phases as the 2D assembly (so the union over modes reproduces the
+    2D spectrum to solver accuracy).
+
+    The fiber potential is the discrete s-symbol
+    (2 h^2/ds^2)(1 - cos(2 pi m / n_s - theta(t))), fed through the shared
+    1D assembly after dividing by h^2.
+    """
+    n_s, n_t = config.grid_for(h)
+    ds = config.S / n_s
+    kappa = 2.0 * np.pi * mode / n_s
+    omega_const = float(config.omega(np.array([0.0]))[0])
+
+    def fiber_potential(t):
+        theta = ds * t ** (config.k + 1) * omega_const / ((config.k + 1) * h)
+        return (2.0 / ds**2) * (1.0 - np.cos(kappa - theta))
+
+    grid = Grid1D(config.T, n_t)
+    spec = lowest_eigenpairs(assemble(fiber_potential, grid), m_count)
+    return h**2 * spec.eigenvalues

@@ -45,6 +45,10 @@ class TestExitCodes:
         assert run_cli(["miniwell", "--geometry", str(tmp_path / "absent.json"),
                         "--out", str(tmp_path)]) == 2
 
+    def test_geometry_directory_is_usage_error(self, tmp_path):
+        assert run_cli(["miniwell", "--geometry", str(tmp_path),
+                        "--out", str(tmp_path / "out")]) == 2
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli(["frobnicate"]) == 2
 

@@ -311,7 +311,13 @@ class TestOracle:
     def test_too_coarse_raises(self):
         kop = make_kop(0.0, [1.0, 0.0], np.diag([30.0, 40.0]))
         with pytest.raises(ConvergenceError, match="coarse"):
-            spectrum_K_oracle(kop, 6, OracleBox(12.0, 17))
+            spectrum_K_oracle(kop, 1, OracleBox(12.0, 17))
+
+    def test_degenerate_branch_count_refused(self):
+        # above the bottom of the half line a box only has artifacts
+        kop = make_kop(0.0, [1.0, 0.0], np.diag([30.0, 40.0]))
+        with pytest.raises(ValueError, match="count must be 1"):
+            spectrum_K_oracle(kop, 6, OracleBox(3.0, 121))
 
     def test_basis_cap_raises(self):
         # a rotated 1e4-anisotropic well is too elongated for an axis-aligned

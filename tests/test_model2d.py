@@ -3,15 +3,19 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
+from magwell._shift_invert import lowest_sparse_eigenpairs
+from magwell.miniwell import EffectiveOperatorK, _fd_axis, _oracle_matrix
 from magwell.model2d import (
     Field2DConfig,
     ResolutionError,
     assemble_2d,
-    fiber_eigenvalues,
     lowest_eigenvalues_2d,
     run_sweep,
 )
+
+from oracles import fiber_eigenvalues
 
 
 def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0):
@@ -126,12 +130,41 @@ class TestEigenvalues:
         cfg = small_config()
         op = assemble_2d(cfg, 0.5)
         H = op.hermitian
-        from scipy.sparse.linalg import eigsh
         vals, vecs = eigsh(H, k=3, sigma=0, which="LM",
                            v0=np.full(H.shape[0], H.shape[0] ** -0.5))
         for i in range(3):
             r = np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])
             assert r <= 1e-9 * np.linalg.norm(vecs[:, i])
+
+
+class TestShiftInvertRoute:
+    """The factor-once route against scipy's own sigma=0 shift-invert, which
+    factors with its default COLAMD ordering."""
+
+    @staticmethod
+    def scipy_lowest(H, k):
+        v0 = np.full(H.shape[0], H.shape[0] ** -0.5)
+        return np.sort(eigsh(H, k=k, sigma=0, which="LM", v0=v0,
+                             return_eigenvectors=False))
+
+    def test_complex_hermitian_2d_operator(self):
+        cfg = Field2DConfig.default(k=1, S=5.0, s1=1.5, T=0.8, h_list=(0.1,))
+        op = assemble_2d(cfg, 0.1)
+        assert 8_000 < op.shape[0] < 12_000
+        vals = lowest_eigenvalues_2d(op, 4)
+        ref = self.scipy_lowest(op.hermitian, 6)[:4]
+        assert np.max(np.abs(vals - ref) / ref) < 1e-10
+
+    def test_real_symmetric_oracle_matrix(self):
+        # the degenerate-branch box of the K oracle, 119^2 unknowns
+        kop = EffectiveOperatorK(c_omega=0.0, e_omega=np.array([0.6, 0.8]),
+                                 Omega=np.array([[1.5, 0.2], [0.2, 0.8]]),
+                                 A_const=0j, alpha_min=0.35, k=1)
+        H = _oracle_matrix(kop, [_fd_axis(6.0, 121)] * 2)
+        assert H.dtype == np.float64
+        vals = lowest_sparse_eigenpairs(H, 5)
+        ref = self.scipy_lowest(H.tocsc(), 5)
+        assert np.max(np.abs(vals - ref) / ref) < 1e-10
 
 
 class TestFiberOracle:
