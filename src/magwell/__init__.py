@@ -23,7 +23,6 @@ from .sl_engine import (
     eigenvalue_converged,
     lowest_eigenpairs,
     parity_classify,
-    sturm_count,
 )
 from .montgomery import (
     MinimizerReport,

@@ -385,14 +385,6 @@ def _orthonormal_complement(e: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def omega_orthogonal_direction(kop: EffectiveOperatorK) -> np.ndarray:
-    """The degenerate-branch distinguished vector: orthogonal to the
-    completion directions with respect to the bilinear form Omega, i.e.
-    parallel to Omega^{-1} e_omega."""
-    v = np.linalg.solve(kop.Omega, kop.e_omega)
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # validation oracle
 

@@ -145,9 +145,9 @@ def _alpha_derivative_solve(k: int, alpha: float, op: TridiagonalOperator,
     """Solve (T - lambda_0) w = 2(t^{k+1}/(k+1) - alpha) u0 on span{u0}^perp.
 
     Returns (w = du0/dalpha on the grid, relative residual). The system is
-    made nonsingular by the tiny inverse-iteration shift; the u0 component
-    excited through that shift is projected away, and one step of iterative
-    refinement removes the rest.
+    made nonsingular by shifting it 1e-10 |lambda_0| off the eigenvalue; the
+    u0 component excited through that shift is projected away, and two steps
+    of iterative refinement remove the rest.
     """
     grid = op.grid
     dt = grid.spacing
@@ -331,10 +331,13 @@ def minimizer_state(k: int, tol: float = 1e-6, scan_points: int = 40) -> Minimiz
 
     Stages: coarse scan of lambda_0(alpha, 1) over the bracketing range;
     golden-section refinement (alpha tolerance 1e-6) of every bracketed
-    local minimum on a frozen reference grid; Newton polish of the global
-    minimizer against the discrete Hellmann-Feynman derivative; final
-    re-convergence of nu_hat, lambda_1, lambda_2 at tol/10 and evaluation of
-    the identities and non-degeneracy data on the final grid.
+    local minimum on a frozen reference grid, each Newton-polished there and
+    converged once; then two converged solves at the global minimizer, each
+    tracking nu_hat, lambda_1 and lambda_2 at tol/10: the first gives the
+    grid on which the minimizer is Newton-polished against the discrete
+    Hellmann-Feynman derivative, the second (at the polished minimizer)
+    gives the three levels, the eigenpairs, and the grid on which the
+    identities and non-degeneracy data are evaluated.
 
     Results are cached per (k, tol, scan_points); states are immutable.
     """
@@ -375,15 +378,10 @@ def minimizer_state(k: int, tol: float = 1e-6, scan_points: int = 40) -> Minimiz
         local_minima.append((float(a_loc), float(lam_loc)))
     alpha_min = min(local_minima, key=lambda p: p[1])[0]
 
-    # final grid at tol/10, then re-polish the minimizer on it
-    nu_hat, fine_spec = eigenvalue_converged(family_potential(k, alpha_min), 0,
-                                             tol / 10.0)
-    fine_grid = fine_spec.grid
-    alpha_min = _newton_polish(k, alpha_min, fine_grid)
-    nu_hat, _ = eigenvalue_converged(family_potential(k, alpha_min), 0, tol / 10.0)
-    lam1, _ = eigenvalue_converged(family_potential(k, alpha_min), 1, tol / 10.0)
-    lam2, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0,
-                                      m_count=3)
+    _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
+    alpha_min = _newton_polish(k, alpha_min, spec.grid)
+    _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
+    nu_hat, lam1, lam2 = spec.extrapolants
     grid = spec.grid
     op = assemble(family_potential(k, alpha_min), grid)
 

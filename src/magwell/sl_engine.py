@@ -4,11 +4,11 @@ confining potential V, on an adaptively truncated interval.
 The discrete operator is the second-order central-difference Laplacian plus
 the sampled potential, with Dirichlet conditions at +-L. Eigenvalues of the
 discrete matrix come from Sturm-sequence bisection (LAPACK stebz), and
-eigenvectors from inverse iteration. Continuum eigenvalues are obtained by
-doubling L until the Dirichlet truncation is negligible (Agmon decay makes
-the error exponentially small once V exceeds the energy level) and halving
-the spacing with Richardson extrapolation until successive extrapolants
-agree.
+eigenvectors from LAPACK stein on the bisected eigenvalues, in the same
+call. Continuum eigenvalues are obtained by doubling L until the Dirichlet
+truncation is negligible (Agmon decay makes the error exponentially small
+once V exceeds the energy level) and halving the spacing with Richardson
+extrapolation until successive extrapolants agree.
 
 All containers are immutable after construction and every operation is a
 pure function, so parameter sweeps may call into this module concurrently.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 
 class SolverError(Exception):
@@ -124,13 +124,16 @@ class Spectrum1D:
     eigenfunctions (rows) live on the interior points and carry discrete
     L2 norm 1, i.e. spacing * sum(u^2) == 1. `convergence_estimate` holds a
     per-eigenvalue error indication against the continuum operator where
-    available (plain residuals for a fixed-grid solve).
+    available (plain residuals for a fixed-grid solve). `extrapolants` holds
+    the Richardson-extrapolated continuum eigenvalues of a converged solve,
+    one per tracked level, and is None on a fixed-grid spectrum.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     grid: Grid1D
     convergence_estimate: np.ndarray = field(default=None)
+    extrapolants: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) <= 0):
@@ -138,6 +141,8 @@ class Spectrum1D:
                               "1D confining operators have simple spectrum")
         self.eigenvalues.setflags(write=False)
         self.eigenfunctions.setflags(write=False)
+        if self.extrapolants is not None:
+            self.extrapolants.setflags(write=False)
 
     def to_csv(self, path) -> None:
         """Columns t, u_0(t), ..., u_m(t), boundary zeros included."""
@@ -184,88 +189,42 @@ def assemble(potential, grid: Grid1D) -> TridiagonalOperator:
     return TridiagonalOperator(diag, off, grid)
 
 
-def sturm_count(operator: TridiagonalOperator, energy: float) -> int:
-    """Number of eigenvalues strictly below `energy`.
-
-    Sign-change count of the Sturm sequence, evaluated through the stable
-    LDL^T pivot recurrence.
-    """
-    d = operator.diagonal
-    e2 = operator.offdiagonal**2
-    tiny = np.finfo(float).tiny
-    count = 0
-    q = d[0] - energy
-    if q < 0:
-        count += 1
-    for i in range(1, len(d)):
-        if q == 0.0:
-            q = tiny
-        q = d[i] - energy - e2[i - 1] / q
-        if q < 0:
-            count += 1
-    return count
-
-
-def _eigenvalues_only(operator: TridiagonalOperator, m_count: int) -> np.ndarray:
+def _stebz(operator: TridiagonalOperator, m_count: int, vectors: bool):
+    """The m_count lowest eigenvalues by Sturm bisection (LAPACK stebz) and,
+    if `vectors`, their unit eigenvectors as columns (LAPACK stein)."""
     if m_count > operator.size:
         raise SolverError(f"requested {m_count} eigenvalues from operator of size "
                           f"{operator.size}")
     try:
-        vals = eigvalsh_tridiagonal(operator.diagonal, operator.offdiagonal,
-                                    select="i", select_range=(0, m_count - 1),
-                                    lapack_driver="stebz")
-    except Exception as exc:  # LAPACK reported a bisection failure
-        raise SolverError(f"Sturm bisection failed: {exc}") from exc
-    return np.sort(vals)
+        return eigh_tridiagonal(operator.diagonal, operator.offdiagonal,
+                                eigvals_only=not vectors,
+                                select="i", select_range=(0, m_count - 1),
+                                lapack_driver="stebz")
+    except Exception as exc:  # LAPACK reported a bisection or stein failure
+        raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def _inverse_iteration(operator: TridiagonalOperator, eigenvalue: float,
-                       sweeps: int = 3) -> np.ndarray:
-    """Eigenvector by inverse iteration; shift nudged off the eigenvalue."""
-    n = operator.size
-    shift = eigenvalue + 1e-10 * abs(eigenvalue) + 1e-300
-    ab = np.zeros((3, n))
-    ab[0, 1:] = operator.offdiagonal
-    ab[1, :] = operator.diagonal - shift
-    ab[2, :-1] = operator.offdiagonal
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(sweeps):
-        v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
-    dt = operator.grid.spacing
-    v /= np.sqrt(np.sum(v * v) * dt)
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
-    return v
+def _eigenvalues_only(operator: TridiagonalOperator, m_count: int) -> np.ndarray:
+    return _stebz(operator, m_count, vectors=False)
 
 
-def lowest_eigenpairs(operator: TridiagonalOperator, m_count: int,
-                      tol: float = 1e-12) -> Spectrum1D:
+def lowest_eigenpairs(operator: TridiagonalOperator, m_count: int) -> Spectrum1D:
     """The m_count smallest eigenpairs of the discrete operator.
 
-    Eigenvalues via Sturm-sequence bisection, eigenvectors via inverse
-    iteration, normalized to discrete L2 norm 1. `convergence_estimate`
-    holds the eigenpair residuals |T u - lambda u| relative to |u|.
+    Eigenvalues via Sturm-sequence bisection, eigenvectors via LAPACK stein
+    on those eigenvalues; each eigenvector is normalized to discrete L2
+    norm 1 and signed so that its largest-magnitude entry is positive.
+    `convergence_estimate` holds the eigenpair residuals |T u - lambda u|
+    relative to |u|.
     """
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vals = _eigenvalues_only(operator, m_count)
-    vecs = np.empty((m_count, operator.size))
-    resid = np.empty(m_count)
-    dt = operator.grid.spacing
-    for i, lam in enumerate(vals):
-        v = _inverse_iteration(operator, lam)
-        # two-fold Gram-Schmidt against lower states guards near-degeneracies
-        for j in range(i):
-            v -= (np.sum(v * vecs[j]) * dt) * vecs[j]
-        nv = np.sqrt(np.sum(v * v) * dt)
-        v /= nv
-        vecs[i] = v
-        resid[i] = np.linalg.norm(operator.matvec(v) - lam * v) / np.linalg.norm(v)
+    vals, vecs = _stebz(operator, m_count, vectors=True)
+    vecs = vecs.T / np.sqrt(operator.grid.spacing)
+    peaks = vecs[np.arange(m_count), np.argmax(np.abs(vecs), axis=1)]
+    vecs *= np.sign(peaks)[:, None]
+    resid = np.array([np.linalg.norm(operator.matvec(u) - lam * u) / np.linalg.norm(u)
+                      for lam, u in zip(vals, vecs)])
     return Spectrum1D(vals, vecs, operator.grid, resid)
 
 
@@ -311,7 +270,6 @@ def _initial_half_width(pot: ConfiningPotential, m: int,
 
 
 def eigenvalue_converged(potential, m: int, tol: float,
-                         m_count: Optional[int] = None,
                          probe_points: int = 513,
                          max_refinements: int = 12) -> tuple[float, Spectrum1D]:
     """m-th eigenvalue of the continuum operator -u'' + V u on the line.
@@ -323,16 +281,17 @@ def eigenvalue_converged(potential, m: int, tol: float,
     of the discrete eigenproblem, whichever is larger).
 
     Returns (extrapolated eigenvalue, Spectrum1D on the finest grid). The
-    spectrum tracks max(m_count, m+1) eigenpairs; its convergence_estimate
-    is the distance from each discrete eigenvalue to its extrapolant plus
-    the final extrapolant increment.
+    spectrum tracks the m+1 lowest eigenpairs and carries the extrapolants
+    of all of them; its convergence_estimate is the distance from each
+    discrete eigenvalue to its extrapolant plus the final extrapolant
+    increment.
     """
     pot = as_potential(potential)
     if not pot.confining:
         raise ValueError("potential lacks the confining declaration")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    track = max(m_count or 0, m + 1)
+    track = m + 1
 
     L = _initial_half_width(pot, m)
     for _ in range(24):
@@ -363,21 +322,13 @@ def eigenvalue_converged(potential, m: int, tol: float,
                 spec = lowest_eigenpairs(op, track)
                 est = np.abs(lam_R - cur) + step
                 spec = Spectrum1D(spec.eigenvalues, spec.eigenfunctions,
-                                  spec.grid, est)
+                                  spec.grid, est, lam_R)
                 return float(lam_R[m]), spec
         prev_R = lam_R
         prev = cur
     raise ConvergenceError(
         f"spacing refinement exhausted at n={n}",
         estimates=(float(prev_R[m]), float(lam_R[m])))
-
-
-def count_sign_changes(u: np.ndarray, floor: float = 1e-8) -> int:
-    """Interior sign changes of a discrete eigenfunction, ignoring samples
-    below floor * max|u| (where the decaying tail is pure noise)."""
-    v = u[np.abs(u) > floor * np.max(np.abs(u))]
-    s = np.sign(v)
-    return int(np.sum(s[1:] != s[:-1]))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ integrates the Prufer phase ODE (no matrices at all), and the dense oracle
 runs the full-QR tridiagonal eigensolver (LAPACK stev) instead of bisection.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
+The remaining helpers are small test-side computations that the library
+itself never needs.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
+from magwell.miniwell import EffectiveOperatorK
 from magwell.model2d import Field2DConfig
 from magwell.sl_engine import Grid1D, assemble, lowest_eigenpairs
 
@@ -89,3 +92,19 @@ def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
     grid = Grid1D(config.T, n_t)
     spec = lowest_eigenpairs(assemble(fiber_potential, grid), m_count)
     return h**2 * spec.eigenvalues
+
+
+def count_sign_changes(u: np.ndarray, floor: float = 1e-8) -> int:
+    """Interior sign changes of a discrete eigenfunction, ignoring samples
+    below floor * max|u| (where the decaying tail is pure noise)."""
+    v = u[np.abs(u) > floor * np.max(np.abs(u))]
+    s = np.sign(v)
+    return int(np.sum(s[1:] != s[:-1]))
+
+
+def omega_orthogonal_direction(kop: EffectiveOperatorK) -> np.ndarray:
+    """The degenerate-branch distinguished vector: orthogonal to the
+    completion directions with respect to the bilinear form Omega, i.e.
+    parallel to Omega^{-1} e_omega."""
+    v = np.linalg.solve(kop.Omega, kop.e_omega)
+    return v / np.linalg.norm(v)

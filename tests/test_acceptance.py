@@ -121,8 +121,7 @@ def test_criterion_5_parity(states):
     ok = True
     for k in (1, 3, 5, 7):
         alpha = states[k].report.alpha_min
-        _, spec = eigenvalue_converged(family_potential(k, alpha), 3, 1e-8,
-                                       m_count=4)
+        _, spec = eigenvalue_converged(family_potential(k, alpha), 3, 1e-8)
         classes = parity_classify(spec)
         for m, p in enumerate(classes):
             want = "even" if m % 2 == 0 else "odd"

@@ -13,12 +13,13 @@ from magwell.miniwell import (
     build_effective_operator,
     flat_model_geometry,
     moments_1d,
-    omega_orthogonal_direction,
     spectrum_K,
     spectrum_K_oracle,
 )
 from magwell.montgomery import minimizer_state
 from magwell.sl_engine import ConvergenceError, SolverError
+
+from oracles import omega_orthogonal_direction
 
 
 def make_geometry(dim=2, **overrides):

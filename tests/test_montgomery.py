@@ -107,6 +107,12 @@ class TestMinimizer:
             assert r.lambda1 > r.nu_hat
             assert r.hf_residual < 1e-5
 
+    def test_stationarity_at_rounding_level(self, states):
+        # the minimizer is Newton-polished at the resolution the residual is
+        # evaluated at, so only rounding is left
+        for k, st in states.items():
+            assert st.report.hf_residual < 1e-10, k
+
 
 class TestDerivatives:
     def test_stationary_at_minimum(self, states):

@@ -12,14 +12,17 @@ from magwell.sl_engine import (
     Spectrum1D,
     assemble,
     boundary_mass,
-    count_sign_changes,
     eigenvalue_converged,
     lowest_eigenpairs,
     parity_classify,
-    sturm_count,
 )
 
-from oracles import dense_converged, dense_eigenvalues, shooting_eigenvalue
+from oracles import (
+    count_sign_changes,
+    dense_converged,
+    dense_eigenvalues,
+    shooting_eigenvalue,
+)
 
 # frozen from the Prufer shooting oracle in tests/oracles.py
 GROUND_QUARTIC_HALF = 0.667986259218      # -u'' + (t^2/2)^2 u
@@ -115,6 +118,12 @@ class TestLowestEigenpairs:
             assert np.sum(u**2) * g.spacing == pytest.approx(1.0, abs=1e-12)
         assert np.all(spec.convergence_estimate < 1e-8)
 
+    def test_sign_convention(self):
+        spec = lowest_eigenpairs(assemble(V_family_k1, Grid1D(6.0, 801)), 4)
+        for u in spec.eigenfunctions:
+            assert u[np.argmax(np.abs(u))] > 0
+        assert spec.extrapolants is None
+
     def test_too_many_requested(self):
         op = assemble(V_harmonic, Grid1D(2.0, 16))
         with pytest.raises(SolverError):
@@ -143,6 +152,11 @@ class TestEigenvalueConverged:
         live = shooting_eigenvalue(lambda t: (t**2 / 2) ** 2, 0, 6.0, 0.1, 1.5)
         assert live == pytest.approx(GROUND_QUARTIC_HALF, abs=1e-9)
 
+    def test_extrapolants_carry_every_level(self):
+        val, spec = eigenvalue_converged(V_harmonic, 2, 1e-8)
+        assert spec.extrapolants[2] == val
+        assert np.allclose(spec.extrapolants, [1.0, 3.0, 5.0], atol=1e-8)
+
     def test_boundary_mass_is_small(self):
         _, spec = eigenvalue_converged(V_harmonic, 2, 1e-8)
         assert boundary_mass(spec) < 1e-16
@@ -164,7 +178,7 @@ class TestEigenvalueConverged:
 
 class TestParity:
     def test_family_k1_even_odd_sequence(self):
-        _, spec = eigenvalue_converged(V_family_k1, 3, 1e-8, m_count=4)
+        _, spec = eigenvalue_converged(V_family_k1, 3, 1e-8)
         labels = [p.label for p in parity_classify(spec)]
         assert labels == ["even", "odd", "even", "odd"]
         assert all(p.residual < 1e-8 for p in parity_classify(spec)[:1])
@@ -192,16 +206,8 @@ class TestInvariants:
             d2 = abs(vals[2][m] - vals[1][m])
             assert d1 / d2 >= 3.0
 
-    def test_sturm_count_consistency(self):
-        g = Grid1D(6.0, 301)
-        op = assemble(lambda t: (t**2 / 2 - 0.35) ** 2, g)
-        all_vals = dense_eigenvalues(lambda t: (t**2 / 2 - 0.35) ** 2, g, op.size)
-        rng = np.random.default_rng(42)
-        for E in rng.uniform(0.0, 50.0, size=100):
-            assert sturm_count(op, E) == int(np.sum(all_vals < E))
-
     def test_oscillation_theorem(self):
-        _, spec = eigenvalue_converged(V_family_k1, 5, 1e-7, m_count=6)
+        _, spec = eigenvalue_converged(V_family_k1, 5, 1e-7)
         for m, u in enumerate(spec.eigenfunctions):
             assert count_sign_changes(u) == m
 
@@ -220,7 +226,7 @@ class TestInvariants:
 
 class TestSerialization:
     def test_csv_and_json(self, tmp_path):
-        _, spec = eigenvalue_converged(V_harmonic, 1, 1e-6, m_count=2)
+        _, spec = eigenvalue_converged(V_harmonic, 1, 1e-6)
         csv_path = tmp_path / "spec.csv"
         json_path = tmp_path / "spec.json"
         spec.to_csv(csv_path)
