@@ -12,8 +12,6 @@ from measured sweeps.
 """
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,38 +153,6 @@ class GapForecast:
     gap_windows: tuple[tuple[tuple[float, float], ...], ...]
     error_constant: float
     residual_constant: float
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "k": self.k,
-                "omega_min": self.omega_min,
-                "nu_hat": self.nu_hat,
-                "K_levels": list(self.K_levels),
-                "h_values": list(self.h_values),
-                "z": [[float(v) for v in row] for row in self.z],
-                "lower_bounds": list(self.lower_bounds),
-                "upper_bounds": list(self.upper_bounds),
-                "gap_windows": [[list(g) for g in row] for row in self.gap_windows],
-                "error_constant": self.error_constant,
-                "residual_constant": self.residual_constant,
-            }, fh, indent=2, sort_keys=True)
-
-    def to_csv(self, path) -> None:
-        n_lev = len(self.K_levels)
-        n_gap = max((len(row) for row in self.gap_windows), default=0)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            head = ["h"] + [f"z_{m}" for m in range(n_lev)]
-            for i in range(n_gap):
-                head += [f"gap_lo_{i}", f"gap_hi_{i}"]
-            w.writerow(head)
-            for i, h in enumerate(self.h_values):
-                row = [repr(float(h))] + [repr(float(v)) for v in self.z[i]]
-                for g in self.gap_windows[i]:
-                    row += [repr(g[0]), repr(g[1])]
-                row += [""] * (len(head) - len(row))
-                w.writerow(row)
 
 
 def build_forecast(k: int, omega_min: float, K_levels: Sequence[float],

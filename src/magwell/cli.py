@@ -7,25 +7,28 @@ geometry file), `predict` (gap forecast files), `validate2d` (2D sweep).
 
 Every invocation writes its outputs (UTF-8 CSV/JSON, RFC-4180 quoting via
 the csv module) plus a manifest JSON recording the subcommand, the full
-parameter set, the tool version, a timestamp, and the output paths. Outputs
-are deterministic for identical parameter sets; the worker count for k
-sweeps comes from MAGWELL_WORKERS (default 1).
+parameter set, the tool version, a timestamp, and the output paths. This
+module is the one place that names output columns and keys; `_files` writes
+them, every float as `repr(float(v))`, so outputs are byte-identical for
+identical parameter sets. The worker count for k sweeps comes from
+MAGWELL_WORKERS (a positive integer, default 1).
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._files import write_csv, write_json
 from .sl_engine import SolverError, parity_classify
 from . import montgomery, miniwell, asymptotics, model2d
 
@@ -69,10 +72,15 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _workers() -> int:
+    text = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(
+            f"{WORKERS_ENV} must be a positive integer, got {text!r}")
+    return workers
 
 
 def _write_manifest(outdir: Path, name: str, subcommand: str, params: dict,
@@ -85,8 +93,7 @@ def _write_manifest(outdir: Path, name: str, subcommand: str, params: dict,
         "outputs": [str(p) for p in outputs],
     }
     path = outdir / f"{name}_manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json(path, manifest)
     return path
 
 
@@ -97,13 +104,14 @@ def _report_for_k(args):
 
 def cmd_table1(args) -> int:
     ks = _parse_k_range(args.k)
+    workers = _workers()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [(k, args.tol) for k in ks]
     failures = []
     reports = {}
-    if _workers() > 1:
-        with ProcessPoolExecutor(max_workers=_workers()) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {k: pool.submit(_report_for_k, job)
                        for k, job in zip(ks, jobs)}
         for k in ks:   # parameter order, not completion order
@@ -128,22 +136,15 @@ def cmd_table1(args) -> int:
         print(f"{label:<9s}{row}")
 
     csv_path = outdir / "table1.csv"
-    import csv as _csv
-    with open(csv_path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["k", "alpha_min", "nu_hat", "lambda_1", "lambda_2", "d2",
-                    "d2_lower_bound", "condik_margin", "hf_residual",
-                    "norm_identity_residual"])
-        for k in done:
-            r = reports[k]
-            w.writerow([k] + [repr(v) for v in (
-                r.alpha_min, r.nu_hat, r.lambda1, r.lambda2, r.d2,
+    write_csv(csv_path,
+              ["k", "alpha_min", "nu_hat", "lambda_1", "lambda_2", "d2",
+               "d2_lower_bound", "condik_margin", "hf_residual",
+               "norm_identity_residual"],
+              [[k, r.alpha_min, r.nu_hat, r.lambda1, r.lambda2, r.d2,
                 r.d2_lower_bound, r.condik_margin, r.hf_residual,
-                r.norm_identity_residual)])
+                r.norm_identity_residual] for k, r in sorted(reports.items())])
     json_path = outdir / "table1.json"
-    with open(json_path, "w") as fh:
-        json.dump({str(k): reports[k].to_json_dict() for k in done},
-                  fh, indent=2, sort_keys=True)
+    write_json(json_path, {str(k): reports[k] for k in done})
     _write_manifest(outdir, "table1", "table1",
                     {"k": args.k, "tol": args.tol}, [csv_path, json_path])
     return 1 if failures else 0
@@ -159,8 +160,11 @@ def cmd_profile(args) -> int:
               f"alpha_min={table.alpha_min:.4f}", file=sys.stderr)
     csv_path = outdir / f"profile_k{args.k}.csv"
     json_path = outdir / f"profile_k{args.k}.json"
-    table.to_csv(csv_path)
-    table.to_json(json_path)
+    rows = np.column_stack([table.alpha, table.lambda0, table.lambda_quad])
+    write_csv(csv_path, ["alpha", "lambda0", "lambda_quad"], rows)
+    write_json(json_path, {"k": table.k, "alpha_min": table.alpha_min,
+                           "nu_hat": table.nu_hat, "d2": table.d2,
+                           "rows": rows})
     _write_manifest(outdir, f"profile_k{args.k}", "profile",
                     {"k": args.k, "range": args.range, "samples": args.samples},
                     [csv_path, json_path])
@@ -207,11 +211,11 @@ def _verify_one_k(k: int, tol: float, rng_seed: int = 20240801) -> dict:
 
 def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k)
+    workers = _workers()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = []
-    if _workers() > 1:
-        with ProcessPoolExecutor(max_workers=_workers()) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one_k, ks, [args.tol] * len(ks)))
     else:
         results = [_verify_one_k(k, args.tol) for k in ks]
@@ -223,8 +227,7 @@ def cmd_verify(args) -> int:
                            for name, ok in res["checks"].items())
         print(f"k={res['k']}: {status}  ({detail})")
     json_path = outdir / "verify.json"
-    with open(json_path, "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
+    write_json(json_path, results)
     _write_manifest(outdir, "verify", "verify",
                     {"k": args.k, "tol": args.tol}, [json_path])
     return 0 if all_ok else 1
@@ -237,17 +240,16 @@ def cmd_miniwell(args) -> int:
     kop = miniwell.build_effective_operator(geom, args.k)
     kspec = miniwell.spectrum_K(kop, count=args.count)
     json_path = outdir / "miniwell_spectrum.json"
-    with open(json_path, "w") as fh:
-        json.dump({
-            "k": args.k,
-            "c_omega": kop.c_omega,
-            "e_omega": kop.e_omega.tolist(),
-            "Omega": kop.Omega.tolist(),
-            "A_real": kop.A_const.real,
-            "A_imag": kop.A_const.imag,
-            "alpha_min": kop.alpha_min,
-            "spectrum": kspec.to_json_dict(),
-        }, fh, indent=2, sort_keys=True)
+    write_json(json_path, {
+        "k": args.k,
+        "c_omega": kop.c_omega,
+        "e_omega": kop.e_omega,
+        "Omega": kop.Omega,
+        "A_real": kop.A_const.real,
+        "A_imag": kop.A_const.imag,
+        "alpha_min": kop.alpha_min,
+        "spectrum": kspec,
+    })
     _write_manifest(outdir, "miniwell", "miniwell",
                     {"geometry": str(args.geometry), "k": args.k,
                      "count": args.count}, [json_path])
@@ -269,8 +271,15 @@ def cmd_predict(args) -> int:
         c_res=args.residual_constant)
     json_path = outdir / "forecast.json"
     csv_path = outdir / "forecast.csv"
-    forecast.to_json(json_path)
-    forecast.to_csv(csv_path)
+    write_json(json_path, forecast)
+    n_gap = max((len(row) for row in forecast.gap_windows), default=0)
+    header = (["h"] + [f"z_{m}" for m in range(len(forecast.K_levels))]
+              + [f"gap_{end}_{i}" for i in range(n_gap) for end in ("lo", "hi")])
+    rows = []
+    for h, z, gaps in zip(forecast.h_values, forecast.z, forecast.gap_windows):
+        row = [h, *z, *(v for gap in gaps for v in gap)]
+        rows.append(row + [""] * (len(header) - len(row)))
+    write_csv(csv_path, header, rows)
     _write_manifest(outdir, "predict", "predict",
                     {"geometry": str(args.geometry), "k": args.k, "h": args.h,
                      "count": args.count, "C": args.error_constant,
@@ -286,8 +295,15 @@ def cmd_validate2d(args) -> int:
     report = model2d.run_sweep(config, m_count=args.levels)
     json_path = outdir / "sweep2d.json"
     csv_path = outdir / "sweep2d.csv"
-    report.to_json(json_path)
-    report.to_csv(csv_path)
+    data = asdict(report)
+    data["warnings"] = data.pop("warnings_issued")
+    write_json(json_path, data)
+    m = report.eigenvalues.shape[1]
+    write_csv(csv_path,
+              ["h"] + [f"lambda_{i}" for i in range(m)]
+              + [f"z_{i}" for i in range(m)],
+              [[h, *lam, *z] for h, lam, z in zip(
+                  report.h_values, report.eigenvalues, report.z_predicted)])
     _write_manifest(outdir, "validate2d", "validate2d",
                     {"config": str(args.config), "levels": args.levels},
                     [json_path, csv_path])
@@ -355,10 +371,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

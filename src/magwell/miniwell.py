@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._jsonfile import load_json_object
+from ._files import load_json_object
 from ._shift_invert import lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError, Spectrum1D
 from .montgomery import MinimizerReport, MinimizerState
@@ -132,21 +132,6 @@ class MiniwellGeometry:
             return cls(**data)
         except TypeError as exc:     # a field of the wrong JSON type
             raise ValueError(f"malformed geometry: {exc}") from exc
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "omega01": self.omega01.tolist(),
-            "domega01": self.domega01.tolist(),
-            "hess_abs2": self.hess_abs2.tolist(),
-            "omega02": self.omega02.tolist(),
-            "gdot00": self.gdot00,
-            "gdot0j": self.gdot0j.tolist(),
-            "gdotjl": self.gdotjl.tolist(),
-            "gamma00": self.gamma00,
-            "gammaj0": self.gammaj0.tolist(),
-            "domega_div": self.domega_div,
-        }
 
 
 def flat_model_geometry(omega_min: float, curvature_abs2: float) -> MiniwellGeometry:
@@ -299,15 +284,6 @@ class KSpectrum:
     levels: Optional[np.ndarray]      # ascending, non-degenerate branch
     bottom: Optional[float]           # half-line edge, degenerate branch
     imag_A_warning: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "levels": None if self.levels is None else
-            [float(v) for v in self.levels],
-            "bottom": self.bottom,
-            "imag_A_warning": self.imag_A_warning,
-        }
 
 
 def _oscillator_levels(freqs: np.ndarray, offset: float, count: int) -> np.ndarray:

@@ -10,23 +10,19 @@ operator (h D_t)^2 + (h D_s - A_s)^2 is discretized with the gauge-covariant
 (Peierls link) five-point scheme: the s-hops carry unit-modulus phases
 exp(-i ds A_s/h) sampled at the staggered midpoints, which keeps discrete
 gauge transformations exact unitary conjugations. The assembled operator is
-complex Hermitian; an equivalent real symmetric form (eigenvalues doubled)
-is exposed for plain-transpose checks and text export.
+complex Hermitian, bit for bit.
 """
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from ._jsonfile import load_json_object
+from ._files import load_json_object
 from ._shift_invert import lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
@@ -156,9 +152,7 @@ class MagneticOperator2D:
     """Assembled discrete magnetic operator on the cylinder grid.
 
     `hermitian` is the operator actually diagonalized (complex Hermitian
-    CSR). `real_symmetric()` returns the doubled real form
-    [[Re H, -Im H], [Im H, Re H]], bit-exactly symmetric, with every
-    eigenvalue of H appearing twice.
+    CSR, equal to its conjugate transpose bit for bit).
     """
 
     hermitian: sp.csr_matrix
@@ -172,15 +166,6 @@ class MagneticOperator2D:
     @property
     def shape(self):
         return self.hermitian.shape
-
-    def real_symmetric(self) -> sp.csr_matrix:
-        S_part = self.hermitian.real.tocsr()
-        W_part = self.hermitian.imag.tocsr()
-        return sp.bmat([[S_part, -W_part], [W_part, S_part]], format="csr")
-
-    def export_coordinate_text(self, path) -> None:
-        """MatrixMarket coordinate text of the Hermitian operator."""
-        mmwrite(path, self.hermitian.tocoo())
 
 
 def _link_phases(config: Field2DConfig, h: float, t: np.ndarray,
@@ -313,38 +298,6 @@ class Sweep2DReport:
     K_level_gaps: tuple[float, ...]
     skipped_h: tuple[float, ...]
     warnings_issued: tuple[str, ...]
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "k": self.k,
-                "omega_min": self.omega_min,
-                "nu_hat": self.nu_hat,
-                "d2": self.d2,
-                "K_levels": list(self.K_levels),
-                "h_values": list(self.h_values),
-                "eigenvalues": [[float(v) for v in row] for row in self.eigenvalues],
-                "z_predicted": [[float(v) for v in row] for row in self.z_predicted],
-                "leading_fit_exponent": self.leading_fit_exponent,
-                "leading_fit_coefficient": self.leading_fit_coefficient,
-                "leading_ratio_smallest_h": self.leading_ratio_smallest_h,
-                "splitting_fit_exponent": self.splitting_fit_exponent,
-                "splitting_coefficients": list(self.splitting_coefficients),
-                "K_level_gaps": list(self.K_level_gaps),
-                "skipped_h": list(self.skipped_h),
-                "warnings": list(self.warnings_issued),
-            }, fh, indent=2, sort_keys=True)
-
-    def to_csv(self, path) -> None:
-        m = self.eigenvalues.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h"] + [f"lambda_{i}" for i in range(m)]
-                       + [f"z_{i}" for i in range(m)])
-            for i, h in enumerate(self.h_values):
-                w.writerow([repr(float(h))]
-                           + [repr(float(v)) for v in self.eigenvalues[i]]
-                           + [repr(float(v)) for v in self.z_predicted[i]])
 
 
 def _intercept_fit(x: np.ndarray, y: np.ndarray) -> float:

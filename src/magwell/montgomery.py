@@ -15,8 +15,6 @@ grid level).
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -248,24 +246,6 @@ class MinimizerReport:
         if self.k % 2 == 0 and abs(self.alpha_min) > alpha_tol:
             raise SolverError(
                 f"even k={self.k} expected alpha_min ~ 0, got {self.alpha_min}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alpha_min": self.alpha_min,
-            "nu_hat": self.nu_hat,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "d2": self.d2,
-            "d2_lower_bound": self.d2_lower_bound,
-            "condik_holds": self.condik_holds,
-            "condik_margin": self.condik_margin,
-            "condik_odd_holds": self.condik_odd_holds,
-            "condik_odd_margin": self.condik_odd_margin,
-            "norm_identity_residual": self.norm_identity_residual,
-            "hf_residual": self.hf_residual,
-            "local_minima_scan": [list(p) for p in self.local_minima_scan],
-        }
 
 
 @dataclass(frozen=True)
@@ -505,24 +485,6 @@ class ProfileTable:
     alpha_min: float
     nu_hat: float
     d2: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha", "lambda0", "lambda_quad"])
-            for a, l0, lq in zip(self.alpha, self.lambda0, self.lambda_quad):
-                w.writerow([repr(float(a)), repr(float(l0)), repr(float(lq))])
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "k": self.k,
-                "alpha_min": self.alpha_min,
-                "nu_hat": self.nu_hat,
-                "d2": self.d2,
-                "rows": [[float(a), float(l), float(q)] for a, l, q in
-                         zip(self.alpha, self.lambda0, self.lambda_quad)],
-            }, fh, indent=2, sort_keys=True)
 
 
 def profile(k: int, alpha_range: tuple[float, float], n_samples: int,

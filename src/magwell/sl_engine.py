@@ -15,8 +15,6 @@ pure function, so parameter sweeps may call into this module concurrently.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -143,31 +141,6 @@ class Spectrum1D:
         self.eigenfunctions.setflags(write=False)
         if self.extrapolants is not None:
             self.extrapolants.setflags(write=False)
-
-    def to_csv(self, path) -> None:
-        """Columns t, u_0(t), ..., u_m(t), boundary zeros included."""
-        t = self.grid.points()
-        m = self.eigenfunctions.shape[0]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"u_{i}" for i in range(m)])
-            full = np.zeros((m, len(t)))
-            full[:, 1:-1] = self.eigenfunctions
-            for j in range(len(t)):
-                w.writerow([repr(t[j])] + [repr(full[i, j]) for i in range(m)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "half_width": self.grid.half_width,
-            "n_points": self.grid.n_points,
-            "convergence_estimate": [float(v) for v in self.convergence_estimate]
-            if self.convergence_estimate is not None else None,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
 def assemble(potential, grid: Grid1D) -> TridiagonalOperator:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -5,6 +6,29 @@ import numpy as np
 import pytest
 
 from magwell.cli import main
+
+# The JSON schemas of the outputs. Most objects are written from a dataclass
+# with its field names as keys, so renaming a field would change the file
+# format; these sets pin it.
+TABLE1_ROW_KEYS = [
+    "alpha_min", "condik_holds", "condik_margin", "condik_odd_holds",
+    "condik_odd_margin", "d2", "d2_lower_bound", "hf_residual", "k",
+    "lambda1", "lambda2", "local_minima_scan", "norm_identity_residual",
+    "nu_hat"]
+FORECAST_KEYS = [
+    "K_levels", "error_constant", "gap_windows", "h_values", "k",
+    "lower_bounds", "nu_hat", "omega_min", "residual_constant",
+    "upper_bounds", "z"]
+SWEEP2D_KEYS = [
+    "K_level_gaps", "K_levels", "d2", "eigenvalues", "h_values", "k",
+    "leading_fit_coefficient", "leading_fit_exponent",
+    "leading_ratio_smallest_h", "nu_hat", "omega_min", "skipped_h",
+    "splitting_coefficients", "splitting_fit_exponent", "warnings",
+    "z_predicted"]
+MINIWELL_KEYS = [
+    "A_imag", "A_real", "Omega", "alpha_min", "c_omega", "e_omega", "k",
+    "spectrum"]
+MINIWELL_SPECTRUM_KEYS = ["bottom", "branch", "imag_A_warning", "levels"]
 
 
 def run_cli(args):
@@ -70,6 +94,14 @@ class TestExitCodes:
         assert run_cli(["validate2d", "--config", str(path),
                         "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+    def test_malformed_workers_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, value):
+        monkeypatch.setenv("MAGWELL_WORKERS", value)
+        assert run_cli(["table1", "--k", "1", "--out", str(tmp_path)]) == 2
+        assert "MAGWELL_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
 
 class TestTable1:
     def test_single_k(self, tmp_path, capsys):
@@ -81,6 +113,9 @@ class TestTable1:
         rows = (tmp_path / "table1.csv").read_text().splitlines()
         assert rows[0].startswith("k,alpha_min,nu_hat,lambda_1")
         assert len(rows) == 2
+        data = json.loads((tmp_path / "table1.json").read_text())
+        assert sorted(data) == ["1"]
+        assert sorted(data["1"]) == TABLE1_ROW_KEYS
         manifest = json.loads((tmp_path / "table1_manifest.json").read_text())
         assert manifest["subcommand"] == "table1"
         assert manifest["parameters"] == {"k": "1", "tol": 1e-4}
@@ -138,6 +173,8 @@ class TestMiniwellPredict:
                       "--count", "4", "--out", str(tmp_path)])
         assert rc == 0
         data = json.loads((tmp_path / "miniwell_spectrum.json").read_text())
+        assert sorted(data) == MINIWELL_KEYS
+        assert sorted(data["spectrum"]) == MINIWELL_SPECTRUM_KEYS
         assert data["spectrum"]["branch"] == "nondegenerate"
         assert len(data["spectrum"]["levels"]) == 4
 
@@ -149,7 +186,28 @@ class TestMiniwellPredict:
         head = (tmp_path / "forecast.csv").read_text().splitlines()[0]
         assert head.startswith("h,z_0")
         data = json.loads((tmp_path / "forecast.json").read_text())
+        assert sorted(data) == FORECAST_KEYS
         assert len(data["h_values"]) == 4
+
+    def test_predict_gap_cells_are_plain_floats(self, tmp_path, geometry_file):
+        # a small residual constant opens gap windows, so gap cells are written
+        rc = run_cli(["predict", "--geometry", geometry_file, "--k", "1",
+                      "--h", "0.01,0.005", "--residual-constant", "1e-4",
+                      "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "forecast.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert "gap_lo_0" in rows[0]
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert len(row) == len(rows[0])
+            for cell in row:
+                assert "np." not in cell
+                if cell:
+                    float(cell)
+        data = json.loads((tmp_path / "forecast.json").read_text())
+        lo = rows[0].index("gap_lo_0")
+        assert float(rows[1][lo]) == data["gap_windows"][0][0][0]
 
 
 class TestValidate2D:
@@ -161,8 +219,11 @@ class TestValidate2D:
         out = capsys.readouterr().out
         assert "leading exponent" in out
         data = json.loads((tmp_path / "sweep2d.json").read_text())
+        assert sorted(data) == SWEEP2D_KEYS
         assert len(data["h_values"]) == 5
         assert len(data["eigenvalues"][0]) == 3
+        assert (tmp_path / "sweep2d.csv").read_text().splitlines()[0] == \
+            "h,lambda_0,lambda_1,lambda_2,z_0,z_1,z_2"
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         # every h outgrows the pinned grid, so the sweep cannot proceed

@@ -1,8 +1,9 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 
+from magwell._files import write_json
 from magwell.miniwell import (
     EffectiveOperatorK,
     Moments1D,
@@ -97,13 +98,14 @@ class TestGeometry:
         assert g2.divergence == 1.23
 
     def test_json_round_trip(self, tmp_path):
-        g = make_geometry(gdot00=0.7)
+        g = make_geometry(gdot00=0.7, omega02=np.array([0.1, -0.2]),
+                          gdotjl=np.array([[0.3, 0.0], [0.0, 0.5]]))
         path = tmp_path / "geom.json"
-        with open(path, "w") as fh:
-            json.dump(g.to_json_dict(), fh)
+        write_json(path, g)
         for source in (str(path), path):
             g2 = MiniwellGeometry.from_json(source)
-            assert np.array_equal(g2.omega01, g.omega01)
+            for f in dataclasses.fields(g):
+                assert np.array_equal(getattr(g2, f.name), getattr(g, f.name)), f.name
             assert g2.gdot00 == 0.7
 
     def test_unknown_field_rejected(self):

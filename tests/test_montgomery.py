@@ -229,7 +229,7 @@ class TestNondegeneracy:
 
 
 class TestProfile:
-    def test_k2_profile(self, states, tmp_path):
+    def test_k2_profile(self, states):
         table = profile(2, (-1.0, 1.0), 21, tol=1e-6)
         assert len(table.alpha) == 21
         i_min = int(np.argmin(table.lambda0))
@@ -239,9 +239,6 @@ class TestProfile:
         quad_at_min = table.nu_hat + 0.5 * table.d2 * (
             table.alpha_min - table.alpha_min) ** 2
         assert quad_at_min == table.nu_hat
-        path = tmp_path / "profile.csv"
-        table.to_csv(path)
-        assert path.read_text().splitlines()[0] == "alpha,lambda0,lambda_quad"
 
     def test_quadratic_hugs_profile_near_minimum(self, states):
         st = states[1].report

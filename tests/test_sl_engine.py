@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -225,18 +223,6 @@ class TestInvariants:
 
 
 class TestSerialization:
-    def test_csv_and_json(self, tmp_path):
-        _, spec = eigenvalue_converged(V_harmonic, 1, 1e-6)
-        csv_path = tmp_path / "spec.csv"
-        json_path = tmp_path / "spec.json"
-        spec.to_csv(csv_path)
-        spec.to_json(json_path)
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "t,u_0,u_1"
-        data = json.loads(json_path.read_text())
-        assert len(data["eigenvalues"]) == 2
-        assert data["n_points"] == spec.grid.n_points
-
     def test_spectrum_rejects_nonincreasing(self):
         g = Grid1D(1.0, 16)
         with pytest.raises(SolverError):
