@@ -11,6 +11,13 @@ operator (h D_t)^2 + (h D_s - A_s)^2 is discretized with the gauge-covariant
 exp(-i ds A_s/h) sampled at the staggered midpoints, which keeps discrete
 gauge transformations exact unitary conjugations. The assembled operator is
 complex Hermitian, bit for bit.
+
+For odd k the gauge is even in t and the t grid is mirror-symmetric bit for
+bit, so the operator commutes exactly with the reflection t -> -t. The
+eigensolver then splits it into even and odd blocks of about N/2 unknowns.
+It solves the even block at a shift forecast just below the ground state,
+and certifies that shift, and the absence of odd levels among the lowest
+ones, by Sylvester inertia of the factors it computes.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from ._files import load_json_object
-from ._shift_invert import lowest_sparse_eigenpairs
+from ._shift_invert import ShiftRejected, count_below, lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
 
@@ -137,6 +144,9 @@ class Field2DConfig:
         return n_s, n_t
 
     def grid_for(self, h: float) -> tuple[int, int]:
+        """(n_s, n_t) used at this h: the pins, else the required grid.
+        Raises ResolutionError when the grid under-resolves h or exceeds
+        `grid_budget`."""
         need_s, need_t = self.required_grid(h)
         n_s = self.n_s or need_s
         n_t = self.n_t or need_t
@@ -144,6 +154,11 @@ class Field2DConfig:
             raise ResolutionError(
                 f"h={h:g} needs n_s >= {need_s}, n_t >= {need_t}; "
                 f"got ({n_s}, {n_t})")
+        max_s, max_t = self.grid_budget
+        if n_s > max_s or n_t > max_t:
+            raise ResolutionError(
+                f"h={h:g}: grid ({n_s}, {n_t}) exceeds the grid budget "
+                f"n_s <= {max_s}, n_t <= {max_t}")
         return n_s, n_t
 
 
@@ -205,8 +220,10 @@ def assemble_2d(config: Field2DConfig, h: float,
     hook that drops A entirely, leaving the plain Laplacian ⊗ structure.
     """
     n_s, n_t = config.grid_for(h)
-    t_full = np.linspace(-config.T, config.T, n_t)
-    t = t_full[1:-1]
+    # interior nodes t_i = T (2i - (n_t - 1)) / (n_t - 1), i = 1..n_t-2:
+    # mirror-symmetric bit for bit, so an A_s even in t gives an operator
+    # that commutes exactly with the reflection t -> -t
+    t = config.T * (2.0 * np.arange(1, n_t - 1) - (n_t - 1)) / (n_t - 1)
     dt = 2 * config.T / (n_t - 1)
     ds = config.S / n_s
     s_mid = (np.arange(n_s) + 0.5) * ds
@@ -251,23 +268,110 @@ def assemble_2d(config: Field2DConfig, h: float,
                               S=config.S, T=config.T)
 
 
-def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
-                          tol: float = 1e-9) -> np.ndarray:
-    """m_count smallest eigenvalues by shift-invert Lanczos at sigma=0 (the
-    operator is positive definite). The operator is factored once, with the
-    symmetric minimum-degree ordering MMD_AT_PLUS_A, and that factor is freed
-    before this returns, so a sweep holds one factor at a time. Every
-    returned pair satisfies |H v - lambda v| <= tol |v|; a larger residual
-    raises."""
+class ShiftCertificateWarning(UserWarning):
+    """An inertia certificate of the 2D solve failed, so the solve did more
+    work: a refactorisation at shift 0, or a solve of the odd block."""
+
+
+def reflection_blocks(operator: MagneticOperator2D) -> list[tuple[str, Optional[sp.csr_matrix]]]:
+    """The isometries Q that split the operator by the reflection t -> -t.
+
+    When P H P == H holds bit for bit, with P the reflection of the interior
+    t rows, this returns [("even", Q_even), ("odd", Q_odd)]. The columns of
+    Q_even are (e_i + e_Pi)/sqrt(2) over the row pairs and e_i on the centre
+    row (odd interior count); those of Q_odd are (e_i - e_Pi)/sqrt(2). The
+    blocks Q^T H Q have about N/2 unknowns each, and their spectra together
+    are that of H. Without the symmetry (A_s odd in t, as for even k) the
+    operator stays one block: [("full", None)].
+    """
     H = operator.hermitian
-    k_want = min(max(m_count + 2, 6), H.shape[0] - 2)
-    if k_want < m_count:
+    n_s, nt = operator.n_s, operator.n_t - 2
+    i = np.arange(nt)[:, None]
+    j = np.arange(n_s)[None, :]
+    mirror = ((nt - 1 - i) * n_s + j).ravel()
+    if (H[mirror][:, mirror] != H).nnz:
+        return [("full", None)]
+    N = H.shape[0]
+    lo = (i[:nt // 2] * n_s + j).ravel()
+    hi = mirror[:lo.size]
+    col = np.arange(lo.size)
+    w = np.full(lo.size, np.sqrt(0.5))
+    centre = np.arange(lo.size, N - lo.size)    # the centre row, if any
+    Q_even = sp.csr_matrix((np.concatenate([w, w, np.ones(centre.size)]),
+                            (np.concatenate([lo, hi, centre]),
+                             np.concatenate([col, col, centre]))),
+                           shape=(N, N - lo.size))
+    Q_odd = sp.csr_matrix((np.concatenate([w, -w]),
+                           (np.concatenate([lo, hi]), np.concatenate([col, col]))),
+                          shape=(N, lo.size))
+    return [("even", Q_even), ("odd", Q_odd)]
+
+
+def _pivots(count: Optional[int]) -> str:
+    return "untrusted inertia" if count is None else f"{count} negative pivots"
+
+
+def _block_pairs(H, count: int, shift: float, where: str):
+    """The `count` lowest eigenpairs of one block, by shift-invert at
+    `shift` when its factor certifies it, else (with a warning) at 0."""
+    k_want = min(max(count + 2, 6), H.shape[0] - 2)
+    if k_want < count:
         raise ValueError("operator too small for the requested eigenvalue count")
     try:
-        vals, vecs = lowest_sparse_eigenpairs(H, k_want, return_eigenvectors=True)
+        try:
+            vals, vecs = lowest_sparse_eigenpairs(H, k_want, True, shift=shift)
+        except ShiftRejected as exc:
+            warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
+                          f"({_pivots(exc.negative_pivots)}); refactored at 0",
+                          ShiftCertificateWarning, stacklevel=3)
+            vals, vecs = lowest_sparse_eigenpairs(H, k_want, True)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"2D eigensolver did not converge: {exc}") from exc
-    vals, vecs = vals[:m_count], vecs[:, :m_count]
+    return vals[:count], vecs[:, :count]
+
+
+def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
+                          tol: float = 1e-9, shift: float = 0.0) -> np.ndarray:
+    """m_count smallest eigenvalues of the operator, ascending.
+
+    When the operator commutes exactly with the reflection t -> -t it is
+    split into its even and odd blocks (`reflection_blocks`); otherwise, or
+    when a block is too small to hold m_count levels, it is one block. The
+    first block is solved by shift-invert Lanczos at `shift`, a forecast of
+    a point below the ground state: the shift is kept only when the factor
+    of H_even - shift has no negative pivot (Sylvester inertia), and is
+    otherwise replaced by 0. The odd block is
+    certified the same way at the largest even level lambda_{m-1}: if the
+    factor of H_odd - lambda_{m-1} has a negative pivot, or its inertia
+    cannot be trusted, the odd block is solved too and its levels merged.
+    Each failed certificate emits a ShiftCertificateWarning. Each block is
+    factored once with the symmetric minimum-degree ordering MMD_AT_PLUS_A,
+    and only one factor is alive at a time. Every returned pair satisfies
+    |H v - lambda v| <= tol |v| on the full operator; a larger residual
+    raises."""
+    H = operator.hermitian
+    where = f"h={operator.h:g}"
+    blocks = reflection_blocks(operator)
+    if any(Q is not None and Q.shape[1] - 2 < m_count for _, Q in blocks):
+        blocks = [("full", None)]        # a block too small for m_count levels
+    (name, Q), *rest = blocks
+    block = H if Q is None else (Q.T @ H @ Q).tocsr()
+    vals, vecs = _block_pairs(block, m_count, shift, f"{where}, {name} block")
+    if Q is not None:
+        vecs = Q @ vecs
+    for name, Q in rest:
+        block = (Q.T @ H @ Q).tocsr()
+        below = count_below(block, vals[-1])
+        if below == 0:
+            continue
+        warnings.warn(f"{where}, {name} block: {_pivots(below)} at lambda_"
+                      f"{m_count - 1} = {vals[-1]:.6e}; solving the {name} "
+                      f"block and merging", ShiftCertificateWarning, stacklevel=2)
+        need = m_count if below is None else min(below, m_count)
+        more, more_vecs = _block_pairs(block, need, shift, f"{where}, {name} block")
+        order = np.argsort(np.concatenate([vals, more]), kind="stable")[:m_count]
+        vals = np.concatenate([vals, more])[order]
+        vecs = np.hstack([vecs, Q @ more_vecs])[:, order]
     for i in range(m_count):
         v = vecs[:, i]
         resid = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
@@ -312,17 +416,23 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
     """Measure the low spectrum across the h sweep and compare with the
     semiclassical predictions.
 
-    Skips (and records) h values whose required grid exceeds the configured
-    budget. Fits the leading power law on lambda_0(h) and the splitting law
-    on lambda_1 - lambda_0; per-gap splitting coefficients are extrapolated
-    to h -> 0 by removing the first correction power h^{1/(k+2)} (the
-    half-power term cancels for profiles even about the minimum). Warns when
-    the largest h sits outside the asymptotic window (leading term less than
-    ten times the miniwell term).
+    Needs m_count >= 2 (ValueError otherwise). Skips (and records) h values
+    whose grid exceeds the configured budget or under-resolves them. Each h
+    is solved at the shift 0.97 nu_hat omega_min^{2/(k+2)} h^{(2k+2)/(k+2)},
+    certified inside `lowest_eigenvalues_2d`; every failed certificate is
+    warned and recorded in `warnings_issued`. Fits the leading power law on
+    lambda_0(h) and the splitting law on lambda_1 - lambda_0; per-gap
+    splitting coefficients are extrapolated to h -> 0 by removing the first
+    correction power h^{1/(k+2)} (the half-power term cancels for profiles
+    even about the minimum). Warns when the largest h sits outside the
+    asymptotic window (leading term less than ten times the miniwell term).
     """
     from .montgomery import minimizer_state
     from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
 
+    if m_count < 2:
+        raise ValueError(f"the sweep fits level splittings, so it needs "
+                         f"m_count >= 2, got {m_count}")
     st = minimizer_state(config.k)
     nu_hat = st.report.nu_hat
     d2 = st.report.d2
@@ -330,6 +440,10 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
     kop = build_effective_operator(geom, config.k, st)
     kspec = spectrum_K(kop, count=m_count + 2)
     levels = kspec.levels[:m_count]
+
+    lead_pow = float(leading_exponent(config.k))
+    split_pow = float(splitting_exponent(config.k))
+    lead_coef = nu_hat * config.omega_min ** (2.0 / (config.k + 2))
 
     issued: list[str] = []
     kept, skipped, rows = [], [], []
@@ -340,7 +454,15 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
             skipped.append(h)
             issued.append(str(exc))
             continue
-        rows.append(lowest_eigenvalues_2d(op, m_count, tol))
+        # 0.97 of the leading term forecasts a shift just below lambda_0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows.append(lowest_eigenvalues_2d(op, m_count, tol,
+                                              shift=0.97 * lead_coef * h**lead_pow))
+        for w in caught:
+            warnings.warn(w.message, stacklevel=2)
+            if issubclass(w.category, ShiftCertificateWarning):
+                issued.append(str(w.message))
         kept.append(h)
     if len(kept) < 4:
         raise ConvergenceError("fewer than 4 usable h values in the sweep")
@@ -351,10 +473,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
                                     nu_hat=nu_hat) for lev in levels]
                   for h in hs])
 
-    lead_pow = float(leading_exponent(config.k))
-    split_pow = float(splitting_exponent(config.k))
-    lead_term = nu_hat * config.omega_min ** (2.0 / (config.k + 2)) \
-        * hs[0] ** lead_pow
+    lead_term = lead_coef * hs[0] ** lead_pow
     mini_term = levels[0] * hs[0] ** split_pow
     if lead_term < 10.0 * mini_term:
         msg = (f"h={hs[0]:g} outside the asymptotic window: leading term "
@@ -369,8 +488,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
         _intercept_fit(x, (lam[:, m + 1] - lam[:, m]) / hs**split_pow)
         for m in range(m_count - 1))
     k_gaps = tuple(float(levels[m + 1] - levels[m]) for m in range(m_count - 1))
-    ratio = float(lam[-1, 0] / hs[-1] ** lead_pow
-                  / (nu_hat * config.omega_min ** (2.0 / (config.k + 2))))
+    ratio = float(lam[-1, 0] / hs[-1] ** lead_pow / lead_coef)
 
     return Sweep2DReport(
         k=config.k,

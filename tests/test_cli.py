@@ -94,6 +94,15 @@ class TestExitCodes:
         assert run_cli(["validate2d", "--config", str(path),
                         "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("levels", ["1", "0"])
+    def test_validate2d_too_few_levels_is_usage_error(self, tmp_path, capsys,
+                                                       sweep_config_file, levels):
+        # the sweep fits the splitting lambda_1 - lambda_0
+        assert run_cli(["validate2d", "--config", sweep_config_file,
+                        "--levels", levels, "--out", str(tmp_path)]) == 2
+        assert "m_count >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "sweep2d.json").exists()
+
     @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
     def test_malformed_workers_is_usage_error(self, tmp_path, monkeypatch,
                                               capsys, value):

@@ -1,17 +1,20 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from magwell._shift_invert import lowest_sparse_eigenpairs
+from magwell._shift_invert import count_below, lowest_sparse_eigenpairs
 from magwell.miniwell import EffectiveOperatorK, _fd_axis, _oracle_matrix
 from magwell.model2d import (
     Field2DConfig,
     ResolutionError,
+    ShiftCertificateWarning,
     assemble_2d,
     lowest_eigenvalues_2d,
+    reflection_blocks,
     run_sweep,
 )
 from magwell.sl_engine import ConvergenceError
@@ -27,11 +30,11 @@ def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0):
         S=S, T=T, h_list=tuple(h))
 
 
-def small_config(n_s=24, n_t=18, h=(0.5,)):
+def small_config(n_s=24, n_t=18, h=(0.5,), k=1):
     """Deliberately tiny grids for structural checks; a relaxed
     points-per-length factor keeps the resolution rule satisfied."""
     return Field2DConfig(
-        k=1,
+        k=k,
         omega=lambda s: 1.0 + 0.5 * np.sin(np.pi * np.asarray(s) / 2.0) ** 2,
         omega_min=1.0, s1=0.0, curvature_abs2=2.0 * 0.5 * 2 * np.pi**2 / 4.0,
         S=2.0, T=0.6, h_list=tuple(h), n_s=n_s, n_t=n_t,
@@ -55,6 +58,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="descending"):
             Field2DConfig.default(k=1, h_list=(0.01, 0.02))
 
+    def test_grid_budget_refusal_names_budget(self):
+        cfg = Field2DConfig.default(k=1)
+        with pytest.raises(ResolutionError, match=r"grid budget n_s <= 1024, n_t <= 512"):
+            cfg.grid_for(1e-4)           # would be (1300, 691)
+        # the default sweep (criterion 7 and the benchmark) fits the budget
+        for h in cfg.h_list:
+            n_s, n_t = cfg.grid_for(h)
+            assert n_s <= 1024 and n_t <= 512
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k": 1, "omega_min": 2.0, "a": 0.5,
@@ -77,7 +89,9 @@ class TestAssembly:
         cfg = small_config(n_s=20, n_t=16)
         h = 0.5
         op = assemble_2d(cfg, h, zero_gauge=True)
-        vals = lowest_eigenvalues_2d(op, 6, tol=1e-8)
+        # the 4th level is odd in t, so the odd block is solved and merged
+        with pytest.warns(ShiftCertificateWarning, match="odd block"):
+            vals = lowest_eigenvalues_2d(op, 6, tol=1e-8)
         n_s, n_t = cfg.grid_for(h)
         dt = 2 * cfg.T / (n_t - 1)
         ds = cfg.S / n_s
@@ -120,6 +134,78 @@ class TestEigenvalues:
         assert len(lowest_eigenvalues_2d(op, 3)) == 3
         with pytest.raises(ConvergenceError, match="residual"):
             lowest_eigenvalues_2d(op, 3, tol=1e-300)
+
+
+def mirror_permutation(op):
+    """Unknown index of the mirror image t -> -t of each unknown."""
+    nt = op.n_t - 2
+    i = np.arange(nt)[:, None]
+    j = np.arange(op.n_s)[None, :]
+    return ((nt - 1 - i) * op.n_s + j).ravel()
+
+
+class TestReflectionBlocks:
+    @pytest.mark.parametrize("n_t", [17, 18])      # odd, even interior count
+    def test_block_spectra_union_is_full_spectrum(self, n_t):
+        op = assemble_2d(small_config(n_s=14, n_t=n_t), 0.5)
+        H = op.hermitian
+        names, blocks = [], []
+        for name, Q in reflection_blocks(op):
+            B = (Q.T @ H @ Q).tocsr()
+            assert (B != B.getH()).nnz == 0
+            names.append(name)
+            blocks.append(np.linalg.eigvalsh(B.toarray()))
+        assert names == ["even", "odd"]
+        assert sum(len(b) for b in blocks) == H.shape[0]
+        dense = np.linalg.eigvalsh(H.toarray())
+        union = np.sort(np.concatenate(blocks))
+        assert np.max(np.abs(union - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_blocks_too_small_solve_whole_operator(self):
+        # 126 unknowns split 70 + 56: 100 levels need the whole operator
+        op = assemble_2d(small_config(n_s=14, n_t=11), 0.5)
+        dense = np.linalg.eigvalsh(op.hermitian.toarray())
+        vals = lowest_eigenvalues_2d(op, 100)
+        assert np.max(np.abs(vals - dense[:100])) <= 1e-12 * dense[-1]
+
+    def test_reflection_symmetry_odd_k_only(self):
+        # A_s = t^{k+1} omega/(k+1) is even in t for k=1 and odd for k=2
+        for k, symmetric in ((1, True), (2, False)):
+            op = assemble_2d(small_config(k=k), 0.5)
+            H = op.hermitian
+            p = mirror_permutation(op)
+            assert ((H[p][:, p] != H).nnz == 0) is symmetric
+            blocks = reflection_blocks(op)
+            assert [name for name, _ in blocks] == (
+                ["even", "odd"] if symmetric else ["full"])
+
+    @staticmethod
+    def asymptotic_operator():
+        # 9,996 unknowns at h=0.1, where the 4 lowest levels are all even
+        cfg = Field2DConfig.default(k=1, S=5.0, s1=1.5, T=0.8, h_list=(0.1,))
+        return assemble_2d(cfg, 0.1)
+
+    def test_certified_shift_matches_shift_zero(self):
+        op = self.asymptotic_operator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShiftCertificateWarning)
+            ref = lowest_eigenvalues_2d(op, 4)
+            vals = lowest_eigenvalues_2d(op, 4, shift=0.97 * ref[0])
+        assert np.allclose(vals, ref, rtol=1e-12, atol=0)
+
+    def test_shift_above_ground_state_falls_back(self):
+        op = self.asymptotic_operator()
+        ref = lowest_eigenvalues_2d(op, 4)
+        with pytest.warns(ShiftCertificateWarning,
+                          match=r"h=0.1, even block: .*\(1 negative pivots\)"):
+            vals = lowest_eigenvalues_2d(op, 4, shift=0.5 * (ref[0] + ref[1]))
+        assert np.allclose(vals, ref, rtol=1e-12, atol=0)
+
+    def test_count_below_matches_dense(self):
+        op = assemble_2d(small_config(k=2), 0.5)
+        dense = np.linalg.eigvalsh(op.hermitian.toarray())
+        for x in (0.5 * dense[0], 0.5 * (dense[2] + dense[3]), dense[40] + 1e-6):
+            assert count_below(op.hermitian, x) == np.count_nonzero(dense < x)
 
 
 class TestShiftInvertRoute:
@@ -211,6 +297,17 @@ class TestSweepSmoke:
         assert np.all(np.diff(rep.eigenvalues, axis=1) > 0)
         assert np.all(rep.eigenvalues > 0)
         assert len(rep.splitting_coefficients) == 2
+
+    def test_failed_certificates_recorded(self):
+        # on a short cylinder at large h, levels odd in t are among the
+        # lowest four: the odd-block certificate fails, warns, and is recorded
+        cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, T=0.8,
+                                    h_list=tuple(np.geomspace(0.5, 0.05, 4)))
+        with pytest.warns(ShiftCertificateWarning, match="odd block"):
+            rep = run_sweep(cfg, m_count=4)
+        certs = [w for w in rep.warnings_issued if "block" in w]
+        assert certs[0].startswith("h=0.5, odd block: 2 negative pivots")
+        assert np.all(np.diff(rep.eigenvalues, axis=1) > 0)
 
     def test_budget_skips_recorded(self):
         # pinned 48x48 grid satisfies the rule at large h only; the sweep
