@@ -26,17 +26,15 @@ from .sl_engine import (
 )
 from .montgomery import (
     MinimizerReport,
+    MinimizerState,
     ModelParams,
     ProfileTable,
     d2lambda_dalpha2,
     dlambda_dalpha,
     lambda_m,
     large_alpha_check,
-    minimize_alpha,
     minimizer_state,
-    nondegeneracy_check,
     profile,
-    verify_identities,
 )
 from .miniwell import (
     EffectiveOperatorK,

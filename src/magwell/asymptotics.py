@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,25 +37,22 @@ def residual_exponent(k: int) -> Fraction:
 
 
 def quasimode_energy(h: float, k: int, omega_min: float, lambda_level: float,
-                     nu_hat: Optional[float] = None) -> float:
+                     nu_hat: float) -> float:
     """Two-term quasimode energy
 
         z(h) = nu_hat * omega_min^{2/(k+2)} h^{(2k+2)/(k+2)}
-               + lambda_level * h^{(2k+3)/(k+2)}.
+               + lambda_level * h^{(2k+3)/(k+2)}
 
-    `nu_hat` defaults to the computed band minimum for this k.
+    with `nu_hat` the band minimum for this k.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    if nu_hat is None:
-        from .montgomery import minimizer_state
-        nu_hat = minimizer_state(k).report.nu_hat
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     return lead + lambda_level * h ** float(splitting_exponent(k))
 
 
 def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
-                         nu_hat: Optional[float] = None) -> tuple[float, float]:
+                         *, nu_hat: float) -> tuple[float, float]:
     """Two-sided bounds for the ground energy:
 
         leading -+ C h^{(6k+8)/(3(k+2))},
@@ -66,9 +63,6 @@ def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
     if h <= 0 or C < 0:
         raise ValueError("need h > 0 and C >= 0")
     assert bound_error_exponent(k) > leading_exponent(k)
-    if nu_hat is None:
-        from .montgomery import minimizer_state
-        nu_hat = minimizer_state(k).report.nu_hat
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     err = C * h ** float(bound_error_exponent(k))
     return lead - err, lead + err
@@ -76,7 +70,7 @@ def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
 
 def gap_intervals(h: float, k: int, omega_min: float,
                   K_levels: Sequence[float], N: int, c_res: float = 1.0,
-                  nu_hat: Optional[float] = None) -> list[tuple[float, float]]:
+                  *, nu_hat: float) -> list[tuple[float, float]]:
     """Predicted spectral gaps between consecutive quasimode energies.
 
     Each open interval (z_m, z_{m+1}) is shrunk on both sides by the
@@ -157,12 +151,9 @@ class GapForecast:
 
 def build_forecast(k: int, omega_min: float, K_levels: Sequence[float],
                    h_values: Sequence[float], C: float = 1.0,
-                   c_res: float = 1.0,
-                   nu_hat: Optional[float] = None) -> GapForecast:
-    """Assemble the full forecast over an h sweep."""
-    if nu_hat is None:
-        from .montgomery import minimizer_state
-        nu_hat = minimizer_state(k).report.nu_hat
+                   c_res: float = 1.0, *, nu_hat: float) -> GapForecast:
+    """Assemble the full forecast over an h sweep for the band minimum
+    nu_hat."""
     levels = tuple(float(v) for v in K_levels)
     hs = tuple(float(h) for h in h_values)
     z = np.array([[quasimode_energy(h, k, omega_min, lam, nu_hat=nu_hat)

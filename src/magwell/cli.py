@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,42 +98,40 @@ def _write_manifest(outdir: Path, name: str, subcommand: str, params: dict,
     return path
 
 
-def _report_for_k(args):
-    k, tol = args
-    return montgomery.minimize_alpha(k, tol)
+def _map_k(fn, ks: list[int]) -> list:
+    """fn(k) for each k, in k order: serially, or in a pool of
+    MAGWELL_WORKERS processes when that is above 1 (fn must then pickle)."""
+    workers = _workers()
+    if workers == 1:
+        return [fn(k) for k in ks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, ks))
+
+
+def _table1_report(k: int, tol: float):
+    """The band-minimum report for k, or the text of the SolverError that
+    stopped it (so one failing k does not cost the others)."""
+    try:
+        return montgomery.minimizer_state(k, tol).report
+    except SolverError as exc:
+        return str(exc)
 
 
 def cmd_table1(args) -> int:
     ks = _parse_k_range(args.k)
-    workers = _workers()
+    results = _map_k(partial(_table1_report, tol=args.tol), ks)
+    reports = {}
+    for k, res in zip(ks, results):
+        if isinstance(res, str):
+            print(f"k={k}: FAILED ({res})", file=sys.stderr)
+        else:
+            reports[k] = res
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [(k, args.tol) for k in ks]
-    failures = []
-    reports = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {k: pool.submit(_report_for_k, job)
-                       for k, job in zip(ks, jobs)}
-        for k in ks:   # parameter order, not completion order
-            try:
-                reports[k] = futures[k].result()
-            except SolverError as exc:
-                failures.append((k, str(exc)))
-                print(f"k={k}: FAILED ({exc})", file=sys.stderr)
-    else:
-        for k, tol in jobs:
-            try:
-                reports[k] = montgomery.minimize_alpha(k, tol)
-            except SolverError as exc:
-                failures.append((k, str(exc)))
-                print(f"k={k}: FAILED ({exc})", file=sys.stderr)
-
-    done = sorted(reports)
-    print("k        " + "".join(f"{k:>10d}" for k in done))
+    print("k        " + "".join(f"{k:>10d}" for k in reports))
     for label, attr in (("alpha_min", "alpha_min"), ("nu_hat", "nu_hat"),
                         ("lambda_1", "lambda1")):
-        row = "".join(f"{getattr(reports[k], attr):>10.4f}" for k in done)
+        row = "".join(f"{getattr(r, attr):>10.4f}" for r in reports.values())
         print(f"{label:<9s}{row}")
 
     csv_path = outdir / "table1.csv"
@@ -142,19 +141,20 @@ def cmd_table1(args) -> int:
                "norm_identity_residual"],
               [[k, r.alpha_min, r.nu_hat, r.lambda1, r.lambda2, r.d2,
                 r.d2_lower_bound, r.condik_margin, r.hf_residual,
-                r.norm_identity_residual] for k, r in sorted(reports.items())])
+                r.norm_identity_residual] for k, r in reports.items()])
     json_path = outdir / "table1.json"
-    write_json(json_path, {str(k): reports[k] for k in done})
+    write_json(json_path, {str(k): r for k, r in reports.items()})
     _write_manifest(outdir, "table1", "table1",
                     {"k": args.k, "tol": args.tol}, [csv_path, json_path])
-    return 1 if failures else 0
+    return 1 if len(reports) < len(ks) else 0
 
 
 def cmd_profile(args) -> int:
     lo, hi = _parse_range(args.range)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = montgomery.profile(args.k, (lo, hi), args.samples)
+    state = montgomery.minimizer_state(args.k)
+    table = montgomery.profile(state, (lo, hi), args.samples)
     if not (lo <= table.alpha_min <= hi):
         print(f"warning: range [{lo}, {hi}] does not contain "
               f"alpha_min={table.alpha_min:.4f}", file=sys.stderr)
@@ -171,22 +171,24 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _verify_one_k(k: int, tol: float, rng_seed: int = 20240801) -> dict:
-    ident = montgomery.verify_identities(k, tol)
-    nondeg = montgomery.nondegeneracy_check(k)
+VERIFY_SEED = 20240801     # seeds the random (alpha, beta) of the scaling check
+
+
+def _verify_one_k(k: int) -> dict:
     st = montgomery.minimizer_state(k)
+    r = st.report
     checks = {
-        "stationarity_identity": ident.stationarity_residual < 1e-5,
-        "norm_identity": ident.norm_residual < 1e-4,
-        "condik": nondeg.condik_holds,
-        "bound_consistency": nondeg.d2 >= nondeg.d2_lower_bound - 1e-3,
+        "stationarity_identity": r.hf_residual < 1e-5,
+        "norm_identity": r.norm_identity_residual < 1e-4,
+        "condik": r.condik_holds,
+        "bound_consistency": r.d2 >= r.d2_lower_bound - 1e-3,
     }
     if k % 2 == 1:
-        checks["condik_odd"] = bool(nondeg.condik_odd_holds)
+        checks["condik_odd"] = bool(r.condik_odd_holds)
         pars = parity_classify(st.spectrum)
         want = ["even", "odd", "even"]
         checks["parity"] = all(p.label == w for p, w in zip(pars, want))
-    rng = np.random.default_rng(rng_seed + k)
+    rng = np.random.default_rng(VERIFY_SEED + k)
     ok_scaling = True
     for _ in range(2):
         alpha = float(rng.uniform(-1.0, 1.5))
@@ -200,10 +202,10 @@ def _verify_one_k(k: int, tol: float, rng_seed: int = 20240801) -> dict:
         "k": k,
         "checks": checks,
         "residuals": {
-            "stationarity": ident.stationarity_residual,
-            "norm": ident.norm_residual,
-            "condik_margin": nondeg.condik_margin,
-            "d2_minus_bound": nondeg.d2 - nondeg.d2_lower_bound,
+            "stationarity": r.hf_residual,
+            "norm": r.norm_identity_residual,
+            "condik_margin": r.condik_margin,
+            "d2_minus_bound": r.d2 - r.d2_lower_bound,
         },
         "passed": all(checks.values()),
     }
@@ -211,14 +213,9 @@ def _verify_one_k(k: int, tol: float, rng_seed: int = 20240801) -> dict:
 
 def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k)
-    workers = _workers()
+    results = _map_k(_verify_one_k, ks)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one_k, ks, [args.tol] * len(ks)))
-    else:
-        results = [_verify_one_k(k, args.tol) for k in ks]
     all_ok = True
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"
@@ -228,8 +225,7 @@ def cmd_verify(args) -> int:
         print(f"k={res['k']}: {status}  ({detail})")
     json_path = outdir / "verify.json"
     write_json(json_path, results)
-    _write_manifest(outdir, "verify", "verify",
-                    {"k": args.k, "tol": args.tol}, [json_path])
+    _write_manifest(outdir, "verify", "verify", {"k": args.k}, [json_path])
     return 0 if all_ok else 1
 
 
@@ -237,7 +233,8 @@ def cmd_miniwell(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
-    kop = miniwell.build_effective_operator(geom, args.k)
+    state = montgomery.minimizer_state(args.k)
+    kop = miniwell.build_effective_operator(geom, state)
     kspec = miniwell.spectrum_K(kop, count=args.count)
     json_path = outdir / "miniwell_spectrum.json"
     write_json(json_path, {
@@ -262,13 +259,14 @@ def cmd_predict(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     h_list = _parse_float_list(args.h)
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
-    kop = miniwell.build_effective_operator(geom, args.k)
+    state = montgomery.minimizer_state(args.k)
+    kop = miniwell.build_effective_operator(geom, state)
     kspec = miniwell.spectrum_K(kop, count=args.count)
     if kspec.branch != "nondegenerate":
         raise SolverError("degenerate branch: supply explicit levels instead")
     forecast = asymptotics.build_forecast(
         args.k, geom.omega_min, kspec.levels, h_list, C=args.error_constant,
-        c_res=args.residual_constant)
+        c_res=args.residual_constant, nu_hat=state.report.nu_hat)
     json_path = outdir / "forecast.json"
     csv_path = outdir / "forecast.csv"
     write_json(json_path, forecast)
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="identity and criterion suite")
     ve.add_argument("--k", default="1..7")
-    ve.add_argument("--tol", type=float, default=1e-5)
     ve.add_argument("--out", default=".")
     ve.set_defaults(func=cmd_verify)
 

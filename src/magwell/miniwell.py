@@ -255,15 +255,12 @@ class EffectiveOperatorK:
         return np.eye(self.dim) + (self.c_omega - 1.0) * np.outer(e, e)
 
 
-def build_effective_operator(geometry: MiniwellGeometry, k: int,
-                             state: Optional[MinimizerState] = None
-                             ) -> EffectiveOperatorK:
-    """Assemble K for the given geometry, pulling band-minimum data (and the
-    1D moments) from a minimizer state (computed on demand if omitted)."""
-    if state is None:
-        from .montgomery import minimizer_state
-        state = minimizer_state(k)
+def build_effective_operator(geometry: MiniwellGeometry,
+                             state: MinimizerState) -> EffectiveOperatorK:
+    """Assemble K for the given geometry from the band-minimum data (and the
+    1D moments) of a minimizer state; k is the state's."""
     r = state.report
+    k = r.k
     mom = moments_1d(k, r.alpha_min, state.spectrum)
     return EffectiveOperatorK(
         c_omega=0.5 * r.d2,
@@ -327,6 +324,8 @@ def spectrum_K(kop: EffectiveOperatorK, count: int = 8) -> KSpectrum:
     reduced oscillator on those directions, so the spectrum is the half line
     starting at Re(A) + bottom of the reduced oscillator.
     """
+    if count < 1:
+        raise ValueError(f"need at least one level, got count={count}")
     if kop.c_omega < 0:
         raise SolverError("c_omega < 0 contradicts minimality of the band")
     warn = _check_imag(kop)

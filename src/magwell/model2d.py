@@ -437,7 +437,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
     nu_hat = st.report.nu_hat
     d2 = st.report.d2
     geom = flat_model_geometry(config.omega_min, config.curvature_abs2)
-    kop = build_effective_operator(geom, config.k, st)
+    kop = build_effective_operator(geom, st)
     kspec = spectrum_K(kop, count=m_count + 2)
     levels = kspec.levels[:m_count]
 

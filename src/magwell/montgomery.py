@@ -36,6 +36,7 @@ from .sl_engine import (
 )
 
 GOLDEN_ALPHA_TOL = 1e-6          # alpha resolution of the golden-section stage
+SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -237,6 +238,9 @@ class MinimizerReport:
     local_minima_scan: tuple[tuple[float, float], ...]
 
     def validate(self, alpha_tol: float = 1e-4, hf_tol: float = 1e-5) -> None:
+        """Raise SolverError on a report the theory rules out; this includes
+        d2 more than 1e-3 below the lower bound that the criterion
+        (k+2) lambda_1 > (k+6) nu_hat implies when it holds."""
         if self.nu_hat < 0:
             raise SolverError(f"nu_hat negative: {self.nu_hat}")
         if not self.lambda1 > self.nu_hat:
@@ -246,6 +250,10 @@ class MinimizerReport:
         if self.k % 2 == 0 and abs(self.alpha_min) > alpha_tol:
             raise SolverError(
                 f"even k={self.k} expected alpha_min ~ 0, got {self.alpha_min}")
+        if self.condik_holds and self.d2 < self.d2_lower_bound - 1e-3:
+            raise SolverError(
+                f"k={self.k}: d2 {self.d2:.6f} below its lower bound "
+                f"{self.d2_lower_bound:.6f}")
 
 
 @dataclass(frozen=True)
@@ -299,14 +307,7 @@ def scan_range(k: int) -> tuple[float, float]:
     return -1.0, 2.0 + k
 
 
-def minimize_alpha(k: int, tol: float = 1e-6, scan_points: int = 40) -> MinimizerReport:
-    return minimizer_state(k, tol, scan_points).report
-
-
-_STATE_CACHE: dict[tuple[int, float, int], MinimizerState] = {}
-
-
-def minimizer_state(k: int, tol: float = 1e-6, scan_points: int = 40) -> MinimizerState:
+def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     """Locate the band minimum and populate every derived quantity.
 
     Stages: coarse scan of lambda_0(alpha, 1) over the bracketing range;
@@ -319,23 +320,21 @@ def minimizer_state(k: int, tol: float = 1e-6, scan_points: int = 40) -> Minimiz
     gives the three levels, the eigenpairs, and the grid on which the
     identities and non-degeneracy data are evaluated.
 
-    Results are cached per (k, tol, scan_points); states are immutable.
+    Nothing is cached: a caller that needs the state twice keeps the
+    returned (immutable) value and passes it on.
     """
-    key = (k, float(tol), scan_points)
-    if key in _STATE_CACHE:
-        return _STATE_CACHE[key]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
     lo, hi = scan_range(k)
-    alphas = np.linspace(lo, hi, scan_points)
+    alphas = np.linspace(lo, hi, SCAN_POINTS)
     scan_tol = max(tol, 1e-5)
     vals = np.array([
         eigenvalue_converged(family_potential(k, a), 0, scan_tol)[0]
         for a in alphas
     ])
     i_min = int(np.argmin(vals))
-    if i_min in (0, scan_points - 1):
+    if i_min in (0, SCAN_POINTS - 1):
         raise ConvergenceError(
             f"band minimum at scan boundary alpha={alphas[i_min]:.3f}; "
             "scan range too small")
@@ -348,7 +347,7 @@ def minimizer_state(k: int, tol: float = 1e-6, scan_points: int = 40) -> Minimiz
     def band(a: float) -> float:
         return _discrete_lambda0(k, a, ref_grid)
 
-    brackets = [i for i in range(1, scan_points - 1)
+    brackets = [i for i in range(1, SCAN_POINTS - 1)
                 if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
     local_minima = []
     for i in brackets:
@@ -400,75 +399,8 @@ def minimizer_state(k: int, tol: float = 1e-6, scan_points: int = 40) -> Minimiz
         local_minima_scan=tuple(local_minima),
     )
     report.validate()
-    state = MinimizerState(report=report, spectrum=spec, du0_dalpha=du0,
-                           d2_resolvent_residual=solve_resid)
-    _STATE_CACHE[key] = state
-    return state
-
-
-# ---------------------------------------------------------------------------
-# identities and criteria
-
-@dataclass(frozen=True)
-class IdentityReport:
-    k: int
-    stationarity_residual: float      # |integral (t^{k+1}/(k+1)-alpha_min) u0^2|
-    norm_residual: float              # | ||w u0||^2 - nu_hat/(k+2) |
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.stationarity_residual < self.tol
-                and self.norm_residual < self.tol)
-
-
-def verify_identities(k: int, tol: float = 1e-5) -> IdentityReport:
-    """Residuals of the stationarity and norm identities at the minimum.
-
-    Both are evaluated from the converged eigenfunction; the norm identity
-    compares the quadrature of ((t^{k+1}/(k+1) - alpha_min) u0)^2 against
-    nu_hat/(k+2). Residuals are always reported; `passed` applies tol.
-    """
-    st = minimizer_state(k)
-    return IdentityReport(
-        k=k,
-        stationarity_residual=st.report.hf_residual,
-        norm_residual=st.report.norm_identity_residual,
-        tol=tol,
-    )
-
-
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    k: int
-    condik_holds: bool
-    condik_margin: float
-    condik_odd_holds: Optional[bool]
-    condik_odd_margin: Optional[float]
-    d2_lower_bound: float
-    d2: float
-
-
-def nondegeneracy_check(k: int, tol: float = 1e-3) -> NondegeneracyReport:
-    """Evaluate the non-degeneracy criterion (k+2) lambda_1 > (k+6) nu_hat,
-    its odd-k refinement with lambda_2, and the induced lower bound for the
-    second derivative of the band function. Raises if the computed second
-    derivative undercuts the bound by more than tol (the bound's derivation
-    forbids that)."""
-    st = minimizer_state(k)
-    r = st.report
-    if r.condik_holds and r.d2 < r.d2_lower_bound - tol:
-        raise SolverError(
-            f"k={k}: d2 {r.d2:.6f} below its lower bound {r.d2_lower_bound:.6f}")
-    return NondegeneracyReport(
-        k=k,
-        condik_holds=r.condik_holds,
-        condik_margin=r.condik_margin,
-        condik_odd_holds=r.condik_odd_holds,
-        condik_odd_margin=r.condik_odd_margin,
-        d2_lower_bound=r.d2_lower_bound,
-        d2=r.d2,
-    )
+    return MinimizerState(report=report, spectrum=spec, du0_dalpha=du0,
+                          d2_resolvent_residual=solve_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -487,22 +419,24 @@ class ProfileTable:
     d2: float
 
 
-def profile(k: int, alpha_range: tuple[float, float], n_samples: int,
-            tol: float = 1e-6) -> ProfileTable:
+def profile(state: MinimizerState, alpha_range: tuple[float, float],
+            n_samples: int, tol: float = 1e-6) -> ProfileTable:
     """Tabulate lambda_0(alpha, 1) and the quadratic approximation
 
         lambda_quad(alpha) = nu_hat + (d2/2) (alpha - alpha_min)^2
 
-    over alpha_range. lambda_quad(alpha_min) equals nu_hat by construction.
+    over alpha_range, for the k of the given minimizer state.
+    lambda_quad(alpha_min) equals nu_hat by construction.
     """
-    st = minimizer_state(k)
-    r = st.report
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    r = state.report
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_samples)
     lam = np.array([
-        eigenvalue_converged(family_potential(k, a), 0, tol)[0] for a in alphas
+        eigenvalue_converged(family_potential(r.k, a), 0, tol)[0] for a in alphas
     ])
     quad = r.nu_hat + 0.5 * r.d2 * (alphas - r.alpha_min) ** 2
-    return ProfileTable(k=k, alpha=alphas, lambda0=lam, lambda_quad=quad,
+    return ProfileTable(k=r.k, alpha=alphas, lambda0=lam, lambda_quad=quad,
                         alpha_min=r.alpha_min, nu_hat=r.nu_hat, d2=r.d2)
 
 

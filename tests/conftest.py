@@ -23,7 +23,9 @@ REFERENCE_BAND_DATA = {
 
 @pytest.fixture(scope="session")
 def states():
-    """Converged minimizer states for k = 1..7 (module-level cache shared)."""
+    """Converged minimizer states for k = 1..7, computed once per session;
+    tests that need a band minimum read it from here instead of solving
+    again."""
     return {k: minimizer_state(k) for k in range(1, 8)}
 
 

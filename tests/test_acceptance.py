@@ -40,7 +40,7 @@ def test_criterion_1_table_regression():
     """(alpha_min, nu_hat, lambda_1) reproduce the reference band data
     within +-0.01 for k = 1..7, inside the runtime budget."""
     t0 = time.time()
-    results = {k: minimizer_state(k, tol=1.01e-6) for k in range(1, 8)}
+    results = {k: minimizer_state(k) for k in range(1, 8)}
     elapsed = time.time() - t0
     worst = 0.0
     for k, st in results.items():

@@ -24,10 +24,6 @@ class TestQuasimodeEnergy:
         z = quasimode_energy(0.01, 1, 1.0, 0.0, nu_hat=NU_HAT_K1)
         assert z == pytest.approx(1.228e-3, abs=2e-5)
 
-    def test_computed_nu_hat_default(self):
-        z = quasimode_energy(0.01, 1, 1.0, 0.0)
-        assert z == pytest.approx(1.228e-3, abs=2e-5)
-
     def test_leading_ratio_exact(self):
         h = 0.037
         z = quasimode_energy(h, 1, 1.0, 0.0, nu_hat=NU_HAT_K1)

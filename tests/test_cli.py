@@ -103,6 +103,20 @@ class TestExitCodes:
         assert "m_count >= 2" in capsys.readouterr().err
         assert not (tmp_path / "sweep2d.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["miniwell", "--count", "0"],
+        ["predict", "--h", "0.01", "--count", "0"],
+        ["profile", "--k", "1", "--range=-1:1", "--samples", "0"],
+    ], ids=["miniwell-count", "predict-count", "profile-samples"])
+    def test_zero_count_is_usage_error(self, tmp_path, capsys, geometry_file,
+                                       argv):
+        if argv[0] != "profile":
+            argv = argv + ["--geometry", geometry_file]
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
     def test_malformed_workers_is_usage_error(self, tmp_path, monkeypatch,
                                               capsys, value):
@@ -174,6 +188,8 @@ class TestVerify:
         assert report[0]["passed"]
         assert report[0]["checks"]["condik"]
         assert report[0]["checks"]["parity"]
+        manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+        assert manifest["parameters"] == {"k": "1"}
 
 
 class TestMiniwellPredict:

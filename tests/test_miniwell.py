@@ -17,7 +17,6 @@ from magwell.miniwell import (
     spectrum_K,
     spectrum_K_oracle,
 )
-from magwell.montgomery import minimizer_state
 from magwell.sl_engine import ConvergenceError, SolverError
 
 from oracles import omega_orthogonal_direction
@@ -48,23 +47,13 @@ def make_kop(c_omega, e_omega, Omega, A=0.0, alpha_min=0.35, k=1):
 
 
 @pytest.fixture(scope="module")
-def state_k1():
-    return minimizer_state(1)
+def report_k1(states):
+    return states[1].report
 
 
 @pytest.fixture(scope="module")
-def state_k2():
-    return minimizer_state(2)
-
-
-@pytest.fixture(scope="module")
-def report_k1(state_k1):
-    return state_k1.report
-
-
-@pytest.fixture(scope="module")
-def report_k2(state_k2):
-    return state_k2.report
+def report_k2(states):
+    return states[2].report
 
 
 class TestGeometry:
@@ -116,17 +105,17 @@ class TestGeometry:
 
 
 class TestMoments:
-    def test_even_k_moments_vanish(self, state_k2):
-        m = moments_1d(2, state_k2.report.alpha_min, state_k2.spectrum)
+    def test_even_k_moments_vanish(self, states):
+        m = moments_1d(2, states[2].report.alpha_min, states[2].spectrum)
         assert abs(m.m_tau_upp) < 1e-6
         assert abs(m.m_tau_sq) < 1e-6
 
-    def test_mixed_moment_vs_refined_quadrature(self, state_k1):
+    def test_mixed_moment_vs_refined_quadrature(self, states):
         # refinement oracle: same integrand on a doubled grid
         from magwell.sl_engine import Grid1D, assemble, lowest_eigenpairs
         from magwell.montgomery import family_potential
 
-        st = state_k1
+        st = states[1]
         m = moments_1d(1, st.report.alpha_min, st.spectrum)
         g = st.spectrum.grid
         g2 = Grid1D(g.half_width, 2 * (g.n_points - 1) + 1)
@@ -162,31 +151,31 @@ class TestOmega:
 
 
 class TestA:
-    def test_flat_model_A_is_zero(self, state_k1):
+    def test_flat_model_A_is_zero(self, states):
         g = flat_model_geometry(1.0, 0.5)
-        m = moments_1d(1, state_k1.report.alpha_min, state_k1.spectrum)
-        a = build_A(g, 1, state_k1.report, m)
+        m = moments_1d(1, states[1].report.alpha_min, states[1].spectrum)
+        a = build_A(g, 1, states[1].report, m)
         assert a == 0j
 
-    def test_even_k_A_is_real(self, state_k2):
+    def test_even_k_A_is_real(self, states):
         g = make_geometry(dim=2, gdot00=1.3, domega_div=0.8,
                           omega02=np.array([0.2, 0.1]),
                           gdotjl=np.array([[0.5, 0.1], [0.1, 0.3]]))
-        m = moments_1d(2, state_k2.report.alpha_min, state_k2.spectrum)
-        a = build_A(g, 2, state_k2.report, m)
+        m = moments_1d(2, states[2].report.alpha_min, states[2].spectrum)
+        a = build_A(g, 2, states[2].report, m)
         # the only imaginary term carries alpha_min, which vanishes for even k
         assert abs(a.imag) < 1e-10
 
-    def test_gdot00_term_wiring(self, state_k1):
+    def test_gdot00_term_wiring(self, states):
         g = make_geometry(dim=2, gdot00=1.0)
-        m = moments_1d(1, state_k1.report.alpha_min, state_k1.spectrum)
-        a = build_A(g, 1, state_k1.report, m)
+        m = moments_1d(1, states[1].report.alpha_min, states[1].spectrum)
+        a = build_A(g, 1, states[1].report, m)
         assert a.real == pytest.approx(-m.m_tau_upp, abs=1e-14)
 
-    def test_term_selectivity(self, state_k1):
+    def test_term_selectivity(self, states):
         # synthetic nonzero moments expose each term separately
         moments = Moments1D(m_tau_upp=0.3, m_mixed=0.7, m_tau_sq=1.1)
-        rep = state_k1.report
+        rep = states[1].report
         base_kwargs = dict(dim=2, omega01=np.array([2.0, 0.0]))
         zero = build_A(make_geometry(**base_kwargs), 1, rep, moments)
         assert zero == pytest.approx(complex(0, 0))
@@ -347,13 +336,13 @@ class TestOracle:
 
 
 class TestFrameInvariance:
-    def test_rotated_geometry_same_levels(self):
-        st = minimizer_state(1)
+    def test_rotated_geometry_same_levels(self, states):
+        st = states[1]
         w = np.array([1.3, 0.0])
         D = np.array([[0.0, 0.0], [0.2, 0.6]])
         H = np.array([[2.0, 0.4], [0.4, 3.0]])
         g = make_geometry(dim=2, omega01=w, domega01=D, hess_abs2=H)
-        kop = build_effective_operator(g, 1, st)
+        kop = build_effective_operator(g, st)
         # this geometry has nonzero divergence at nonzero alpha_min, so the
         # complex-constant warning must fire (and rotation preserves Im A)
         with pytest.warns(UserWarning, match="complex constant"):
@@ -363,7 +352,7 @@ class TestFrameInvariance:
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         g_rot = make_geometry(dim=2, omega01=R @ w, domega01=R @ D @ R.T,
                               hess_abs2=R @ H @ R.T)
-        kop_rot = build_effective_operator(g_rot, 1, st)
+        kop_rot = build_effective_operator(g_rot, st)
         assert kop_rot.A_const.imag == pytest.approx(kop.A_const.imag, abs=1e-14)
         with pytest.warns(UserWarning, match="complex constant"):
             lv_rot = spectrum_K(kop_rot, 6).levels
@@ -371,10 +360,10 @@ class TestFrameInvariance:
 
 
 class TestBuildEffectiveOperator:
-    def test_flat_model_assembly(self):
-        st = minimizer_state(1)
+    def test_flat_model_assembly(self, states):
+        st = states[1]
         geom = flat_model_geometry(1.0, 0.4)
-        kop = build_effective_operator(geom, 1, st)
+        kop = build_effective_operator(geom, st)
         assert kop.c_omega == pytest.approx(0.5 * st.report.d2)
         assert kop.A_const == 0j
         assert kop.Omega[0, 0] == pytest.approx(

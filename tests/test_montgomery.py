@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from magwell.montgomery import (
-    IdentityReport,
+    MinimizerReport,
     ModelParams,
     _d2_on_grid,
     _discrete_hf,
@@ -12,12 +14,9 @@ from magwell.montgomery import (
     lambda_m,
     lambda_m_direct,
     large_alpha_check,
-    minimizer_state,
-    nondegeneracy_check,
     profile,
-    verify_identities,
 )
-from magwell.sl_engine import ConvergenceError, eigenvalue_converged
+from magwell.sl_engine import ConvergenceError, SolverError, eigenvalue_converged
 
 from conftest import REFERENCE_BAND_DATA
 
@@ -191,33 +190,41 @@ class TestIdentities:
     def test_norm_identity_k4(self, states):
         assert states[4].report.norm_identity_residual < 1e-5
 
-    def test_report_object(self):
-        rep = verify_identities(1, 1e-4)
-        assert isinstance(rep, IdentityReport)
-        assert rep.passed
+    def test_report_object(self, states):
+        rep = states[1].report
+        assert isinstance(rep, MinimizerReport)
+        assert rep.hf_residual < 1e-4
+        assert rep.norm_identity_residual < 1e-4
 
 
 class TestNondegeneracy:
     def test_condik_k1_margin(self, states):
-        r = nondegeneracy_check(1)
+        r = states[1].report
         # 3 * 1.98 = 5.94 > 7 * 0.57 = 3.99
         assert r.condik_holds
         assert r.condik_margin == pytest.approx(5.94 - 3.99, abs=0.05)
 
-    def test_condik_k7(self):
-        r = nondegeneracy_check(7)
+    def test_condik_k7(self, states):
+        r = states[7].report
         assert r.condik_holds
         assert r.condik_margin == pytest.approx(32.94 - 11.96, abs=0.1)
 
     def test_condik_odd_uses_lambda2(self, states):
-        r = nondegeneracy_check(1)
-        lam2 = states[1].report.lambda2
-        nu = states[1].report.nu_hat
+        r = states[1].report
+        lam2 = r.lambda2
+        nu = r.nu_hat
         assert r.condik_odd_holds
         assert r.condik_odd_margin == pytest.approx(3 * lam2 - 7 * nu, rel=1e-9)
 
-    def test_even_k_has_no_odd_refinement(self):
-        assert nondegeneracy_check(2).condik_odd_holds is None
+    def test_even_k_has_no_odd_refinement(self, states):
+        assert states[2].report.condik_odd_holds is None
+
+    def test_validate_rejects_d2_below_bound(self, states):
+        r = states[1].report
+        r.validate()
+        low = dataclasses.replace(r, d2=r.d2_lower_bound - 2e-3)
+        with pytest.raises(SolverError, match="below its lower bound"):
+            low.validate()
 
     def test_sharper_odd_bound_also_holds(self, states):
         # with du0/dalpha even, lambda_1 can be replaced by lambda_2 in the
@@ -230,7 +237,7 @@ class TestNondegeneracy:
 
 class TestProfile:
     def test_k2_profile(self, states):
-        table = profile(2, (-1.0, 1.0), 21, tol=1e-6)
+        table = profile(states[2], (-1.0, 1.0), 21, tol=1e-6)
         assert len(table.alpha) == 21
         i_min = int(np.argmin(table.lambda0))
         assert abs(table.alpha[i_min]) < 0.15
@@ -242,7 +249,8 @@ class TestProfile:
 
     def test_quadratic_hugs_profile_near_minimum(self, states):
         st = states[1].report
-        table = profile(1, (st.alpha_min - 0.2, st.alpha_min + 0.2), 9, tol=1e-7)
+        table = profile(states[1], (st.alpha_min - 0.2, st.alpha_min + 0.2), 9,
+                        tol=1e-7)
         assert np.all(table.lambda_quad <= table.lambda0 + 0.05)
 
     def test_band_grows_toward_negative_alpha(self):
@@ -277,6 +285,6 @@ class TestScanErrors:
         montgomery.scan_range = lambda k: (-3.0, -1.0)
         try:
             with pytest.raises(ConvergenceError, match="boundary"):
-                montgomery.minimizer_state(1, tol=2e-6, scan_points=9)
+                montgomery.minimizer_state(1, tol=2e-6)
         finally:
             montgomery.scan_range = orig
