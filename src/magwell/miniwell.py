@@ -18,9 +18,9 @@ critical alpha and the field divergence does not vanish).
 Both spectral branches are provided: the non-degenerate branch (c_omega>0)
 has the anisotropic-oscillator point spectrum, the degenerate branch
 (c_omega=0) a half line starting at the bottom of a reduced oscillator.
-The validation oracle diagonalizes K directly: by Rayleigh-Ritz in a tensor
-Hermite-function basis in the non-degenerate branch, and by central
-differences on a caller-given box in the degenerate one.
+The validation oracle diagonalizes K directly, by Rayleigh-Ritz in a tensor
+Hermite-function basis; it covers the non-degenerate branch only, since the
+half line has no discrete levels to diagonalize.
 """
 from __future__ import annotations
 
@@ -302,6 +302,13 @@ def _oscillator_levels(freqs: np.ndarray, offset: float, count: int) -> np.ndarr
     return np.array(out)
 
 
+def _check_request(kop: EffectiveOperatorK, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"need at least one level, got count={count}")
+    if kop.c_omega < 0:
+        raise SolverError("c_omega < 0 contradicts minimality of the band")
+
+
 def _check_imag(kop: EffectiveOperatorK) -> bool:
     if abs(kop.A_const.imag) > 1e-8:
         warnings.warn(
@@ -324,10 +331,7 @@ def spectrum_K(kop: EffectiveOperatorK, count: int = 8) -> KSpectrum:
     reduced oscillator on those directions, so the spectrum is the half line
     starting at Re(A) + bottom of the reduced oscillator.
     """
-    if count < 1:
-        raise ValueError(f"need at least one level, got count={count}")
-    if kop.c_omega < 0:
-        raise SolverError("c_omega < 0 contradicts minimality of the band")
+    _check_request(kop, count)
     warn = _check_imag(kop)
     mu_all = np.linalg.eigvalsh(kop.Omega)
     if np.any(mu_all <= 0):
@@ -369,37 +373,6 @@ HERMITE_CAP = 128
 HERMITE_TOL = 1e-9      # agreement of successive bases that ends the loop
 
 
-@dataclass(frozen=True)
-class OracleBox:
-    """Dirichlet tensor box for the degenerate-branch discretization of K;
-    the half width may be per-axis (anisotropic wells want narrow fast
-    axes)."""
-
-    half_width: float | tuple[float, ...]
-    n_points: int | tuple[int, ...]
-
-    def axes(self, dim: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        L = self.half_width if isinstance(self.half_width, tuple) \
-            else (self.half_width,) * dim
-        n = self.n_points if isinstance(self.n_points, tuple) \
-            else (self.n_points,) * dim
-        if len(L) != dim or len(n) != dim:
-            raise ValueError("box specification does not match the dimension")
-        return L, n
-
-
-def _fd_axis(L: float, n: int):
-    """(X, X^2, D, D^2) on the interior nodes of n equispaced points on
-    [-L, L]: multiplication operators and central differences with
-    Dirichlet walls."""
-    x = np.linspace(-L, L, n)[1:-1]
-    dx = 2.0 * L / (n - 1)
-    one = np.ones(len(x))
-    D = sp.diags([-one[:-1], one[:-1]], [-1, 1]) / (2.0 * dx)
-    D2 = sp.diags([one[:-1], -2.0 * one, one[:-1]], [-1, 0, 1]) / dx**2
-    return sp.diags(x), sp.diags(x**2), D, D2
-
-
 def _hermite_axis(scale: float, n: int):
     """(X, X^2, D, D^2) in the first n Hermite functions of width `scale`,
     built from the ladder operator a as x = s (a + a^T)/sqrt(2) and
@@ -430,16 +403,25 @@ def _oracle_matrix(kop: EffectiveOperatorK, axes):
             + 2.0 * om[0, 1] * sp.kron(Xa, Xb))
 
 
-def _levels(kop: EffectiveOperatorK, count: int, axes) -> np.ndarray:
-    """Lowest `count` levels of K on the given per-axis matrices."""
-    H = _oracle_matrix(kop, axes)
-    k_want = min(count + 4, H.shape[0] - 2)
-    return lowest_sparse_eigenpairs(H, k_want)[:count] + kop.A_const.real
+def spectrum_K_oracle(kop: EffectiveOperatorK, count: int) -> np.ndarray:
+    """Lowest `count` levels of K by direct diagonalization, independent of
+    the closed-form route: it reads only M, Omega and Re(A). The two must
+    agree to 1e-4 on feasible cases.
 
-
-def _hermite_levels(kop: EffectiveOperatorK, count: int) -> np.ndarray:
-    """Ritz values of K in growing tensor Hermite bases until two successive
-    bases agree to HERMITE_TOL."""
+    Rayleigh-Ritz in a tensor basis of Hermite functions, axis j scaled by
+    (M_jj/Omega_jj)^{1/4}. Ritz values bound the levels from above and never
+    increase with the basis, which grows from 24 functions per axis in steps
+    of 8 until successive levels agree to 1e-9. Raises ConvergenceError,
+    carrying the last two estimates, when 128 functions per axis do not
+    suffice. The degenerate branch (c_omega = 0) raises ValueError: its
+    spectrum is a half line, with no discrete levels to diagonalize.
+    """
+    _check_request(kop, count)
+    if kop.dim > 2:
+        raise ValueError("direct diagonalization is feasible for dim <= 2 only")
+    if kop.c_omega == 0:
+        raise ValueError("the degenerate branch (c_omega = 0) is a half line "
+                         "with no discrete levels to diagonalize")
     scales = (np.diag(kop.kinetic_matrix()) / np.diag(kop.Omega)) ** 0.25
     sizes = range(max(HERMITE_START, count + 2), HERMITE_CAP + 1, HERMITE_STEP)
     if len(sizes) < 2:
@@ -447,7 +429,9 @@ def _hermite_levels(kop: EffectiveOperatorK, count: int) -> np.ndarray:
                          f"{HERMITE_CAP} functions per axis can resolve")
     prev = None
     for n in sizes:
-        levels = _levels(kop, count, [_hermite_axis(s, n) for s in scales])
+        H = _oracle_matrix(kop, [_hermite_axis(s, n) for s in scales])
+        k_want = min(count + 4, H.shape[0] - 2)
+        levels = lowest_sparse_eigenpairs(H, k_want)[:count] + kop.A_const.real
         if prev is not None and np.max(np.abs(levels - prev)) <= HERMITE_TOL:
             return levels
         prev, last = levels, prev
@@ -456,48 +440,3 @@ def _hermite_levels(kop: EffectiveOperatorK, count: int) -> np.ndarray:
         f"Hermite oracle unconverged at {HERMITE_CAP} functions per axis: "
         f"level {j} moved by {abs(prev[j] - last[j]):.2e} in the last step",
         estimates=(float(last[j]), float(prev[j])))
-
-
-def spectrum_K_oracle(kop: EffectiveOperatorK, count: int,
-                      grid: Optional[OracleBox] = None) -> np.ndarray:
-    """Lowest `count` levels of K by direct diagonalization, independent of
-    the closed-form route: it reads only M, Omega and Re(A). The two must
-    agree to 1e-4 on feasible cases.
-
-    Non-degenerate branch (c_omega > 0): Rayleigh-Ritz in a tensor basis of
-    Hermite functions, axis j scaled by (M_jj/Omega_jj)^{1/4}. Ritz values
-    bound the levels from above and never increase with the basis, which
-    grows from 24 functions per axis in steps of 8 until successive levels
-    agree to 1e-9. Raises ConvergenceError, carrying the last two estimates,
-    when 128 functions per axis do not suffice. `grid` must be omitted.
-
-    Degenerate branch (c_omega = 0): the spectrum is a half line and the
-    quantity checked is the bottom of a Dirichlet box, so `grid` is
-    required and `count` must be 1 (higher box levels are artifacts of the
-    box that move with its spacing). Central differences on it and on one
-    spacing halving are Richardson-extrapolated; ConvergenceError flags a
-    pair too coarse for the extrapolation to be trustworthy.
-    """
-    if kop.dim > 2:
-        raise ValueError("direct diagonalization is feasible for dim <= 2 only")
-    if kop.c_omega < 0:
-        raise SolverError("c_omega < 0 contradicts minimality of the band")
-    if kop.c_omega > 0:
-        if grid is not None:
-            raise ValueError("the non-degenerate oracle takes no grid")
-        return _hermite_levels(kop, count)
-    if grid is None:
-        raise ValueError("the degenerate-branch oracle needs a grid (OracleBox)")
-    if count != 1:
-        raise ValueError("the degenerate-branch oracle checks only the bottom "
-                         f"of the half line: count must be 1, got {count}")
-    Ls, ns = grid.axes(kop.dim)
-    v1 = _levels(kop, count, [_fd_axis(L, n) for L, n in zip(Ls, ns)])
-    v2 = _levels(kop, count, [_fd_axis(L, 2 * (n - 1) + 1)
-                              for L, n in zip(Ls, ns)])
-    gap = float(np.max(np.abs(v2 - v1)))
-    if gap > 0.5:
-        raise ConvergenceError(
-            f"oracle grid too coarse: spacing-halving moved levels by {gap:.3f}",
-            estimates=(float(v1[0]), float(v2[0])))
-    return (4.0 * v2 - v1) / 3.0

@@ -35,6 +35,9 @@ from .sl_engine import ConvergenceError, SolverError
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
 
 
+GRID_BUDGET = (1024, 512)     # (max n_s, max n_t) of any assembled grid
+
+
 class ResolutionError(SolverError):
     """The grid under-resolves the magnetic length scales for this h."""
 
@@ -59,7 +62,7 @@ class Field2DConfig:
     `curvature_abs2` = (|omega|^2)''(s1) are declared by the caller since the
     sweep predictions need them in closed form. Grid sizes follow the
     resolution rule `points_per_length` nodes per magnetic length unless
-    pinned explicitly through n_s / n_t.
+    pinned explicitly through n_s / n_t, and must fit GRID_BUDGET.
     """
 
     k: int
@@ -73,7 +76,6 @@ class Field2DConfig:
     points_per_length: int = 20
     n_s: Optional[int] = None
     n_t: Optional[int] = None
-    grid_budget: tuple[int, int] = (1024, 512)   # (max n_s, max n_t)
 
     def __post_init__(self):
         if self.k < 1:
@@ -146,7 +148,7 @@ class Field2DConfig:
     def grid_for(self, h: float) -> tuple[int, int]:
         """(n_s, n_t) used at this h: the pins, else the required grid.
         Raises ResolutionError when the grid under-resolves h or exceeds
-        `grid_budget`."""
+        GRID_BUDGET."""
         need_s, need_t = self.required_grid(h)
         n_s = self.n_s or need_s
         n_t = self.n_t or need_t
@@ -154,7 +156,7 @@ class Field2DConfig:
             raise ResolutionError(
                 f"h={h:g} needs n_s >= {need_s}, n_t >= {need_t}; "
                 f"got ({n_s}, {n_t})")
-        max_s, max_t = self.grid_budget
+        max_s, max_t = GRID_BUDGET
         if n_s > max_s or n_t > max_t:
             raise ResolutionError(
                 f"h={h:g}: grid ({n_s}, {n_t}) exceeds the grid budget "
@@ -183,13 +185,6 @@ class MagneticOperator2D:
         return self.hermitian.shape
 
 
-def _link_phases(config: Field2DConfig, h: float, t: np.ndarray,
-                 s_mid: np.ndarray) -> np.ndarray:
-    A_mid = np.outer(t ** (config.k + 1) / (config.k + 1), config.omega(s_mid))
-    ds = config.S / len(s_mid)
-    return ds * A_mid / h
-
-
 def _check_wrap_clearance(config: Field2DConfig, h: float, t: np.ndarray,
                           theta: np.ndarray) -> None:
     """Spurious wells appear where a link phase wraps through 2 pi (the
@@ -210,14 +205,12 @@ def _check_wrap_clearance(config: Field2DConfig, h: float, t: np.ndarray,
             f"too low ({zero_point:.3e} vs window {window:.3e}); refine n_s")
 
 
-def assemble_2d(config: Field2DConfig, h: float,
-                zero_gauge: bool = False) -> MagneticOperator2D:
+def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
     """Gauge-covariant five-point discretization at one h.
 
     Dirichlet rows at t = +-T are eliminated; s is periodic. Refuses grids
     that under-resolve the magnetic lengths (reporting what is required) or
-    that would admit low-lying link-wrap artifacts. `zero_gauge` is a test
-    hook that drops A entirely, leaving the plain Laplacian ⊗ structure.
+    that would admit low-lying link-wrap artifacts.
     """
     n_s, n_t = config.grid_for(h)
     # interior nodes t_i = T (2i - (n_t - 1)) / (n_t - 1), i = 1..n_t-2:
@@ -230,11 +223,9 @@ def assemble_2d(config: Field2DConfig, h: float,
 
     nt = len(t)
     N = nt * n_s
-    if zero_gauge:
-        theta = np.zeros((nt, n_s))
-    else:
-        theta = _link_phases(config, h, t, s_mid)
-        _check_wrap_clearance(config, h, t, theta)
+    # link phases ds A_s / h, A_s sampled at the staggered midpoints
+    theta = ds * np.outer(t ** (config.k + 1) / (config.k + 1), config.omega(s_mid)) / h
+    _check_wrap_clearance(config, h, t, theta)
 
     ii = np.arange(nt)
     jj = np.arange(n_s)
@@ -417,7 +408,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
     semiclassical predictions.
 
     Needs m_count >= 2 (ValueError otherwise). Skips (and records) h values
-    whose grid exceeds the configured budget or under-resolves them. Each h
+    whose grid exceeds GRID_BUDGET or under-resolves them. Each h
     is solved at the shift 0.97 nu_hat omega_min^{2/(k+2)} h^{(2k+2)/(k+2)},
     certified inside `lowest_eigenvalues_2d`; every failed certificate is
     warned and recorded in `warnings_issued`. Fits the leading power law on

@@ -37,6 +37,8 @@ from .sl_engine import (
 
 GOLDEN_ALPHA_TOL = 1e-6          # alpha resolution of the golden-section stage
 SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
+HF_TOL = 1e-5                    # largest stationarity residual a report may carry
+ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -237,7 +239,7 @@ class MinimizerReport:
     hf_residual: float
     local_minima_scan: tuple[tuple[float, float], ...]
 
-    def validate(self, alpha_tol: float = 1e-4, hf_tol: float = 1e-5) -> None:
+    def validate(self) -> None:
         """Raise SolverError on a report the theory rules out; this includes
         d2 more than 1e-3 below the lower bound that the criterion
         (k+2) lambda_1 > (k+6) nu_hat implies when it holds."""
@@ -245,9 +247,9 @@ class MinimizerReport:
             raise SolverError(f"nu_hat negative: {self.nu_hat}")
         if not self.lambda1 > self.nu_hat:
             raise SolverError("lambda1 must exceed nu_hat")
-        if self.hf_residual > hf_tol:
+        if self.hf_residual > HF_TOL:
             raise SolverError(f"stationarity residual too large: {self.hf_residual:.2e}")
-        if self.k % 2 == 0 and abs(self.alpha_min) > alpha_tol:
+        if self.k % 2 == 0 and abs(self.alpha_min) > ALPHA_EVEN_TOL:
             raise SolverError(
                 f"even k={self.k} expected alpha_min ~ 0, got {self.alpha_min}")
         if self.condik_holds and self.d2 < self.d2_lower_bound - 1e-3:
@@ -302,15 +304,24 @@ def _golden_section(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def scan_range(k: int) -> tuple[float, float]:
-    """Generous bracketing range for the band minimum."""
-    return -1.0, 2.0 + k
+def _scan_brackets(alphas: np.ndarray, vals: np.ndarray) -> tuple[int, list[int]]:
+    """Index of the smallest scan value, and the indices of every interior
+    local minimum of the scan. Raises ConvergenceError when the smallest
+    value sits on the scan boundary."""
+    i_min = int(np.argmin(vals))
+    if i_min in (0, len(vals) - 1):
+        raise ConvergenceError(
+            f"band minimum at scan boundary alpha={alphas[i_min]:.3f}; "
+            "scan range too small")
+    brackets = [i for i in range(1, len(vals) - 1)
+                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+    return i_min, brackets
 
 
 def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     """Locate the band minimum and populate every derived quantity.
 
-    Stages: coarse scan of lambda_0(alpha, 1) over the bracketing range;
+    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k];
     golden-section refinement (alpha tolerance 1e-6) of every bracketed
     local minimum on a frozen reference grid, each Newton-polished there and
     converged once; then two converged solves at the global minimizer, each
@@ -326,18 +337,13 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    lo, hi = scan_range(k)
-    alphas = np.linspace(lo, hi, SCAN_POINTS)
+    alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)     # generous bracket
     scan_tol = max(tol, 1e-5)
     vals = np.array([
         eigenvalue_converged(family_potential(k, a), 0, scan_tol)[0]
         for a in alphas
     ])
-    i_min = int(np.argmin(vals))
-    if i_min in (0, SCAN_POINTS - 1):
-        raise ConvergenceError(
-            f"band minimum at scan boundary alpha={alphas[i_min]:.3f}; "
-            "scan range too small")
+    i_min, brackets = _scan_brackets(alphas, vals)
 
     # frozen reference grid at the scan minimizer
     _, ref_spec = eigenvalue_converged(family_potential(k, alphas[i_min]), 0,
@@ -347,8 +353,6 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     def band(a: float) -> float:
         return _discrete_lambda0(k, a, ref_grid)
 
-    brackets = [i for i in range(1, SCAN_POINTS - 1)
-                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
     local_minima = []
     for i in brackets:
         a_loc = _golden_section(band, alphas[i - 1], alphas[i + 1], GOLDEN_ALPHA_TOL)

@@ -5,14 +5,18 @@ integrates the Prufer phase ODE (no matrices at all), and the dense oracle
 runs the full-QR tridiagonal eigensolver (LAPACK stev) instead of bisection.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
+The degenerate-bottom oracle minimises, over the coordinate along e_omega,
+the lowest Ritz value of the miniwell operator on the orthogonal fiber,
+bypassing the closed-form reduced oscillator.
 The remaining helpers are small test-side computations that the library
 itself never needs.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import minimize_scalar
 
-from magwell.miniwell import EffectiveOperatorK
+from magwell.miniwell import EffectiveOperatorK, _hermite_axis
 from magwell.model2d import Field2DConfig
 from magwell.sl_engine import Grid1D, assemble, lowest_eigenpairs
 
@@ -108,3 +112,28 @@ def omega_orthogonal_direction(kop: EffectiveOperatorK) -> np.ndarray:
     parallel to Omega^{-1} e_omega."""
     v = np.linalg.solve(kop.Omega, kop.e_omega)
     return v / np.linalg.norm(v)
+
+
+def degenerate_bottom(kop: EffectiveOperatorK, n: int = 48) -> float:
+    """Bottom of the half-line spectrum of K when c_omega = 0 (dim <= 2).
+
+    With no kinetic term along e, the coordinate p there is a parameter:
+    K is the family of fibers -d^2/dq^2 + (p e + q f)^T Omega (p e + q f)
+    + Re(A), with f the unit vector orthogonal to e. The bottom is the
+    minimum over p of the lowest fiber level, here the lowest Ritz value in
+    n Hermite functions scaled to (f^T Omega f)^{-1/4}. In 1D there is no
+    fiber, and the level is p^2 Omega.
+    """
+    e = kop.e_omega
+    if kop.dim == 1:
+        def fiber(p):
+            return p * p * kop.Omega[0, 0]
+    else:
+        f = np.array([-e[1], e[0]])
+        ee, ef, ff = e @ kop.Omega @ e, e @ kop.Omega @ f, f @ kop.Omega @ f
+        X, X2, _, D2 = (m.toarray() for m in _hermite_axis(ff ** -0.25, n))
+
+        def fiber(p):
+            H = -D2 + ff * X2 + 2.0 * p * ef * X + p * p * ee * np.eye(n)
+            return np.linalg.eigvalsh(H)[0]
+    return minimize_scalar(fiber, bracket=(-1.0, 1.0)).fun + kop.A_const.real

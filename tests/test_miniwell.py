@@ -8,7 +8,6 @@ from magwell.miniwell import (
     EffectiveOperatorK,
     Moments1D,
     MiniwellGeometry,
-    OracleBox,
     build_A,
     build_Omega,
     build_effective_operator,
@@ -19,7 +18,7 @@ from magwell.miniwell import (
 )
 from magwell.sl_engine import ConvergenceError, SolverError
 
-from oracles import omega_orthogonal_direction
+from oracles import degenerate_bottom, omega_orthogonal_direction
 
 
 def make_geometry(dim=2, **overrides):
@@ -284,32 +283,16 @@ class TestOracle:
         oracle = spectrum_K_oracle(kop, 6)
         assert np.max(np.abs(closed - oracle)) < 1e-4
 
-    def test_degenerate_branch_box_bottom(self):
-        # the discretized bottom approaches the half-line edge from above
-        # under refinement; box size is immaterial once generous (no kinetic
-        # term acts along the degenerate direction, so no L^-2 zero-point)
-        Om = np.array([[1.5, 0.2], [0.2, 0.8]])
-        e = np.array([0.6, 0.8])
-        kop = make_kop(0.0, e, Om)
-        bottom = spectrum_K(kop, 1).bottom
-        vals = []
-        for n in (121, 241):
-            lv = spectrum_K_oracle(kop, 1, OracleBox(6.0, n))
-            vals.append(lv[0])
-        assert vals[1] > bottom - 1e-6
-        assert abs(vals[1] - bottom) < abs(vals[0] - bottom)
-        assert abs(vals[1] - bottom) < 0.05
-
-    def test_too_coarse_raises(self):
-        kop = make_kop(0.0, [1.0, 0.0], np.diag([30.0, 40.0]))
-        with pytest.raises(ConvergenceError, match="coarse"):
-            spectrum_K_oracle(kop, 1, OracleBox(12.0, 17))
-
-    def test_degenerate_branch_count_refused(self):
-        # above the bottom of the half line a box only has artifacts
-        kop = make_kop(0.0, [1.0, 0.0], np.diag([30.0, 40.0]))
-        with pytest.raises(ValueError, match="count must be 1"):
-            spectrum_K_oracle(kop, 6, OracleBox(3.0, 121))
+    def test_degenerate_branch_fiber_bottom(self):
+        # the half-line edge of the closed form against the minimum over
+        # the degenerate coordinate of the lowest fiber Ritz value
+        for e, Om, A in (([1.0, 0.0], [[2.0, 0.3], [0.3, 1.0]], 0.25),
+                         ([0.6, 0.8], [[1.5, 0.2], [0.2, 0.8]], 0.0),
+                         ([1.0, 0.0], [[30.0, 0.0], [0.0, 40.0]], -0.1),
+                         ([1.0], [[2.0]], 0.3)):
+            kop = make_kop(0.0, e, Om, A=A)
+            bottom = spectrum_K(kop, 1).bottom
+            assert abs(degenerate_bottom(kop) - bottom) < 1e-8
 
     def test_basis_cap_raises(self):
         # a rotated 1e4-anisotropic well is too elongated for an axis-aligned
@@ -322,12 +305,16 @@ class TestOracle:
         before, after = info.value.estimates
         assert after <= before      # Ritz values never increase
 
-    def test_grid_only_on_degenerate_branch(self):
-        with pytest.raises(ValueError, match="no grid"):
-            spectrum_K_oracle(make_kop(1.0, [1.0], np.array([[1.0]])), 2,
-                              OracleBox(9.0, 201))
-        with pytest.raises(ValueError, match="needs a grid"):
-            spectrum_K_oracle(make_kop(0.0, [1.0], np.array([[1.0]])), 2)
+    def test_degenerate_branch_refused(self):
+        # the half line has no discrete levels to diagonalize
+        for e, Om in (([1.0], [[1.0]]), ([0.6, 0.8], [[1.5, 0.2], [0.2, 0.8]])):
+            with pytest.raises(ValueError, match="c_omega = 0"):
+                spectrum_K_oracle(make_kop(0.0, e, Om), 1)
+
+    def test_zero_count_refused(self):
+        kop = make_kop(1.0, [1.0], np.array([[1.0]]))
+        with pytest.raises(ValueError, match="need at least one level"):
+            spectrum_K_oracle(kop, 0)
 
     def test_dim3_refused(self):
         kop = make_kop(1.0, [1.0, 0.0, 0.0], np.eye(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from magwell._shift_invert import count_below, lowest_sparse_eigenpairs
-from magwell.miniwell import EffectiveOperatorK, _fd_axis, _oracle_matrix
+from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
 from magwell.model2d import (
     Field2DConfig,
     ResolutionError,
@@ -85,10 +86,12 @@ class TestAssembly:
         H = op.hermitian
         assert (H != H.getH()).nnz == 0
 
-    def test_zero_gauge_matches_separable_laplacian(self):
-        cfg = small_config(n_s=20, n_t=16)
+    def test_zero_field_matches_separable_laplacian(self):
+        cfg = dataclasses.replace(
+            small_config(n_s=20, n_t=16),
+            omega=lambda s: np.zeros_like(np.asarray(s, dtype=float)))
         h = 0.5
-        op = assemble_2d(cfg, h, zero_gauge=True)
+        op = assemble_2d(cfg, h)
         # the 4th level is odd in t, so the odd block is solved and merged
         with pytest.warns(ShiftCertificateWarning, match="odd block"):
             vals = lowest_eigenvalues_2d(op, 6, tol=1e-8)
@@ -227,11 +230,12 @@ class TestShiftInvertRoute:
         assert np.max(np.abs(vals - ref) / ref) < 1e-10
 
     def test_real_symmetric_oracle_matrix(self):
-        # the degenerate-branch box of the K oracle, 119^2 unknowns
-        kop = EffectiveOperatorK(c_omega=0.0, e_omega=np.array([0.6, 0.8]),
+        # a tensor Hermite basis of the K oracle, 64^2 unknowns
+        kop = EffectiveOperatorK(c_omega=0.4, e_omega=np.array([0.6, 0.8]),
                                  Omega=np.array([[1.5, 0.2], [0.2, 0.8]]),
                                  A_const=0j, alpha_min=0.35, k=1)
-        H = _oracle_matrix(kop, [_fd_axis(6.0, 121)] * 2)
+        scales = (np.diag(kop.kinetic_matrix()) / np.diag(kop.Omega)) ** 0.25
+        H = _oracle_matrix(kop, [_hermite_axis(s, 64) for s in scales])
         assert H.dtype == np.float64
         vals = lowest_sparse_eigenpairs(H, 5)
         ref = self.scipy_lowest(H.tocsc(), 5)
@@ -252,37 +256,34 @@ class TestFiberOracle:
 
 class TestGaugeInvariance:
     def test_phase_conjugation(self):
-        # adding the discrete gradient of a periodic phi to the link phases
-        # is an exact unitary conjugation; eigenvalues must not move
+        # adding the gradient of the periodic phi(s) = 0.3 sin(2 pi s/S) to
+        # the link phases is an exact unitary conjugation (it adds no flux);
+        # eigenvalues must not move
         cfg = constant_profile_config(S=3.0, h=(0.05,))
         h = 0.05
         op = assemble_2d(cfg, h)
         vals = lowest_eigenvalues_2d(op, 4)
 
-        n_s, n_t = cfg.grid_for(h)
+        n_s, _ = cfg.grid_for(h)
         ds = cfg.S / n_s
         s_mid = (np.arange(n_s) + 0.5) * ds
-        phi = lambda s: 0.3 * np.sin(2 * np.pi * s / cfg.S)
         dphi_mid = 0.3 * (2 * np.pi / cfg.S) * np.cos(2 * np.pi * s_mid / cfg.S)
 
-        H = op.hermitian.tocoo().copy()
-        nt = n_t - 2
-        # rebuild with shifted link phases theta -> theta + ds*dphi/h
-        cfg2 = Field2DConfig(
-            k=1,
-            omega=cfg.omega, omega_min=cfg.omega_min, s1=cfg.s1,
-            curvature_abs2=cfg.curvature_abs2, S=cfg.S, T=cfg.T,
-            h_list=cfg.h_list)
-        from magwell import model2d as m2
-
-        orig = m2._link_phases
-        try:
-            m2._link_phases = lambda c, hh, t, sm: (
-                orig(c, hh, t, sm) + ds * dphi_mid[None, :] / hh)
-            op2 = assemble_2d(cfg2, h)
-        finally:
-            m2._link_phases = orig
-        vals2 = lowest_eigenvalues_2d(op2, 4)
+        # shift every link phase theta -> theta + ds*dphi/h: the forward
+        # s-link (i, j) -> (i, j+1) gains exp(-i ds dphi_j/h), its mirror
+        # the conjugate; node (i, j) is row i*n_s + j
+        H2 = op.hermitian.tocoo()
+        rows, cols = H2.row, H2.col
+        j_row, j_col = rows % n_s, cols % n_s
+        same_t = rows // n_s == cols // n_s
+        forward = same_t & (j_col == (j_row + 1) % n_s)
+        backward = same_t & (j_row == (j_col + 1) % n_s)
+        data = H2.data.copy()
+        data[forward] *= np.exp(-1j * ds * dphi_mid[j_row[forward]] / h)
+        data[backward] *= np.exp(1j * ds * dphi_mid[j_col[backward]] / h)
+        H2 = sp.csr_matrix((data, (rows, cols)), shape=H2.shape)
+        assert (H2 != H2.getH()).nnz == 0
+        vals2 = lowest_eigenvalues_2d(dataclasses.replace(op, hermitian=H2), 4)
         assert np.max(np.abs(vals - vals2)) < 1e-9
 
 

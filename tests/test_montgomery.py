@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from magwell.montgomery import (
+    SCAN_POINTS,
     MinimizerReport,
     ModelParams,
     _d2_on_grid,
     _discrete_hf,
+    _scan_brackets,
     d2lambda_dalpha2,
     dlambda_dalpha,
     family_potential,
@@ -279,12 +281,14 @@ class TestScanErrors:
     def test_boundary_minimum_raises(self):
         # a scan window strictly left of the true minimum has its smallest
         # value at the edge
-        from magwell import montgomery
+        alphas = np.linspace(-3.0, -1.0, SCAN_POINTS)
+        vals = 2.0 - alphas           # decreasing toward the right edge
+        with pytest.raises(ConvergenceError, match="boundary"):
+            _scan_brackets(alphas, vals)
+        with pytest.raises(ConvergenceError, match="boundary"):
+            _scan_brackets(alphas, vals[::-1])
 
-        orig = montgomery.scan_range
-        montgomery.scan_range = lambda k: (-3.0, -1.0)
-        try:
-            with pytest.raises(ConvergenceError, match="boundary"):
-                montgomery.minimizer_state(1, tol=2e-6)
-        finally:
-            montgomery.scan_range = orig
+    def test_brackets_are_interior_local_minima(self):
+        alphas = np.linspace(-1.0, 3.0, 9)
+        vals = np.array([5.0, 4.0, 3.0, 4.0, 5.0, 2.0, 6.0, 7.0, 8.0])
+        assert _scan_brackets(alphas, vals) == (5, [2, 5])
