@@ -22,7 +22,6 @@ from .sl_engine import (
     assemble,
     eigenvalue_converged,
     lowest_eigenpairs,
-    parity_classify,
 )
 from .montgomery import (
     MinimizerReport,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._files import write_csv, write_json
-from .sl_engine import SolverError, parity_classify
+from .sl_engine import SolverError
 from . import montgomery, miniwell, asymptotics, model2d
 
 WORKERS_ENV = "MAGWELL_WORKERS"
@@ -178,16 +178,14 @@ def _verify_one_k(k: int) -> dict:
     st = montgomery.minimizer_state(k)
     r = st.report
     checks = {
-        "stationarity_identity": r.hf_residual < 1e-5,
+        "stationarity_identity": r.hf_residual < montgomery.HF_TOL,
         "norm_identity": r.norm_identity_residual < 1e-4,
         "condik": r.condik_holds,
-        "bound_consistency": r.d2 >= r.d2_lower_bound - 1e-3,
+        "bound_consistency": r.d2 >= r.d2_lower_bound - montgomery.D2_SLACK,
     }
     if k % 2 == 1:
         checks["condik_odd"] = bool(r.condik_odd_holds)
-        pars = parity_classify(st.spectrum)
-        want = ["even", "odd", "even"]
-        checks["parity"] = all(p.label == w for p, w in zip(pars, want))
+        checks["parity"] = st.spectrum.parity == ("even", "odd", "even")
     rng = np.random.default_rng(VERIFY_SEED + k)
     ok_scaling = True
     for _ in range(2):

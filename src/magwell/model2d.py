@@ -32,6 +32,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from ._files import load_json_object
 from ._shift_invert import ShiftRejected, count_below, lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError
+from .montgomery import _shifted_gauge
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
 
 
@@ -224,7 +225,7 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
     nt = len(t)
     N = nt * n_s
     # link phases ds A_s / h, A_s sampled at the staggered midpoints
-    theta = ds * np.outer(t ** (config.k + 1) / (config.k + 1), config.omega(s_mid)) / h
+    theta = ds * np.outer(_shifted_gauge(config.k, 0.0, t), config.omega(s_mid)) / h
     _check_wrap_clearance(config, h, t, theta)
 
     ii = np.arange(nt)

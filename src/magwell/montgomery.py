@@ -38,6 +38,7 @@ from .sl_engine import (
 GOLDEN_ALPHA_TOL = 1e-6          # alpha resolution of the golden-section stage
 SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
 HF_TOL = 1e-5                    # largest stationarity residual a report may carry
+D2_SLACK = 1e-3                  # how far d2 may fall below its condik lower bound
 ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,13 +58,19 @@ class ModelParams:
             raise ValueError("beta must be nonzero")
 
 
+def _shifted_gauge(k: int, alpha: float, t: np.ndarray, beta: float = 1.0) -> np.ndarray:
+    """beta t^{k+1}/(k+1) - alpha, the gauge shifted by the momentum alpha.
+    For odd k the power is taken of t*t, so the samples on a mirror-symmetric
+    grid are even bit for bit (numpy's t ** 4, t ** 6 and t ** 8 are not)."""
+    power = (t * t) ** ((k + 1) // 2) if k % 2 else t ** (k + 1)
+    return beta * power / (k + 1) - alpha
+
+
 def family_potential(k: int, alpha: float, beta: float = 1.0) -> ConfiningPotential:
-    """The confining potential (beta t^{k+1}/(k+1) - alpha)^2."""
-
-    def V(t):
-        return (beta * t ** (k + 1) / (k + 1) - alpha) ** 2
-
-    return ConfiningPotential(V)
+    """The confining potential (beta t^{k+1}/(k+1) - alpha)^2; for odd k its
+    samples are even in t bit for bit, so `sl_engine` splits the operator by
+    parity."""
+    return ConfiningPotential(lambda t: _shifted_gauge(k, alpha, t, beta) ** 2)
 
 
 def reduce_to_unit_beta(params: ModelParams) -> tuple[float, float]:
@@ -111,11 +118,6 @@ def lambda_m_direct(params: ModelParams, m: int, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 # fixed-grid discrete band function helpers
 
-def _discrete_lambda0(k: int, alpha: float, op_grid: Grid1D) -> float:
-    op = assemble(family_potential(k, alpha), op_grid)
-    return float(_eigenvalues_only(op, 1)[0])
-
-
 def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float, Spectrum1D]:
     """(d lambda_0/d alpha, lambda_0, spectrum) of the discrete operator.
 
@@ -126,7 +128,7 @@ def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float, Spec
     spec = lowest_eigenpairs(op, 1)
     u = spec.eigenfunctions[0]
     t = grid.interior_points()
-    w = t ** (k + 1) / (k + 1) - alpha
+    w = _shifted_gauge(k, alpha, t)
     hf = -2.0 * float(np.sum(w * u * u) * grid.spacing)
     return hf, float(spec.eigenvalues[0]), spec
 
@@ -140,22 +142,20 @@ def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:
     return hf
 
 
-def _alpha_derivative_solve(k: int, alpha: float, op: TridiagonalOperator,
-                            spectrum: Spectrum1D, rtol: float = 1e-9
-                            ) -> tuple[np.ndarray, float]:
-    """Solve (T - lambda_0) w = 2(t^{k+1}/(k+1) - alpha) u0 on span{u0}^perp.
-
-    Returns (w = du0/dalpha on the grid, relative residual). The system is
-    made nonsingular by shifting it 1e-10 |lambda_0| off the eigenvalue; the
-    u0 component excited through that shift is projected away, and two steps
-    of iterative refinement remove the rest.
-    """
+def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
+                  spectrum: Spectrum1D, rtol: float = 1e-9) -> float:
+    """2 - 4 <w u0, x>, the discrete second alpha-derivative of the lowest
+    band (w = t^{k+1}/(k+1) - alpha), where x = du0/dalpha solves
+    (T - lambda_0) x = 2 w u0 on span{u0}^perp. The system is shifted
+    1e-10 |lambda_0| off the eigenvalue; the u0 component excited through
+    that shift is projected away, two steps of iterative refinement remove
+    the rest, and a relative residual above rtol raises."""
     grid = op.grid
     dt = grid.spacing
     t = grid.interior_points()
     u = spectrum.eigenfunctions[0]
     lam = float(spectrum.eigenvalues[0])
-    w = t ** (k + 1) / (k + 1) - alpha
+    w = _shifted_gauge(k, alpha, t)
     rhs = 2.0 * w * u
     rhs -= (np.sum(rhs * u) * dt) * u
 
@@ -175,20 +175,14 @@ def _alpha_derivative_solve(k: int, alpha: float, op: TridiagonalOperator,
                   / np.linalg.norm(rhs))
     if resid > rtol:
         raise SolverError(f"reduced-resolvent solve stalled: residual {resid:.2e}")
-    return x, resid
+    return 2.0 - 4.0 * float(np.sum(w * u * x) * dt)
 
 
-def _d2_on_grid(k: int, alpha: float, grid: Grid1D) -> tuple[float, np.ndarray, Spectrum1D]:
+def _d2_on_grid(k: int, alpha: float, grid: Grid1D) -> float:
     """Discrete second derivative of the band function on a fixed grid,
-    through the reduced-resolvent route:  2 - 4 <w u0, du0/dalpha>."""
+    through the reduced-resolvent route."""
     op = assemble(family_potential(k, alpha), grid)
-    spec = lowest_eigenpairs(op, 1)
-    x, _ = _alpha_derivative_solve(k, alpha, op, spec)
-    t = grid.interior_points()
-    u = spec.eigenfunctions[0]
-    w = t ** (k + 1) / (k + 1) - alpha
-    d2 = 2.0 - 4.0 * float(np.sum(w * u * x) * grid.spacing)
-    return d2, x, spec
+    return _resolvent_d2(k, alpha, op, lowest_eigenpairs(op, 1))
 
 
 def d2lambda_dalpha2(k: int, alpha: float, tol: float = 1e-6) -> float:
@@ -205,7 +199,7 @@ def d2lambda_dalpha2(k: int, alpha: float, tol: float = 1e-6) -> float:
     """
     _, spec = eigenvalue_converged(family_potential(k, alpha), 0, tol)
     grid = spec.grid
-    d2, _, _ = _d2_on_grid(k, alpha, grid)
+    d2 = _d2_on_grid(k, alpha, grid)
     delta = 1e-3
     hf_p, _, _ = _discrete_hf(k, alpha + delta, grid)
     hf_m, _, _ = _discrete_hf(k, alpha - delta, grid)
@@ -241,7 +235,7 @@ class MinimizerReport:
 
     def validate(self) -> None:
         """Raise SolverError on a report the theory rules out; this includes
-        d2 more than 1e-3 below the lower bound that the criterion
+        d2 more than D2_SLACK below the lower bound that the criterion
         (k+2) lambda_1 > (k+6) nu_hat implies when it holds."""
         if self.nu_hat < 0:
             raise SolverError(f"nu_hat negative: {self.nu_hat}")
@@ -252,7 +246,7 @@ class MinimizerReport:
         if self.k % 2 == 0 and abs(self.alpha_min) > ALPHA_EVEN_TOL:
             raise SolverError(
                 f"even k={self.k} expected alpha_min ~ 0, got {self.alpha_min}")
-        if self.condik_holds and self.d2 < self.d2_lower_bound - 1e-3:
+        if self.condik_holds and self.d2 < self.d2_lower_bound - D2_SLACK:
             raise SolverError(
                 f"k={self.k}: d2 {self.d2:.6f} below its lower bound "
                 f"{self.d2_lower_bound:.6f}")
@@ -264,8 +258,6 @@ class MinimizerState:
 
     report: MinimizerReport
     spectrum: Spectrum1D          # three eigenpairs at alpha_min on the final grid
-    du0_dalpha: np.ndarray        # eigenvector alpha-derivative on the same grid
-    d2_resolvent_residual: float
 
 
 def _newton_polish(k: int, alpha: float, grid: Grid1D,
@@ -351,7 +343,7 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     ref_grid = ref_spec.grid
 
     def band(a: float) -> float:
-        return _discrete_lambda0(k, a, ref_grid)
+        return float(_eigenvalues_only(assemble(family_potential(k, a), ref_grid), 1)[0])
 
     local_minima = []
     for i in brackets:
@@ -371,12 +363,11 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     t = grid.interior_points()
     dt = grid.spacing
     u0 = spec.eigenfunctions[0]
-    w = t ** (k + 1) / (k + 1) - alpha_min
+    w = _shifted_gauge(k, alpha_min, t)
     hf_residual = abs(-2.0 * float(np.sum(w * u0 * u0) * dt))
     norm_residual = abs(float(np.sum(w * w * u0 * u0) * dt) - nu_hat / (k + 2))
 
-    du0, solve_resid = _alpha_derivative_solve(k, alpha_min, op, spec)
-    d2 = 2.0 - 4.0 * float(np.sum(w * u0 * du0) * dt)
+    d2 = _resolvent_d2(k, alpha_min, op, spec)
 
     bound = 2.0 * ((k + 2) * lam1 - (k + 6) * nu_hat) / ((k + 2) * (lam1 - nu_hat))
     margin = (k + 2) * lam1 - (k + 6) * nu_hat
@@ -403,8 +394,7 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
         local_minima_scan=tuple(local_minima),
     )
     report.validate()
-    return MinimizerState(report=report, spectrum=spec, du0_dalpha=du0,
-                          d2_resolvent_residual=solve_resid)
+    return MinimizerState(report=report, spectrum=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,20 @@ The discrete operator is the second-order central-difference Laplacian plus
 the sampled potential, with Dirichlet conditions at +-L. Eigenvalues of the
 discrete matrix come from Sturm-sequence bisection (LAPACK stebz), and
 eigenvectors from LAPACK stein on the bisected eigenvalues, in the same
-call. Continuum eigenvalues are obtained by doubling L until the Dirichlet
-truncation is negligible (Agmon decay makes the error exponentially small
-once V exceeds the energy level) and halving the spacing with Richardson
-extrapolation until successive extrapolants agree.
+call. On the mirror-symmetric grid an even potential gives a persymmetric
+matrix, which is split by t -> -t into an even and an odd block, so each
+level carries its parity by construction. Continuum eigenvalues are
+obtained by doubling L until the Dirichlet truncation is negligible (Agmon
+decay makes the error exponentially small once V exceeds the energy level)
+and halving the spacing with Richardson extrapolation until successive
+extrapolants agree.
 
 All containers are immutable after construction and every operation is a
 pure function, so parameter sweeps may call into this module concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +63,9 @@ class Grid1D:
         return 2.0 * self.half_width / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.n_points)
+        """t_i = L (2i - (n-1)) / (n-1), so t_{n-1-i} == -t_i bit for bit."""
+        n = self.n_points
+        return self.half_width * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
 
     def interior_points(self) -> np.ndarray:
         return self.points()[1:-1]
@@ -118,9 +123,12 @@ class TridiagonalOperator:
 class Spectrum1D:
     """Low eigenpairs of a discrete 1D operator.
 
-    Eigenvalues are those of the discrete matrix (ascending, simple);
-    eigenfunctions (rows) live on the interior points and carry discrete
-    L2 norm 1, i.e. spacing * sum(u^2) == 1. `convergence_estimate` holds a
+    Eigenvalues are those of the discrete matrix, ascending and simple
+    within each parity class; eigenfunctions (rows) live on the interior
+    points and carry discrete L2 norm 1, i.e. spacing * sum(u^2) == 1.
+    `parity` labels each level "even" or "odd" under t -> -t when the matrix
+    was split by that reflection (even levels in slots 0, 2, ..., odd ones
+    in 1, 3, ...), and is None when it was not. `convergence_estimate` holds a
     per-eigenvalue error indication against the continuum operator where
     available (plain residuals for a fixed-grid solve). `extrapolants` holds
     the Richardson-extrapolated continuum eigenvalues of a converged solve,
@@ -132,11 +140,13 @@ class Spectrum1D:
     grid: Grid1D
     convergence_estimate: np.ndarray = field(default=None)
     extrapolants: Optional[np.ndarray] = None
+    parity: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if np.any(np.diff(self.eigenvalues) <= 0):
-            raise SolverError("eigenvalues not strictly increasing; "
-                              "1D confining operators have simple spectrum")
+        labels = np.array(self.parity or [""] * len(self.eigenvalues))
+        if any(np.any(np.diff(self.eigenvalues[labels == p]) <= 0) for p in set(labels)):
+            raise SolverError("eigenvalues not strictly increasing within a parity "
+                              "class; 1D confining operators have simple spectrum")
         self.eigenvalues.setflags(write=False)
         self.eigenfunctions.setflags(write=False)
         if self.extrapolants is not None:
@@ -162,43 +172,78 @@ def assemble(potential, grid: Grid1D) -> TridiagonalOperator:
     return TridiagonalOperator(diag, off, grid)
 
 
+def _bisect(diag: np.ndarray, off: np.ndarray, m_count: int, vectors: bool):
+    """(values, unit eigenvectors as columns or None) of the m_count lowest
+    levels of one Jacobi matrix: LAPACK stebz, then stein."""
+    try:
+        out = eigh_tridiagonal(diag, off, eigvals_only=not vectors,
+                               select="i", select_range=(0, m_count - 1),
+                               lapack_driver="stebz")
+    except Exception as exc:  # LAPACK reported a bisection or stein failure
+        raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return out if vectors else (out, None)
+
+
 def _stebz(operator: TridiagonalOperator, m_count: int, vectors: bool):
-    """The m_count lowest eigenvalues by Sturm bisection (LAPACK stebz) and,
-    if `vectors`, their unit eigenvectors as columns (LAPACK stein)."""
+    """(values, vectors or None, parity or None) of the m_count lowest levels.
+
+    An odd-sized matrix that is persymmetric bit for bit is split by t -> -t
+    around its centre row c: the even block is rows c.. with its first
+    off-diagonal times sqrt(2), the odd block rows c+1.. (Dirichlet at t=0).
+    The levels of the two interlace, even first, so they fill the slots
+    0, 2, ... and 1, 3, ... unsorted, and keep their labels even when a pair
+    splits below rounding. Vectors are lifted back as u_c = v_0 and
+    u_{c+-j} = v_j/sqrt(2) (even) or +-v_j/sqrt(2) (odd).
+    """
     if m_count > operator.size:
         raise SolverError(f"requested {m_count} eigenvalues from operator of size "
                           f"{operator.size}")
-    try:
-        return eigh_tridiagonal(operator.diagonal, operator.offdiagonal,
-                                eigvals_only=not vectors,
-                                select="i", select_range=(0, m_count - 1),
-                                lapack_driver="stebz")
-    except Exception as exc:  # LAPACK reported a bisection or stein failure
-        raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+    d, e = operator.diagonal, operator.offdiagonal
+    if operator.size % 2 == 0 or not (np.array_equal(d, d[::-1])
+                                      and np.array_equal(e, e[::-1])):
+        return (*_bisect(d, e, m_count, vectors), None)
+    c, n_odd = operator.size // 2, m_count // 2
+    vals = np.empty(m_count)
+    vals[0::2], v_even = _bisect(d[c:], np.r_[np.sqrt(2.0) * e[c], e[c + 1:]],
+                                 m_count - n_odd, vectors)
+    if n_odd:
+        vals[1::2], v_odd = _bisect(d[c + 1:], e[c + 1:], n_odd, vectors)
+    parity = tuple(("even", "odd")[i % 2] for i in range(m_count))
+    if not vectors:
+        return vals, None, parity
+    vecs = np.zeros((operator.size, m_count))
+    vecs[c, 0::2] = v_even[0]
+    vecs[c + 1:, 0::2] = v_even[1:] / np.sqrt(2.0)
+    if n_odd:
+        vecs[c + 1:, 1::2] = v_odd / np.sqrt(2.0)
+    vecs[:c] = vecs[:c:-1] * (-1.0) ** np.arange(m_count)
+    return vals, vecs, parity
 
 
 def _eigenvalues_only(operator: TridiagonalOperator, m_count: int) -> np.ndarray:
-    return _stebz(operator, m_count, vectors=False)
+    return _stebz(operator, m_count, vectors=False)[0]
 
 
 def lowest_eigenpairs(operator: TridiagonalOperator, m_count: int) -> Spectrum1D:
     """The m_count smallest eigenpairs of the discrete operator.
 
     Eigenvalues via Sturm-sequence bisection, eigenvectors via LAPACK stein
-    on those eigenvalues; each eigenvector is normalized to discrete L2
-    norm 1 and signed so that its largest-magnitude entry is positive.
-    `convergence_estimate` holds the eigenpair residuals |T u - lambda u|
-    relative to |u|.
+    on those eigenvalues, both per parity block when the matrix is split by
+    t -> -t (see Spectrum1D.parity). Each eigenvector is normalized to
+    discrete L2 norm 1 and signed so that its largest-magnitude entry is
+    positive; an odd vector takes that magnitude at t and -t alike, and the
+    tie goes to the smaller t. `convergence_estimate` holds the eigenpair
+    residuals |T u - lambda u| relative to |u|.
     """
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
-    vals, vecs = _stebz(operator, m_count, vectors=True)
+    vals, vecs, parity = _stebz(operator, m_count, vectors=True)
     vecs = vecs.T / np.sqrt(operator.grid.spacing)
     peaks = vecs[np.arange(m_count), np.argmax(np.abs(vecs), axis=1)]
     vecs *= np.sign(peaks)[:, None]
     resid = np.array([np.linalg.norm(operator.matvec(u) - lam * u) / np.linalg.norm(u)
                       for lam, u in zip(vals, vecs)])
-    return Spectrum1D(vals, vecs, operator.grid, resid)
+    return Spectrum1D(vals, vecs, operator.grid, resid, parity=parity)
 
 
 def boundary_mass(spectrum: Spectrum1D, fraction: float = 0.9) -> float:
@@ -219,10 +264,8 @@ def _initial_half_width(pot: ConfiningPotential, m: int,
     and raise the floating-point noise floor of the eigenvalue bisection.
     """
     L = 1.0
-    lam = None
     for _ in range(60):
-        grid = Grid1D(L, probe_points)
-        lam = _eigenvalues_only(assemble(pot, grid), m + 1)[m]
+        lam = _eigenvalues_only(assemble(pot, Grid1D(L, probe_points)), m + 1)[m]
         wall = min(float(pot(-L)), float(pot(L)))
         if wall >= 4.0 * max(lam, 0.25):
             break
@@ -280,8 +323,7 @@ def eigenvalue_converged(potential, m: int, tol: float,
                                estimates=(float(lam), float(lam)))
 
     n = probe_points
-    op = assemble(pot, Grid1D(L, n))
-    prev = _eigenvalues_only(op, track)
+    prev = spec.eigenvalues
     prev_R = None
     for _ in range(max_refinements):
         n = 2 * (n - 1) + 1
@@ -292,43 +334,12 @@ def eigenvalue_converged(potential, m: int, tol: float,
         if prev_R is not None:
             step = float(np.max(np.abs(lam_R - prev_R)))
             if step < max(tol, noise):
-                spec = lowest_eigenpairs(op, track)
-                est = np.abs(lam_R - cur) + step
-                spec = Spectrum1D(spec.eigenvalues, spec.eigenfunctions,
-                                  spec.grid, est, lam_R)
+                spec = replace(lowest_eigenpairs(op, track),
+                               convergence_estimate=np.abs(lam_R - cur) + step,
+                               extrapolants=lam_R)
                 return float(lam_R[m]), spec
         prev_R = lam_R
         prev = cur
     raise ConvergenceError(
         f"spacing refinement exhausted at n={n}",
         estimates=(float(prev_R[m]), float(lam_R[m])))
-
-
-@dataclass(frozen=True)
-class ParityResult:
-    label: str            # "even" | "odd" | "none"
-    residual: float
-
-
-def parity_classify(spectrum: Spectrum1D,
-                    residual_cap: float = 1e-6) -> list[ParityResult]:
-    """Classify each eigenfunction as even or odd under t -> -t.
-
-    The caller asserts the potential is even. For each eigenfunction the
-    reflection residual min over s in {+1,-1} of |u(-t) - s u(t)| decides the
-    label; if both residuals exceed `residual_cap` the state is labelled
-    "none" (non-even potential or degenerate numerics).
-    """
-    out = []
-    for u in spectrum.eigenfunctions:
-        rev = u[::-1]
-        scale = np.sqrt(np.sum(u * u))
-        r_even = np.linalg.norm(rev - u) / scale
-        r_odd = np.linalg.norm(rev + u) / scale
-        if min(r_even, r_odd) > residual_cap:
-            out.append(ParityResult("none", float(min(r_even, r_odd))))
-        elif r_even <= r_odd:
-            out.append(ParityResult("even", float(r_even)))
-        else:
-            out.append(ParityResult("odd", float(r_odd)))
-    return out

@@ -106,6 +106,14 @@ def count_sign_changes(u: np.ndarray, floor: float = 1e-8) -> int:
     return int(np.sum(s[1:] != s[:-1]))
 
 
+def reflection_residuals(spectrum) -> np.ndarray:
+    """|u(-t) - s u(t)| / |u(t)| for each eigenfunction, with s = +1 for the
+    levels labelled even and -1 for those labelled odd."""
+    return np.array([
+        np.linalg.norm(u[::-1] - (1.0 if p == "even" else -1.0) * u) / np.linalg.norm(u)
+        for u, p in zip(spectrum.eigenfunctions, spectrum.parity)])
+
+
 def omega_orthogonal_direction(kop: EffectiveOperatorK) -> np.ndarray:
     """The degenerate-branch distinguished vector: orthogonal to the
     completion directions with respect to the bilinear form Omega, i.e.

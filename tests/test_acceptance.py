@@ -26,9 +26,10 @@ from magwell.montgomery import (
     lambda_m_direct,
     minimizer_state,
 )
-from magwell.sl_engine import eigenvalue_converged, parity_classify
+from magwell.sl_engine import eigenvalue_converged
 
 from conftest import REFERENCE_BAND_DATA
+from oracles import count_sign_changes, reflection_residuals
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -115,21 +116,20 @@ def test_criterion_4_scaling_law():
 
 
 def test_criterion_5_parity(states):
-    """For odd k the m-th eigenfunction has parity (-1)^m with residual
-    below 1e-6, m = 0..3."""
+    """For odd k the m-th eigenfunction has parity (-1)^m with reflection
+    residual below 1e-6 and m sign changes, m = 0..3."""
     worst = 0.0
     ok = True
     for k in (1, 3, 5, 7):
         alpha = states[k].report.alpha_min
         _, spec = eigenvalue_converged(family_potential(k, alpha), 3, 1e-8)
-        classes = parity_classify(spec)
-        for m, p in enumerate(classes):
-            want = "even" if m % 2 == 0 else "odd"
-            ok &= p.label == want
-            worst = max(worst, p.residual)
+        ok &= spec.parity == ("even", "odd", "even", "odd")
+        worst = max(worst, float(np.max(reflection_residuals(spec))))
+        ok &= all(count_sign_changes(u) == m
+                  for m, u in enumerate(spec.eigenfunctions))
     ok &= worst < 1e-6
     _line(5, ok, f"parity of eigenfunctions, odd k, m=0..3: labels alternate, "
-                 f"worst residual {worst:.2e} (<1e-6)")
+                 f"m sign changes, worst residual {worst:.2e} (<1e-6)")
 
 
 def test_criterion_6_k_oracle():

@@ -126,7 +126,8 @@ class TestEigenvalues:
     def test_small_grid_matches_dense(self):
         cfg = small_config(n_s=22, n_t=14)
         op = assemble_2d(cfg, 0.5)
-        vals = lowest_eigenvalues_2d(op, 5, tol=1e-9)
+        with pytest.warns(ShiftCertificateWarning, match="odd block"):
+            vals = lowest_eigenvalues_2d(op, 5, tol=1e-9)
         dense = np.linalg.eigvalsh(op.hermitian.toarray())
         assert np.allclose(vals, dense[:5], atol=1e-9)
 
@@ -181,6 +182,13 @@ class TestReflectionBlocks:
             blocks = reflection_blocks(op)
             assert [name for name, _ in blocks] == (
                 ["even", "odd"] if symmetric else ["full"])
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_default_grid_splits_odd_k(self, k):
+        # t^{k+1} is taken of t*t, so A_s is even in t bit for bit
+        cfg = Field2DConfig.default(k=k)
+        op = assemble_2d(cfg, cfg.h_list[0])
+        assert [name for name, _ in reflection_blocks(op)] == ["even", "odd"]
 
     @staticmethod
     def asymptotic_operator():
@@ -304,7 +312,8 @@ class TestSweepSmoke:
         # lowest four: the odd-block certificate fails, warns, and is recorded
         cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, T=0.8,
                                     h_list=tuple(np.geomspace(0.5, 0.05, 4)))
-        with pytest.warns(ShiftCertificateWarning, match="odd block"):
+        with pytest.warns(UserWarning, match="asymptotic window"), \
+                pytest.warns(ShiftCertificateWarning, match="odd block"):
             rep = run_sweep(cfg, m_count=4)
         certs = [w for w in rep.warnings_issued if "block" in w]
         assert certs[0].startswith("h=0.5, odd block: 2 negative pivots")

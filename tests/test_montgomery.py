@@ -157,7 +157,7 @@ class TestDerivatives:
         alpha = states[k].report.alpha_min
         L = _initial_half_width(as_potential(family_potential(k, alpha)), 0)
         grid = Grid1D(L, 257)
-        d2, _, _ = _d2_on_grid(k, alpha, grid)
+        d2 = _d2_on_grid(k, alpha, grid)
         delta = 1e-3
         _, l0, _ = _discrete_hf(k, alpha, grid)
         _, lp, _ = _discrete_hf(k, alpha + delta, grid)

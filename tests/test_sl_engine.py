@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from magwell.sl_engine import (
     AssemblyError,
@@ -10,15 +11,17 @@ from magwell.sl_engine import (
     Spectrum1D,
     assemble,
     boundary_mass,
+    _eigenvalues_only,
     eigenvalue_converged,
     lowest_eigenpairs,
-    parity_classify,
 )
+from magwell.montgomery import family_potential
 
 from oracles import (
     count_sign_changes,
     dense_converged,
     dense_eigenvalues,
+    reflection_residuals,
     shooting_eigenvalue,
 )
 
@@ -42,6 +45,12 @@ class TestGrid:
         assert t[0] == -2.0 and t[-1] == 2.0
         assert np.allclose(np.diff(t), g.spacing)
         assert g.spacing == pytest.approx(4.0 / 16)
+
+    @pytest.mark.parametrize("L, n", [(9.582312144488096, 8193), (0.3, 17),
+                                      (2.0, 64), (11.989236065894366, 16385)])
+    def test_mirror_symmetric_bit_for_bit(self, L, n):
+        t = Grid1D(L, n).interior_points()
+        assert np.array_equal(t, -t[::-1])
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -174,16 +183,46 @@ class TestEigenvalueConverged:
         assert abs(lo - 1.0) < 0.1 and abs(hi - 1.0) < 0.1
 
 
+ALTERNATING = ("even", "odd", "even", "odd")
+
+
 class TestParity:
     def test_family_k1_even_odd_sequence(self):
         _, spec = eigenvalue_converged(V_family_k1, 3, 1e-8)
-        labels = [p.label for p in parity_classify(spec)]
-        assert labels == ["even", "odd", "even", "odd"]
-        assert all(p.residual < 1e-8 for p in parity_classify(spec)[:1])
+        assert spec.parity == ALTERNATING
+        assert np.all(reflection_residuals(spec) == 0.0)
+
+    @pytest.mark.parametrize("alpha", [5.0, 10.0, 20.0, 50.0])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_double_wells_split_exactly(self, k, alpha):
+        # the even and odd levels of the double well merge to working
+        # precision as alpha grows; each keeps its label and matches the
+        # unsplit matrix
+        _, spec = eigenvalue_converged(family_potential(k, alpha), 3, 1e-8)
+        assert spec.parity == ALTERNATING
+        assert np.all(reflection_residuals(spec) == 0.0)
+        op = assemble(family_potential(k, alpha), spec.grid)
+        whole = eigvalsh_tridiagonal(op.diagonal, op.offdiagonal,
+                                     select="i", select_range=(0, 3))
+        assert np.max(np.abs(spec.eigenvalues - whole)) <= 1e-14 * op.norm_bound()
+
+    def test_values_only_match_eigenpairs(self):
+        op = assemble(family_potential(1, 10.0), Grid1D(12.0, 1025))
+        vals = _eigenvalues_only(op, 3)
+        assert np.array_equal(vals, lowest_eigenpairs(op, 3).eigenvalues)
+
+    def test_odd_sign_tie_goes_to_smaller_t(self):
+        spec = lowest_eigenpairs(assemble(V_family_k1, Grid1D(6.0, 801)), 2)
+        u = spec.eigenfunctions[1]
+        assert np.argmax(np.abs(u)) < len(u) // 2 and u[np.argmax(np.abs(u))] > 0
 
     def test_broken_symmetry_gives_none(self):
         _, spec = eigenvalue_converged(lambda t: t**2 + t, 0, 1e-8)
-        assert parity_classify(spec)[0].label == "none"
+        assert spec.parity is None
+
+    def test_even_point_count_is_not_split(self):
+        spec = lowest_eigenpairs(assemble(V_harmonic, Grid1D(8.0, 1000)), 3)
+        assert spec.parity is None
 
 
 class TestInvariants:
