@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .sl_engine import (
     AssemblyError,
-    ConfiningPotential,
     ConvergenceError,
     Grid1D,
     SolverError,

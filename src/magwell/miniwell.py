@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from ._files import load_json_object
 from ._shift_invert import lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError, Spectrum1D
-from .montgomery import MinimizerReport, MinimizerState
+from .montgomery import MinimizerReport, MinimizerState, _shifted_gauge
 
 GRADIENT_TOL = 1e-8     # rejection threshold for the minimum condition
 
@@ -172,7 +172,7 @@ def moments_1d(k: int, alpha_min: float, u0: Spectrum1D) -> Moments1D:
     upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dt**2
     upp[0] = (u[1] - 2.0 * u[0]) / dt**2
     upp[-1] = (u[-2] - 2.0 * u[-1]) / dt**2
-    w = t ** (k + 1) / (k + 1) - alpha_min
+    w = _shifted_gauge(k, alpha_min, t)
     return Moments1D(
         m_tau_upp=float(np.sum(t * upp * u) * dt),
         m_mixed=float(np.sum((t ** (k + 2) / (k + 2)) * w * u * u) * dt),

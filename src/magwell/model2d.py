@@ -110,25 +110,29 @@ class Field2DConfig:
         """Build the default-profile model from a JSON document (a path, an
         open file or an already parsed mapping) with keys k, omega_min, a,
         S, s1, T, h_list, points_per_length and the optional grid pins n_s,
-        n_t. Malformed documents raise ValueError."""
+        n_t; an absent key takes its value from `default`. Malformed
+        documents, including a non-integral or boolean k, points_per_length,
+        n_s or n_t, raise ValueError."""
         data = load_json_object(source, "sweep config")
-        h_list = data.get("h_list", [])
-        if not isinstance(h_list, (list, tuple)):
-            raise ValueError(f"h_list must be a list of numbers, got {h_list!r}")
+        kw = {key: data[key] for key in ("k", "omega_min", "a", "S", "s1", "T",
+                                         "h_list", "points_per_length", "n_s", "n_t")
+              if key in data}
+        if not isinstance(kw.get("h_list", []), (list, tuple)):
+            raise ValueError(f"h_list must be a list of numbers, got {kw['h_list']!r}")
+        for key in ("k", "points_per_length", "n_s", "n_t"):
+            value = kw.get(key)
+            if value is None and (key not in kw or key in ("n_s", "n_t")):
+                continue                  # absent, or a null grid pin
+            integral = (isinstance(value, int) and not isinstance(value, bool)
+                        or isinstance(value, float) and value.is_integer())
+            if not integral:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            kw[key] = int(value)
         try:
-            pins = {key: None if data.get(key) is None else int(data[key])
-                    for key in ("n_s", "n_t")}
-            return cls.default(
-                k=int(data.get("k", 1)),
-                omega_min=float(data.get("omega_min", 1.0)),
-                a=float(data.get("a", 1.0)),
-                S=float(data.get("S", 14.0)),
-                s1=float(data.get("s1", 4.2)),
-                T=float(data.get("T", 0.8)),
-                h_list=tuple(h_list),
-                points_per_length=int(data.get("points_per_length", 20)),
-                **pins,
-            )
+            for key in ("omega_min", "a", "S", "s1", "T"):
+                if key in kw:
+                    kw[key] = float(kw[key])
+            return cls.default(**kw)
         except TypeError as exc:     # a value of the wrong JSON type
             raise ValueError(f"malformed sweep config: {exc}") from exc
 

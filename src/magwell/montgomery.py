@@ -9,13 +9,14 @@ criteria for the second derivative, and profile exports.
 
 Everything reduces to converged 1D eigenpairs from `sl_engine`; quadratures
 use the plain spacing-weighted sum on the converged grid, which is exactly
-the discrete Hellmann-Feynman pairing of the assembled matrix (so the
-stationarity residual of a polished minimizer is at rounding level, not at
-grid level).
+the discrete Hellmann-Feynman pairing of the assembled matrix. The band
+minimum is the root of that derivative on a fixed grid, found by Newton's
+method with the exact discrete second derivative (the reduced resolvent) as
+its slope, so the stationarity residual is at rounding level, not at grid
+level.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,24 +24,20 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sl_engine import (
-    ConfiningPotential,
     ConvergenceError,
     Grid1D,
     SolverError,
     Spectrum1D,
     TridiagonalOperator,
-    _eigenvalues_only,
     assemble,
     eigenvalue_converged,
     lowest_eigenpairs,
 )
 
-GOLDEN_ALPHA_TOL = 1e-6          # alpha resolution of the golden-section stage
 SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
 HF_TOL = 1e-5                    # largest stationarity residual a report may carry
 D2_SLACK = 1e-3                  # how far d2 may fall below its condik lower bound
 ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -66,11 +63,12 @@ def _shifted_gauge(k: int, alpha: float, t: np.ndarray, beta: float = 1.0) -> np
     return beta * power / (k + 1) - alpha
 
 
-def family_potential(k: int, alpha: float, beta: float = 1.0) -> ConfiningPotential:
+def family_potential(k: int, alpha: float,
+                     beta: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """The confining potential (beta t^{k+1}/(k+1) - alpha)^2; for odd k its
     samples are even in t bit for bit, so `sl_engine` splits the operator by
     parity."""
-    return ConfiningPotential(lambda t: _shifted_gauge(k, alpha, t, beta) ** 2)
+    return lambda t: _shifted_gauge(k, alpha, t, beta) ** 2
 
 
 def reduce_to_unit_beta(params: ModelParams) -> tuple[float, float]:
@@ -118,19 +116,20 @@ def lambda_m_direct(params: ModelParams, m: int, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 # fixed-grid discrete band function helpers
 
-def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float, Spectrum1D]:
-    """(d lambda_0/d alpha, lambda_0, spectrum) of the discrete operator.
+def _hellmann_feynman(k: int, alpha: float, spectrum: Spectrum1D) -> float:
+    """-2 sum(w u0^2) dt with w = t^{k+1}/(k+1) - alpha: the spacing-weighted
+    Hellmann-Feynman quadrature, which is the exact alpha-derivative of the
+    lowest discrete eigenvalue on the spectrum's grid."""
+    grid = spectrum.grid
+    u = spectrum.eigenfunctions[0]
+    w = _shifted_gauge(k, alpha, grid.interior_points())
+    return -2.0 * float(np.sum(w * u * u) * grid.spacing)
 
-    The spacing-weighted quadrature of the Hellmann-Feynman integrand is the
-    exact alpha-derivative of the discrete eigenvalue.
-    """
-    op = assemble(family_potential(k, alpha), grid)
-    spec = lowest_eigenpairs(op, 1)
-    u = spec.eigenfunctions[0]
-    t = grid.interior_points()
-    w = _shifted_gauge(k, alpha, t)
-    hf = -2.0 * float(np.sum(w * u * u) * grid.spacing)
-    return hf, float(spec.eigenvalues[0]), spec
+
+def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float]:
+    """(d lambda_0/d alpha, lambda_0) of the discrete operator on the grid."""
+    spec = lowest_eigenpairs(assemble(family_potential(k, alpha), grid), 1)
+    return _hellmann_feynman(k, alpha, spec), float(spec.eigenvalues[0])
 
 
 def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:
@@ -138,8 +137,7 @@ def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:
     quadrature -2 * integral of (t^{k+1}/(k+1) - alpha) u0^2 over the
     converged grid."""
     _, spec = eigenvalue_converged(family_potential(k, alpha), 0, tol)
-    hf, _, _ = _discrete_hf(k, alpha, spec.grid)
-    return hf
+    return _hellmann_feynman(k, alpha, spec)
 
 
 def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
@@ -201,8 +199,8 @@ def d2lambda_dalpha2(k: int, alpha: float, tol: float = 1e-6) -> float:
     grid = spec.grid
     d2 = _d2_on_grid(k, alpha, grid)
     delta = 1e-3
-    hf_p, _, _ = _discrete_hf(k, alpha + delta, grid)
-    hf_m, _, _ = _discrete_hf(k, alpha - delta, grid)
+    hf_p, _ = _discrete_hf(k, alpha + delta, grid)
+    hf_m, _ = _discrete_hf(k, alpha - delta, grid)
     d2_fd = (hf_p - hf_m) / (2.0 * delta)
     if abs(d2 - d2_fd) > 10.0 * tol:
         raise SolverError(
@@ -260,40 +258,40 @@ class MinimizerState:
     spectrum: Spectrum1D          # three eigenpairs at alpha_min on the final grid
 
 
-def _newton_polish(k: int, alpha: float, grid: Grid1D,
-                   max_steps: int = 8) -> float:
-    """Drive the discrete Hellmann-Feynman derivative to rounding level on a
-    fixed grid. Quadratic flatness makes plain golden section stall near the
-    minimum; Newton on the analytic derivative does not."""
-    g, _, _ = _discrete_hf(k, alpha, grid)
-    g_eps, _, _ = _discrete_hf(k, alpha + 1e-4, grid)
-    slope = (g_eps - g) / 1e-4
-    for _ in range(max_steps):
-        if slope <= 0:
-            break
-        step = -g / slope
+def _stationary_alpha(k: int, grid: Grid1D, lo: float, hi: float,
+                      start: float) -> float:
+    """Root of g = d lambda_0/d alpha of the discrete operator on a fixed
+    grid, inside a bracket with g(lo) < 0 < g(hi).
+
+    Newton's method with the exact slope d2 from `_resolvent_d2`; each
+    iterate shrinks the bracket, and a step that would leave it (or a slope
+    that is not positive) is replaced by bisection. Stops when a step falls
+    below 1e-13 or |g| below 1e-12. Raises ConvergenceError when g does not
+    change sign over the bracket or the iteration cap is reached.
+    """
+    g_lo, g_hi = _discrete_hf(k, lo, grid)[0], _discrete_hf(k, hi, grid)[0]
+    if not g_lo < 0.0 < g_hi:
+        raise ConvergenceError(
+            f"k={k}: d lambda_0/d alpha does not change sign on "
+            f"[{lo:.6g}, {hi:.6g}] (g = {g_lo:.3e}, {g_hi:.3e})")
+    alpha = start
+    for _ in range(60):     # bisection alone shrinks any scan bracket below 1e-13
+        op = assemble(family_potential(k, alpha), grid)
+        spec = lowest_eigenpairs(op, 1)
+        g = _hellmann_feynman(k, alpha, spec)
+        if abs(g) < 1e-12:
+            return alpha
+        lo, hi = (alpha, hi) if g < 0.0 else (lo, alpha)
+        d2 = _resolvent_d2(k, alpha, op, spec)
+        step = -g / d2 if d2 > 0.0 else np.inf
+        if not lo < alpha + step < hi:
+            step = 0.5 * (lo + hi) - alpha
         alpha += step
-        g, _, _ = _discrete_hf(k, alpha, grid)
-        if abs(step) < 1e-13 or abs(g) < 1e-12:
-            break
-    return alpha
-
-
-def _golden_section(f: Callable[[float], float], a: float, b: float,
-                    xtol: float) -> float:
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+        if abs(step) < 1e-13:
+            return alpha
+    raise ConvergenceError(
+        f"k={k}: stationary-point solve not converged after 60 steps; "
+        f"last alpha {alpha:.15g}, d lambda_0/d alpha {g:.3e}")
 
 
 def _scan_brackets(alphas: np.ndarray, vals: np.ndarray) -> tuple[int, list[int]]:
@@ -313,15 +311,16 @@ def _scan_brackets(alphas: np.ndarray, vals: np.ndarray) -> tuple[int, list[int]
 def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     """Locate the band minimum and populate every derived quantity.
 
-    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k];
-    golden-section refinement (alpha tolerance 1e-6) of every bracketed
-    local minimum on a frozen reference grid, each Newton-polished there and
-    converged once; then two converged solves at the global minimizer, each
-    tracking nu_hat, lambda_1 and lambda_2 at tol/10: the first gives the
-    grid on which the minimizer is Newton-polished against the discrete
-    Hellmann-Feynman derivative, the second (at the polished minimizer)
-    gives the three levels, the eigenpairs, and the grid on which the
-    identities and non-degeneracy data are evaluated.
+    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k]; for every
+    interior local minimum of the scan, the root of the discrete
+    Hellmann-Feynman derivative in the scan bracket around it on a frozen
+    reference grid (`_stationary_alpha`, started at the scan point), converged
+    once; then two converged solves at the global minimizer, each tracking
+    nu_hat, lambda_1 and lambda_2 at tol/10: on the grid of the first, the
+    root is solved for again in the same bracket, started at the reference
+    root; the second (at that root) gives the three levels, the eigenpairs,
+    and the grid on which the identities and non-degeneracy data are
+    evaluated.
 
     Nothing is cached: a caller that needs the state twice keeps the
     returned (immutable) value and passes it on.
@@ -340,21 +339,17 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     # frozen reference grid at the scan minimizer
     _, ref_spec = eigenvalue_converged(family_potential(k, alphas[i_min]), 0,
                                        min(tol, 1e-6) / 10.0)
-    ref_grid = ref_spec.grid
-
-    def band(a: float) -> float:
-        return float(_eigenvalues_only(assemble(family_potential(k, a), ref_grid), 1)[0])
 
     local_minima = []
     for i in brackets:
-        a_loc = _golden_section(band, alphas[i - 1], alphas[i + 1], GOLDEN_ALPHA_TOL)
-        a_loc = _newton_polish(k, a_loc, ref_grid)
+        a_loc = _stationary_alpha(k, ref_spec.grid, alphas[i - 1], alphas[i + 1],
+                                  alphas[i])
         lam_loc, _ = eigenvalue_converged(family_potential(k, a_loc), 0, tol)
         local_minima.append((float(a_loc), float(lam_loc)))
-    alpha_min = min(local_minima, key=lambda p: p[1])[0]
+    i, (alpha_min, _) = min(zip(brackets, local_minima), key=lambda b: b[1][1])
 
     _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
-    alpha_min = _newton_polish(k, alpha_min, spec.grid)
+    alpha_min = _stationary_alpha(k, spec.grid, alphas[i - 1], alphas[i + 1], alpha_min)
     _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
     nu_hat, lam1, lam2 = spec.extrapolants
     grid = spec.grid
@@ -364,7 +359,7 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     dt = grid.spacing
     u0 = spec.eigenfunctions[0]
     w = _shifted_gauge(k, alpha_min, t)
-    hf_residual = abs(-2.0 * float(np.sum(w * u0 * u0) * dt))
+    hf_residual = abs(_hellmann_feynman(k, alpha_min, spec))
     norm_residual = abs(float(np.sum(w * w * u0 * u0) * dt) - nu_hat / (k + 2))
 
     d2 = _resolvent_d2(k, alpha_min, op, spec)

@@ -72,27 +72,6 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class ConfiningPotential:
-    """Evaluation rule t -> V(t) plus the caller's growth declaration.
-
-    `confining=True` asserts V(t) -> +inf as |t| -> inf; the adaptive
-    truncation relies on it and refuses potentials without the witness.
-    """
-
-    func: Callable[[np.ndarray], np.ndarray]
-    confining: bool = True
-
-    def __call__(self, t):
-        return np.asarray(self.func(np.asarray(t, dtype=float)), dtype=float)
-
-
-def as_potential(potential) -> ConfiningPotential:
-    if isinstance(potential, ConfiningPotential):
-        return potential
-    return ConfiningPotential(potential)
-
-
-@dataclass(frozen=True)
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix acting on interior grid values."""
 
@@ -159,9 +138,8 @@ def assemble(potential, grid: Grid1D) -> TridiagonalOperator:
     Dirichlet conditions at +-half_width. Raises AssemblyError if V returns
     a non-finite sample, reporting the offending t.
     """
-    pot = as_potential(potential)
     ti = grid.interior_points()
-    v = pot(ti)
+    v = np.asarray(potential(ti), dtype=float)
     bad = ~np.isfinite(v)
     if np.any(bad):
         where = ti[bad][:5]
@@ -255,7 +233,7 @@ def boundary_mass(spectrum: Spectrum1D, fraction: float = 0.9) -> float:
     return float(np.sum(u[edge] ** 2) * spectrum.grid.spacing)
 
 
-def _initial_half_width(pot: ConfiningPotential, m: int,
+def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int,
                         probe_points: int = 257) -> float:
     """Smallest L with V(+-L) >= 4 * rough level estimate.
 
@@ -300,21 +278,19 @@ def eigenvalue_converged(potential, m: int, tol: float,
     spectrum tracks the m+1 lowest eigenpairs and carries the extrapolants
     of all of them; its convergence_estimate is the distance from each
     discrete eigenvalue to its extrapolant plus the final extrapolant
-    increment.
+    increment. A potential that does not grow fast enough to confine raises
+    ConvergenceError from the box search.
     """
-    pot = as_potential(potential)
-    if not pot.confining:
-        raise ValueError("potential lacks the confining declaration")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     track = m + 1
 
-    L = _initial_half_width(pot, m)
+    L = _initial_half_width(potential, m)
     for _ in range(24):
         grid = Grid1D(L, probe_points)
-        spec = lowest_eigenpairs(assemble(pot, grid), track)
+        spec = lowest_eigenpairs(assemble(potential, grid), track)
         lam = spec.eigenvalues[m]
-        wall = min(float(pot(-L)), float(pot(L)))
+        wall = min(float(potential(-L)), float(potential(L)))
         if wall >= lam + 1.0 and boundary_mass(spec) < max(tol**2, 1e-26):
             break
         L *= 2.0
@@ -327,7 +303,7 @@ def eigenvalue_converged(potential, m: int, tol: float,
     prev_R = None
     for _ in range(max_refinements):
         n = 2 * (n - 1) + 1
-        op = assemble(pot, Grid1D(L, n))
+        op = assemble(potential, Grid1D(L, n))
         cur = _eigenvalues_only(op, track)
         lam_R = (4.0 * cur - prev) / 3.0
         noise = 32.0 * np.finfo(float).eps * op.norm_bound()

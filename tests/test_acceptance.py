@@ -63,7 +63,7 @@ def test_criterion_2_identity_suite(states):
     identity is exact there, and a moderate matrix norm keeps the
     delta-divided eigenvalue rounding far below the tolerance.
     """
-    from magwell.sl_engine import Grid1D, _initial_half_width, as_potential
+    from magwell.sl_engine import Grid1D, _initial_half_width
 
     worst_st, worst_nm, worst_fd = 0.0, 0.0, 0.0
     for k, st in states.items():
@@ -71,12 +71,12 @@ def test_criterion_2_identity_suite(states):
         worst_st = max(worst_st, r.hf_residual)
         worst_nm = max(worst_nm, r.norm_identity_residual)
         alpha = r.alpha_min + 0.15
-        L = _initial_half_width(as_potential(family_potential(k, alpha)), 0)
+        L = _initial_half_width(family_potential(k, alpha), 0)
         grid = Grid1D(L, 1025)
-        hf, _, _ = _discrete_hf(k, alpha, grid)
+        hf, _ = _discrete_hf(k, alpha, grid)
         d = 1e-4
-        _, lp, _ = _discrete_hf(k, alpha + d, grid)
-        _, lm, _ = _discrete_hf(k, alpha - d, grid)
+        _, lp = _discrete_hf(k, alpha + d, grid)
+        _, lm = _discrete_hf(k, alpha - d, grid)
         worst_fd = max(worst_fd, abs(hf - (lp - lm) / (2 * d)))
     ok = worst_st < 1e-5 and worst_nm < 1e-4 and worst_fd < 1e-5
     _line(2, ok, f"identities k=1..7: stationarity {worst_st:.2e} (<1e-5), "

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +90,19 @@ class TestExitCodes:
         path.write_text(json.dumps([1, 2]))
         assert run_cli(["validate2d", "--config", str(path),
                         "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tol_is_usage_error(self, tmp_path, tol):
+        assert run_cli(["table1", "--k", "1", "--tol", tol,
+                        "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("k", [1.7, True])
+    def test_sweep_non_integral_k_is_usage_error(self, tmp_path, capsys, k):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": k}))
+        assert run_cli(["validate2d", "--config", str(path),
+                        "--out", str(tmp_path)]) == 2
+        assert "k must be an integer" in capsys.readouterr().err
 
     def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -273,3 +289,13 @@ class TestWorkerPool:
         assert run_cli(["table1", "--k", "1..2", "--out", str(out_par)]) == 0
         assert (out_serial / "table1.csv").read_bytes() == \
             (out_par / "table1.csv").read_bytes()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 16 MB and 0.2 s to every magwell process.
+    # A child process is needed: the test oracles import it into this one.
+    import magwell
+    src = str(Path(magwell.__file__).resolve().parents[1])
+    code = "import sys, magwell.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

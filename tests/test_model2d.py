@@ -78,6 +78,20 @@ class TestConfig:
             assert cfg.omega_min == 2.0
             assert cfg.h_list == (0.05, 0.02)
 
+    @pytest.mark.parametrize("key,value", [("k", 1.7), ("k", True), ("n_s", 12.9),
+                                           ("points_per_length", False)])
+    def test_json_rejects_non_integral_counts(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            Field2DConfig.from_json({key: value})
+
+    def test_json_absent_keys_take_the_defaults(self):
+        got = Field2DConfig.from_json({"k": 2.0, "n_t": None})
+        want = Field2DConfig.default(k=2)
+        assert got.k == 2 and isinstance(got.k, int)
+        for f in dataclasses.fields(Field2DConfig):
+            if f.name != "omega":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
 
 class TestAssembly:
     def test_hermitian_bit_exact(self):

@@ -10,6 +10,7 @@ from magwell.montgomery import (
     _d2_on_grid,
     _discrete_hf,
     _scan_brackets,
+    _stationary_alpha,
     d2lambda_dalpha2,
     dlambda_dalpha,
     family_potential,
@@ -109,8 +110,8 @@ class TestMinimizer:
             assert r.hf_residual < 1e-5
 
     def test_stationarity_at_rounding_level(self, states):
-        # the minimizer is Newton-polished at the resolution the residual is
-        # evaluated at, so only rounding is left
+        # the minimizer is solved for on the grid of the resolution the
+        # residual is evaluated at, so only rounding is left
         for k, st in states.items():
             assert st.report.hf_residual < 1e-10, k
 
@@ -126,8 +127,8 @@ class TestDerivatives:
         hf = dlambda_dalpha(k, alpha, 1e-8)
         _, spec = eigenvalue_converged(family_potential(k, alpha), 0, 1e-8)
         delta = 1e-4
-        _, lp, _ = _discrete_hf(k, alpha + delta, spec.grid)
-        _, lm, _ = _discrete_hf(k, alpha - delta, spec.grid)
+        _, lp = _discrete_hf(k, alpha + delta, spec.grid)
+        _, lm = _discrete_hf(k, alpha - delta, spec.grid)
         assert hf == pytest.approx((lp - lm) / (2 * delta), abs=1e-6)
 
     def test_hf_vs_finite_difference_random(self):
@@ -138,8 +139,8 @@ class TestDerivatives:
             hf = dlambda_dalpha(k, alpha, 1e-8)
             _, spec = eigenvalue_converged(family_potential(k, alpha), 0, 1e-8)
             delta = 1e-4
-            _, lp, _ = _discrete_hf(k, alpha + delta, spec.grid)
-            _, lm, _ = _discrete_hf(k, alpha - delta, spec.grid)
+            _, lp = _discrete_hf(k, alpha + delta, spec.grid)
+            _, lm = _discrete_hf(k, alpha - delta, spec.grid)
             assert hf == pytest.approx((lp - lm) / (2 * delta), abs=1e-5)
 
     def test_d2_above_frozen_bound(self, states):
@@ -152,16 +153,16 @@ class TestDerivatives:
         # box: the agreement is a grid-independent identity, and a modest
         # matrix norm keeps the 1/delta^2-amplified eigenvalue rounding far
         # below the tolerance.
-        from magwell.sl_engine import Grid1D, _initial_half_width, as_potential
+        from magwell.sl_engine import Grid1D, _initial_half_width
 
         alpha = states[k].report.alpha_min
-        L = _initial_half_width(as_potential(family_potential(k, alpha)), 0)
+        L = _initial_half_width(family_potential(k, alpha), 0)
         grid = Grid1D(L, 257)
         d2 = _d2_on_grid(k, alpha, grid)
         delta = 1e-3
-        _, l0, _ = _discrete_hf(k, alpha, grid)
-        _, lp, _ = _discrete_hf(k, alpha + delta, grid)
-        _, lm, _ = _discrete_hf(k, alpha - delta, grid)
+        _, l0 = _discrete_hf(k, alpha, grid)
+        _, lp = _discrete_hf(k, alpha + delta, grid)
+        _, lm = _discrete_hf(k, alpha - delta, grid)
         fd = (lp - 2 * l0 + lm) / delta**2
         assert d2 == pytest.approx(fd, abs=1e-4)
 
@@ -292,3 +293,30 @@ class TestScanErrors:
         alphas = np.linspace(-1.0, 3.0, 9)
         vals = np.array([5.0, 4.0, 3.0, 4.0, 5.0, 2.0, 6.0, 7.0, 8.0])
         assert _scan_brackets(alphas, vals) == (5, [2, 5])
+
+
+class TestStationarySolve:
+    @staticmethod
+    def scan_bracket(k, alpha):
+        """The reference grid at the scan point nearest alpha, and that
+        point with its two scan neighbours."""
+        alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)
+        i = int(np.argmin(np.abs(alphas - alpha)))
+        _, spec = eigenvalue_converged(family_potential(k, alphas[i]), 0, 1e-7)
+        return spec.grid, alphas[i - 1], alphas[i + 1], alphas[i]
+
+    @pytest.mark.parametrize("k", [1, 4, 5])
+    def test_wide_bracket_reaches_scan_root(self, k, states):
+        # started at 1 + k, where the band is concave, the first steps on
+        # [-1, 2 + k] are bisections; the root is still the scan bracket's
+        grid, lo, hi, start = self.scan_bracket(k, states[k].report.alpha_min)
+        root = _stationary_alpha(k, grid, lo, hi, start)
+        assert lo < root < hi
+        assert abs(_discrete_hf(k, root, grid)[0]) < 1e-11
+        wide = _stationary_alpha(k, grid, -1.0, 2.0 + k, 1.0 + k)
+        assert wide == pytest.approx(root, abs=1e-12)
+
+    def test_bracket_without_sign_change_raises(self, states):
+        grid, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
+        with pytest.raises(ConvergenceError, match="does not change sign"):
+            _stationary_alpha(1, grid, hi, hi + 1.0, hi + 0.5)

@@ -4,7 +4,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from magwell.sl_engine import (
     AssemblyError,
-    ConfiningPotential,
     ConvergenceError,
     Grid1D,
     SolverError,
@@ -168,10 +167,16 @@ class TestEigenvalueConverged:
         _, spec = eigenvalue_converged(V_harmonic, 2, 1e-8)
         assert boundary_mass(spec) < 1e-16
 
-    def test_rejects_nonconfining_declaration(self):
-        pot = ConfiningPotential(lambda t: t**2, confining=False)
-        with pytest.raises(ValueError):
-            eigenvalue_converged(pot, 0, 1e-6)
+    def test_nonconfining_potential_raises_convergence_error(self):
+        # no wall ever rises above the level, so the box search gives up
+        for pot in (lambda t: 0 * t, lambda t: -t**2):
+            with pytest.raises(ConvergenceError, match="could not find a confining box"):
+                eigenvalue_converged(pot, 0, 1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.inf, np.nan])
+    def test_rejects_tol_outside_zero_to_inf(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            eigenvalue_converged(V_harmonic, 0, tol)
 
     def test_nonconvergence_carries_last_estimates(self):
         # starved refinement budget: the error must expose how far it got
