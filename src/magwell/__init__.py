@@ -27,10 +27,7 @@ from .montgomery import (
     MinimizerState,
     ModelParams,
     ProfileTable,
-    d2lambda_dalpha2,
-    dlambda_dalpha,
     lambda_m,
-    large_alpha_check,
     minimizer_state,
     profile,
 )

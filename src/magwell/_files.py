@@ -20,14 +20,19 @@ def load_json_object(source, what: str) -> dict:
     """The JSON object held by `source`: a path (str, bytes or os.PathLike),
     an open text file, or a mapping that is taken as already parsed.
 
-    Raises ValueError when the document is not a JSON object, so that a
-    malformed file reads as a usage error and not as a crash.
+    Raises ValueError when the document is not a JSON object, or when it
+    holds one of the tokens NaN, Infinity and -Infinity (which strict JSON
+    does not have), so that a malformed file reads as a usage error and not
+    as a crash or a non-finite result.
     """
+    def reject(token):
+        raise ValueError(f"{what} holds the non-finite number {token}")
+
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=reject)
     elif hasattr(source, "read"):
-        data = json.load(source)
+        data = json.load(source, parse_constant=reject)
     else:
         data = source
     if not isinstance(data, Mapping):

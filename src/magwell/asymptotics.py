@@ -45,8 +45,8 @@ def quasimode_energy(h: float, k: int, omega_min: float, lambda_level: float,
 
     with `nu_hat` the band minimum for this k.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     return lead + lambda_level * h ** float(splitting_exponent(k))
 
@@ -60,8 +60,8 @@ def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
     the error exponent strictly exceeding the leading one (checked here for
     the concrete k, so the interval is genuinely higher order).
     """
-    if h <= 0 or C < 0:
-        raise ValueError("need h > 0 and C >= 0")
+    if not (0 < h < np.inf and 0 <= C < np.inf):
+        raise ValueError(f"need finite h > 0 and C >= 0, got h={h}, C={C}")
     assert bound_error_exponent(k) > leading_exponent(k)
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     err = C * h ** float(bound_error_exponent(k))
@@ -78,6 +78,8 @@ def gap_intervals(h: float, k: int, omega_min: float,
     levels closer than 2 r(h) (in splitting units) yields no predictable gap
     and is dropped with a warning.
     """
+    if not 0 <= c_res < np.inf:
+        raise ValueError(f"c_res must be finite and >= 0, got c_res={c_res}")
     levels = np.asarray(K_levels, dtype=float)
     if len(levels) < N + 1:
         raise ValueError(f"need at least {N + 1} ascending levels, got {len(levels)}")

@@ -61,15 +61,20 @@ def _parse_float_list(text: str) -> list[float]:
         raise UsageError(f"bad float list {text!r}") from exc
     if not vals:
         raise UsageError("empty list")
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"non-finite value in {text!r}")
     return vals
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}, expected LO:HI") from exc
+    if not np.all(np.isfinite([lo, hi])):
+        raise UsageError(f"non-finite bound in range {text!r}")
+    return lo, hi
 
 
 def _workers() -> int:

@@ -7,18 +7,19 @@ lambda_0(alpha, 1) over alpha, eigenvalue derivatives in alpha, the
 stationarity and norm identities satisfied at the minimum, non-degeneracy
 criteria for the second derivative, and profile exports.
 
-Everything reduces to converged 1D eigenpairs from `sl_engine`; quadratures
-use the plain spacing-weighted sum on the converged grid, which is exactly
-the discrete Hellmann-Feynman pairing of the assembled matrix. The band
-minimum is the root of that derivative on a fixed grid, found by Newton's
-method with the exact discrete second derivative (the reduced resolvent) as
-its slope, so the stationarity residual is at rounding level, not at grid
-level.
+The coarse scan that brackets the band minimum takes values-only solves on
+one fixed grid per k; everything it reports reduces to converged 1D
+eigenpairs from `sl_engine`. Quadratures use the plain spacing-weighted sum
+on the converged grid, which is exactly the discrete Hellmann-Feynman
+pairing of the assembled matrix. The band minimum is the root of that
+derivative on a fixed grid, found by Newton's method with the exact
+discrete second derivative (the reduced resolvent) as its slope, so the
+stationarity residual is at rounding level, not at grid level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -29,12 +30,15 @@ from .sl_engine import (
     SolverError,
     Spectrum1D,
     TridiagonalOperator,
+    _eigenvalues_only,
+    _initial_half_width,
     assemble,
     eigenvalue_converged,
     lowest_eigenpairs,
 )
 
 SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
+SCAN_GRID_POINTS = 1025          # points of the one fixed grid the scan runs on
 HF_TOL = 1e-5                    # largest stationarity residual a report may carry
 D2_SLACK = 1e-3                  # how far d2 may fall below its condik lower bound
 ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
@@ -132,14 +136,6 @@ def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float]:
     return _hellmann_feynman(k, alpha, spec), float(spec.eigenvalues[0])
 
 
-def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:
-    """d lambda_0 / d alpha at (k, alpha, beta=1) by the Hellmann-Feynman
-    quadrature -2 * integral of (t^{k+1}/(k+1) - alpha) u0^2 over the
-    converged grid."""
-    _, spec = eigenvalue_converged(family_potential(k, alpha), 0, tol)
-    return _hellmann_feynman(k, alpha, spec)
-
-
 def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
                   spectrum: Spectrum1D, rtol: float = 1e-9) -> float:
     """2 - 4 <w u0, x>, the discrete second alpha-derivative of the lowest
@@ -174,39 +170,6 @@ def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
     if resid > rtol:
         raise SolverError(f"reduced-resolvent solve stalled: residual {resid:.2e}")
     return 2.0 - 4.0 * float(np.sum(w * u * x) * dt)
-
-
-def _d2_on_grid(k: int, alpha: float, grid: Grid1D) -> float:
-    """Discrete second derivative of the band function on a fixed grid,
-    through the reduced-resolvent route."""
-    op = assemble(family_potential(k, alpha), grid)
-    return _resolvent_d2(k, alpha, op, lowest_eigenpairs(op, 1))
-
-
-def d2lambda_dalpha2(k: int, alpha: float, tol: float = 1e-6) -> float:
-    """Second alpha-derivative of the lowest band at (k, alpha, beta=1).
-
-    Primary route: solve the reduced-resolvent equation for du0/dalpha on
-    the orthogonal complement of u0 (valid at any alpha once the parallel
-    component is projected out) and evaluate 2 - 4 * integral of
-    (t^{k+1}/(k+1) - alpha) u0 du0/dalpha.
-
-    A mandatory cross-check differences the discrete Hellmann-Feynman
-    derivative on the same grid (step 1e-3); a mismatch beyond 10 * tol
-    raises, since both routes compute the same discrete quantity.
-    """
-    _, spec = eigenvalue_converged(family_potential(k, alpha), 0, tol)
-    grid = spec.grid
-    d2 = _d2_on_grid(k, alpha, grid)
-    delta = 1e-3
-    hf_p, _ = _discrete_hf(k, alpha + delta, grid)
-    hf_m, _ = _discrete_hf(k, alpha - delta, grid)
-    d2_fd = (hf_p - hf_m) / (2.0 * delta)
-    if abs(d2 - d2_fd) > 10.0 * tol:
-        raise SolverError(
-            f"second-derivative cross-check failed: resolvent {d2:.8f} vs "
-            f"finite difference {d2_fd:.8f}")
-    return d2
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +271,50 @@ def _scan_brackets(alphas: np.ndarray, vals: np.ndarray) -> tuple[int, list[int]
     return i_min, brackets
 
 
+def _scan_values(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alphas, lambda_0 of the discrete operator at each) at SCAN_POINTS
+    values of alpha over [-1, 2 + k], solved values-only on the one grid
+    that `minimizer_state` describes."""
+    alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)     # generous bracket
+    L = max(_initial_half_width(family_potential(k, a), 0)
+            for a in (alphas[0], alphas[-1]))
+    grid = Grid1D(1.5 * L, SCAN_GRID_POINTS)
+    vals = np.array([_eigenvalues_only(assemble(family_potential(k, a), grid), 1)[0]
+                     for a in alphas])
+    return alphas, vals
+
+
 def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     """Locate the band minimum and populate every derived quantity.
 
-    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k]; for every
-    interior local minimum of the scan, the root of the discrete
-    Hellmann-Feynman derivative in the scan bracket around it on a frozen
-    reference grid (`_stationary_alpha`, started at the scan point), converged
-    once; then two converged solves at the global minimizer, each tracking
-    nu_hat, lambda_1 and lambda_2 at tol/10: on the grid of the first, the
-    root is solved for again in the same bracket, started at the reference
-    root; the second (at that root) gives the three levels, the eigenpairs,
-    and the grid on which the identities and non-degeneracy data are
-    evaluated.
+    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k] on one fixed
+    grid (`_scan_values`); for every interior local minimum of the scan, the
+    root of the discrete Hellmann-Feynman derivative in the scan bracket
+    around it on a frozen reference grid (`_stationary_alpha`, started at
+    the scan point), converged once; then two converged solves at the
+    global minimizer, each tracking nu_hat, lambda_1 and lambda_2 at
+    tol/10: on the grid of the first, the root is solved for again in the
+    same bracket, started at the reference root; the second (at that root)
+    gives the three levels, the eigenpairs, and the grid on which the
+    identities and non-degeneracy data are evaluated.
+
+    The scan values are never reported; they only pick the brackets, so
+    the scan is not converged. Its one grid has SCAN_GRID_POINTS points on
+    1.5 L, where L is the larger box `_initial_half_width` picks at
+    alpha = -1 and alpha = 2 + k: the wells of every alpha in between lie
+    inside it. A bracket that such a coarse scan gets wrong cannot pass
+    silently, since `_stationary_alpha` raises ConvergenceError unless
+    d lambda_0/d alpha changes sign over it.
 
     Nothing is cached: a caller that needs the state twice keeps the
     returned (immutable) value and passes it on.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)     # generous bracket
-    scan_tol = max(tol, 1e-5)
-    vals = np.array([
-        eigenvalue_converged(family_potential(k, a), 0, scan_tol)[0]
-        for a in alphas
-    ])
+    alphas, vals = _scan_values(k)
     i_min, brackets = _scan_brackets(alphas, vals)
 
     # frozen reference grid at the scan minimizer
@@ -393,7 +374,7 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
 
 
 # ---------------------------------------------------------------------------
-# profiles and asymptotic regimes
+# profiles
 
 @dataclass(frozen=True)
 class ProfileTable:
@@ -427,40 +408,3 @@ def profile(state: MinimizerState, alpha_range: tuple[float, float],
     quad = r.nu_hat + 0.5 * r.d2 * (alphas - r.alpha_min) ** 2
     return ProfileTable(k=r.k, alpha=alphas, lambda0=lam, lambda_quad=quad,
                         alpha_min=r.alpha_min, nu_hat=r.nu_hat, d2=r.d2)
-
-
-def large_alpha_prediction(k: int, alpha: float) -> float:
-    """Leading semiclassical growth of the band for alpha -> +infinity.
-
-    The potential wells sit at t* with t*^{k+1}/(k+1) = alpha; the harmonic
-    frequency there is t*^k, giving
-
-        lambda_0(alpha, 1) ~ ((k+1) alpha)^{k/(k+1)}.
-    """
-    return ((k + 1) * alpha) ** (k / (k + 1))
-
-
-@dataclass(frozen=True)
-class LargeAlphaRow:
-    alpha: float
-    lambda0: float
-    predicted: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lambda0 / self.predicted
-
-
-def large_alpha_check(k: int, alpha_list: Sequence[float],
-                      tol: float = 1e-6) -> list[LargeAlphaRow]:
-    """Ratio of the computed band to its large-alpha asymptotic growth law,
-    for odd k and increasing alpha. The approach to 1 is monotone over a
-    well-chosen list; callers assert the loose 10% window at alpha = 50."""
-    if k % 2 == 0:
-        raise ValueError("large-alpha growth check applies to odd k")
-    rows = []
-    for a in alpha_list:
-        lam, _ = eigenvalue_converged(family_potential(k, a), 0, tol)
-        rows.append(LargeAlphaRow(alpha=float(a), lambda0=float(lam),
-                                  predicted=large_alpha_prediction(k, a)))
-    return rows

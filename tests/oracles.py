@@ -8,8 +8,11 @@ one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
 The degenerate-bottom oracle minimises, over the coordinate along e_omega,
 the lowest Ritz value of the miniwell operator on the orthogonal fiber,
 bypassing the closed-form reduced oscillator.
-The remaining helpers are small test-side computations that the library
-itself never needs.
+The band-derivative helpers evaluate the Hellmann-Feynman and
+reduced-resolvent quadratures of `montgomery` at points of the tests'
+choosing; the large-alpha ratio compares the band with its semiclassical
+growth law. These and the remaining helpers are small test-side
+computations that the library itself never needs.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,7 +21,9 @@ from scipy.optimize import minimize_scalar
 
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis
 from magwell.model2d import Field2DConfig
-from magwell.sl_engine import Grid1D, assemble, lowest_eigenpairs
+from magwell.montgomery import (ModelParams, _hellmann_feynman, _resolvent_d2,
+                                family_potential, lambda_m)
+from magwell.sl_engine import Grid1D, assemble, eigenvalue_converged, lowest_eigenpairs
 
 
 def prufer_phase(V, lam, L):
@@ -145,3 +150,24 @@ def degenerate_bottom(kop: EffectiveOperatorK, n: int = 48) -> float:
             H = -D2 + ff * X2 + 2.0 * p * ef * X + p * p * ee * np.eye(n)
             return np.linalg.eigvalsh(H)[0]
     return minimize_scalar(fiber, bracket=(-1.0, 1.0)).fun + kop.A_const.real
+
+
+def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:
+    """d lambda_0/d alpha at (k, alpha, beta=1): the Hellmann-Feynman
+    quadrature -2 sum(w u0^2) dt on the grid of a converged solve."""
+    _, spec = eigenvalue_converged(family_potential(k, alpha), 0, tol)
+    return _hellmann_feynman(k, alpha, spec)
+
+
+def d2_on_grid(k: int, alpha: float, grid: Grid1D) -> float:
+    """Second alpha-derivative of the lowest discrete band on a fixed grid,
+    through the reduced resolvent."""
+    op = assemble(family_potential(k, alpha), grid)
+    return _resolvent_d2(k, alpha, op, lowest_eigenpairs(op, 1))
+
+
+def large_alpha_ratio(k: int, alpha: float, tol: float = 1e-6) -> float:
+    """lambda_0(alpha, 1) over its leading growth ((k+1) alpha)^{k/(k+1)}
+    for odd k and alpha -> +infinity: the wells sit at t* with
+    t*^{k+1}/(k+1) = alpha, where the harmonic frequency is t*^k."""
+    return lambda_m(ModelParams(k, alpha), 0, tol) / ((k + 1) * alpha) ** (k / (k + 1))

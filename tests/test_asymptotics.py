@@ -151,3 +151,15 @@ class TestForecast:
         for row in fc.gap_windows:
             flat = [v for g in row for v in g]
             assert flat == sorted(flat)
+
+    @pytest.mark.parametrize("h,C,c_res,name", [
+        (np.nan, 1.0, 1.0, "h"), (np.inf, 1.0, 1.0, "h"), (-0.01, 1.0, 1.0, "h"),
+        (0.01, np.nan, 1.0, "C"), (0.01, np.inf, 1.0, "C"), (0.01, -1.0, 1.0, "C"),
+        (0.01, 1.0, np.nan, "c_res"), (0.01, 1.0, np.inf, "c_res"),
+        (0.01, 1.0, -1.0, "c_res"),
+    ])
+    def test_rejects_nonfinite_or_negative_inputs(self, h, C, c_res, name):
+        # a negative c_res would widen each gap window past both levels
+        with pytest.raises(ValueError, match=name):
+            build_forecast(1, 1.0, [1.0, 3.0], [h], C=C, c_res=c_res,
+                           nu_hat=NU_HAT_K1)

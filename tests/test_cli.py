@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magwell import montgomery
 from magwell.cli import main
 
 # The JSON schemas of the outputs. Most objects are written from a dataclass
@@ -95,6 +96,45 @@ class TestExitCodes:
     def test_nonfinite_tol_is_usage_error(self, tmp_path, tol):
         assert run_cli(["table1", "--k", "1", "--tol", tol,
                         "--out", str(tmp_path)]) == 2
+
+    def test_negative_tol_is_usage_error_before_any_solve(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_solve(k):
+            raise AssertionError("the band scan ran")
+
+        monkeypatch.setattr(montgomery, "_scan_values", no_solve)
+        assert run_cli(["table1", "--k", "1..7", "--tol", "-1",
+                        "--out", str(tmp_path)]) == 2
+        assert "got -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["predict", "--geometry", "{geometry}", "--h", "nan"], "non-finite"),
+        (["predict", "--geometry", "{geometry}", "--h", "inf"], "non-finite"),
+        (["predict", "--geometry", "{geometry}", "--h", "0.01",
+          "--residual-constant", "-1"], "c_res=-1.0"),
+        (["predict", "--geometry", "{geometry}", "--h", "0.01",
+          "--error-constant", "nan"], "C=nan"),
+        (["miniwell", "--geometry", "{nan_geometry}"], "non-finite number NaN"),
+        (["validate2d", "--config", "{nan_sweep}"], "non-finite number NaN"),
+        (["profile", "--k", "1", "--range", "nan:1"], "non-finite"),
+    ], ids=["h-nan", "h-inf", "residual-constant-negative",
+            "error-constant-nan", "geometry-nan", "sweep-h-nan", "range-nan"])
+    def test_nonfinite_or_negative_input_is_usage_error(self, tmp_path, capsys,
+                                                         geometry_file, argv,
+                                                         message):
+        nan_geometry = tmp_path / "nan_geom.json"
+        nan_geometry.write_text(Path(geometry_file).read_text()
+                                .replace("0.4", "NaN"))
+        nan_sweep = tmp_path / "nan_sweep.json"
+        nan_sweep.write_text('{"k": 1, "h_list": [0.02, NaN, 0.005, 0.002]}')
+        argv = [a.format(geometry=geometry_file, nan_geometry=nan_geometry,
+                         nan_sweep=nan_sweep) for a in argv]
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("k", [1.7, True])
     def test_sweep_non_integral_k_is_usage_error(self, tmp_path, capsys, k):
