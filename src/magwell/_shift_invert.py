@@ -1,13 +1,32 @@
 """Lowest eigenpairs of a sparse Hermitian matrix by shift-invert Lanczos,
 and Sylvester-inertia counts from the same factor: the one sparse
-eigen-solve route of the package."""
+eigen-solve route of the package.
+
+The Lanczos is the spectral transformation of Ericsson and Ruhe (Math.
+Comp. 35, 1980): it runs on OP = (H - shift)^{-1}, applied by one sparse LU
+factor, whose largest eigenvalues theta are the levels lambda = shift +
+1/theta just above the shift. It keeps the whole Krylov basis, fully
+reorthogonalised, and stops at the first step where every wanted level
+passes ARPACK's convergence test. It works from a single start vector, so
+it resolves no exact multiplicity (the Krylov space holds one vector of each
+eigenspace) and sees no level that an exact symmetry keeps orthogonal to
+that vector. The 2D solver splits off the one exact symmetry of its
+operator, the reflection t -> -t, and solves or certifies each block on its
+own.
+"""
 from __future__ import annotations
 
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.linalg.lapack import dstemr
+from scipy.sparse.linalg import splu
+
+from .sl_engine import ConvergenceError
+
+LANCZOS_MAX_STEPS = 200       # cap on the Krylov basis, hence on its memory
+_EPS = np.finfo(float).eps
 
 
 class ShiftRejected(Exception):
@@ -36,7 +55,7 @@ def _negative_pivots(lu) -> Optional[int]:
     """Negative entries of diag(U) of a symmetric factor, which by Sylvester's
     law of inertia is the number of eigenvalues below the factored shift;
     None when the factor is not symmetric (perm_r != perm_c) or has a zero
-    or non-finite pivot."""
+    or non-finite pivot. Reading `lu.U` makes SuperLU copy L and U."""
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     d = lu.U.diagonal().real
@@ -56,37 +75,105 @@ def count_below(H, shift: float) -> Optional[int]:
     return _negative_pivots(lu)
 
 
+def _ritz_test(alpha, beta, m: int, il: int, iu: int):
+    """(theta, S, passed): the eigenpairs il..iu (1-based, ascending) of the
+    Lanczos tridiagonal T_m, from LAPACK dstemr, which computes only those,
+    and whether every one passes ARPACK's convergence criterion
+    |beta_m s_{m,i}| <= eps |theta_i|. A failed dstemr passes nothing."""
+    # dstemr overwrites its off-diagonal argument, hence the copy
+    _, theta, S, info = dstemr(alpha[:m], beta[:m].copy(), 2, 0.0, 0.0, il, iu)
+    count = iu - il + 1
+    theta, S = theta[:count], S[:, :count]
+    passed = info == 0 and np.all(np.abs(beta[m - 1] * S[m - 1]) <= _EPS * np.abs(theta))
+    return theta, S, passed
+
+
+def _lanczos(solve, n: int, k: int, dtype, return_eigenvectors: bool):
+    """(theta, Y, converged): the k largest Ritz values of the Hermitian
+    operator `solve`, ascending, their Ritz vectors (None unless asked for,
+    or when unconverged) and whether all k passed the test.
+
+    Starts from solve(1/sqrt(n)). Each new vector is orthogonalised against
+    the whole basis by two classical Gram-Schmidt passes; the basis is kept
+    in Fortran order, so its leading columns are a view that BLAS reads in
+    place. From step min(2k, n) on, the k largest Ritz pairs are tested at
+    every step (`_ritz_test`), and the iteration stops at the first step
+    where all k pass. The k-th, nearest the unwanted part of the spectrum,
+    converges last, so it is tested alone first and the other k - 1 only
+    once it passes. A zero beta means the Krylov space is invariant: its
+    Ritz values are exact.
+    """
+    m_max = min(n, LANCZOS_MAX_STEPS)
+    V = np.empty((n, m_max), dtype=dtype, order="F")
+    alpha = np.zeros(m_max)
+    beta = np.zeros(m_max)
+    w = solve(np.full(n, n ** -0.5, dtype=dtype))
+    V[:, 0] = w / np.linalg.norm(w)
+    m_test = min(2 * k, n)
+    for j in range(m_max):
+        w = solve(V[:, j])
+        basis = V[:, :j + 1]
+        for _ in range(2):
+            c = (w.conj() @ basis).conj()          # basis^H w, no copy of the basis
+            w -= basis @ c
+            alpha[j] += c[j].real
+        beta[j] = np.linalg.norm(w)
+        m = j + 1
+        if m >= k and (m >= m_test or beta[j] == 0.0):
+            il = m - k + 1
+            if _ritz_test(alpha, beta, m, il, il)[2]:
+                theta, S, passed = _ritz_test(alpha, beta, m, il, m)
+                if passed:
+                    return theta, basis @ S if return_eigenvectors else None, True
+        if beta[j] == 0.0:
+            break
+        if m < m_max:
+            V[:, m] = w / beta[j]
+    theta = _ritz_test(alpha, beta, m, max(m - k + 1, 1), m)[0]
+    return theta, None, False
+
+
 def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
                              shift: float = 0.0):
     """The k lowest eigenvalues of the sparse Hermitian H, ascending, and
     with `return_eigenvectors` also the matching columns.
 
-    H - shift is factored once (see `_factor`) and ARPACK applies its
-    inverse from a fixed start vector, so repeated calls are deterministic.
-    At shift 0 the caller vouches that H is positive definite and no inertia
-    is read. A nonzero shift is used only when the same factor shows no
-    negative pivot, i.e. the shift lies below the whole spectrum; otherwise
-    that factor is freed and ShiftRejected is raised, so the caller can warn
-    and solve again at shift 0. The factor is local to the call and freed
-    when it returns, so a caller that solves one matrix after another never
-    holds two factors. ArpackNoConvergence propagates.
+    H - shift is factored once (see `_factor`) and the shift-invert Lanczos
+    (`_lanczos`) applies its inverse from a fixed start vector, so repeated
+    calls are deterministic; it returns the k levels just above the shift,
+    which are the k lowest when no level lies below it. At
+    shift 0 the caller vouches that H is positive definite and no inertia
+    is read. At a nonzero shift the inertia of the same factor is read once
+    the Lanczos has returned or failed, when its basis is freed: a negative
+    pivot (the shift does not lie below the whole spectrum) or an inertia
+    that cannot be trusted raises ShiftRejected, whatever the Lanczos gave,
+    so the caller can warn and solve again at shift 0. The factor is local
+    to the call and freed before it returns or raises, so a caller that
+    solves one matrix after another never holds two factors. When the k
+    levels do not converge within LANCZOS_MAX_STEPS steps, ConvergenceError
+    carries the last Ritz values as `estimates`.
     """
     n = H.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot take {k} eigenvalues of a matrix of order {n}")
     try:
         lu = _factor(H, shift)
     except RuntimeError:           # SuperLU: factor is exactly singular
         if shift:
             raise ShiftRejected(None) from None
         raise
+    theta, vecs, converged = _lanczos(lu.solve, n, k, H.dtype, return_eigenvectors)
     below = _negative_pivots(lu) if shift else 0
+    del lu                         # free it before the caller refactors
     if below != 0:
-        del lu                     # free it before the caller refactors
         raise ShiftRejected(below)
-    result = eigsh(H, k=k, sigma=shift, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)),
-                   OPinv=LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype),
-                   return_eigenvectors=return_eigenvectors)
-    if not return_eigenvectors:
-        return np.sort(result)
-    vals, vecs = result
+    vals = shift + 1.0 / theta
     order = np.argsort(vals)
+    if not converged:
+        raise ConvergenceError(
+            f"shift-invert Lanczos: the {k} levels above {shift:.6e} did not "
+            f"converge in {min(n, LANCZOS_MAX_STEPS)} steps",
+            estimates=tuple(float(v) for v in vals[order]))
+    if not return_eigenvectors:
+        return vals[order]
     return vals[order], vecs[:, order]

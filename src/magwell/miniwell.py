@@ -430,8 +430,7 @@ def spectrum_K_oracle(kop: EffectiveOperatorK, count: int) -> np.ndarray:
     prev = None
     for n in sizes:
         H = _oracle_matrix(kop, [_hermite_axis(s, n) for s in scales])
-        k_want = min(count + 4, H.shape[0] - 2)
-        levels = lowest_sparse_eigenpairs(H, k_want)[:count] + kop.A_const.real
+        levels = lowest_sparse_eigenpairs(H, count) + kop.A_const.real
         if prev is not None and np.max(np.abs(levels - prev)) <= HERMITE_TOL:
             return levels
         prev, last = levels, prev

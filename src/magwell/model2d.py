@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from ._files import load_json_object
 from ._shift_invert import ShiftRejected, count_below, lowest_sparse_eigenpairs
@@ -310,20 +309,13 @@ def _pivots(count: Optional[int]) -> str:
 def _block_pairs(H, count: int, shift: float, where: str):
     """The `count` lowest eigenpairs of one block, by shift-invert at
     `shift` when its factor certifies it, else (with a warning) at 0."""
-    k_want = min(max(count + 2, 6), H.shape[0] - 2)
-    if k_want < count:
-        raise ValueError("operator too small for the requested eigenvalue count")
     try:
-        try:
-            vals, vecs = lowest_sparse_eigenpairs(H, k_want, True, shift=shift)
-        except ShiftRejected as exc:
-            warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
-                          f"({_pivots(exc.negative_pivots)}); refactored at 0",
-                          ShiftCertificateWarning, stacklevel=3)
-            vals, vecs = lowest_sparse_eigenpairs(H, k_want, True)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"2D eigensolver did not converge: {exc}") from exc
-    return vals[:count], vecs[:, :count]
+        return lowest_sparse_eigenpairs(H, count, True, shift=shift)
+    except ShiftRejected as exc:
+        warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
+                      f"({_pivots(exc.negative_pivots)}); refactored at 0",
+                      ShiftCertificateWarning, stacklevel=3)
+    return lowest_sparse_eigenpairs(H, count, True)
 
 
 def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
@@ -334,21 +326,28 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     split into its even and odd blocks (`reflection_blocks`); otherwise, or
     when a block is too small to hold m_count levels, it is one block. The
     first block is solved by shift-invert Lanczos at `shift`, a forecast of
-    a point below the ground state: the shift is kept only when the factor
-    of H_even - shift has no negative pivot (Sylvester inertia), and is
-    otherwise replaced by 0. The odd block is
+    a point below the ground state, asking for exactly m_count levels. The
+    shift is kept only when the factor of H_even - shift, whose inertia is
+    read once the Lanczos is done, has no negative pivot (Sylvester
+    inertia); otherwise the result is dropped and the block is solved again
+    at 0. The odd block is
     certified the same way at the largest even level lambda_{m-1}: if the
     factor of H_odd - lambda_{m-1} has a negative pivot, or its inertia
     cannot be trusted, the odd block is solved too and its levels merged.
     Each failed certificate emits a ShiftCertificateWarning. Each block is
     factored once with the symmetric minimum-degree ordering MMD_AT_PLUS_A,
-    and only one factor is alive at a time. Every returned pair satisfies
-    |H v - lambda v| <= tol |v| on the full operator; a larger residual
-    raises."""
+    and only one factor is alive at a time. The Lanczos runs from a single
+    start vector, so within a block it resolves no exact multiplicity and
+    sees no level that an exact symmetry keeps orthogonal to that vector.
+    The reflection t -> -t is such a symmetry, which is why it is split off
+    into blocks, each solved or certified on its own. A Lanczos that does
+    not converge raises ConvergenceError with its last Ritz values. Every
+    returned pair satisfies |H v - lambda v| <= tol |v| on the full
+    operator; a larger residual raises."""
     H = operator.hermitian
     where = f"h={operator.h:g}"
     blocks = reflection_blocks(operator)
-    if any(Q is not None and Q.shape[1] - 2 < m_count for _, Q in blocks):
+    if any(Q is not None and Q.shape[1] < m_count for _, Q in blocks):
         blocks = [("full", None)]        # a block too small for m_count levels
     (name, Q), *rest = blocks
     block = H if Q is None else (Q.T @ H @ Q).tocsr()

@@ -230,7 +230,8 @@ def _stationary_alpha(k: int, grid: Grid1D, lo: float, hi: float,
     iterate shrinks the bracket, and a step that would leave it (or a slope
     that is not positive) is replaced by bisection. Stops when a step falls
     below 1e-13 or |g| below 1e-12. Raises ConvergenceError when g does not
-    change sign over the bracket or the iteration cap is reached.
+    change sign over the bracket, or when the iteration cap is reached; the
+    latter carries the last two iterates as `estimates`.
     """
     g_lo, g_hi = _discrete_hf(k, lo, grid)[0], _discrete_hf(k, hi, grid)[0]
     if not g_lo < 0.0 < g_hi:
@@ -249,12 +250,13 @@ def _stationary_alpha(k: int, grid: Grid1D, lo: float, hi: float,
         step = -g / d2 if d2 > 0.0 else np.inf
         if not lo < alpha + step < hi:
             step = 0.5 * (lo + hi) - alpha
-        alpha += step
+        prev, alpha = alpha, alpha + step
         if abs(step) < 1e-13:
             return alpha
     raise ConvergenceError(
         f"k={k}: stationary-point solve not converged after 60 steps; "
-        f"last alpha {alpha:.15g}, d lambda_0/d alpha {g:.3e}")
+        f"last alpha {alpha:.15g}, d lambda_0/d alpha {g:.3e}",
+        estimates=(float(prev), float(alpha)))
 
 
 def _scan_brackets(alphas: np.ndarray, vals: np.ndarray) -> tuple[int, list[int]]:

@@ -34,13 +34,13 @@ class AssemblyError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """Adaptive refinement ran out of budget.
+    """An iterative solve or adaptive refinement ran out of budget.
 
-    Carries the last two eigenvalue estimates so callers can judge how far
-    the iteration got.
+    Carries the last estimates (the last two of one quantity, or the last
+    Ritz values of a Lanczos) so callers can judge how far the iteration got.
     """
 
-    def __init__(self, message: str, estimates: tuple[float, float] | None = None):
+    def __init__(self, message: str, estimates: tuple[float, ...] | None = None):
         super().__init__(message)
         self.estimates = estimates
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from magwell._files import write_csv, write_json
+from magwell._files import load_json_object, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -74,3 +74,27 @@ class TestWriteJSON:
     def test_unsupported_object_raises(self, tmp_path, obj):
         with pytest.raises(TypeError):
             write_json(tmp_path / "t.json", {"x": obj})
+
+
+class TestLoadJSONObject:
+    @pytest.mark.parametrize("doc,token", [
+        ({"a": float("nan")}, "NaN"),
+        ({"a": [1.0, [2.0, float("inf")]]}, "Infinity"),
+        ({"a": {"b": (0.0, np.float32("-inf"))}}, "-Infinity"),
+        ({"a": np.array([[1.0], [np.nan]])}, "NaN"),
+    ])
+    def test_mapping_rejects_nested_non_finite(self, doc, token):
+        with pytest.raises(ValueError, match=f"^doc holds the non-finite number {token}$"):
+            load_json_object(doc, "doc")
+
+    @pytest.mark.parametrize("text,token", [('{"a": [1.0, NaN]}', "NaN"),
+                                            ('{"a": {"b": -Infinity}}', "-Infinity")])
+    def test_file_gives_the_same_message(self, tmp_path, text, token):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^doc holds the non-finite number {token}$"):
+            load_json_object(path, "doc")
+
+    def test_finite_mapping_passes_through(self):
+        doc = {"n": 2, "x": [1.0, [2.5, -3.0]], "s": "nan", "b": True, "z": None}
+        assert load_json_object(doc, "doc") == doc

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestGeometry:
             MiniwellGeometry.from_json({"n": 2, "omega01": [1.0],
                                         "domega01": [[0.0]],
                                         "hess_abs2": [[1.0]], "bogus": 1})
+
+    @pytest.mark.parametrize("value,token", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                             (-math.inf, "-Infinity")])
+    def test_mapping_with_non_finite_number_rejected(self, value, token):
+        # the message a file holding the same token gives
+        with pytest.raises(ValueError, match=f"geometry holds the non-finite number {token}$"):
+            MiniwellGeometry.from_json({"n": 2, "omega01": [1.0],
+                                        "domega01": [[0.0]],
+                                        "hess_abs2": [[value]]})
 
 
 class TestMoments:

@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             Field2DConfig.from_json({key: value})
 
+    @pytest.mark.parametrize("doc", [{"omega_min": float("nan")},
+                                     {"h_list": [0.05, float("inf"), 0.01]},
+                                     {"T": np.float64("-inf")}])
+    def test_json_mapping_with_non_finite_number_rejected(self, doc):
+        with pytest.raises(ValueError, match="sweep config holds the non-finite number"):
+            Field2DConfig.from_json(doc)
+
     def test_json_absent_keys_take_the_defaults(self):
         got = Field2DConfig.from_json({"k": 2.0, "n_t": None})
         want = Field2DConfig.default(k=2)

@@ -328,6 +328,21 @@ class TestStationarySolve:
         wide = _stationary_alpha(k, grid, -1.0, 2.0 + k, 1.0 + k)
         assert wide == pytest.approx(root, abs=1e-12)
 
+    def test_iteration_cap_carries_last_iterates(self, states, monkeypatch):
+        # a Newton slope 1e6 times too steep keeps every step inside the
+        # bracket but a millionth of the distance to the root, so the 60
+        # steps run out; the error carries the last two iterates
+        from magwell import montgomery
+        true_d2 = montgomery._resolvent_d2
+        monkeypatch.setattr(montgomery, "_resolvent_d2",
+                            lambda *args: 1e6 * true_d2(*args))
+        grid, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
+        with pytest.raises(ConvergenceError, match="not converged after 60 steps") as err:
+            _stationary_alpha(1, grid, lo, hi, lo + 0.01 * (hi - lo))
+        before, last = err.value.estimates
+        assert lo < before < last < hi
+        assert f"last alpha {last:.15g}" in str(err.value)
+
     def test_bracket_without_sign_change_raises(self, states):
         grid, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
         with pytest.raises(ConvergenceError, match="does not change sign"):

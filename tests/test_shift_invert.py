@@ -1,0 +1,103 @@
+"""The shift-invert Lanczos of `magwell._shift_invert` against dense
+`eigvalsh`: complex Hermitian and real symmetric matrices, a near-degenerate
+pair, the inertia certificate of a shift, and the typed failure."""
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from magwell._shift_invert import LANCZOS_MAX_STEPS, ShiftRejected, lowest_sparse_eigenpairs
+from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
+from magwell.model2d import Field2DConfig, assemble_2d, reflection_blocks
+from magwell.sl_engine import ConvergenceError
+
+
+def even_block():
+    """Complex Hermitian even block of a small k=1 operator: 448 unknowns."""
+    cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, h_list=(0.5,), n_s=32,
+                                n_t=30, points_per_length=6)
+    op = assemble_2d(cfg, 0.5)
+    (name, Q), _ = reflection_blocks(op)
+    assert name == "even"
+    return (Q.T @ op.hermitian @ Q).tocsr()
+
+
+def rotated_diagonal(d):
+    """Q^T diag(d) Q for Q a product of two layers of plane rotations on
+    neighbouring unknowns: a real symmetric pentadiagonal matrix whose
+    spectrum is d, with every eigenvector spread over several unknowns."""
+    n = len(d)
+    Q = sp.identity(n, format="csr")
+    for first, phi in ((0, 0.7), (1, 0.4)):
+        R = sp.lil_matrix(sp.identity(n))
+        for a in range(first, n - 1, 2):
+            R[a, a], R[a, a + 1] = np.cos(phi), -np.sin(phi)
+            R[a + 1, a], R[a + 1, a + 1] = np.sin(phi), np.cos(phi)
+        Q = R.tocsr() @ Q
+    H = (Q.T @ sp.diags(d) @ Q).tocsr()
+    return (0.5 * (H + H.T)).tocsr()
+
+
+class TestAgainstDense:
+    def test_complex_hermitian_block(self):
+        B = even_block()
+        assert B.dtype == np.complex128
+        dense = np.linalg.eigvalsh(B.toarray())
+        vals, vecs = lowest_sparse_eigenpairs(B, 4, True)
+        assert np.max(np.abs(vals - dense[:4]) / dense[:4]) < 1e-12
+        resid = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
+        assert np.max(resid) < 1e-12 * dense[-1]
+        # the same levels at a certified shift just below the ground state
+        shifted = lowest_sparse_eigenpairs(B, 4, shift=0.9 * dense[0])
+        assert np.max(np.abs(shifted - dense[:4]) / dense[:4]) < 1e-12
+
+    def test_real_symmetric_oracle_matrix(self):
+        # a tensor Hermite basis of the K oracle, 24^2 unknowns
+        kop = EffectiveOperatorK(c_omega=0.4, e_omega=np.array([0.6, 0.8]),
+                                 Omega=np.array([[1.5, 0.2], [0.2, 0.8]]),
+                                 A_const=0j, alpha_min=0.35, k=1)
+        scales = (np.diag(kop.kinetic_matrix()) / np.diag(kop.Omega)) ** 0.25
+        H = _oracle_matrix(kop, [_hermite_axis(s, 24) for s in scales])
+        assert H.dtype == np.float64
+        dense = np.linalg.eigvalsh(H.toarray())
+        vals = lowest_sparse_eigenpairs(H, 6)
+        assert np.max(np.abs(vals - dense[:6]) / dense[:6]) < 1e-12
+
+    def test_near_degenerate_pair_is_resolved(self):
+        # levels 1 and 1 + 1e-10, then a gap: a Ritz value that settled on
+        # the pair as one level would skip the second and return 1.5 as the
+        # second lowest
+        d = np.concatenate([[1.0, 1.0 + 1e-10], np.linspace(1.5, 40.0, 298)])
+        H = rotated_diagonal(d)
+        dense = np.linalg.eigvalsh(H.toarray())
+        vals = lowest_sparse_eigenpairs(H, 4)
+        assert np.max(np.abs(vals - dense[:4])) < 1e-13
+        assert vals[1] - vals[0] == pytest.approx(1e-10, abs=1e-13)
+
+
+class TestShiftCertificate:
+    def test_shift_above_ground_state_raises_with_count(self):
+        B = even_block()
+        dense = np.linalg.eigvalsh(B.toarray())
+        for below in (1, 3):
+            shift = 0.5 * (dense[below - 1] + dense[below])
+            with pytest.raises(ShiftRejected) as err:
+                lowest_sparse_eigenpairs(B, 4, True, shift=shift)
+            assert err.value.negative_pivots == below
+
+
+class TestFailures:
+    def test_unconverged_levels_raise_with_estimates(self):
+        # 1000 levels evenly spread over [1, 1.001]: the lowest need far
+        # more Lanczos steps than the basis cap allows
+        assert LANCZOS_MAX_STEPS < 1000
+        d = np.linspace(1.0, 1.001, 1000)
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            lowest_sparse_eigenpairs(sp.diags(d).tocsr(), 2)
+        estimates = err.value.estimates
+        assert len(estimates) == 2 and estimates[0] < estimates[1]
+        assert np.all(np.abs(np.array(estimates) - d[:2]) < 1e-4)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_count_outside_the_order_rejected(self, k):
+        with pytest.raises(ValueError, match="order 3"):
+            lowest_sparse_eigenpairs(sp.identity(3, format="csr"), k)
