@@ -12,7 +12,8 @@ it resolves no exact multiplicity (the Krylov space holds one vector of each
 eigenspace) and sees no level that an exact symmetry keeps orthogonal to
 that vector. The 2D solver splits off the one exact symmetry of its
 operator, the reflection t -> -t, and solves or certifies each block on its
-own.
+own. A count that only has to be 0 can first be read from a cheaper lower
+bound that decouples the matrix into strips (`count_below_bounded`).
 """
 from __future__ import annotations
 
@@ -73,6 +74,39 @@ def count_below(H, shift: float) -> Optional[int]:
     except RuntimeError:           # SuperLU: factor is exactly singular
         return None
     return _negative_pivots(lu)
+
+
+def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
+    """H_cut <= H, block diagonal over the strips `labels[i]` of the unknowns
+    of the sparse Hermitian H: every entry (r, c) with labels[r] != labels[c]
+    is dropped and |H_rc| is subtracted from the diagonal entries r and c.
+    H - H_cut is then the sum over the dropped links of the 2x2 forms
+    [[|a|, a], [conj(a), |a|]], each positive semidefinite, so H_cut <= H for
+    any labelling: a discrete Dirichlet-Neumann bracketing (Reed and Simon
+    IV, XIII.15). Each eigenvalue of H_cut lies at or below the matching one
+    of H, so count_below(H_cut, x) >= count_below(H, x) at every x."""
+    C = H.tocoo()
+    cut = labels[C.row] != labels[C.col]
+    loss = np.bincount(C.row[cut], weights=np.abs(C.data[cut]), minlength=H.shape[0])
+    keep = ~cut
+    kept = sp.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])), shape=H.shape)
+    return (kept - sp.diags(loss, dtype=float)).tocsr()
+
+
+def count_below_bounded(H, shift: float, labels: np.ndarray) -> Optional[int]:
+    """count_below(H, shift), settled first on the strip-decoupled lower bound
+    `strip_lower_bound(H, labels)`: when the bound has no eigenvalue below
+    the shift, neither has H, and 0 is returned without factoring H. The
+    bound is factored one strip at a time, so only one small factor is alive
+    at once, and the first strip with a level below the shift, or with an
+    inertia that cannot be trusted, stops it. When the bound is inconclusive,
+    count_below(H, shift) decides."""
+    cut = strip_lower_bound(H, labels)
+    for strip in np.unique(labels):
+        idx = np.flatnonzero(labels == strip)
+        if count_below(cut[idx][:, idx], shift) != 0:
+            return count_below(H, shift)
+    return 0
 
 
 def _ritz_test(alpha, beta, m: int, il: int, iu: int):

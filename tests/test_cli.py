@@ -144,6 +144,28 @@ class TestExitCodes:
                         "--out", str(tmp_path)]) == 2
         assert "k must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,message", [
+        ('{"T": 0.0}', "T must be a finite number > 0, got 0.0"),
+        ('{"S": 0}', "S must be a finite number > 0, got 0.0"),
+        ('{"S": -1.0}', "S must be a finite number > 0, got -1.0"),
+        ('{"T": "inf"}', "T must be a number, got 'inf'"),
+        ('{"omega_min": "nan"}', "omega_min must be a number, got 'nan'"),
+        ('{"S": true}', "S must be a number, got True"),
+        ('{"a": " 1e3 "}', "a must be a number, got ' 1e3 '"),
+        ('{"s1": 1e400}', "s1 must be a finite number, got inf"),
+        ('{"h_list": [0.05, 0.0]}', "h must be a finite number > 0, got 0.0"),
+    ], ids=["T-zero", "S-zero", "S-negative", "T-string", "omega_min-string",
+            "S-bool", "a-string", "s1-overflow", "h-zero"])
+    def test_sweep_out_of_range_or_non_number_is_usage_error(self, tmp_path, capsys,
+                                                              doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        out = tmp_path / "out"
+        assert run_cli(["validate2d", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+        assert not list(out.glob("*"))
+
     def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"h_list": "abc"}))

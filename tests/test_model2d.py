@@ -7,7 +7,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from magwell._shift_invert import count_below, lowest_sparse_eigenpairs
+from magwell._shift_invert import (
+    count_below,
+    count_below_bounded,
+    lowest_sparse_eigenpairs,
+    strip_lower_bound,
+)
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
 from magwell.model2d import (
     Field2DConfig,
@@ -17,6 +22,7 @@ from magwell.model2d import (
     lowest_eigenvalues_2d,
     reflection_blocks,
     run_sweep,
+    strip_labels,
 )
 from magwell.sl_engine import ConvergenceError
 
@@ -90,6 +96,19 @@ class TestConfig:
     def test_json_mapping_with_non_finite_number_rejected(self, doc):
         with pytest.raises(ValueError, match="sweep config holds the non-finite number"):
             Field2DConfig.from_json(doc)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"S": 0.0}, "S must be a finite number > 0"),
+        ({"T": -0.8}, "T must be a finite number > 0"),
+        ({"T": float("inf")}, "T must be a finite number > 0"),
+        ({"s1": float("nan")}, "s1 must be a finite number"),
+        ({"omega_min": float("nan")}, "omega_min must be a finite number > 0"),
+        ({"a": 0.0}, "a must be a finite number > 0"),
+        ({"h_list": (0.05, float("nan"))}, "h must be a finite number > 0"),
+    ])
+    def test_out_of_range_values_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            Field2DConfig.default(k=1, **kw)
 
     def test_json_absent_keys_take_the_defaults(self):
         got = Field2DConfig.from_json({"k": 2.0, "n_t": None})
@@ -211,6 +230,26 @@ class TestReflectionBlocks:
         op = assemble_2d(cfg, cfg.h_list[0])
         assert [name for name, _ in reflection_blocks(op)] == ["even", "odd"]
 
+    def test_odd_k_beyond_one_matches_dense(self):
+        # k=3: 741 unknowns in four strips along s; the levels are the even
+        # block's and the bound certifies the odd block without a warning
+        cfg = Field2DConfig.default(k=3, S=8.0, s1=2.4, h_list=(0.2,),
+                                    points_per_length=6)
+        op = assemble_2d(cfg, 0.2)
+        assert [name for name, _ in reflection_blocks(op)] == ["even", "odd"]
+        dense = np.linalg.eigvalsh(op.hermitian.toarray())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShiftCertificateWarning)
+            vals = lowest_eigenvalues_2d(op, 4)
+            shifted = lowest_eigenvalues_2d(op, 4, shift=0.97 * dense[0])
+        assert np.max(np.abs(vals - dense[:4]) / dense[:4]) < 1e-11
+        assert np.max(np.abs(shifted - dense[:4]) / dense[:4]) < 1e-11
+        _, Q_odd = reflection_blocks(op)[1]
+        odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
+        labels = strip_labels(op, odd.shape[0])
+        assert labels.max() == 3
+        assert count_below(strip_lower_bound(odd, labels), vals[-1]) == 0
+
     @staticmethod
     def asymptotic_operator():
         # 9,996 unknowns at h=0.1, where the 4 lowest levels are all even
@@ -232,6 +271,40 @@ class TestReflectionBlocks:
                           match=r"h=0.1, even block: .*\(1 negative pivots\)"):
             vals = lowest_eigenvalues_2d(op, 4, shift=0.5 * (ref[0] + ref[1]))
         assert np.allclose(vals, ref, rtol=1e-12, atol=0)
+
+    def test_inconclusive_bound_falls_back_to_the_exact_count(self):
+        # one unknown per strip cuts every link: the bound is the Gershgorin
+        # diagonal, far below lambda_3; the exact count of the odd block then
+        # certifies it, with no warning, and the levels are the even block's
+        op = self.asymptotic_operator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShiftCertificateWarning)
+            vals = lowest_eigenvalues_2d(op, 4)
+            (_, Q_even), (_, Q_odd) = reflection_blocks(op)
+            odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
+            singletons = np.arange(odd.shape[0])
+            assert count_below(strip_lower_bound(odd, singletons), vals[-1]) > 0
+            assert count_below_bounded(odd, vals[-1], singletons) == 0
+            assert count_below(odd, vals[-1]) == 0
+        # the strips lowest_eigenvalues_2d uses settle it on the bound
+        labels = strip_labels(op, odd.shape[0])
+        assert count_below(strip_lower_bound(odd, labels), vals[-1]) == 0
+        even = (Q_even.T @ op.hermitian @ Q_even).tocsr()
+        assert np.array_equal(vals, lowest_sparse_eigenpairs(even, 4))
+
+    def test_strips_are_about_two_magnetic_lengths(self):
+        cfg = Field2DConfig.default(k=1)
+        h = cfg.h_list[0]
+        op = assemble_2d(cfg, h)
+        n_odd = (op.n_t - 2) // 2 * op.n_s
+        labels = strip_labels(op, n_odd)
+        assert np.array_equal(labels[:op.n_s], labels[op.n_s:2 * op.n_s])
+        widths = np.bincount(labels[:op.n_s])
+        assert np.all(np.diff(labels[:op.n_s]) >= 0)
+        # ceil(2 h^{1/6} / ds) = 41 columns on the default grid; the
+        # n_s // 41 strips share the remainder, so none is narrower
+        assert widths.min() >= 41 and widths.max() <= 42
+        assert 2 * cfg.magnetic_length_s(h) <= widths.min() * cfg.S / op.n_s
 
     def test_count_below_matches_dense(self):
         op = assemble_2d(small_config(k=2), 0.5)

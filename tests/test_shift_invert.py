@@ -1,23 +1,32 @@
 """The shift-invert Lanczos of `magwell._shift_invert` against dense
 `eigvalsh`: complex Hermitian and real symmetric matrices, a near-degenerate
-pair, the inertia certificate of a shift, and the typed failure."""
+pair, the inertia certificate of a shift, the strip-decoupled lower bound
+that certifies a count cheaply, and the typed failure."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from magwell._shift_invert import LANCZOS_MAX_STEPS, ShiftRejected, lowest_sparse_eigenpairs
+from magwell._shift_invert import (
+    LANCZOS_MAX_STEPS,
+    ShiftRejected,
+    count_below,
+    count_below_bounded,
+    lowest_sparse_eigenpairs,
+    strip_lower_bound,
+)
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
 from magwell.model2d import Field2DConfig, assemble_2d, reflection_blocks
 from magwell.sl_engine import ConvergenceError
 
 
-def even_block():
-    """Complex Hermitian even block of a small k=1 operator: 448 unknowns."""
+def reflection_block(which: int):
+    """Complex Hermitian even (0) or odd (1) block of a small k=1 operator
+    on 32 columns: 448 unknowns each, block index i*32 + j for column j."""
     cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, h_list=(0.5,), n_s=32,
                                 n_t=30, points_per_length=6)
     op = assemble_2d(cfg, 0.5)
-    (name, Q), _ = reflection_blocks(op)
-    assert name == "even"
+    name, Q = reflection_blocks(op)[which]
+    assert name == ("even", "odd")[which]
     return (Q.T @ op.hermitian @ Q).tocsr()
 
 
@@ -39,7 +48,7 @@ def rotated_diagonal(d):
 
 class TestAgainstDense:
     def test_complex_hermitian_block(self):
-        B = even_block()
+        B = reflection_block(0)
         assert B.dtype == np.complex128
         dense = np.linalg.eigvalsh(B.toarray())
         vals, vecs = lowest_sparse_eigenpairs(B, 4, True)
@@ -76,13 +85,62 @@ class TestAgainstDense:
 
 class TestShiftCertificate:
     def test_shift_above_ground_state_raises_with_count(self):
-        B = even_block()
+        B = reflection_block(0)
         dense = np.linalg.eigvalsh(B.toarray())
         for below in (1, 3):
             shift = 0.5 * (dense[below - 1] + dense[below])
             with pytest.raises(ShiftRejected) as err:
                 lowest_sparse_eigenpairs(B, 4, True, shift=shift)
             assert err.value.negative_pivots == below
+
+
+class TestStripLowerBound:
+    """H_cut <= H for strips of 8 columns and for an arbitrary labelling."""
+
+    @staticmethod
+    def labellings(n):
+        rng = np.random.default_rng(7)
+        return {"strips": np.arange(n) % 32 // 8, "random": rng.integers(0, 5, n)}
+
+    @pytest.mark.parametrize("kind", ["strips", "random"])
+    def test_bound_is_below_and_decoupled(self, kind):
+        B = reflection_block(1)
+        labels = self.labellings(B.shape[0])[kind]
+        cut = strip_lower_bound(B, labels)
+        assert (cut != cut.getH()).nnz == 0
+        norm = np.max(np.abs(np.linalg.eigvalsh(B.toarray())))
+        assert np.linalg.eigvalsh((B - cut).toarray())[0] >= -1e-12 * norm
+        C = cut.tocoo()
+        assert np.all(labels[C.row] == labels[C.col])
+        # only the diagonal of the unknowns on a cut link moves, and down
+        lowered = cut.diagonal().real < B.diagonal().real
+        assert np.any(lowered)
+        assert np.all(cut.diagonal()[~lowered] == B.diagonal()[~lowered])
+
+    @pytest.mark.parametrize("kind", ["strips", "random"])
+    def test_count_of_the_bound_is_no_smaller(self, kind):
+        B = reflection_block(1)
+        labels = self.labellings(B.shape[0])[kind]
+        cut = strip_lower_bound(B, labels)
+        dense = np.linalg.eigvalsh(B.toarray())
+        for x in (0.5 * dense[0], 0.5 * (dense[0] + dense[1]),
+                  0.5 * (dense[3] + dense[4]), dense[40] + 1e-9):
+            exact = count_below(B, x)
+            assert exact == np.count_nonzero(dense < x)
+            assert count_below(cut, x) >= exact
+            assert count_below_bounded(B, x, labels) == exact
+
+    def test_every_strip_is_checked(self):
+        # all strips but the last raised above the Gershgorin bound of B:
+        # the lowest level then lives in the last strip
+        B = reflection_block(1)
+        labels = self.labellings(B.shape[0])["strips"]
+        raise_by = 2.0 * abs(B).sum(axis=1).max()
+        H = (B + sp.diags(np.where(labels < labels.max(), raise_by, 0.0))).tocsr()
+        dense = np.linalg.eigvalsh(H.toarray())
+        x = 0.5 * (dense[0] + dense[1])
+        assert count_below(H, x) == 1
+        assert count_below_bounded(H, x, labels) == 1
 
 
 class TestFailures:
