@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +67,59 @@ def load_json_object(source, what: str) -> dict:
     return dict(data)
 
 
+_KINDS = {"integer": "an integer", "number": "a number",
+          "numbers": "a list of numbers", "array": "a rectangular array of numbers"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field_value(name: str, value, kind: str):
+    """`value` read as `kind`, one of the kinds of `read_fields`."""
+    if value is None and kind.endswith("?"):
+        return None
+    kind = kind.rstrip("?")
+    leaves = np.asarray(value, dtype=object)      # ragged lists give list leaves
+    # the nesting the kind asks for; an array may nest to any depth
+    ndim = {"integer": 0, "number": 0, "numbers": 1}.get(kind, max(leaves.ndim, 1))
+    if (leaves.ndim != ndim or not all(map(_is_number, leaves.flat))
+            or kind == "integer" and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    if kind == "integer":
+        return int(value)
+    try:
+        numbers = leaves.astype(float)
+    except OverflowError:     # an int beyond float range
+        numbers = np.array(np.inf)
+    if not np.all(np.isfinite(numbers)):
+        finite = _KINDS[kind].replace("number", "finite number")
+        raise ValueError(f"{name} must be {finite}, got {value!r}")
+    return numbers.tolist()
+
+
+def read_fields(source, what: str, kinds: Mapping[str, str],
+                required=()) -> dict:
+    """The fields of the JSON object held by `source` (see
+    `load_json_object`), each read as its kind in `kinds`: "integer" (an int,
+    or a float with an integral value; read as int), "number" (read as
+    float), "numbers" (a flat list, read as a list of floats) or "array"
+    (rectangular nested lists, read as nested lists of floats). Every number
+    must be finite, and booleans and strings are never numbers; a kind with
+    a trailing "?" also allows null. ValueError, naming the field, for an
+    unknown field, a missing one of `required`, or a value of another kind.
+    """
+    data = load_json_object(source, what)
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
+    return {name: _field_value(name, value, kinds[name])
+            for name, value in data.items()}
+
+
 def _plain(obj):
     """JSON form of the objects the json module does not know: a dataclass
     instance becomes the dict of its fields, an array or numpy scalar its
@@ -78,7 +132,9 @@ def _plain(obj):
 
 
 def write_json(path, obj) -> None:
-    """Write `obj` as indented JSON with sorted keys."""
+    """Write `obj` as indented JSON with sorted keys, creating the parent
+    directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
 
@@ -92,8 +148,10 @@ def _cell(v):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header row and data rows as CSV (RFC 4180 quoting). Float
-    cells are written as `repr(float(v))` and None as an empty cell."""
+    """Write a header row and data rows as CSV (RFC 4180 quoting), creating
+    the parent directory. Float cells are written as `repr(float(v))` and
+    None as an empty cell."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

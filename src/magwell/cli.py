@@ -6,11 +6,12 @@ summary over a k range), `profile` (band profile + quadratic approximation),
 geometry file), `predict` (gap forecast files), `validate2d` (2D sweep).
 
 Every invocation writes its outputs (UTF-8 CSV/JSON, RFC-4180 quoting via
-the csv module) plus a manifest JSON recording the subcommand, the full
-parameter set, the tool version, a timestamp, and the output paths. This
-module is the one place that names output columns and keys; `_files` writes
-them, every float as `repr(float(v))`, so outputs are byte-identical for
-identical parameter sets. The worker count for k sweeps comes from
+the csv module) plus a manifest JSON recording the subcommand, the parsed
+arguments, the tool version, a timestamp, and the output paths: each `cmd_*`
+returns (exit code, manifest name, output paths) and `main` writes the
+manifest. This module is the one place that names output columns and keys;
+`_files` writes them, every float as `repr(float(v))`, so outputs are
+byte-identical for identical parameter sets. The worker count for k sweeps comes from
 MAGWELL_WORKERS (a positive integer, default 1).
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
@@ -89,20 +90,6 @@ def _workers() -> int:
     return workers
 
 
-def _write_manifest(outdir: Path, name: str, subcommand: str, params: dict,
-                    outputs: list[Path]) -> Path:
-    manifest = {
-        "subcommand": subcommand,
-        "parameters": params,
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": [str(p) for p in outputs],
-    }
-    path = outdir / f"{name}_manifest.json"
-    write_json(path, manifest)
-    return path
-
-
 def _map_k(fn, ks: list[int]) -> list:
     """fn(k) for each k, in k order: serially, or in a pool of
     MAGWELL_WORKERS processes when that is above 1 (fn must then pickle)."""
@@ -122,7 +109,7 @@ def _table1_report(k: int, tol: float):
         return str(exc)
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> tuple[int, str, list[Path]]:
     ks = _parse_k_range(args.k)
     results = _map_k(partial(_table1_report, tol=args.tol), ks)
     reports = {}
@@ -132,7 +119,6 @@ def cmd_table1(args) -> int:
         else:
             reports[k] = res
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     print("k        " + "".join(f"{k:>10d}" for k in reports))
     for label, attr in (("alpha_min", "alpha_min"), ("nu_hat", "nu_hat"),
                         ("lambda_1", "lambda1")):
@@ -149,15 +135,12 @@ def cmd_table1(args) -> int:
                 r.norm_identity_residual] for k, r in reports.items()])
     json_path = outdir / "table1.json"
     write_json(json_path, {str(k): r for k, r in reports.items()})
-    _write_manifest(outdir, "table1", "table1",
-                    {"k": args.k, "tol": args.tol}, [csv_path, json_path])
-    return 1 if len(reports) < len(ks) else 0
+    return 1 if len(reports) < len(ks) else 0, "table1", [csv_path, json_path]
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> tuple[int, str, list[Path]]:
     lo, hi = _parse_range(args.range)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     state = montgomery.minimizer_state(args.k)
     table = montgomery.profile(state, (lo, hi), args.samples)
     if not (lo <= table.alpha_min <= hi):
@@ -170,10 +153,7 @@ def cmd_profile(args) -> int:
     write_json(json_path, {"k": table.k, "alpha_min": table.alpha_min,
                            "nu_hat": table.nu_hat, "d2": table.d2,
                            "rows": rows})
-    _write_manifest(outdir, f"profile_k{args.k}", "profile",
-                    {"k": args.k, "range": args.range, "samples": args.samples},
-                    [csv_path, json_path])
-    return 0
+    return 0, f"profile_k{args.k}", [csv_path, json_path]
 
 
 VERIFY_SEED = 20240801     # seeds the random (alpha, beta) of the scaling check
@@ -214,11 +194,9 @@ def _verify_one_k(k: int) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str, list[Path]]:
     ks = _parse_k_range(args.k)
     results = _map_k(_verify_one_k, ks)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"
@@ -226,20 +204,17 @@ def cmd_verify(args) -> int:
         detail = ", ".join(f"{name}={'ok' if ok else 'FAIL'}"
                            for name, ok in res["checks"].items())
         print(f"k={res['k']}: {status}  ({detail})")
-    json_path = outdir / "verify.json"
+    json_path = Path(args.out) / "verify.json"
     write_json(json_path, results)
-    _write_manifest(outdir, "verify", "verify", {"k": args.k}, [json_path])
-    return 0 if all_ok else 1
+    return 0 if all_ok else 1, "verify", [json_path]
 
 
-def cmd_miniwell(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_miniwell(args) -> tuple[int, str, list[Path]]:
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
     state = montgomery.minimizer_state(args.k)
     kop = miniwell.build_effective_operator(geom, state)
     kspec = miniwell.spectrum_K(kop, count=args.count)
-    json_path = outdir / "miniwell_spectrum.json"
+    json_path = Path(args.out) / "miniwell_spectrum.json"
     write_json(json_path, {
         "k": args.k,
         "c_omega": kop.c_omega,
@@ -250,16 +225,12 @@ def cmd_miniwell(args) -> int:
         "alpha_min": kop.alpha_min,
         "spectrum": kspec,
     })
-    _write_manifest(outdir, "miniwell", "miniwell",
-                    {"geometry": str(args.geometry), "k": args.k,
-                     "count": args.count}, [json_path])
     print(f"branch={kspec.branch} bottom={kspec.bottom:.6f}")
-    return 0
+    return 0, "miniwell", [json_path]
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> tuple[int, str, list[Path]]:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     h_list = _parse_float_list(args.h)
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
     state = montgomery.minimizer_state(args.k)
@@ -268,8 +239,8 @@ def cmd_predict(args) -> int:
     if kspec.branch != "nondegenerate":
         raise SolverError("degenerate branch: supply explicit levels instead")
     forecast = asymptotics.build_forecast(
-        args.k, geom.omega_min, kspec.levels, h_list, C=args.error_constant,
-        c_res=args.residual_constant, nu_hat=state.report.nu_hat)
+        args.k, geom.omega_min, kspec.levels, h_list, C=args.C,
+        c_res=args.c_res, nu_hat=state.report.nu_hat)
     json_path = outdir / "forecast.json"
     csv_path = outdir / "forecast.csv"
     write_json(json_path, forecast)
@@ -281,17 +252,11 @@ def cmd_predict(args) -> int:
         row = [h, *z, *(v for gap in gaps for v in gap)]
         rows.append(row + [""] * (len(header) - len(row)))
     write_csv(csv_path, header, rows)
-    _write_manifest(outdir, "predict", "predict",
-                    {"geometry": str(args.geometry), "k": args.k, "h": args.h,
-                     "count": args.count, "C": args.error_constant,
-                     "c_res": args.residual_constant},
-                    [json_path, csv_path])
-    return 0
+    return 0, "predict", [json_path, csv_path]
 
 
-def cmd_validate2d(args) -> int:
+def cmd_validate2d(args) -> tuple[int, str, list[Path]]:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = model2d.Field2DConfig.from_json(args.config)
     report = model2d.run_sweep(config, m_count=args.levels)
     json_path = outdir / "sweep2d.json"
@@ -305,14 +270,11 @@ def cmd_validate2d(args) -> int:
               + [f"z_{i}" for i in range(m)],
               [[h, *lam, *z] for h, lam, z in zip(
                   report.h_values, report.eigenvalues, report.z_predicted)])
-    _write_manifest(outdir, "validate2d", "validate2d",
-                    {"config": str(args.config), "levels": args.levels},
-                    [json_path, csv_path])
     print(f"leading exponent {report.leading_fit_exponent:.4f} "
           f"(target {float(asymptotics.leading_exponent(report.k)):.4f}); "
           f"splitting exponent {report.splitting_fit_exponent:.4f} "
           f"(target {float(asymptotics.splitting_exponent(report.k)):.4f})")
-    return 0
+    return 0, "validate2d", [json_path, csv_path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--k", type=int, default=1)
     pd.add_argument("--h", required=True, help="h values, comma or space separated")
     pd.add_argument("--count", type=int, default=6)
-    pd.add_argument("--error-constant", type=float, default=1.0)
-    pd.add_argument("--residual-constant", type=float, default=1.0)
+    pd.add_argument("--error-constant", dest="C", type=float, default=1.0)
+    pd.add_argument("--residual-constant", dest="c_res", type=float, default=1.0)
     pd.add_argument("--out", default=".")
     pd.set_defaults(func=cmd_predict)
 
@@ -370,7 +332,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, name, outputs = args.func(args)
+        write_json(Path(args.out) / f"{name}_manifest.json", {
+            "subcommand": args.command,
+            "parameters": {key: value for key, value in vars(args).items()
+                           if key not in ("command", "func", "out")},
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "outputs": [str(p) for p in outputs],
+        })
+        return code
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

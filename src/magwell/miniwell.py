@@ -31,13 +31,22 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import null_space
 
-from ._files import load_json_object
+from ._files import read_fields
 from ._shift_invert import lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError, Spectrum1D
 from .montgomery import MinimizerReport, MinimizerState, _shifted_gauge
 
 GRADIENT_TOL = 1e-8     # rejection threshold for the minimum condition
+
+
+# The fields of a geometry document and their kinds (see _files.read_fields)
+GEOMETRY_FIELDS = {"n": "integer", "omega01": "numbers", "domega01": "array",
+                   "hess_abs2": "array", "omega02": "numbers?",
+                   "gdot00": "number", "gdot0j": "numbers?", "gdotjl": "array?",
+                   "gamma00": "number", "gammaj0": "numbers?",
+                   "domega_div": "number?"}
 
 
 @dataclass(frozen=True)
@@ -115,23 +124,11 @@ class MiniwellGeometry:
 
     @classmethod
     def from_json(cls, source) -> "MiniwellGeometry":
-        """Load from a JSON document with exactly these field names: a path,
+        """Load from a JSON document with fields of GEOMETRY_FIELDS: a path,
         an open file or an already parsed mapping. Malformed documents raise
-        ValueError."""
-        data = load_json_object(source, "geometry")
-        required = {"n", "omega01", "domega01", "hess_abs2"}
-        known = required | {"omega02", "gdot00", "gdot0j", "gdotjl",
-                            "gamma00", "gammaj0", "domega_div"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown geometry fields: {sorted(unknown)}")
-        missing = required - set(data)
-        if missing:
-            raise ValueError(f"missing geometry fields: {sorted(missing)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:     # a field of the wrong JSON type
-            raise ValueError(f"malformed geometry: {exc}") from exc
+        ValueError naming the field (see `_files.read_fields`)."""
+        return cls(**read_fields(source, "geometry", GEOMETRY_FIELDS,
+                                 required=("n", "omega01", "domega01", "hess_abs2")))
 
 
 def flat_model_geometry(omega_min: float, curvature_abs2: float) -> MiniwellGeometry:
@@ -343,25 +340,12 @@ def spectrum_K(kop: EffectiveOperatorK, count: int = 8) -> KSpectrum:
         mu = np.linalg.eigvalsh(msqrt @ kop.Omega @ msqrt)
         levels = _oscillator_levels(np.sqrt(mu), a_re, count)
         return KSpectrum("nondegenerate", levels, float(levels[0]), warn)
-    # degenerate: reduced oscillator on the orthonormal completion of e_omega
-    d = kop.dim
-    if d == 1:
-        bottom = a_re
-    else:
-        basis = _orthonormal_complement(kop.e_omega)
-        omega_red = basis.T @ kop.Omega @ basis
-        bottom = a_re + float(np.sum(np.sqrt(np.linalg.eigvalsh(omega_red))))
+    # degenerate: reduced oscillator on an orthonormal basis of e_omega^perp
+    # (any basis gives the same spectrum; empty when dim is 1)
+    basis = null_space(kop.e_omega[None, :])
+    omega_red = basis.T @ kop.Omega @ basis
+    bottom = a_re + float(np.sum(np.sqrt(np.linalg.eigvalsh(omega_red))))
     return KSpectrum("degenerate", None, bottom, warn)
-
-
-def _orthonormal_complement(e: np.ndarray) -> np.ndarray:
-    """Columns: an orthonormal basis of e^perp. Any completion works; every
-    spectral quantity built from it is invariant under the choice."""
-    d = len(e)
-    full = np.eye(d) - np.outer(e, e)
-    q, r = np.linalg.qr(full)
-    cols = [q[:, i] for i in range(d) if abs(r[i, i]) > 1e-10]
-    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._files import load_json_object
+from ._files import read_fields
 from ._shift_invert import ShiftRejected, count_below_bounded, lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError
 from .montgomery import _shifted_gauge
@@ -56,11 +56,6 @@ def default_omega_profile(omega_min: float, a: float, s1: float, S: float
     return omega
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _finite(key: str, value: float, positive: bool = False) -> float:
     """`value`, once it is a finite number (and > 0 when `positive`);
     ValueError naming `key` otherwise."""
@@ -68,6 +63,13 @@ def _finite(key: str, value: float, positive: bool = False) -> float:
         rule = "a finite number > 0" if positive else "a finite number"
         raise ValueError(f"{key} must be {rule}, got {value!r}")
     return value
+
+
+# The keys of a sweep config document and their kinds (see _files.read_fields)
+SWEEP_FIELDS = {"k": "integer", "omega_min": "number", "a": "number",
+                "S": "number", "s1": "number", "T": "number",
+                "h_list": "numbers", "points_per_length": "integer",
+                "n_s": "integer?", "n_t": "integer?"}
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,11 @@ class Field2DConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        for key in ("points_per_length", "n_s", "n_t"):    # the pins may be None
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        if not self.h_list:
+            raise ValueError("h_list must hold at least one h")
         for key in ("omega_min", "curvature_abs2", "S", "T"):
             _finite(key, getattr(self, key), positive=True)
         _finite("s1", self.s1)
@@ -108,9 +115,9 @@ class Field2DConfig:
     @classmethod
     def default(cls, k: int = 1, omega_min: float = 1.0, a: float = 1.0,
                 S: float = 14.0, s1: float = 4.2, T: float = 0.8,
-                h_list: Sequence[float] = (), points_per_length: int = 20,
-                **kw) -> "Field2DConfig":
-        if not h_list:
+                h_list: Optional[Sequence[float]] = None,
+                points_per_length: int = 20, **kw) -> "Field2DConfig":
+        if h_list is None:      # the default sweep: seven h from 0.02 to 0.002
             h_list = tuple(np.geomspace(0.02, 0.002, 7))
         # omega''(s1); a and S are checked first, as S divides
         curv_omega = (omega_min * _finite("a", a, positive=True) * 2.0 * np.pi**2
@@ -127,39 +134,10 @@ class Field2DConfig:
     @classmethod
     def from_json(cls, source) -> "Field2DConfig":
         """Build the default-profile model from a JSON document (a path, an
-        open file or an already parsed mapping) with keys k, omega_min, a,
-        S, s1, T, h_list, points_per_length and the optional grid pins n_s,
-        n_t; an absent key takes its value from `default`. Malformed
-        documents raise ValueError: a non-integral or boolean k,
-        points_per_length, n_s or n_t, and a value of omega_min, a, S, s1, T
-        or h_list that is not a JSON number (strings and booleans included),
-        or that `default` and the dataclass checks refuse."""
-        data = load_json_object(source, "sweep config")
-        kw = {key: data[key] for key in ("k", "omega_min", "a", "S", "s1", "T",
-                                         "h_list", "points_per_length", "n_s", "n_t")
-              if key in data}
-        h_list = kw.get("h_list", [])
-        if not (isinstance(h_list, (list, tuple)) and all(map(_is_number, h_list))):
-            raise ValueError(f"h_list must be a list of numbers, got {h_list!r}")
-        for key in ("omega_min", "a", "S", "s1", "T"):
-            if key in kw and not _is_number(kw[key]):
-                raise ValueError(f"{key} must be a number, got {kw[key]!r}")
-        for key in ("k", "points_per_length", "n_s", "n_t"):
-            value = kw.get(key)
-            if value is None and (key not in kw or key in ("n_s", "n_t")):
-                continue                  # absent, or a null grid pin
-            integral = (isinstance(value, int) and not isinstance(value, bool)
-                        or isinstance(value, float) and value.is_integer())
-            if not integral:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            kw[key] = int(value)
-        try:
-            for key in ("omega_min", "a", "S", "s1", "T"):
-                if key in kw:
-                    kw[key] = float(kw[key])
-            return cls.default(**kw)
-        except (TypeError, OverflowError) as exc:     # e.g. an int beyond float range
-            raise ValueError(f"malformed sweep config: {exc}") from exc
+        open file or an already parsed mapping) with keys of SWEEP_FIELDS;
+        an absent key takes its value from `default`. Malformed documents
+        raise ValueError naming the key (see `_files.read_fields`)."""
+        return cls.default(**read_fields(source, "sweep config", SWEEP_FIELDS))
 
     def magnetic_length_t(self, h: float) -> float:
         return (h / self.omega_min) ** (1.0 / (self.k + 2))

@@ -166,6 +166,44 @@ class TestExitCodes:
         assert "usage error" in err and message in err
         assert not list(out.glob("*"))
 
+    # A geometry document repeats a key of the valid one, and JSON keeps the
+    # last value of a repeated key, so each case changes exactly one field.
+    GEOMETRY = '"n": 2, "omega01": [1.0], "domega01": [[0.0]], "hess_abs2": [[0.4]], '
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("validate2d", '{"h_lst": [0.2]}', "unknown sweep config fields: ['h_lst']"),
+        ("validate2d", '{"points_per_length": 0}', "points_per_length must be >= 1, got 0"),
+        ("validate2d", '{"points_per_length": -3}', "points_per_length must be >= 1, got -3"),
+        ("validate2d", '{"n_s": 0}', "n_s must be >= 1, got 0"),
+        ("validate2d", '{"n_s": -5}', "n_s must be >= 1, got -5"),
+        ("validate2d", '{"n_t": 0}', "n_t must be >= 1, got 0"),
+        ("validate2d", '{"h_list": []}', "h_list must hold at least one h"),
+        ("miniwell", '{' + GEOMETRY + '"gdot00": "x"}', "gdot00 must be a number, got 'x'"),
+        ("miniwell", '{' + GEOMETRY + '"gdot00": [1, 2]}',
+         "gdot00 must be a number, got [1, 2]"),
+        ("miniwell", '{' + GEOMETRY + '"domega_div": "1"}',
+         "domega_div must be a number, got '1'"),
+        ("miniwell", '{' + GEOMETRY + '"omega01": [true]}',
+         "omega01 must be a list of numbers, got [True]"),
+        ("miniwell", '{' + GEOMETRY + '"omega01": ["1"]}',
+         "omega01 must be a list of numbers, got ['1']"),
+        ("miniwell", '{' + GEOMETRY + '"hess_abs2": [[1e400]]}',
+         "hess_abs2 must be a rectangular array of finite numbers, got [[inf]]"),
+    ], ids=["sweep-unknown-key", "points_per_length-zero", "points_per_length-negative",
+            "n_s-zero", "n_s-negative", "n_t-zero", "h_list-empty", "gdot00-string",
+            "gdot00-list", "domega_div-string", "omega01-bool", "omega01-string",
+            "hess_abs2-overflow"])
+    def test_malformed_document_field_is_usage_error(self, tmp_path, capsys,
+                                                     command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        flag = "--config" if command == "validate2d" else "--geometry"
+        out = tmp_path / "out"
+        assert run_cli([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+        assert not out.exists()
+
     def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"h_list": "abc"}))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from magwell._files import load_json_object, write_csv, write_json
+from magwell._files import load_json_object, read_fields, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -98,3 +98,34 @@ class TestLoadJSONObject:
     def test_finite_mapping_passes_through(self):
         doc = {"n": 2, "x": [1.0, [2.5, -3.0]], "s": "nan", "b": True, "z": None}
         assert load_json_object(doc, "doc") == doc
+
+
+KINDS = {"i": "integer", "x": "number", "v": "numbers", "m": "array", "p": "integer?"}
+
+
+class TestReadFields:
+    def test_values_are_read_as_their_kind(self):
+        got = read_fields({"i": 3.0, "x": 2, "v": (1, 2.5), "m": np.eye(2), "p": None},
+                          "doc", KINDS)
+        assert got == {"i": 3, "x": 2.0, "v": [1.0, 2.5],
+                       "m": [[1.0, 0.0], [0.0, 1.0]], "p": None}
+        assert type(got["i"]) is int and type(got["x"]) is float
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"i": 1, "q": 1}, "unknown doc fields: ['q']"),
+        ({"x": 1.0}, "missing doc fields: ['i']"),
+        ({"i": None}, "i must be an integer, got None"),
+        ({"i": 2.5}, "i must be an integer, got 2.5"),
+        ({"i": 1, "x": 10**400}, "x must be a finite number, got 1000"),
+        ({"i": 1, "v": [[1.0]]}, "v must be a list of numbers, got [[1.0]]"),
+        ({"i": 1, "v": [1.0, 10**400]}, "v must be a list of finite numbers, got [1.0, 1000"),
+        ({"i": 1, "m": [[1.0, 2.0], [3.0]]}, "m must be a rectangular array of numbers"),
+        ({"i": 1, "m": [[1.0], 2.0]}, "m must be a rectangular array of numbers"),
+        ({"i": 1, "m": 1.0}, "m must be a rectangular array of numbers, got 1.0"),
+        ({"i": 1, "m": [[False]]}, "m must be a rectangular array of numbers, got [[False]]"),
+    ], ids=["unknown", "missing", "null", "fraction", "int-overflow", "nested-list",
+            "list-int-overflow", "ragged", "mixed-depth", "scalar-array", "bool-leaf"])
+    def test_rejections_name_the_field(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            read_fields(doc, "doc", KINDS, required=("i",))
+        assert str(info.value).startswith(message)

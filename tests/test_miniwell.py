@@ -257,6 +257,16 @@ class TestSpectrumK:
         eprime = omega_orthogonal_direction(kop)
         assert abs(eprime @ Om @ np.array([0.0, 1.0])) < 1e-12
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9,
+                                       1e-8, 1e-7, 1e-6, 1e-3])
+    def test_degenerate_bottom_with_e_near_an_axis(self, delta):
+        # e = (1, delta, 0)/r with r^2 = 1 + delta^2 has the complement
+        # u = (-delta, 1, 0)/r, (0, 0, 1), on which Omega = diag(1, 2, 3) is
+        # diag((2 + delta^2)/r^2, 3): the bottom is the sum of their roots
+        kop = make_kop(0.0, [1.0, delta, 0.0], np.diag([1.0, 2.0, 3.0]))
+        exact = np.sqrt((2.0 + delta**2) / (1.0 + delta**2)) + np.sqrt(3.0)
+        assert spectrum_K(kop, 1).bottom == pytest.approx(exact, rel=1e-13)
+
     def test_level_gap_equals_twice_frequency_1d(self):
         kop = make_kop(2.0, [1.0], np.array([[3.0]]))
         ks = spectrum_K(kop, 5)
