@@ -1,6 +1,11 @@
 """The file formats: reading the JSON documents that configure a run
 (geometry and sweep files), and writing every JSON and CSV output.
 
+A document is read field by field (`read_fields`), and that is the one place
+where a number is checked: a non-finite value, whether the NaN/Infinity
+token of a file, a literal that overflows, or a float of a mapping, is
+refused with a message that names its field.
+
 Output floats are written as `repr(float(v))`, the shortest text that reads
 back to the same double, so identical results give identical bytes whatever
 numpy version produced them.
@@ -17,50 +22,15 @@ from pathlib import Path
 import numpy as np
 
 
-def _non_finite_token(value):
-    """The JSON token (NaN, Infinity or -Infinity) of the first non-finite
-    float in an already parsed value, searching nested mappings, lists,
-    tuples and arrays; None when there is none."""
-    if isinstance(value, (float, np.floating)):
-        if np.isfinite(value):
-            return None
-        return "NaN" if np.isnan(value) else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, Mapping):
-        value = list(value.values())
-    elif isinstance(value, np.ndarray):
-        value = value.tolist()
-    elif not isinstance(value, (list, tuple)):
-        return None
-    for item in value:
-        token = _non_finite_token(item)
-        if token is not None:
-            return token
-    return None
-
-
 def load_json_object(source, what: str) -> dict:
     """The JSON object held by `source`: a path (str, bytes or os.PathLike),
-    an open text file, or a mapping that is taken as already parsed.
-
-    Raises ValueError when the document is not a JSON object, or when it
-    holds a non-finite number: one of the tokens NaN, Infinity and
-    -Infinity in a file (strict JSON does not have them), or a non-finite
-    float anywhere in a mapping. A malformed document thus reads as a
-    usage error and not as a crash or a non-finite result.
-    """
-    def reject(token):
-        raise ValueError(f"{what} holds the non-finite number {token}")
-
+    or a mapping that is taken as already parsed. ValueError when the
+    document is not a JSON object."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
-            data = json.load(fh, parse_constant=reject)
-    elif hasattr(source, "read"):
-        data = json.load(source, parse_constant=reject)
+            data = json.load(fh)
     else:
         data = source
-        token = _non_finite_token(data)
-        if token is not None:
-            reject(token)
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, "
                          f"got {type(data).__name__}")

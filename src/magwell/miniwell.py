@@ -44,9 +44,7 @@ GRADIENT_TOL = 1e-8     # rejection threshold for the minimum condition
 # The fields of a geometry document and their kinds (see _files.read_fields)
 GEOMETRY_FIELDS = {"n": "integer", "omega01": "numbers", "domega01": "array",
                    "hess_abs2": "array", "omega02": "numbers?",
-                   "gdot00": "number", "gdot0j": "numbers?", "gdotjl": "array?",
-                   "gamma00": "number", "gammaj0": "numbers?",
-                   "domega_div": "number?"}
+                   "gdot00": "number", "gdotjl": "array?", "domega_div": "number?"}
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,7 @@ class MiniwellGeometry:
     hess_abs2: np.ndarray
     omega02: np.ndarray = None
     gdot00: float = 0.0
-    gdot0j: np.ndarray = None
     gdotjl: np.ndarray = None
-    gamma00: float = 0.0
-    gammaj0: np.ndarray = None
     domega_div: Optional[float] = None
 
     def __post_init__(self):
@@ -90,9 +85,7 @@ class MiniwellGeometry:
         D = arr("domega01", self.domega01, (d, d))
         H = arr("hess_abs2", self.hess_abs2, (d, d))
         arr("omega02", self.omega02, (d,))
-        arr("gdot0j", self.gdot0j, (d,))
         arr("gdotjl", self.gdotjl, (d, d))
-        arr("gammaj0", self.gammaj0, (d,))
 
         if not np.linalg.norm(w) > 0:
             raise ValueError("omega01 must be nonzero at a miniwell")
@@ -124,8 +117,8 @@ class MiniwellGeometry:
 
     @classmethod
     def from_json(cls, source) -> "MiniwellGeometry":
-        """Load from a JSON document with fields of GEOMETRY_FIELDS: a path,
-        an open file or an already parsed mapping. Malformed documents raise
+        """Load from a JSON document with fields of GEOMETRY_FIELDS: a path
+        or an already parsed mapping. Malformed documents raise
         ValueError naming the field (see `_files.read_fields`)."""
         return cls(**read_fields(source, "geometry", GEOMETRY_FIELDS,
                                  required=("n", "omega01", "domega01", "hess_abs2")))
@@ -202,8 +195,8 @@ def build_Omega(geometry: MiniwellGeometry, k: int,
     return 0.5 * (om + om.T)
 
 
-def build_A(geometry: MiniwellGeometry, k: int,
-            minimizer_report: MinimizerReport, moments: Moments1D) -> complex:
+def build_A(geometry: MiniwellGeometry, minimizer_report: MinimizerReport,
+            moments: Moments1D) -> complex:
     """The constant term of K (four contributions):
 
         A = -gdot00 * m_tau_upp
@@ -211,9 +204,10 @@ def build_A(geometry: MiniwellGeometry, k: int,
             + 2 w^{-2} <omega01, omega02> m_mixed
             + w^{-2} (omega01^T gdotjl omega01) m_tau_sq.
 
-    The imaginary part is exactly the divergence term; metric Christoffel
-    inputs contribute nothing (their pairings vanish by the normalization
-    and stationarity of the fiber ground state).
+    The imaginary part is exactly the divergence term. The metric
+    Christoffel data do not enter K at this order (their pairings vanish by
+    the normalization and stationarity of the fiber ground state), so a
+    geometry document that sets them is refused as holding unknown fields.
     """
     w = geometry.omega_min
     am = minimizer_report.alpha_min
@@ -263,7 +257,7 @@ def build_effective_operator(geometry: MiniwellGeometry,
         c_omega=0.5 * r.d2,
         e_omega=geometry.e_omega,
         Omega=build_Omega(geometry, k, r),
-        A_const=build_A(geometry, k, r, mom),
+        A_const=build_A(geometry, r, mom),
         alpha_min=r.alpha_min,
         k=k,
     )

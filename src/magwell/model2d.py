@@ -77,17 +77,16 @@ class Field2DConfig:
     """Flat-cylinder model of a field vanishing to order k on the line t=0.
 
     `omega` maps s to the field coefficient (positive, S-periodic, unique
-    minimum at s1 with positive curvature); `omega_min`, `s1` and
-    `curvature_abs2` = (|omega|^2)''(s1) are declared by the caller since the
-    sweep predictions need them in closed form. Grid sizes follow the
-    resolution rule `points_per_length` nodes per magnetic length unless
-    pinned explicitly through n_s / n_t, and must fit GRID_BUDGET.
+    minimum with positive curvature); `omega_min` and `curvature_abs2`, the
+    second derivative of |omega|^2 at that minimum, are declared by the
+    caller since the sweep predictions need them in closed form. Grid sizes
+    follow the resolution rule `points_per_length` nodes per magnetic length
+    unless pinned explicitly through n_s / n_t, and must fit GRID_BUDGET.
     """
 
     k: int
     omega: Callable[[np.ndarray], np.ndarray]
     omega_min: float
-    s1: float
     curvature_abs2: float
     S: float
     T: float
@@ -106,7 +105,6 @@ class Field2DConfig:
             raise ValueError("h_list must hold at least one h")
         for key in ("omega_min", "curvature_abs2", "S", "T"):
             _finite(key, getattr(self, key), positive=True)
-        _finite("s1", self.s1)
         for h in self.h_list:
             _finite("h", h, positive=True)
         if sorted(self.h_list, reverse=True) != list(self.h_list):
@@ -124,17 +122,16 @@ class Field2DConfig:
                       / _finite("S", S, positive=True) ** 2)
         return cls(
             k=k,
-            omega=default_omega_profile(omega_min, a, s1, S),
+            omega=default_omega_profile(omega_min, a, _finite("s1", s1), S),
             omega_min=omega_min,
-            s1=s1,
             curvature_abs2=2.0 * omega_min * curv_omega,
             S=S, T=T, h_list=tuple(h_list),
             points_per_length=points_per_length, **kw)
 
     @classmethod
     def from_json(cls, source) -> "Field2DConfig":
-        """Build the default-profile model from a JSON document (a path, an
-        open file or an already parsed mapping) with keys of SWEEP_FIELDS;
+        """Build the default-profile model from a JSON document (a path or
+        an already parsed mapping) with keys of SWEEP_FIELDS;
         an absent key takes its value from `default`. Malformed documents
         raise ValueError naming the key (see `_files.read_fields`)."""
         return cls.default(**read_fields(source, "sweep config", SWEEP_FIELDS))
@@ -186,11 +183,6 @@ class MagneticOperator2D:
     n_s: int
     n_t: int
     S: float
-    T: float
-
-    @property
-    def shape(self):
-        return self.hermitian.shape
 
 
 def _check_wrap_clearance(config: Field2DConfig, h: float, t: np.ndarray,
@@ -264,7 +256,7 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
                       shape=(N, N)).tocsr()
     H += sp.diags(diag)
     return MagneticOperator2D(hermitian=H, h=h, k=config.k, n_s=n_s, n_t=n_t,
-                              S=config.S, T=config.T)
+                              S=config.S)
 
 
 class ShiftCertificateWarning(UserWarning):
@@ -430,8 +422,7 @@ def _intercept_fit(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
-def run_sweep(config: Field2DConfig, m_count: int = 4,
-              tol: float = 1e-9) -> Sweep2DReport:
+def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     """Measure the low spectrum across the h sweep and compare with the
     semiclassical predictions.
 
@@ -457,8 +448,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
     d2 = st.report.d2
     geom = flat_model_geometry(config.omega_min, config.curvature_abs2)
     kop = build_effective_operator(geom, st)
-    kspec = spectrum_K(kop, count=m_count + 2)
-    levels = kspec.levels[:m_count]
+    levels = spectrum_K(kop, count=m_count).levels
 
     lead_pow = float(leading_exponent(config.k))
     split_pow = float(splitting_exponent(config.k))
@@ -476,7 +466,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4,
         # 0.97 of the leading term forecasts a shift just below lambda_0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows.append(lowest_eigenvalues_2d(op, m_count, tol,
+            rows.append(lowest_eigenvalues_2d(op, m_count,
                                               shift=0.97 * lead_coef * h**lead_pow))
         for w in caught:
             warnings.warn(w.message, stacklevel=2)

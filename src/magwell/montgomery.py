@@ -137,13 +137,13 @@ def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float]:
 
 
 def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
-                  spectrum: Spectrum1D, rtol: float = 1e-9) -> float:
+                  spectrum: Spectrum1D) -> float:
     """2 - 4 <w u0, x>, the discrete second alpha-derivative of the lowest
     band (w = t^{k+1}/(k+1) - alpha), where x = du0/dalpha solves
     (T - lambda_0) x = 2 w u0 on span{u0}^perp. The system is shifted
     1e-10 |lambda_0| off the eigenvalue; the u0 component excited through
     that shift is projected away, two steps of iterative refinement remove
-    the rest, and a relative residual above rtol raises."""
+    the rest, and a relative residual above 1e-9 raises."""
     grid = op.grid
     dt = grid.spacing
     t = grid.interior_points()
@@ -167,7 +167,7 @@ def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
         x -= (np.sum(x * u) * dt) * u
     resid = float(np.linalg.norm(op.matvec(x) - lam * x - rhs)
                   / np.linalg.norm(rhs))
-    if resid > rtol:
+    if resid > 1e-9:
         raise SolverError(f"reduced-resolvent solve stalled: residual {resid:.2e}")
     return 2.0 - 4.0 * float(np.sum(w * u * x) * dt)
 

@@ -224,18 +224,18 @@ def lowest_eigenpairs(operator: TridiagonalOperator, m_count: int) -> Spectrum1D
     return Spectrum1D(vals, vecs, operator.grid, resid, parity=parity)
 
 
-def boundary_mass(spectrum: Spectrum1D, fraction: float = 0.9) -> float:
+def boundary_mass(spectrum: Spectrum1D) -> float:
     """Discrete L2 mass of the highest computed eigenfunction beyond
-    fraction * half_width; the Dirichlet truncation-quality indicator."""
+    0.9 * half_width; the Dirichlet truncation-quality indicator."""
     t = spectrum.grid.interior_points()
     u = spectrum.eigenfunctions[-1]
-    edge = np.abs(t) > fraction * spectrum.grid.half_width
+    edge = np.abs(t) > 0.9 * spectrum.grid.half_width
     return float(np.sum(u[edge] ** 2) * spectrum.grid.spacing)
 
 
-def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int,
-                        probe_points: int = 257) -> float:
-    """Smallest L with V(+-L) >= 4 * rough level estimate.
+def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int) -> float:
+    """Smallest L with V(+-L) >= 4 * rough level estimate, the level taken
+    on a 257-point grid.
 
     Doubles from L=1 to bracket the crossing, then bisects down to it; a
     needlessly large box would put enormous potential samples on the wall
@@ -243,7 +243,7 @@ def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int,
     """
     L = 1.0
     for _ in range(60):
-        lam = _eigenvalues_only(assemble(pot, Grid1D(L, probe_points)), m + 1)[m]
+        lam = _eigenvalues_only(assemble(pot, Grid1D(L, 257)), m + 1)[m]
         wall = min(float(pot(-L)), float(pot(L)))
         if wall >= 4.0 * max(lam, 0.25):
             break

@@ -115,8 +115,10 @@ class TestExitCodes:
           "--residual-constant", "-1"], "c_res=-1.0"),
         (["predict", "--geometry", "{geometry}", "--h", "0.01",
           "--error-constant", "nan"], "C=nan"),
-        (["miniwell", "--geometry", "{nan_geometry}"], "non-finite number NaN"),
-        (["validate2d", "--config", "{nan_sweep}"], "non-finite number NaN"),
+        (["miniwell", "--geometry", "{nan_geometry}"],
+         "hess_abs2 must be a rectangular array of finite numbers, got [[nan]]"),
+        (["validate2d", "--config", "{nan_sweep}"],
+         "h_list must be a list of finite numbers, got [0.02, nan, 0.005, 0.002]"),
         (["profile", "--k", "1", "--range", "nan:1"], "non-finite"),
     ], ids=["h-nan", "h-inf", "residual-constant-negative",
             "error-constant-nan", "geometry-nan", "sweep-h-nan", "range-nan"])
@@ -189,10 +191,14 @@ class TestExitCodes:
          "omega01 must be a list of numbers, got ['1']"),
         ("miniwell", '{' + GEOMETRY + '"hess_abs2": [[1e400]]}',
          "hess_abs2 must be a rectangular array of finite numbers, got [[inf]]"),
+        # the metric Christoffel data do not enter K at this order
+        ("miniwell", '{' + GEOMETRY + '"gdot0j": [0.0]}', "unknown geometry fields: ['gdot0j']"),
+        ("miniwell", '{' + GEOMETRY + '"gamma00": 1.0}', "unknown geometry fields: ['gamma00']"),
+        ("miniwell", '{' + GEOMETRY + '"gammaj0": [1.0]}', "unknown geometry fields: ['gammaj0']"),
     ], ids=["sweep-unknown-key", "points_per_length-zero", "points_per_length-negative",
             "n_s-zero", "n_s-negative", "n_t-zero", "h_list-empty", "gdot00-string",
             "gdot00-list", "domega_div-string", "omega01-bool", "omega01-string",
-            "hess_abs2-overflow"])
+            "hess_abs2-overflow", "gdot0j", "gamma00", "gammaj0"])
     def test_malformed_document_field_is_usage_error(self, tmp_path, capsys,
                                                      command, doc, message):
         path = tmp_path / "doc.json"

@@ -76,31 +76,44 @@ class TestWriteJSON:
             write_json(tmp_path / "t.json", {"x": obj})
 
 
+KINDS = {"i": "integer", "x": "number", "v": "numbers", "m": "array", "p": "integer?"}
+
+
+# how read_fields shows a value of each non-finite JSON token
+SHOWN = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
 class TestLoadJSONObject:
+    """`load_json_object` only parses; `read_fields` refuses a non-finite
+    number by its field, whether the document is a mapping or a file."""
+
     @pytest.mark.parametrize("doc,token", [
-        ({"a": float("nan")}, "NaN"),
-        ({"a": [1.0, [2.0, float("inf")]]}, "Infinity"),
-        ({"a": {"b": (0.0, np.float32("-inf"))}}, "-Infinity"),
-        ({"a": np.array([[1.0], [np.nan]])}, "NaN"),
+        ({"x": float("nan")}, "NaN"),
+        ({"m": [[1.0, 2.0], [3.0, float("inf")]]}, "Infinity"),
+        ({"m": ((0.0,), (np.float32("-inf"),))}, "-Infinity"),
+        ({"m": np.array([[1.0], [np.nan]])}, "NaN"),
     ])
     def test_mapping_rejects_nested_non_finite(self, doc, token):
-        with pytest.raises(ValueError, match=f"^doc holds the non-finite number {token}$"):
-            load_json_object(doc, "doc")
+        name, = doc
+        with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+            read_fields(doc, "doc", KINDS)
+        assert SHOWN[token] in str(info.value)
 
     @pytest.mark.parametrize("text,token", [('{"a": [1.0, NaN]}', "NaN"),
                                             ('{"a": {"b": -Infinity}}', "-Infinity")])
     def test_file_gives_the_same_message(self, tmp_path, text, token):
         path = tmp_path / "doc.json"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"^doc holds the non-finite number {token}$"):
-            load_json_object(path, "doc")
+        with pytest.raises(ValueError, match="^a must be a list of ") as from_file:
+            read_fields(path, "doc", {"a": "numbers"})
+        with pytest.raises(ValueError) as from_mapping:
+            read_fields(json.loads(text), "doc", {"a": "numbers"})
+        assert str(from_file.value) == str(from_mapping.value)
+        assert SHOWN[token] in str(from_file.value)
 
     def test_finite_mapping_passes_through(self):
         doc = {"n": 2, "x": [1.0, [2.5, -3.0]], "s": "nan", "b": True, "z": None}
         assert load_json_object(doc, "doc") == doc
-
-
-KINDS = {"i": "integer", "x": "number", "v": "numbers", "m": "array", "p": "integer?"}
 
 
 class TestReadFields:

@@ -30,10 +30,7 @@ def make_geometry(dim=2, **overrides):
         hess_abs2=np.eye(dim) * 2.0,
         omega02=np.zeros(dim),
         gdot00=0.0,
-        gdot0j=np.zeros(dim),
         gdotjl=np.zeros((dim, dim)),
-        gamma00=0.0,
-        gammaj0=np.zeros(dim),
     )
     base.update(overrides)
     return MiniwellGeometry(**base)
@@ -105,12 +102,20 @@ class TestGeometry:
 
     @pytest.mark.parametrize("value,token", [(math.nan, "NaN"), (math.inf, "Infinity"),
                                              (-math.inf, "-Infinity")])
-    def test_mapping_with_non_finite_number_rejected(self, value, token):
-        # the message a file holding the same token gives
-        with pytest.raises(ValueError, match=f"geometry holds the non-finite number {token}$"):
+    def test_mapping_with_non_finite_number_rejected(self, tmp_path, value, token):
+        # a file holding the same token gives the same message, which names
+        # the field
+        message = (r"^hess_abs2 must be a rectangular array of finite numbers, "
+                   rf"got \[\[{value!r}\]\]$")
+        with pytest.raises(ValueError, match=message):
             MiniwellGeometry.from_json({"n": 2, "omega01": [1.0],
                                         "domega01": [[0.0]],
                                         "hess_abs2": [[value]]})
+        path = tmp_path / "geom.json"
+        path.write_text('{"n": 2, "omega01": [1.0], "domega01": [[0.0]], '
+                        f'"hess_abs2": [[{token}]]}}')
+        with pytest.raises(ValueError, match=message):
+            MiniwellGeometry.from_json(path)
 
 
 class TestMoments:
@@ -163,7 +168,7 @@ class TestA:
     def test_flat_model_A_is_zero(self, states):
         g = flat_model_geometry(1.0, 0.5)
         m = moments_1d(1, states[1].report.alpha_min, states[1].spectrum)
-        a = build_A(g, 1, states[1].report, m)
+        a = build_A(g, states[1].report, m)
         assert a == 0j
 
     def test_even_k_A_is_real(self, states):
@@ -171,14 +176,14 @@ class TestA:
                           omega02=np.array([0.2, 0.1]),
                           gdotjl=np.array([[0.5, 0.1], [0.1, 0.3]]))
         m = moments_1d(2, states[2].report.alpha_min, states[2].spectrum)
-        a = build_A(g, 2, states[2].report, m)
+        a = build_A(g, states[2].report, m)
         # the only imaginary term carries alpha_min, which vanishes for even k
         assert abs(a.imag) < 1e-10
 
     def test_gdot00_term_wiring(self, states):
         g = make_geometry(dim=2, gdot00=1.0)
         m = moments_1d(1, states[1].report.alpha_min, states[1].spectrum)
-        a = build_A(g, 1, states[1].report, m)
+        a = build_A(g, states[1].report, m)
         assert a.real == pytest.approx(-m.m_tau_upp, abs=1e-14)
 
     def test_term_selectivity(self, states):
@@ -186,29 +191,24 @@ class TestA:
         moments = Moments1D(m_tau_upp=0.3, m_mixed=0.7, m_tau_sq=1.1)
         rep = states[1].report
         base_kwargs = dict(dim=2, omega01=np.array([2.0, 0.0]))
-        zero = build_A(make_geometry(**base_kwargs), 1, rep, moments)
+        zero = build_A(make_geometry(**base_kwargs), rep, moments)
         assert zero == pytest.approx(complex(0, 0))
 
-        a1 = build_A(make_geometry(**base_kwargs, gdot00=1.5), 1, rep, moments)
+        a1 = build_A(make_geometry(**base_kwargs, gdot00=1.5), rep, moments)
         assert a1.real == pytest.approx(-1.5 * 0.3)
         assert a1.imag == 0.0
 
         a2 = build_A(make_geometry(**base_kwargs,
-                                   omega02=np.array([0.5, 0.0])), 1, rep, moments)
+                                   omega02=np.array([0.5, 0.0])), rep, moments)
         assert a2.real == pytest.approx(2 * 2.0 ** -2 * (2.0 * 0.5) * 0.7)
 
         a3 = build_A(make_geometry(**base_kwargs,
-                                   gdotjl=np.diag([0.4, 0.9])), 1, rep, moments)
+                                   gdotjl=np.diag([0.4, 0.9])), rep, moments)
         assert a3.real == pytest.approx(2.0 ** -2 * (0.4 * 4.0) * 1.1)
 
-        a4 = build_A(make_geometry(**base_kwargs, domega_div=0.6), 1, rep, moments)
+        a4 = build_A(make_geometry(**base_kwargs, domega_div=0.6), rep, moments)
         assert a4.real == 0.0
         assert a4.imag == pytest.approx(0.6 * rep.alpha_min / 2.0)
-
-        # Christoffel inputs contribute nothing
-        a5 = build_A(make_geometry(**base_kwargs, gamma00=2.0,
-                                   gammaj0=np.array([1.0, 1.0])), 1, rep, moments)
-        assert a5 == zero
 
 
 class TestSpectrumK:
