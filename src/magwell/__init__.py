@@ -38,7 +38,6 @@ from .miniwell import (
     build_A,
     build_Omega,
     build_effective_operator,
-    moments_1d,
     spectrum_K,
     spectrum_K_oracle,
 )

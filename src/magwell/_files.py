@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 from collections.abc import Mapping
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,9 @@ _KINDS = {"integer": "an integer", "number": "a number",
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A real number, numpy scalars included, but not a bool (numpy's bool
+    is no `Real`)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _field_value(name: str, value, kind: str):
@@ -54,7 +57,8 @@ def _field_value(name: str, value, kind: str):
     # the nesting the kind asks for; an array may nest to any depth
     ndim = {"integer": 0, "number": 0, "numbers": 1}.get(kind, max(leaves.ndim, 1))
     if (leaves.ndim != ndim or not all(map(_is_number, leaves.flat))
-            or kind == "integer" and isinstance(value, float) and not value.is_integer()):
+            or kind == "integer" and not isinstance(value, Integral)
+            and not float(value).is_integer()):
         raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     if kind == "integer":
         return int(value)
@@ -71,13 +75,14 @@ def _field_value(name: str, value, kind: str):
 def read_fields(source, what: str, kinds: Mapping[str, str],
                 required=()) -> dict:
     """The fields of the JSON object held by `source` (see
-    `load_json_object`), each read as its kind in `kinds`: "integer" (an int,
-    or a float with an integral value; read as int), "number" (read as
-    float), "numbers" (a flat list, read as a list of floats) or "array"
-    (rectangular nested lists, read as nested lists of floats). Every number
-    must be finite, and booleans and strings are never numbers; a kind with
-    a trailing "?" also allows null. ValueError, naming the field, for an
-    unknown field, a missing one of `required`, or a value of another kind.
+    `load_json_object`), each read as its kind in `kinds`: "integer" (an
+    integer, or a real with an integral value; read as int), "number" (read
+    as float), "numbers" (a flat list, read as a list of floats) or "array"
+    (rectangular nested lists, read as nested lists of floats). A number is
+    any real, numpy scalars included; it must be finite, and booleans and
+    strings are never numbers; a kind with a trailing "?" also allows null.
+    ValueError, naming the field, for an unknown field, a missing one of
+    `required`, or a value of another kind.
     """
     data = load_json_object(source, what)
     unknown = set(data) - set(kinds)

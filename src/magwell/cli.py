@@ -141,8 +141,8 @@ def cmd_table1(args) -> tuple[int, str, list[Path]]:
 def cmd_profile(args) -> tuple[int, str, list[Path]]:
     lo, hi = _parse_range(args.range)
     outdir = Path(args.out)
-    state = montgomery.minimizer_state(args.k)
-    table = montgomery.profile(state, (lo, hi), args.samples)
+    report = montgomery.minimizer_state(args.k).report
+    table = montgomery.profile(report, (lo, hi), args.samples)
     if not (lo <= table.alpha_min <= hi):
         print(f"warning: range [{lo}, {hi}] does not contain "
               f"alpha_min={table.alpha_min:.4f}", file=sys.stderr)
@@ -211,8 +211,8 @@ def cmd_verify(args) -> tuple[int, str, list[Path]]:
 
 def cmd_miniwell(args) -> tuple[int, str, list[Path]]:
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
-    state = montgomery.minimizer_state(args.k)
-    kop = miniwell.build_effective_operator(geom, state)
+    report = montgomery.minimizer_state(args.k).report
+    kop = miniwell.build_effective_operator(geom, report)
     kspec = miniwell.spectrum_K(kop, count=args.count)
     json_path = Path(args.out) / "miniwell_spectrum.json"
     write_json(json_path, {
@@ -233,14 +233,14 @@ def cmd_predict(args) -> tuple[int, str, list[Path]]:
     outdir = Path(args.out)
     h_list = _parse_float_list(args.h)
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
-    state = montgomery.minimizer_state(args.k)
-    kop = miniwell.build_effective_operator(geom, state)
+    report = montgomery.minimizer_state(args.k).report
+    kop = miniwell.build_effective_operator(geom, report)
     kspec = miniwell.spectrum_K(kop, count=args.count)
     if kspec.branch != "nondegenerate":
         raise SolverError("degenerate branch: supply explicit levels instead")
     forecast = asymptotics.build_forecast(
         args.k, geom.omega_min, kspec.levels, h_list, C=args.C,
-        c_res=args.c_res, nu_hat=state.report.nu_hat)
+        c_res=args.c_res, nu_hat=report.nu_hat)
     json_path = outdir / "forecast.json"
     csv_path = outdir / "forecast.csv"
     write_json(json_path, forecast)

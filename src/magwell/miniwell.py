@@ -3,9 +3,8 @@ well formed where the field intensity along the vanishing hypersurface
 attains its minimum.
 
 Given pointwise geometric data at the miniwell (the field coefficient
-vector, its first derivatives, the Hessian of its squared norm, the next
-Taylor coefficient of the vector potential, and first-order metric data),
-this module assembles the quadratic model operator
+vector, its first derivatives, the Hessian of its squared norm and the
+field divergence), this module assembles the quadratic model operator
 
     K = c_omega * Delta_par + Delta_perp + sigma^T Omega sigma + A
 
@@ -35,21 +34,20 @@ from scipy.linalg import null_space
 
 from ._files import read_fields
 from ._shift_invert import lowest_sparse_eigenpairs
-from .sl_engine import ConvergenceError, SolverError, Spectrum1D
-from .montgomery import MinimizerReport, MinimizerState, _shifted_gauge
+from .sl_engine import ConvergenceError, SolverError
+from .montgomery import MinimizerReport
 
 GRADIENT_TOL = 1e-8     # rejection threshold for the minimum condition
 
 
 # The fields of a geometry document and their kinds (see _files.read_fields)
 GEOMETRY_FIELDS = {"n": "integer", "omega01": "numbers", "domega01": "array",
-                   "hess_abs2": "array", "omega02": "numbers?",
-                   "gdot00": "number", "gdotjl": "array?", "domega_div": "number?"}
+                   "hess_abs2": "array", "domega_div": "number?"}
 
 
 @dataclass(frozen=True)
 class MiniwellGeometry:
-    """Pointwise data of the field and metric at the miniwell.
+    """Pointwise data of the field at the miniwell.
 
     Vectors have length n-1 and matrices are (n-1) x (n-1); indices follow
     [component j, coordinate r] for `domega01`. `domega_div` is accepted as
@@ -61,9 +59,6 @@ class MiniwellGeometry:
     omega01: np.ndarray
     domega01: np.ndarray
     hess_abs2: np.ndarray
-    omega02: np.ndarray = None
-    gdot00: float = 0.0
-    gdotjl: np.ndarray = None
     domega_div: Optional[float] = None
 
     def __post_init__(self):
@@ -71,9 +66,7 @@ class MiniwellGeometry:
         if self.n < 2:
             raise ValueError(f"ambient dimension must be >= 2, got {self.n}")
 
-        def arr(name, value, shape, default=0.0):
-            if value is None:
-                value = np.full(shape, default)
+        def arr(name, value, shape):
             value = np.asarray(value, dtype=float)
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
@@ -84,8 +77,6 @@ class MiniwellGeometry:
         w = arr("omega01", self.omega01, (d,))
         D = arr("domega01", self.domega01, (d, d))
         H = arr("hess_abs2", self.hess_abs2, (d, d))
-        arr("omega02", self.omega02, (d,))
-        arr("gdotjl", self.gdotjl, (d, d))
 
         if not np.linalg.norm(w) > 0:
             raise ValueError("omega01 must be nonzero at a miniwell")
@@ -126,7 +117,8 @@ class MiniwellGeometry:
 
 def flat_model_geometry(omega_min: float, curvature_abs2: float) -> MiniwellGeometry:
     """Geometry of the flat 2D validation model: one surface direction, the
-    curvature of |omega|^2 at the minimum, and every metric correction zero."""
+    curvature of |omega|^2 at the minimum, and a field direction that does
+    not turn (domega01 = 0)."""
     return MiniwellGeometry(
         n=2,
         omega01=np.array([omega_min]),
@@ -136,46 +128,10 @@ def flat_model_geometry(omega_min: float, curvature_abs2: float) -> MiniwellGeom
 
 
 # ---------------------------------------------------------------------------
-# 1D moments of the fiber ground state
-
-@dataclass(frozen=True)
-class Moments1D:
-    """Quadratures of the fiber ground state entering the constant A."""
-
-    m_tau_upp: float      # integral tau u0''(tau) u0(tau)
-    m_mixed: float        # integral (tau^{k+2}/(k+2)) (tau^{k+1}/(k+1)-alpha) u0^2
-    m_tau_sq: float       # integral tau (tau^{k+1}/(k+1)-alpha)^2 u0^2
-
-
-def moments_1d(k: int, alpha_min: float, u0: Spectrum1D) -> Moments1D:
-    """Evaluate the three 1D moments on the converged grid of `u0`.
-
-    The second derivative of the ground state uses the same central stencil
-    as the assembled operator (Dirichlet ghosts beyond the walls), so the
-    moment is consistent with the discrete eigenproblem.
-    """
-    grid = u0.grid
-    t = grid.interior_points()
-    dt = grid.spacing
-    u = u0.eigenfunctions[0]
-    upp = np.zeros_like(u)
-    upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dt**2
-    upp[0] = (u[1] - 2.0 * u[0]) / dt**2
-    upp[-1] = (u[-2] - 2.0 * u[-1]) / dt**2
-    w = _shifted_gauge(k, alpha_min, t)
-    return Moments1D(
-        m_tau_upp=float(np.sum(t * upp * u) * dt),
-        m_mixed=float(np.sum((t ** (k + 2) / (k + 2)) * w * u * u) * dt),
-        m_tau_sq=float(np.sum(t * w * w * u * u) * dt),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the operator K
 
-def build_Omega(geometry: MiniwellGeometry, k: int,
-                minimizer_report: MinimizerReport) -> np.ndarray:
-    """Potential matrix of K:
+def build_Omega(geometry: MiniwellGeometry, report: MinimizerReport) -> np.ndarray:
+    """Potential matrix of K for the family k of `report`:
 
         Omega = w^{-(2k+2)/(k+2)} [ nu_hat/(2(k+2)) Hess(|omega|^2)
                                     + alpha_min^2 D^T D ]
@@ -184,10 +140,11 @@ def build_Omega(geometry: MiniwellGeometry, k: int,
     coefficients. Symmetric by construction; positive definite whenever the
     Hessian is.
     """
+    k = report.k
     w = geometry.omega_min
     pref = w ** (-(2.0 * k + 2.0) / (k + 2.0))
-    nu = minimizer_report.nu_hat
-    am = minimizer_report.alpha_min
+    nu = report.nu_hat
+    am = report.alpha_min
     D = geometry.domega01
     om = pref * (nu / (2.0 * (k + 2)) * geometry.hess_abs2 + am**2 * (D.T @ D))
     if np.max(np.abs(om - om.T)) > 1e-10 * max(1.0, np.max(np.abs(om))):
@@ -195,27 +152,28 @@ def build_Omega(geometry: MiniwellGeometry, k: int,
     return 0.5 * (om + om.T)
 
 
-def build_A(geometry: MiniwellGeometry, minimizer_report: MinimizerReport,
-            moments: Moments1D) -> complex:
-    """The constant term of K (four contributions):
+def build_A(geometry: MiniwellGeometry, report: MinimizerReport) -> complex:
+    """The constant term of K, A = i w^{-1} div(omega01) alpha_min, with w
+    the field minimum: its real part is zero at this order.
 
-        A = -gdot00 * m_tau_upp
-            + i w^{-1} div(omega01) alpha_min
-            + 2 w^{-2} <omega01, omega02> m_mixed
-            + w^{-2} (omega01^T gdotjl omega01) m_tau_sq.
-
-    The imaginary part is exactly the divergence term. The metric
-    Christoffel data do not enter K at this order (their pairings vanish by
-    the normalization and stationarity of the fiber ground state), so a
-    geometry document that sets them is refused as holding unknown fields.
+    K sits one factor h^{1/(k+2)} above the band minimum, where a correction
+    linear in the fiber variable tau adds to A only through its expectation
+    in the fiber ground state u0. The fiber potential
+    (tau^{k+1}/(k+1) - alpha_min)^2 is even in tau: for odd k because
+    tau^{k+1} is, for even k because alpha_min = 0 there (Montgomery, CMP
+    168, 1995). So u0 is even, and every integrand odd in tau has zero
+    expectation. The next Taylor coefficient of the vector potential and the
+    first-order metric data pair with u0 only through such integrands
+    (tau u0'' u0, tau^{k+2} (tau^{k+1}/(k+1) - alpha_min) u0^2 and
+    tau (tau^{k+1}/(k+1) - alpha_min)^2 u0^2), and the metric Christoffel
+    data through pairings that vanish by the normalization and stationarity
+    of u0, so a geometry document that sets any of them is refused as
+    holding unknown fields. The imaginary part is the divergence term; it
+    vanishes for even k.
     """
     w = geometry.omega_min
-    am = minimizer_report.alpha_min
-    a = -geometry.gdot00 * moments.m_tau_upp
-    a += 2.0 * w**-2 * float(geometry.omega01 @ geometry.omega02) * moments.m_mixed
-    a += w**-2 * float(geometry.omega01 @ geometry.gdotjl @ geometry.omega01) \
-        * moments.m_tau_sq
-    return complex(a, w**-1 * geometry.divergence * am)
+    am = report.alpha_min
+    return complex(0.0, w**-1 * geometry.divergence * am)
 
 
 @dataclass(frozen=True)
@@ -247,19 +205,16 @@ class EffectiveOperatorK:
 
 
 def build_effective_operator(geometry: MiniwellGeometry,
-                             state: MinimizerState) -> EffectiveOperatorK:
-    """Assemble K for the given geometry from the band-minimum data (and the
-    1D moments) of a minimizer state; k is the state's."""
-    r = state.report
-    k = r.k
-    mom = moments_1d(k, r.alpha_min, state.spectrum)
+                             report: MinimizerReport) -> EffectiveOperatorK:
+    """Assemble K for the given geometry from the band-minimum data of
+    `report`; k is the report's."""
     return EffectiveOperatorK(
-        c_omega=0.5 * r.d2,
+        c_omega=0.5 * report.d2,
         e_omega=geometry.e_omega,
-        Omega=build_Omega(geometry, k, r),
-        A_const=build_A(geometry, r, mom),
-        alpha_min=r.alpha_min,
-        k=k,
+        Omega=build_Omega(geometry, report),
+        A_const=build_A(geometry, report),
+        alpha_min=report.alpha_min,
+        k=report.k,
     )
 
 

@@ -443,11 +443,10 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     if m_count < 2:
         raise ValueError(f"the sweep fits level splittings, so it needs "
                          f"m_count >= 2, got {m_count}")
-    st = minimizer_state(config.k)
-    nu_hat = st.report.nu_hat
-    d2 = st.report.d2
+    report = minimizer_state(config.k).report
+    nu_hat = report.nu_hat
     geom = flat_model_geometry(config.omega_min, config.curvature_abs2)
-    kop = build_effective_operator(geom, st)
+    kop = build_effective_operator(geom, report)
     levels = spectrum_K(kop, count=m_count).levels
 
     lead_pow = float(leading_exponent(config.k))
@@ -503,7 +502,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
         k=config.k,
         omega_min=config.omega_min,
         nu_hat=nu_hat,
-        d2=d2,
+        d2=report.d2,
         K_levels=tuple(float(v) for v in levels),
         h_values=tuple(float(v) for v in hs),
         eigenvalues=lam,

@@ -391,22 +391,20 @@ class ProfileTable:
     d2: float
 
 
-def profile(state: MinimizerState, alpha_range: tuple[float, float],
+def profile(report: MinimizerReport, alpha_range: tuple[float, float],
             n_samples: int, tol: float = 1e-6) -> ProfileTable:
     """Tabulate lambda_0(alpha, 1) and the quadratic approximation
 
         lambda_quad(alpha) = nu_hat + (d2/2) (alpha - alpha_min)^2
 
-    over alpha_range, for the k of the given minimizer state.
+    over alpha_range, for the k of the given band-minimum report.
     lambda_quad(alpha_min) equals nu_hat by construction.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    r = state.report
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_samples)
-    lam = np.array([
-        eigenvalue_converged(family_potential(r.k, a), 0, tol)[0] for a in alphas
-    ])
-    quad = r.nu_hat + 0.5 * r.d2 * (alphas - r.alpha_min) ** 2
-    return ProfileTable(k=r.k, alpha=alphas, lambda0=lam, lambda_quad=quad,
-                        alpha_min=r.alpha_min, nu_hat=r.nu_hat, d2=r.d2)
+    lam = np.array([eigenvalue_converged(family_potential(report.k, a), 0, tol)[0]
+                    for a in alphas])
+    quad = report.nu_hat + 0.5 * report.d2 * (alphas - report.alpha_min) ** 2
+    return ProfileTable(k=report.k, alpha=alphas, lambda0=lam, lambda_quad=quad,
+                        alpha_min=report.alpha_min, nu_hat=report.nu_hat, d2=report.d2)

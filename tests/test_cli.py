@@ -180,9 +180,10 @@ class TestExitCodes:
         ("validate2d", '{"n_s": -5}', "n_s must be >= 1, got -5"),
         ("validate2d", '{"n_t": 0}', "n_t must be >= 1, got 0"),
         ("validate2d", '{"h_list": []}', "h_list must hold at least one h"),
-        ("miniwell", '{' + GEOMETRY + '"gdot00": "x"}', "gdot00 must be a number, got 'x'"),
-        ("miniwell", '{' + GEOMETRY + '"gdot00": [1, 2]}',
-         "gdot00 must be a number, got [1, 2]"),
+        ("miniwell", '{' + GEOMETRY + '"domega_div": "x"}',
+         "domega_div must be a number, got 'x'"),
+        ("miniwell", '{' + GEOMETRY + '"domega_div": [1, 2]}',
+         "domega_div must be a number, got [1, 2]"),
         ("miniwell", '{' + GEOMETRY + '"domega_div": "1"}',
          "domega_div must be a number, got '1'"),
         ("miniwell", '{' + GEOMETRY + '"omega01": [true]}',
@@ -195,10 +196,16 @@ class TestExitCodes:
         ("miniwell", '{' + GEOMETRY + '"gdot0j": [0.0]}', "unknown geometry fields: ['gdot0j']"),
         ("miniwell", '{' + GEOMETRY + '"gamma00": 1.0}', "unknown geometry fields: ['gamma00']"),
         ("miniwell", '{' + GEOMETRY + '"gammaj0": [1.0]}', "unknown geometry fields: ['gammaj0']"),
+        # nor, by the parity of the fiber ground state, the next Taylor
+        # coefficient of the vector potential or the first-order metric data
+        ("miniwell", '{' + GEOMETRY + '"gdot00": 1.0}', "unknown geometry fields: ['gdot00']"),
+        ("miniwell", '{' + GEOMETRY + '"omega02": [0.5]}', "unknown geometry fields: ['omega02']"),
+        ("miniwell", '{' + GEOMETRY + '"gdotjl": [[0.5]]}', "unknown geometry fields: ['gdotjl']"),
     ], ids=["sweep-unknown-key", "points_per_length-zero", "points_per_length-negative",
-            "n_s-zero", "n_s-negative", "n_t-zero", "h_list-empty", "gdot00-string",
-            "gdot00-list", "domega_div-string", "omega01-bool", "omega01-string",
-            "hess_abs2-overflow", "gdot0j", "gamma00", "gammaj0"])
+            "n_s-zero", "n_s-negative", "n_t-zero", "h_list-empty", "domega_div-text",
+            "domega_div-list", "domega_div-string", "omega01-bool", "omega01-string",
+            "hess_abs2-overflow", "gdot0j", "gamma00", "gammaj0", "gdot00", "omega02",
+            "gdotjl"])
     def test_malformed_document_field_is_usage_error(self, tmp_path, capsys,
                                                      command, doc, message):
         path = tmp_path / "doc.json"

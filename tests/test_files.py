@@ -124,6 +124,12 @@ class TestReadFields:
                        "m": [[1.0, 0.0], [0.0, 1.0]], "p": None}
         assert type(got["i"]) is int and type(got["x"]) is float
 
+    def test_numpy_scalars_are_numbers(self):
+        # a mapping built in Python may hold them
+        got = read_fields({"i": np.int64(2), "x": np.float32(0.8)}, "doc", KINDS)
+        assert got == {"i": 2, "x": float(np.float32(0.8))}
+        assert type(got["i"]) is int and type(got["x"]) is float
+
     @pytest.mark.parametrize("doc,message", [
         ({"i": 1, "q": 1}, "unknown doc fields: ['q']"),
         ({"x": 1.0}, "missing doc fields: ['i']"),
@@ -136,8 +142,16 @@ class TestReadFields:
         ({"i": 1, "m": [[1.0], 2.0]}, "m must be a rectangular array of numbers"),
         ({"i": 1, "m": 1.0}, "m must be a rectangular array of numbers, got 1.0"),
         ({"i": 1, "m": [[False]]}, "m must be a rectangular array of numbers, got [[False]]"),
+        # a numpy fraction is not truncated, and numpy's bool is no number
+        ({"i": np.float32(1.7)}, "i must be an integer, got "),
+        ({"i": np.bool_(True)}, "i must be an integer, got "),
+        ({"i": True}, "i must be an integer, got True"),
+        ({"i": 1, "x": np.bool_(True)}, "x must be a number, got "),
+        ({"i": 1, "x": True}, "x must be a number, got True"),
     ], ids=["unknown", "missing", "null", "fraction", "int-overflow", "nested-list",
-            "list-int-overflow", "ragged", "mixed-depth", "scalar-array", "bool-leaf"])
+            "list-int-overflow", "ragged", "mixed-depth", "scalar-array", "bool-leaf",
+            "float32-fraction", "numpy-bool-integer", "bool-integer", "numpy-bool-number",
+            "bool-number"])
     def test_rejections_name_the_field(self, doc, message):
         with pytest.raises(ValueError) as info:
             read_fields(doc, "doc", KINDS, required=("i",))

@@ -247,7 +247,7 @@ class TestNondegeneracy:
 
 class TestProfile:
     def test_k2_profile(self, states):
-        table = profile(states[2], (-1.0, 1.0), 21, tol=1e-6)
+        table = profile(states[2].report, (-1.0, 1.0), 21, tol=1e-6)
         assert len(table.alpha) == 21
         i_min = int(np.argmin(table.lambda0))
         assert abs(table.alpha[i_min]) < 0.15
@@ -259,7 +259,7 @@ class TestProfile:
 
     def test_quadratic_hugs_profile_near_minimum(self, states):
         st = states[1].report
-        table = profile(states[1], (st.alpha_min - 0.2, st.alpha_min + 0.2), 9,
+        table = profile(st, (st.alpha_min - 0.2, st.alpha_min + 0.2), 9,
                         tol=1e-7)
         assert np.all(table.lambda_quad <= table.lambda0 + 0.05)
 
