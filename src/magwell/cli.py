@@ -75,6 +75,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise UsageError(f"bad range {text!r}, expected LO:HI") from exc
     if not np.all(np.isfinite([lo, hi])):
         raise UsageError(f"non-finite bound in range {text!r}")
+    if lo > hi:
+        raise UsageError(f"range {text!r} has LO > HI")
     return lo, hi
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sl_engine import (
+    ROUGH_GRID_POINTS,
     ConvergenceError,
     Grid1D,
     SolverError,
@@ -38,7 +39,6 @@ from .sl_engine import (
 )
 
 SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
-SCAN_GRID_POINTS = 1025          # points of the one fixed grid the scan runs on
 HF_TOL = 1e-5                    # largest stationarity residual a report may carry
 D2_SLACK = 1e-3                  # how far d2 may fall below its condik lower bound
 ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
@@ -280,7 +280,7 @@ def _scan_values(k: int) -> tuple[np.ndarray, np.ndarray]:
     alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)     # generous bracket
     L = max(_initial_half_width(family_potential(k, a), 0)
             for a in (alphas[0], alphas[-1]))
-    grid = Grid1D(1.5 * L, SCAN_GRID_POINTS)
+    grid = Grid1D(1.5 * L, ROUGH_GRID_POINTS)
     vals = np.array([_eigenvalues_only(assemble(family_potential(k, a), grid), 1)[0]
                      for a in alphas])
     return alphas, vals
@@ -301,12 +301,12 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     identities and non-degeneracy data are evaluated.
 
     The scan values are never reported; they only pick the brackets, so
-    the scan is not converged. Its one grid has SCAN_GRID_POINTS points on
-    1.5 L, where L is the larger box `_initial_half_width` picks at
-    alpha = -1 and alpha = 2 + k: the wells of every alpha in between lie
-    inside it. A bracket that such a coarse scan gets wrong cannot pass
-    silently, since `_stationary_alpha` raises ConvergenceError unless
-    d lambda_0/d alpha changes sign over it.
+    the scan is not converged. Its one grid has the ROUGH_GRID_POINTS (257)
+    points of the `_initial_half_width` grids, on 1.5 L, where L is the
+    larger box `_initial_half_width` picks at alpha = -1 and alpha = 2 + k:
+    the wells of every alpha in between lie inside it. A bracket that such
+    a coarse scan gets wrong cannot pass silently, since `_stationary_alpha`
+    raises ConvergenceError unless d lambda_0/d alpha changes sign over it.
 
     Nothing is cached: a caller that needs the state twice keeps the
     returned (immutable) value and passes it on.

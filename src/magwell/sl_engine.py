@@ -4,14 +4,15 @@ confining potential V, on an adaptively truncated interval.
 The discrete operator is the second-order central-difference Laplacian plus
 the sampled potential, with Dirichlet conditions at +-L. Eigenvalues of the
 discrete matrix come from Sturm-sequence bisection (LAPACK stebz), and
-eigenvectors from LAPACK stein on the bisected eigenvalues, in the same
-call. On the mirror-symmetric grid an even potential gives a persymmetric
-matrix, which is split by t -> -t into an even and an odd block, so each
-level carries its parity by construction. Continuum eigenvalues are
-obtained by doubling L until the Dirichlet truncation is negligible (Agmon
-decay makes the error exponentially small once V exceeds the energy level)
-and halving the spacing with Richardson extrapolation until successive
-extrapolants agree.
+eigenvectors from LAPACK stein on the bisected eigenvalues; both routines
+are called directly, and each matrix is bisected once. On the
+mirror-symmetric grid an even potential gives a persymmetric matrix, which
+is split by t -> -t into an even and an odd block, so each level carries its
+parity by construction. Continuum eigenvalues are obtained by doubling L
+until the Dirichlet truncation is negligible (Agmon decay makes the error
+exponentially small once V exceeds the energy level) and halving the
+spacing with Richardson extrapolation until successive extrapolants agree;
+the eigenpairs of the last grid are returned as they were solved there.
 
 All containers are immutable after construction and every operation is a
 pure function, so parameter sweeps may call into this module concurrently.
@@ -22,7 +23,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
+
+ROUGH_GRID_POINTS = 257     # points of the unconverged grids: box search, band scan
 
 
 class SolverError(Exception):
@@ -152,14 +155,24 @@ def assemble(potential, grid: Grid1D) -> TridiagonalOperator:
 
 def _bisect(diag: np.ndarray, off: np.ndarray, m_count: int, vectors: bool):
     """(values, unit eigenvectors as columns or None) of the m_count lowest
-    levels of one Jacobi matrix: LAPACK stebz, then stein."""
-    try:
-        out = eigh_tridiagonal(diag, off, eigvals_only=not vectors,
-                               select="i", select_range=(0, m_count - 1),
-                               lapack_driver="stebz")
-    except Exception as exc:  # LAPACK reported a bisection or stein failure
-        raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return out if vectors else (out, None)
+    levels of one Jacobi matrix: LAPACK stebz by index (range 2) with tol 0,
+    then stein on its values. These are the calls that
+    `eigh_tridiagonal(select="i", lapack_driver="stebz")` makes, without its
+    input checks. A nonzero info, or fewer levels than asked for, raises
+    SolverError."""
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, m_count, 0.0,
+                                        "B" if vectors else "E")
+    if info != 0 or m < m_count:
+        raise SolverError(f"tridiagonal bisection (stebz) failed: info {info}, "
+                          f"{m} of {m_count} levels")
+    w = w[:m_count]
+    if not vectors:
+        return w, None
+    v, info = dstein(diag, off, w, iblock, isplit)
+    if info != 0:
+        raise SolverError(f"inverse iteration (stein) failed: info {info}")
+    order = np.argsort(w)     # block order to ascending order
+    return w[order], v[:, order]
 
 
 def _stebz(operator: TridiagonalOperator, m_count: int, vectors: bool):
@@ -235,7 +248,7 @@ def boundary_mass(spectrum: Spectrum1D) -> float:
 
 def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int) -> float:
     """Smallest L with V(+-L) >= 4 * rough level estimate, the level taken
-    on a 257-point grid.
+    on a ROUGH_GRID_POINTS grid.
 
     Doubles from L=1 to bracket the crossing, then bisects down to it; a
     needlessly large box would put enormous potential samples on the wall
@@ -243,7 +256,7 @@ def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int) -> floa
     """
     L = 1.0
     for _ in range(60):
-        lam = _eigenvalues_only(assemble(pot, Grid1D(L, 257)), m + 1)[m]
+        lam = _eigenvalues_only(assemble(pot, Grid1D(L, ROUGH_GRID_POINTS)), m + 1)[m]
         wall = min(float(pot(-L)), float(pot(L)))
         if wall >= 4.0 * max(lam, 0.25):
             break
@@ -274,12 +287,14 @@ def eigenvalue_converged(potential, m: int, tol: float,
     differ by less than tol (or by less than the floating-point noise floor
     of the discrete eigenproblem, whichever is larger).
 
-    Returns (extrapolated eigenvalue, Spectrum1D on the finest grid). The
-    spectrum tracks the m+1 lowest eigenpairs and carries the extrapolants
-    of all of them; its convergence_estimate is the distance from each
-    discrete eigenvalue to its extrapolant plus the final extrapolant
-    increment. A potential that does not grow fast enough to confine raises
-    ConvergenceError from the box search.
+    Each refinement grid is bisected once, for eigenpairs, so the finest
+    one is returned without a second solve. Returns (extrapolated
+    eigenvalue, Spectrum1D on the finest grid). The spectrum tracks the m+1
+    lowest eigenpairs and carries the extrapolants of all of them; its
+    convergence_estimate is the distance from each discrete eigenvalue to
+    its extrapolant plus the final extrapolant increment. A potential that
+    does not grow fast enough to confine raises ConvergenceError from the
+    box search.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -304,14 +319,14 @@ def eigenvalue_converged(potential, m: int, tol: float,
     for _ in range(max_refinements):
         n = 2 * (n - 1) + 1
         op = assemble(potential, Grid1D(L, n))
-        cur = _eigenvalues_only(op, track)
+        spec = lowest_eigenpairs(op, track)
+        cur = spec.eigenvalues
         lam_R = (4.0 * cur - prev) / 3.0
         noise = 32.0 * np.finfo(float).eps * op.norm_bound()
         if prev_R is not None:
             step = float(np.max(np.abs(lam_R - prev_R)))
             if step < max(tol, noise):
-                spec = replace(lowest_eigenpairs(op, track),
-                               convergence_estimate=np.abs(lam_R - cur) + step,
+                spec = replace(spec, convergence_estimate=np.abs(lam_R - cur) + step,
                                extrapolants=lam_R)
                 return float(lam_R[m]), spec
         prev_R = lam_R

@@ -3,6 +3,8 @@
 These deliberately avoid the code paths they check: the shooting oracle
 integrates the Prufer phase ODE (no matrices at all), and the dense oracle
 runs the full-QR tridiagonal eigensolver (LAPACK stev) instead of bisection.
+The wrapper oracle reaches stebz and stein through scipy's checked
+`eigh_tridiagonal`, which the library calls around.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
 The degenerate-bottom oracle minimises, over the coordinate along e_omega,
@@ -63,6 +65,15 @@ def dense_eigenvalues(potential, grid: Grid1D, m_count: int) -> np.ndarray:
     vals = eigh_tridiagonal(op.diagonal, op.offdiagonal,
                             eigvals_only=True, lapack_driver="stev")
     return np.sort(vals)[:m_count]
+
+
+def wrapper_bisect(diag: np.ndarray, off: np.ndarray, m_count: int, vectors: bool):
+    """(values, vectors as columns or None) of the m_count lowest levels
+    through scipy's `eigh_tridiagonal` wrapper (select="i", stebz driver):
+    the route `sl_engine._bisect` replaces with direct LAPACK calls."""
+    out = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                           select_range=(0, m_count - 1), lapack_driver="stebz")
+    return out if vectors else (out, None)
 
 
 def dense_converged(potential, m: int, half_width: float, n: int) -> float:

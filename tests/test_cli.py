@@ -120,8 +120,10 @@ class TestExitCodes:
         (["validate2d", "--config", "{nan_sweep}"],
          "h_list must be a list of finite numbers, got [0.02, nan, 0.005, 0.002]"),
         (["profile", "--k", "1", "--range", "nan:1"], "non-finite"),
+        (["profile", "--k", "1", "--range=1:-1"], "range '1:-1' has LO > HI"),
     ], ids=["h-nan", "h-inf", "residual-constant-negative",
-            "error-constant-nan", "geometry-nan", "sweep-h-nan", "range-nan"])
+            "error-constant-nan", "geometry-nan", "sweep-h-nan", "range-nan",
+            "range-reversed"])
     def test_nonfinite_or_negative_input_is_usage_error(self, tmp_path, capsys,
                                                          geometry_file, argv,
                                                          message):

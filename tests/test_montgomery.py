@@ -297,7 +297,7 @@ class TestScanErrors:
 
 
 class TestFixedGridScan:
-    @pytest.mark.parametrize("k", list(range(1, 8)))
+    @pytest.mark.parametrize("k", list(range(1, 13)))
     def test_brackets_match_converged_scan(self, k):
         # oracle: the same scan by converged solves at 1e-5 (box doubling
         # and Richardson refinement per point)

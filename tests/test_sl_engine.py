@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+from magwell import sl_engine
 from magwell.sl_engine import (
     AssemblyError,
     ConvergenceError,
@@ -10,7 +11,9 @@ from magwell.sl_engine import (
     Spectrum1D,
     assemble,
     boundary_mass,
+    _bisect,
     _eigenvalues_only,
+    _initial_half_width,
     eigenvalue_converged,
     lowest_eigenpairs,
 )
@@ -22,6 +25,7 @@ from oracles import (
     dense_eigenvalues,
     reflection_residuals,
     shooting_eigenvalue,
+    wrapper_bisect,
 )
 
 # frozen from the Prufer shooting oracle in tests/oracles.py
@@ -136,7 +140,80 @@ class TestLowestEigenpairs:
             lowest_eigenpairs(op, 100)
 
 
+def parity_blocks(op):
+    """The even and odd blocks `sl_engine` splits an odd-sized operator into."""
+    d, e = op.diagonal, op.offdiagonal
+    c = op.size // 2
+    return {"even": (d[c:], np.r_[np.sqrt(2.0) * e[c], e[c + 1:]]),
+            "odd": (d[c + 1:], e[c + 1:])}
+
+
+class TestBisect:
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("block", ["even", "odd"])
+    @pytest.mark.parametrize("k", list(range(1, 8)))
+    def test_matches_wrapper_bit_for_bit(self, k, block, vectors):
+        # oracle: scipy's eigh_tridiagonal on the same block
+        pot = family_potential(k, 0.3)
+        op = assemble(pot, Grid1D(1.5 * _initial_half_width(pot, 2), 1025))
+        diag, off = parity_blocks(op)[block]
+        vals, vecs = _bisect(diag, off, 3, vectors)
+        want_vals, want_vecs = wrapper_bisect(diag, off, 3, vectors)
+        assert np.array_equal(vals, want_vals)
+        if vectors:
+            assert np.array_equal(vecs, want_vecs)
+        else:
+            assert vecs is None
+
+    @pytest.mark.parametrize("m, info", [(3, 1), (2, 0)],
+                             ids=["nonzero-info", "too-few-levels"])
+    def test_stebz_failure_raises(self, monkeypatch, m, info):
+        true_stebz = sl_engine.dstebz
+
+        def failing(*args):
+            _, w, iblock, isplit, _ = true_stebz(*args)
+            return m, w, iblock, isplit, info
+
+        monkeypatch.setattr(sl_engine, "dstebz", failing)
+        op = assemble(V_harmonic, Grid1D(8.0, 101))
+        with pytest.raises(SolverError, match=f"info {info}, {m} of 3 levels"):
+            _bisect(op.diagonal, op.offdiagonal, 3, vectors=False)
+
+    def test_stein_failure_raises(self, monkeypatch):
+        true_stein = sl_engine.dstein
+        monkeypatch.setattr(sl_engine, "dstein",
+                            lambda *args: (true_stein(*args)[0], 1))
+        op = assemble(V_harmonic, Grid1D(8.0, 101))
+        with pytest.raises(SolverError, match="stein"):
+            _bisect(op.diagonal, op.offdiagonal, 3, vectors=True)
+
+
 class TestEigenvalueConverged:
+    def test_each_grid_bisected_once_per_parity_block(self, monkeypatch):
+        # every dstebz call is charged to the grid assembled last; k=1 is
+        # split, so each grid takes one call for the even block and one for
+        # the odd block, the finest included
+        calls = {}
+        last = {}
+        true_assemble, true_stebz = sl_engine.assemble, sl_engine.dstebz
+
+        def spy_assemble(potential, grid):
+            last["grid"] = (grid.half_width, grid.n_points)
+            return true_assemble(potential, grid)
+
+        def spy_stebz(diag, *args):
+            calls.setdefault(last["grid"], []).append(len(diag))
+            return true_stebz(diag, *args)
+
+        monkeypatch.setattr(sl_engine, "assemble", spy_assemble)
+        monkeypatch.setattr(sl_engine, "dstebz", spy_stebz)
+        _, spec = eigenvalue_converged(family_potential(1, 0.3), 2, 1e-7)
+        final = (spec.grid.half_width, spec.grid.n_points)
+        assert final in calls and len(calls) >= 4
+        for (_, n), sizes in calls.items():
+            c = (n - 2) // 2
+            assert sorted(sizes) == [c, c + 1]
+
     def test_oscillator_m4(self):
         val, _ = eigenvalue_converged(V_harmonic, 4, 1e-7)
         assert val == pytest.approx(9.0, abs=1e-7)
