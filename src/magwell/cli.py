@@ -11,20 +11,16 @@ arguments, the tool version, a timestamp, and the output paths: each `cmd_*`
 returns (exit code, manifest name, output paths) and `main` writes the
 manifest. This module is the one place that names output columns and keys;
 `_files` writes them, every float as `repr(float(v))`, so outputs are
-byte-identical for identical parameter sets. The worker count for k sweeps comes from
-MAGWELL_WORKERS (a positive integer, default 1).
+byte-identical for identical parameter sets. k sweeps run serially in k order.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +29,6 @@ from . import __version__
 from ._files import write_csv, write_json
 from .sl_engine import SolverError
 from . import montgomery, miniwell, asymptotics, model2d
-
-WORKERS_ENV = "MAGWELL_WORKERS"
 
 
 class UsageError(Exception):
@@ -80,46 +74,14 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _workers() -> int:
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(
-            f"{WORKERS_ENV} must be a positive integer, got {text!r}")
-    return workers
-
-
-def _map_k(fn, ks: list[int]) -> list:
-    """fn(k) for each k, in k order: serially, or in a pool of
-    MAGWELL_WORKERS processes when that is above 1 (fn must then pickle)."""
-    workers = _workers()
-    if workers == 1:
-        return [fn(k) for k in ks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ks))
-
-
-def _table1_report(k: int, tol: float):
-    """The band-minimum report for k, or the text of the SolverError that
-    stopped it (so one failing k does not cost the others)."""
-    try:
-        return montgomery.minimizer_state(k, tol).report
-    except SolverError as exc:
-        return str(exc)
-
-
 def cmd_table1(args) -> tuple[int, str, list[Path]]:
     ks = _parse_k_range(args.k)
-    results = _map_k(partial(_table1_report, tol=args.tol), ks)
     reports = {}
-    for k, res in zip(ks, results):
-        if isinstance(res, str):
-            print(f"k={k}: FAILED ({res})", file=sys.stderr)
-        else:
-            reports[k] = res
+    for k in ks:
+        try:    # one failing k does not cost the others
+            reports[k] = montgomery.minimizer_state(k, args.tol).report
+        except SolverError as exc:
+            print(f"k={k}: FAILED ({exc})", file=sys.stderr)
     outdir = Path(args.out)
     print("k        " + "".join(f"{k:>10d}" for k in reports))
     for label, attr in (("alpha_min", "alpha_min"), ("nu_hat", "nu_hat"),
@@ -198,7 +160,7 @@ def _verify_one_k(k: int) -> dict:
 
 def cmd_verify(args) -> tuple[int, str, list[Path]]:
     ks = _parse_k_range(args.k)
-    results = _map_k(_verify_one_k, ks)
+    results = [_verify_one_k(k) for k in ks]
     all_ok = True
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 from ._files import read_fields
 from ._shift_invert import ShiftRejected, count_below_bounded, lowest_sparse_eigenpairs
 from .sl_engine import ConvergenceError, SolverError
-from .montgomery import _shifted_gauge
+from .montgomery import _shifted_gauge, minimizer_state
+from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
 from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
 
 
@@ -437,9 +438,6 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     even about the minimum). Warns when the largest h sits outside the
     asymptotic window (leading term less than ten times the miniwell term).
     """
-    from .montgomery import minimizer_state
-    from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
-
     if m_count < 2:
         raise ValueError(f"the sweep fits level splittings, so it needs "
                          f"m_count >= 2, got {m_count}")

@@ -10,6 +10,7 @@ import pytest
 
 from magwell import montgomery
 from magwell.cli import main
+from magwell.sl_engine import ConvergenceError
 
 # The JSON schemas of the outputs. Most objects are written from a dataclass
 # with its field names as keys, so renaming a field would change the file
@@ -248,14 +249,6 @@ class TestExitCodes:
         assert "at least one" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
-    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
-    def test_malformed_workers_is_usage_error(self, tmp_path, monkeypatch,
-                                              capsys, value):
-        monkeypatch.setenv("MAGWELL_WORKERS", value)
-        assert run_cli(["table1", "--k", "1", "--out", str(tmp_path)]) == 2
-        assert "MAGWELL_WORKERS" in capsys.readouterr().err
-        assert not (tmp_path / "table1.csv").exists()
-
 
 class TestTable1:
     def test_single_k(self, tmp_path, capsys):
@@ -275,6 +268,23 @@ class TestTable1:
         assert manifest["parameters"] == {"k": "1", "tol": 1e-4}
         for p in manifest["outputs"]:
             assert os.path.exists(p)
+
+    def test_failing_k_does_not_cost_the_others(self, tmp_path, monkeypatch,
+                                                capsys):
+        real = montgomery.minimizer_state
+
+        def fail_at_k2(k, *args, **kwargs):
+            if k == 2:
+                raise ConvergenceError("forced at k=2")
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
+        assert run_cli(["table1", "--k", "1..3", "--out", str(tmp_path)]) == 1
+        assert "k=2: FAILED" in capsys.readouterr().err
+        rows = (tmp_path / "table1.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["1", "3"]
+        data = json.loads((tmp_path / "table1.json").read_text())
+        assert sorted(data) == ["1", "3"]
 
     def test_determinism(self, tmp_path):
         out1 = tmp_path / "a"
@@ -395,22 +405,18 @@ class TestValidate2D:
         assert "numerical failure" in capsys.readouterr().err
 
 
-class TestWorkerPool:
-    def test_parallel_table1_matches_serial(self, tmp_path, monkeypatch):
-        out_serial = tmp_path / "serial"
-        out_par = tmp_path / "par"
-        assert run_cli(["table1", "--k", "1..2", "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("MAGWELL_WORKERS", "2")
-        assert run_cli(["table1", "--k", "1..2", "--out", str(out_par)]) == 0
-        assert (out_serial / "table1.csv").read_bytes() == \
-            (out_par / "table1.csv").read_bytes()
-
-
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 16 MB and 0.2 s to every magwell process.
-    # A child process is needed: the test oracles import it into this one.
+    # scipy.optimize adds about 16 MB and 0.2 s to every magwell process, and
+    # a process pool its multiprocessing modules; k sweeps run serially.
+    # (numpy.testing, which scipy may load, imports concurrent.futures itself.)
+    # A child process is needed: the test oracles import scipy.optimize into
+    # this one.
     import magwell
     src = str(Path(magwell.__file__).resolve().parents[1])
-    code = "import sys, magwell.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, magwell.cli; print(' '.join(m for m in ("
+            "'scipy.optimize', 'multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.split() == []
