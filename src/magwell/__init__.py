@@ -25,7 +25,6 @@ from .sl_engine import (
 from .montgomery import (
     MinimizerReport,
     MinimizerState,
-    ModelParams,
     ProfileTable,
     lambda_m,
     minimizer_state,

@@ -57,12 +57,12 @@ def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
 
         leading -+ C h^{(6k+8)/(3(k+2))},
 
-    the error exponent strictly exceeding the leading one (checked here for
-    the concrete k, so the interval is genuinely higher order).
+    the error exponent exceeding the leading one by
+    (6k+8)/(3(k+2)) - (2k+2)/(k+2) = 2/(3(k+2)) > 0, so the interval is
+    genuinely higher order.
     """
     if not (0 < h < np.inf and 0 <= C < np.inf):
         raise ValueError(f"need finite h > 0 and C >= 0, got h={h}, C={C}")
-    assert bound_error_exponent(k) > leading_exponent(k)
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     err = C * h ** float(bound_error_exponent(k))
     return lead - err, lead + err

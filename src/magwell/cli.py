@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._files import write_csv, write_json
-from .sl_engine import SolverError
+from .sl_engine import SolverError, eigenvalue_converged
 from . import montgomery, miniwell, asymptotics, model2d
 
 
@@ -74,14 +74,21 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def cmd_table1(args) -> tuple[int, str, list[Path]]:
-    ks = _parse_k_range(args.k)
-    reports = {}
+def _each_k(ks: list[int], solve) -> dict:
+    """{k: solve(k)} in k order; a k whose solve raises SolverError is
+    reported on stderr and left out, so it does not cost the others."""
+    results = {}
     for k in ks:
-        try:    # one failing k does not cost the others
-            reports[k] = montgomery.minimizer_state(k, args.tol).report
+        try:
+            results[k] = solve(k)
         except SolverError as exc:
             print(f"k={k}: FAILED ({exc})", file=sys.stderr)
+    return results
+
+
+def cmd_table1(args) -> tuple[int, str, list[Path]]:
+    ks = _parse_k_range(args.k)
+    reports = _each_k(ks, lambda k: montgomery.minimizer_state(k, args.tol).report)
     outdir = Path(args.out)
     print("k        " + "".join(f"{k:>10d}" for k in reports))
     for label, attr in (("alpha_min", "alpha_min"), ("nu_hat", "nu_hat"),
@@ -107,15 +114,15 @@ def cmd_profile(args) -> tuple[int, str, list[Path]]:
     outdir = Path(args.out)
     report = montgomery.minimizer_state(args.k).report
     table = montgomery.profile(report, (lo, hi), args.samples)
-    if not (lo <= table.alpha_min <= hi):
+    if not (lo <= report.alpha_min <= hi):
         print(f"warning: range [{lo}, {hi}] does not contain "
-              f"alpha_min={table.alpha_min:.4f}", file=sys.stderr)
+              f"alpha_min={report.alpha_min:.4f}", file=sys.stderr)
     csv_path = outdir / f"profile_k{args.k}.csv"
     json_path = outdir / f"profile_k{args.k}.json"
     rows = np.column_stack([table.alpha, table.lambda0, table.lambda_quad])
     write_csv(csv_path, ["alpha", "lambda0", "lambda_quad"], rows)
-    write_json(json_path, {"k": table.k, "alpha_min": table.alpha_min,
-                           "nu_hat": table.nu_hat, "d2": table.d2,
+    write_json(json_path, {"k": report.k, "alpha_min": report.alpha_min,
+                           "nu_hat": report.nu_hat, "d2": report.d2,
                            "rows": rows})
     return 0, f"profile_k{args.k}", [csv_path, json_path]
 
@@ -140,9 +147,9 @@ def _verify_one_k(k: int) -> dict:
     for _ in range(2):
         alpha = float(rng.uniform(-1.0, 1.5))
         beta = float(rng.uniform(0.3, 4.0))
-        p = montgomery.ModelParams(k, alpha, beta)
-        scaled = montgomery.lambda_m(p, 0, tol=1e-9)
-        direct = montgomery.lambda_m_direct(p, 0, tol=1e-9)
+        scaled = montgomery.lambda_m(k, alpha, beta, 0, tol=1e-9)
+        direct, _ = eigenvalue_converged(
+            montgomery.family_potential(k, alpha, beta), 0, 1e-9)
         ok_scaling &= abs(scaled - direct) < 1e-8
     checks["scaling"] = ok_scaling
     return {
@@ -160,8 +167,8 @@ def _verify_one_k(k: int) -> dict:
 
 def cmd_verify(args) -> tuple[int, str, list[Path]]:
     ks = _parse_k_range(args.k)
-    results = [_verify_one_k(k) for k in ks]
-    all_ok = True
+    results = list(_each_k(ks, _verify_one_k).values())
+    all_ok = len(results) == len(ks)
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"
         all_ok &= res["passed"]

@@ -44,21 +44,6 @@ D2_SLACK = 1e-3                  # how far d2 may fall below its condik lower bo
 ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """One member of the operator family: (k, alpha, beta)."""
-
-    k: int
-    alpha: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero")
-
-
 def _shifted_gauge(k: int, alpha: float, t: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """beta t^{k+1}/(k+1) - alpha, the gauge shifted by the momentum alpha.
     For odd k the power is taken of t*t, so the samples on a mirror-symmetric
@@ -75,46 +60,30 @@ def family_potential(k: int, alpha: float,
     return lambda t: _shifted_gauge(k, alpha, t, beta) ** 2
 
 
-def reduce_to_unit_beta(params: ModelParams) -> tuple[float, float]:
-    """Map (k, alpha, beta) to the equivalent (alpha', beta'=|beta|) problem.
+def lambda_m(k: int, alpha: float, beta: float, m: int, tol: float = 1e-8) -> float:
+    """m-th eigenvalue of Q(alpha, beta) via the exact scaling reduction
+
+        lambda(alpha, beta) = beta^{2/(k+2)} lambda(beta^{-1/(k+2)} alpha, 1)
+
+    for beta > 0 (a unitary dilation, hence valid for every eigenvalue).
 
     beta < 0 is removed first: for even k the substitution t -> -t flips the
     sign of t^{k+1} (so beta -> -beta at the same alpha), while for odd k
     t^{k+1} is even and the global sign flip of the linear expression gives
     lambda(alpha, beta) = lambda(-alpha, -beta) instead.
     """
-    alpha, beta = params.alpha, params.beta
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k}")
+    if beta == 0:
+        raise ValueError("beta must be nonzero")
     if beta < 0:
         beta = -beta
-        if params.k % 2 == 1:
+        if k % 2 == 1:
             alpha = -alpha
-    return alpha, beta
-
-
-def lambda_m(params: ModelParams, m: int, tol: float = 1e-8) -> float:
-    """m-th eigenvalue of Q(alpha, beta) via the exact scaling reduction
-
-        lambda(alpha, beta) = beta^{2/(k+2)} lambda(beta^{-1/(k+2)} alpha, 1)
-
-    for beta > 0 (a unitary dilation, hence valid for every eigenvalue).
-    """
-    alpha, beta = reduce_to_unit_beta(params)
-    k = params.k
     scale = beta ** (2.0 / (k + 2))
     alpha1 = beta ** (-1.0 / (k + 2)) * alpha
     value, _ = eigenvalue_converged(family_potential(k, alpha1), m, tol / scale)
     return scale * value
-
-
-def lambda_m_direct(params: ModelParams, m: int, tol: float = 1e-8) -> float:
-    """m-th eigenvalue computed with beta kept inside the potential.
-
-    Bypasses the scaling reduction; exists so the scaling relation can be
-    verified against an independent route.
-    """
-    alpha, beta = reduce_to_unit_beta(params)
-    value, _ = eigenvalue_converged(family_potential(params.k, alpha, beta), m, tol)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +351,9 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
 class ProfileTable:
     """Sampled band profile with its quadratic approximation at the minimum."""
 
-    k: int
     alpha: np.ndarray
     lambda0: np.ndarray
     lambda_quad: np.ndarray
-    alpha_min: float
-    nu_hat: float
-    d2: float
 
 
 def profile(report: MinimizerReport, alpha_range: tuple[float, float],
@@ -406,5 +371,4 @@ def profile(report: MinimizerReport, alpha_range: tuple[float, float],
     lam = np.array([eigenvalue_converged(family_potential(report.k, a), 0, tol)[0]
                     for a in alphas])
     quad = report.nu_hat + 0.5 * report.d2 * (alphas - report.alpha_min) ** 2
-    return ProfileTable(k=report.k, alpha=alphas, lambda0=lam, lambda_quad=quad,
-                        alpha_min=report.alpha_min, nu_hat=report.nu_hat, d2=report.d2)
+    return ProfileTable(alpha=alphas, lambda0=lam, lambda_quad=quad)

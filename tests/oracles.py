@@ -23,8 +23,8 @@ from scipy.optimize import minimize_scalar
 
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis
 from magwell.model2d import Field2DConfig
-from magwell.montgomery import (ModelParams, _hellmann_feynman, _resolvent_d2,
-                                family_potential, lambda_m)
+from magwell.montgomery import (_hellmann_feynman, _resolvent_d2, family_potential,
+                                lambda_m)
 from magwell.sl_engine import Grid1D, assemble, eigenvalue_converged, lowest_eigenpairs
 
 
@@ -181,4 +181,4 @@ def large_alpha_ratio(k: int, alpha: float, tol: float = 1e-6) -> float:
     """lambda_0(alpha, 1) over its leading growth ((k+1) alpha)^{k/(k+1)}
     for odd k and alpha -> +infinity: the wells sit at t* with
     t*^{k+1}/(k+1) = alpha, where the harmonic frequency is t*^k."""
-    return lambda_m(ModelParams(k, alpha), 0, tol) / ((k + 1) * alpha) ** (k / (k + 1))
+    return lambda_m(k, alpha, 1.0, 0, tol) / ((k + 1) * alpha) ** (k / (k + 1))

@@ -19,11 +19,9 @@ from magwell.miniwell import (
     spectrum_K_oracle,
 )
 from magwell.montgomery import (
-    ModelParams,
     _discrete_hf,
     family_potential,
     lambda_m,
-    lambda_m_direct,
     minimizer_state,
 )
 from magwell.sl_engine import eigenvalue_converged
@@ -106,9 +104,8 @@ def test_criterion_4_scaling_law():
         k = int(rng.integers(1, 8))
         alpha = float(rng.uniform(-1.0, 1.5))
         beta = float(rng.uniform(0.25, 4.0))
-        p = ModelParams(k, alpha, beta)
-        scaled = lambda_m(p, 0, tol=1e-9)
-        direct = lambda_m_direct(p, 0, tol=1e-9)
+        scaled = lambda_m(k, alpha, beta, 0, tol=1e-9)
+        direct, _ = eigenvalue_converged(family_potential(k, alpha, beta), 0, 1e-9)
         worst = max(worst, abs(scaled - direct))
     ok = worst < 1e-8
     _line(4, ok, f"scaling law, 50 random triples: worst defect {worst:.2e} "

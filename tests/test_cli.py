@@ -332,6 +332,21 @@ class TestVerify:
         manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
         assert manifest["parameters"] == {"k": "1"}
 
+    def test_failing_k_does_not_cost_the_others(self, tmp_path, monkeypatch,
+                                                capsys):
+        real = montgomery.minimizer_state
+
+        def fail_at_k2(k, *args, **kwargs):
+            if k == 2:
+                raise ConvergenceError("forced at k=2")
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
+        assert run_cli(["verify", "--k", "1..3", "--out", str(tmp_path)]) == 1
+        assert "k=2: FAILED" in capsys.readouterr().err
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert [entry["k"] for entry in report] == [1, 3]
+
 
 class TestMiniwellPredict:
     def test_miniwell_spectrum(self, tmp_path, geometry_file, capsys):

@@ -6,14 +6,12 @@ import pytest
 from magwell.montgomery import (
     SCAN_POINTS,
     MinimizerReport,
-    ModelParams,
     _discrete_hf,
     _scan_brackets,
     _scan_values,
     _stationary_alpha,
     family_potential,
     lambda_m,
-    lambda_m_direct,
     profile,
 )
 from magwell.sl_engine import ConvergenceError, SolverError, eigenvalue_converged
@@ -26,59 +24,62 @@ from oracles import d2_on_grid, dlambda_dalpha, large_alpha_ratio
 D2_BOUND_K1 = 0.92
 
 
-class TestModelParams:
+def direct(k, alpha, beta):
+    """lambda_0 of Q(alpha, beta) solved with beta, of either sign, kept
+    inside the potential: the route the scaling reduction must reproduce."""
+    return eigenvalue_converged(family_potential(k, alpha, beta), 0, 1e-9)[0]
+
+
+class TestLambdaMArguments:
     def test_beta_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ModelParams(1, 0.3, 0.0)
+        with pytest.raises(ValueError, match="beta must be nonzero"):
+            lambda_m(1, 0.3, 0.0, 0)
 
     def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            ModelParams(0, 0.3, 1.0)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            lambda_m(0, 0.3, 1.0, 0)
 
 
 class TestScaling:
     def test_exact_power_of_eight(self):
-        lam_scaled = lambda_m(ModelParams(1, 0.0, 8.0), 0, 1e-10)
-        lam_unit = lambda_m(ModelParams(1, 0.0, 1.0), 0, 1e-10)
+        lam_scaled = lambda_m(1, 0.0, 8.0, 0, 1e-10)
+        lam_unit = lambda_m(1, 0.0, 1.0, 0, 1e-10)
         assert lam_scaled == pytest.approx(4.0 * lam_unit, abs=1e-9)
 
     def test_scaling_vs_direct_route(self):
-        p = ModelParams(1, 0.4, 2.5)
-        assert lambda_m(p, 0, 1e-9) == pytest.approx(
-            lambda_m_direct(p, 0, 1e-9), abs=1e-8)
+        assert lambda_m(1, 0.4, 2.5, 0, 1e-9) == pytest.approx(
+            direct(1, 0.4, 2.5), abs=1e-8)
 
     def test_even_k_alpha_symmetry(self):
-        a = lambda_m(ModelParams(2, 0.5, 1.0), 0, 1e-10)
-        b = lambda_m(ModelParams(2, -0.5, 1.0), 0, 1e-10)
+        a = lambda_m(2, 0.5, 1.0, 0, 1e-10)
+        b = lambda_m(2, -0.5, 1.0, 0, 1e-10)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_negative_beta_even_k(self):
         # t -> -t maps beta to -beta at the same alpha
-        p = ModelParams(2, 0.4, -1.7)
-        assert lambda_m(p, 0, 1e-9) == pytest.approx(
-            lambda_m_direct(p, 0, 1e-9), abs=1e-8)
+        assert lambda_m(2, 0.4, -1.7, 0, 1e-9) == pytest.approx(
+            direct(2, 0.4, -1.7), abs=1e-8)
 
     def test_negative_beta_odd_k(self):
         # the squared linear expression gives lambda(a, b) = lambda(-a, -b)
-        p = ModelParams(1, 0.4, -1.7)
-        assert lambda_m(p, 0, 1e-9) == pytest.approx(
-            lambda_m_direct(p, 0, 1e-9), abs=1e-8)
+        assert lambda_m(1, 0.4, -1.7, 0, 1e-9) == pytest.approx(
+            direct(1, 0.4, -1.7), abs=1e-8)
 
     def test_random_triples(self):
         rng = np.random.default_rng(2024)
         for _ in range(8):
             k = int(rng.integers(1, 4))
-            p = ModelParams(k, float(rng.uniform(-1, 2)), float(rng.uniform(0.3, 4)))
-            assert lambda_m(p, 0, 1e-9) == pytest.approx(
-                lambda_m_direct(p, 0, 1e-9), abs=1e-8)
+            alpha, beta = float(rng.uniform(-1, 2)), float(rng.uniform(0.3, 4))
+            assert lambda_m(k, alpha, beta, 0, 1e-9) == pytest.approx(
+                direct(k, alpha, beta), abs=1e-8)
 
     def test_even_k_symmetry_random_alpha(self):
         rng = np.random.default_rng(99)
         for k in (2, 4):
             for _ in range(3):
                 a = float(rng.uniform(0.05, 1.5))
-                lp = lambda_m(ModelParams(k, a, 1.0), 0, 1e-10)
-                lm = lambda_m(ModelParams(k, -a, 1.0), 0, 1e-10)
+                lp = lambda_m(k, a, 1.0, 0, 1e-10)
+                lm = lambda_m(k, -a, 1.0, 0, 1e-10)
                 assert lp == pytest.approx(lm, abs=1e-9)
 
 
@@ -252,10 +253,10 @@ class TestProfile:
         i_min = int(np.argmin(table.lambda0))
         assert abs(table.alpha[i_min]) < 0.15
         assert table.lambda0[i_min] == pytest.approx(0.66, abs=0.01)
-        # quadratic model equals nu_hat at the minimum by construction
-        quad_at_min = table.nu_hat + 0.5 * table.d2 * (
-            table.alpha_min - table.alpha_min) ** 2
-        assert quad_at_min == table.nu_hat
+        # the quadratic model equals nu_hat at the minimum exactly
+        report = states[2].report
+        at_min = profile(report, (report.alpha_min, report.alpha_min), 1)
+        assert at_min.lambda_quad[0] == report.nu_hat
 
     def test_quadratic_hugs_profile_near_minimum(self, states):
         st = states[1].report
@@ -264,8 +265,8 @@ class TestProfile:
         assert np.all(table.lambda_quad <= table.lambda0 + 0.05)
 
     def test_band_grows_toward_negative_alpha(self):
-        lam_m2 = lambda_m(ModelParams(1, -2.0, 1.0), 0, 1e-6)
-        lam_m1 = lambda_m(ModelParams(1, -1.0, 1.0), 0, 1e-6)
+        lam_m2 = lambda_m(1, -2.0, 1.0, 0, 1e-6)
+        lam_m1 = lambda_m(1, -1.0, 1.0, 0, 1e-6)
         assert lam_m2 > lam_m1 > 1.0
 
 
