@@ -6,14 +6,19 @@ The Lanczos is the spectral transformation of Ericsson and Ruhe (Math.
 Comp. 35, 1980): it runs on OP = (H - shift)^{-1}, applied by one sparse LU
 factor, whose largest eigenvalues theta are the levels lambda = shift +
 1/theta just above the shift. It keeps the whole Krylov basis, fully
-reorthogonalised, and stops at the first step where every wanted level
-passes ARPACK's convergence test. It works from a single start vector, so
-it resolves no exact multiplicity (the Krylov space holds one vector of each
-eigenspace) and sees no level that an exact symmetry keeps orthogonal to
-that vector. The 2D solver splits off the one exact symmetry of its
-operator, the reflection t -> -t, and solves or certifies each block on its
-own. A count that only has to be 0 can first be read from a cheaper lower
-bound that decouples the matrix into strips (`count_below_bounded`).
+reorthogonalised, and stops at the first step where every wanted Ritz pair
+passes two bounds (`_ritz_test`): (a) its value is converged to rounding,
+r^2/gap <= eps |theta| with r = |beta_m s_{m,i}| (Kato-Temple), and (b) its
+vector's residual in H, read from the Lanczos relation, is within a tenth
+of RESIDUAL_TOL, the residual the 2D solver checks. ARPACK's test
+r <= eps |theta| converges the vectors to rounding as well, which no
+caller uses. It works from a single start vector, so it resolves no exact
+multiplicity (the Krylov space holds one vector of each eigenspace) and
+sees no level that an exact symmetry keeps orthogonal to that vector. The
+2D solver splits off the one exact symmetry of its operator, the
+reflection t -> -t, and solves or certifies each block on its own. A count
+that only has to be 0 can first be read from a cheaper lower bound that
+decouples the matrix into strips (`count_below_bounded`).
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from scipy.sparse.linalg import splu
 from .sl_engine import ConvergenceError
 
 LANCZOS_MAX_STEPS = 200       # cap on the Krylov basis, hence on its memory
+RESIDUAL_TOL = 1e-9           # ten times the residual bound of a returned unit vector
 _EPS = np.finfo(float).eps
 
 
@@ -109,33 +115,65 @@ def count_below_bounded(H, shift: float, labels: np.ndarray) -> Optional[int]:
     return 0
 
 
-def _ritz_test(alpha, beta, m: int, il: int, iu: int):
+def _ritz_test(alpha, beta, m: int, il: int, iu: int, next_norm: float):
     """(theta, S, passed): the eigenpairs il..iu (1-based, ascending) of the
-    Lanczos tridiagonal T_m, from LAPACK dstemr, which computes only those,
-    and whether every one passes ARPACK's convergence criterion
-    |beta_m s_{m,i}| <= eps |theta_i|. A failed dstemr passes nothing."""
+    Lanczos tridiagonal T_m, and whether every one passes both bounds of the
+    stop rule. dstemr (LAPACK) computes only the pairs il-1..iu+1 that lie
+    in 1..m, so every tested pair has its neighbours. With
+    r_i = |beta_m s_{m,i}| and next_norm = |(H - shift) v_{m+1}|:
+
+    (a) value: r_i^2 / gap_i <= eps |theta_i|, where gap_i is the distance
+        to the nearest other Ritz value less that neighbour's own r, and
+        gap_i <= 0 fails. theta_i is then within rounding of an eigenvalue
+        of the operator (the Kato-Temple bound; Parlett, The Symmetric
+        Eigenvalue Problem, SIAM 1998, 11.7).
+    (b) residual: r_i next_norm / |theta_i| <= RESIDUAL_TOL / 10. By the
+        Lanczos relation (H - lambda_i) y_i = -(beta_m s_{m,i} / theta_i)
+        (H - shift) v_{m+1}, the left side is the residual in H of the
+        Ritz vector y_i at lambda_i = shift + 1/theta_i.
+
+    A next_norm of 0 tests (a) alone. A failed dstemr passes nothing."""
+    lo, hi = max(il - 1, 1), min(iu + 1, m)
     # dstemr overwrites its off-diagonal argument, hence the copy
-    _, theta, S, info = dstemr(alpha[:m], beta[:m].copy(), 2, 0.0, 0.0, il, iu)
-    count = iu - il + 1
+    _, theta, S, info = dstemr(alpha[:m], beta[:m].copy(), 2, 0.0, 0.0, lo, hi)
+    count = hi - lo + 1
     theta, S = theta[:count], S[:, :count]
-    passed = info == 0 and np.all(np.abs(beta[m - 1] * S[m - 1]) <= _EPS * np.abs(theta))
-    return theta, S, passed
+    # a few pairs, tested at every step: plain floats, padded with a
+    # neighbour at infinity on each side
+    t = [-np.inf, *theta.tolist(), np.inf]
+    r = [0.0, *np.abs(beta[m - 1] * S[m - 1]).tolist(), 0.0]
+    passed = info == 0
+    for i in range(il - lo + 1, iu - lo + 2):
+        gap = min(t[i] - t[i - 1] - r[i - 1], t[i + 1] - t[i] - r[i + 1])
+        size = abs(t[i])
+        passed = (passed and gap > 0.0 and r[i] * r[i] <= _EPS * size * gap
+                  and r[i] * next_norm <= 0.1 * RESIDUAL_TOL * size)
+    want = slice(il - lo, iu - lo + 1)
+    return theta[want], S[:, want], passed
 
 
-def _lanczos(solve, n: int, k: int, dtype, return_eigenvectors: bool):
+def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
     """(theta, Y, converged): the k largest Ritz values of the Hermitian
-    operator `solve`, ascending, their Ritz vectors (None unless asked for,
-    or when unconverged) and whether all k passed the test.
+    operator `solve` = (H - shift)^{-1}, ascending, their Ritz vectors (None
+    unless asked for, or when unconverged) and whether all k passed the
+    stop rule. `shifted` applies H - shift.
 
     Starts from solve(1/sqrt(n)). Each new vector is orthogonalised against
     the whole basis by two classical Gram-Schmidt passes; the basis is kept
     in Fortran order, so its leading columns are a view that BLAS reads in
     place. From step min(2k, n) on, the k largest Ritz pairs are tested at
     every step (`_ritz_test`), and the iteration stops at the first step
-    where all k pass. The k-th, nearest the unwanted part of the spectrum,
-    converges last, so it is tested alone first and the other k - 1 only
-    once it passes. A zero beta means the Krylov space is invariant: its
-    Ritz values are exact.
+    where all k pass: (a) each value is converged to rounding and (b) each
+    vector's residual in H, read from the Lanczos relation at the cost of
+    one product with H - shift, is within RESIDUAL_TOL/10. Both follow from
+    ARPACK's test |beta_m s_{m,i}| <= eps |theta_i| whenever r_i <= gap_i
+    and RESIDUAL_TOL/10 >= eps |(H - shift) v_{m+1}|, so the rule never
+    stops later than ARPACK's there. The test and the stop are the same
+    whether or not vectors are returned. The k-th pair, nearest the
+    unwanted part of the spectrum, converges last, so its value alone is
+    tested first (`next_norm` 0 leaves out the residual), and the product
+    with H and the test of all k follow only once it passes. A zero beta
+    means the Krylov space is invariant: its Ritz values are exact.
     """
     m_max = min(n, LANCZOS_MAX_STEPS)
     V = np.empty((n, m_max), dtype=dtype, order="F")
@@ -155,15 +193,16 @@ def _lanczos(solve, n: int, k: int, dtype, return_eigenvectors: bool):
         m = j + 1
         if m >= k and (m >= m_test or beta[j] == 0.0):
             il = m - k + 1
-            if _ritz_test(alpha, beta, m, il, il)[2]:
-                theta, S, passed = _ritz_test(alpha, beta, m, il, m)
+            if _ritz_test(alpha, beta, m, il, il, 0.0)[2]:
+                next_norm = np.linalg.norm(shifted(w)) / beta[j] if beta[j] else 0.0
+                theta, S, passed = _ritz_test(alpha, beta, m, il, m, next_norm)
                 if passed:
                     return theta, basis @ S if return_eigenvectors else None, True
         if beta[j] == 0.0:
             break
         if m < m_max:
             V[:, m] = w / beta[j]
-    theta = _ritz_test(alpha, beta, m, max(m - k + 1, 1), m)[0]
+    theta = _ritz_test(alpha, beta, m, max(m - k + 1, 1), m, 0.0)[0]
     return theta, None, False
 
 
@@ -175,17 +214,21 @@ def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
     H - shift is factored once (see `_factor`) and the shift-invert Lanczos
     (`_lanczos`) applies its inverse from a fixed start vector, so repeated
     calls are deterministic; it returns the k levels just above the shift,
-    which are the k lowest when no level lies below it. At
-    shift 0 the caller vouches that H is positive definite and no inertia
-    is read. At a nonzero shift the inertia of the same factor is read once
-    the Lanczos has returned or failed, when its basis is freed: a negative
-    pivot (the shift does not lie below the whole spectrum) or an inertia
-    that cannot be trusted raises ShiftRejected, whatever the Lanczos gave,
-    so the caller can warn and solve again at shift 0. The factor is local
-    to the call and freed before it returns or raises, so a caller that
-    solves one matrix after another never holds two factors. When the k
-    levels do not converge within LANCZOS_MAX_STEPS steps, ConvergenceError
-    carries the last Ritz values as `estimates`.
+    which are the k lowest when no level lies below it. It stops once the
+    values are converged to rounding and each unit Ritz vector v has
+    |H v - lambda v| <= RESIDUAL_TOL/10 (the stop rule of `_lanczos`); the
+    stop is the same with or without `return_eigenvectors`, so the values
+    are too. At shift 0 the caller vouches that H is positive definite and
+    no inertia is read. At a
+    nonzero shift the inertia of the same factor is read once the Lanczos
+    has returned or failed, when its basis is freed: a negative pivot (the
+    shift does not lie below the whole spectrum) or an inertia that cannot
+    be trusted raises ShiftRejected, whatever the Lanczos gave, so the
+    caller can warn and solve again at shift 0. The factor is local to the
+    call and freed before it returns or raises, so a caller that solves one
+    matrix after another never holds two factors. When the k levels do not
+    converge within LANCZOS_MAX_STEPS steps, ConvergenceError carries the
+    last Ritz values as `estimates`.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
@@ -196,7 +239,8 @@ def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
         if shift:
             raise ShiftRejected(None) from None
         raise
-    theta, vecs, converged = _lanczos(lu.solve, n, k, H.dtype, return_eigenvectors)
+    theta, vecs, converged = _lanczos(lu.solve, lambda v: H @ v - shift * v, n, k,
+                                      H.dtype, return_eigenvectors)
     below = _negative_pivots(lu) if shift else 0
     del lu                         # free it before the caller refactors
     if below != 0:

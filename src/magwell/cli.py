@@ -90,11 +90,12 @@ def cmd_table1(args) -> tuple[int, str, list[Path]]:
     ks = _parse_k_range(args.k)
     reports = _each_k(ks, lambda k: montgomery.minimizer_state(k, args.tol).report)
     outdir = Path(args.out)
-    print("k        " + "".join(f"{k:>10d}" for k in reports))
-    for label, attr in (("alpha_min", "alpha_min"), ("nu_hat", "nu_hat"),
-                        ("lambda_1", "lambda1")):
-        row = "".join(f"{getattr(r, attr):>10.4f}" for r in reports.values())
-        print(f"{label:<9s}{row}")
+    if reports:                  # no table without a column
+        print("k        " + "".join(f"{k:>10d}" for k in reports))
+        for label, attr in (("alpha_min", "alpha_min"), ("nu_hat", "nu_hat"),
+                            ("lambda_1", "lambda1")):
+            row = "".join(f"{getattr(r, attr):>10.4f}" for r in reports.values())
+            print(f"{label:<9s}{row}")
 
     csv_path = outdir / "table1.csv"
     write_csv(csv_path,

@@ -357,8 +357,10 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     sees no level that an exact symmetry keeps orthogonal to that vector.
     The reflection t -> -t is such a symmetry, which is why it is split off
     into blocks, each solved or certified on its own. A Lanczos that does
-    not converge raises ConvergenceError with its last Ritz values. Every
-    returned pair satisfies |H v - lambda v| <= tol |v| on the full
+    not converge raises ConvergenceError with its last Ritz values. Each
+    Lanczos stops once its Ritz vectors have residuals within
+    RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`), whatever `tol` is.
+    Every returned pair satisfies |H v - lambda v| <= tol |v| on the full
     operator; a larger residual raises."""
     H = operator.hermitian
     where = f"h={operator.h:g}"

@@ -286,6 +286,16 @@ class TestTable1:
         data = json.loads((tmp_path / "table1.json").read_text())
         assert sorted(data) == ["1", "3"]
 
+    def test_no_table_when_every_k_fails(self, tmp_path, monkeypatch, capsys):
+        def fail(k, *args, **kwargs):
+            raise ConvergenceError(f"forced at k={k}")
+
+        monkeypatch.setattr(montgomery, "minimizer_state", fail)
+        assert run_cli(["table1", "--k", "5", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "k=5: FAILED (forced at k=5)" in captured.err
+        assert captured.out == ""
+
     def test_determinism(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

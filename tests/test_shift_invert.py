@@ -1,13 +1,16 @@
 """The shift-invert Lanczos of `magwell._shift_invert` against dense
-`eigvalsh`: complex Hermitian and real symmetric matrices, a near-degenerate
-pair, the inertia certificate of a shift, the strip-decoupled lower bound
-that certifies a count cheaply, and the typed failure."""
+`eigvalsh`: complex Hermitian and real symmetric matrices, near-degenerate
+pairs, the residual bound of its stop rule, the inertia certificate of a
+shift, the strip-decoupled lower bound that certifies a count cheaply, and
+the typed failure."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from magwell import _shift_invert
 from magwell._shift_invert import (
     LANCZOS_MAX_STEPS,
+    RESIDUAL_TOL,
     ShiftRejected,
     count_below,
     count_below_bounded,
@@ -75,16 +78,62 @@ class TestAgainstDense:
         vals = lowest_sparse_eigenpairs(H, 6)
         assert np.max(np.abs(vals - dense[:6]) / dense[:6]) < 1e-12
 
-    def test_near_degenerate_pair_is_resolved(self):
-        # levels 1 and 1 + 1e-10, then a gap: a Ritz value that settled on
+    @staticmethod
+    def check_pair_resolved(split):
+        # levels 1 and 1 + split, then a gap: a Ritz value that settled on
         # the pair as one level would skip the second and return 1.5 as the
         # second lowest
-        d = np.concatenate([[1.0, 1.0 + 1e-10], np.linspace(1.5, 40.0, 298)])
+        d = np.concatenate([[1.0, 1.0 + split], np.linspace(1.5, 40.0, 298)])
         H = rotated_diagonal(d)
         dense = np.linalg.eigvalsh(H.toarray())
         vals = lowest_sparse_eigenpairs(H, 4)
         assert np.max(np.abs(vals - dense[:4])) < 1e-13
-        assert vals[1] - vals[0] == pytest.approx(1e-10, abs=1e-13)
+        assert vals[1] - vals[0] == pytest.approx(split, abs=1e-13)
+
+    def test_near_degenerate_pair_is_resolved(self):
+        self.check_pair_resolved(1e-10)
+
+    def test_pair_split_by_1e_12_is_resolved(self):
+        # the values converge to rounding long before the vectors do; the
+        # pair is still told apart
+        self.check_pair_resolved(1e-12)
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("at", ["zero", "shift"])
+    def test_residual_bound_is_the_residual(self, monkeypatch, at):
+        # rule (b) reads the residual |B y - lambda y| of each Ritz vector
+        # from the Lanczos relation; on the returned pairs it agrees with
+        # the residual computed from the vectors, to rounding in B
+        B = reflection_block(0)
+        dense = np.linalg.eigvalsh(B.toarray())
+        shift = 0.9 * dense[0] if at == "shift" else 0.0
+        tested = []
+        real = _shift_invert._ritz_test
+
+        def spy(alpha, beta, m, il, iu, next_norm):
+            theta, S, passed = real(alpha, beta, m, il, iu, next_norm)
+            r = np.abs(beta[m - 1] * S[m - 1])
+            tested.append((shift + 1.0 / theta, r * next_norm / np.abs(theta)))
+            return theta, S, passed
+
+        monkeypatch.setattr(_shift_invert, "_ritz_test", spy)
+        vals, vecs = lowest_sparse_eigenpairs(B, 4, True, shift=shift)
+        levels, bound = tested[-1]
+        bound = bound[np.argsort(levels)]
+        resid = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
+        assert np.all(bound <= 0.1 * RESIDUAL_TOL)
+        assert np.max(np.abs(bound - resid)) <= 4 * np.finfo(float).eps * dense[-1]
+        # the bound is not at the rounding floor everywhere, so it is tested
+        assert np.max(resid) > 20 * np.finfo(float).eps * dense[-1]
+
+    def test_vectors_meet_the_residual_tol(self):
+        # the values converge with residuals above 1e-12; rule (b) keeps
+        # the vectors within RESIDUAL_TOL
+        B = reflection_block(0)
+        vals, vecs = lowest_sparse_eigenpairs(B, 4, True)
+        residual = np.max(np.linalg.norm(B @ vecs - vecs * vals, axis=0))
+        assert 1e-12 < residual <= RESIDUAL_TOL
 
 
 class TestShiftCertificate:
@@ -149,10 +198,12 @@ class TestStripLowerBound:
 
 class TestFailures:
     def test_unconverged_levels_raise_with_estimates(self):
-        # 1000 levels evenly spread over [1, 1.001]: the lowest need far
-        # more Lanczos steps than the basis cap allows
-        assert LANCZOS_MAX_STEPS < 1000
-        d = np.linspace(1.0, 1.001, 1000)
+        # 2000 levels evenly spread over [1, 1.001], 5e-7 apart: the value
+        # bound needs far more Lanczos steps than the basis cap allows to
+        # set the lowest two apart from their neighbours (1000 such levels
+        # converge within the cap)
+        assert LANCZOS_MAX_STEPS < 2000
+        d = np.linspace(1.0, 1.001, 2000)
         with pytest.raises(ConvergenceError, match="did not converge") as err:
             lowest_sparse_eigenpairs(sp.diags(d).tocsr(), 2)
         estimates = err.value.estimates
