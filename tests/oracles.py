@@ -7,9 +7,6 @@ The wrapper oracle reaches stebz and stein through scipy's checked
 `eigh_tridiagonal`, which the library calls around.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
-The degenerate-bottom oracle minimises, over the coordinate along e_omega,
-the lowest Ritz value of the miniwell operator on the orthogonal fiber,
-bypassing the closed-form reduced oscillator.
 The band-derivative helpers evaluate the Hellmann-Feynman and
 reduced-resolvent quadratures of `montgomery` at points of the tests'
 choosing; the large-alpha ratio compares the band with its semiclassical
@@ -19,9 +16,7 @@ computations that the library itself never needs.
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
-from magwell.miniwell import EffectiveOperatorK, _hermite_axis
 from magwell.model2d import Field2DConfig
 from magwell.montgomery import (_hellmann_feynman, _resolvent_d2, family_potential,
                                 lambda_m)
@@ -128,39 +123,6 @@ def reflection_residuals(spectrum) -> np.ndarray:
     return np.array([
         np.linalg.norm(u[::-1] - (1.0 if p == "even" else -1.0) * u) / np.linalg.norm(u)
         for u, p in zip(spectrum.eigenfunctions, spectrum.parity)])
-
-
-def omega_orthogonal_direction(kop: EffectiveOperatorK) -> np.ndarray:
-    """The degenerate-branch distinguished vector: orthogonal to the
-    completion directions with respect to the bilinear form Omega, i.e.
-    parallel to Omega^{-1} e_omega."""
-    v = np.linalg.solve(kop.Omega, kop.e_omega)
-    return v / np.linalg.norm(v)
-
-
-def degenerate_bottom(kop: EffectiveOperatorK, n: int = 48) -> float:
-    """Bottom of the half-line spectrum of K when c_omega = 0 (dim <= 2).
-
-    With no kinetic term along e, the coordinate p there is a parameter:
-    K is the family of fibers -d^2/dq^2 + (p e + q f)^T Omega (p e + q f)
-    + Re(A), with f the unit vector orthogonal to e. The bottom is the
-    minimum over p of the lowest fiber level, here the lowest Ritz value in
-    n Hermite functions scaled to (f^T Omega f)^{-1/4}. In 1D there is no
-    fiber, and the level is p^2 Omega.
-    """
-    e = kop.e_omega
-    if kop.dim == 1:
-        def fiber(p):
-            return p * p * kop.Omega[0, 0]
-    else:
-        f = np.array([-e[1], e[0]])
-        ee, ef, ff = e @ kop.Omega @ e, e @ kop.Omega @ f, f @ kop.Omega @ f
-        X, X2, _, D2 = (m.toarray() for m in _hermite_axis(ff ** -0.25, n))
-
-        def fiber(p):
-            H = -D2 + ff * X2 + 2.0 * p * ef * X + p * p * ee * np.eye(n)
-            return np.linalg.eigvalsh(H)[0]
-    return minimize_scalar(fiber, bracket=(-1.0, 1.0)).fun + kop.A_const.real
 
 
 def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:

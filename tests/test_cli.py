@@ -368,6 +368,7 @@ class TestMiniwellPredict:
         assert sorted(data["spectrum"]) == MINIWELL_SPECTRUM_KEYS
         assert data["spectrum"]["branch"] == "nondegenerate"
         assert len(data["spectrum"]["levels"]) == 4
+        assert data["spectrum"]["bottom"] == data["spectrum"]["levels"][0]
 
     def test_predict_files(self, tmp_path, geometry_file):
         rc = run_cli(["predict", "--geometry", geometry_file, "--k", "1",

@@ -17,8 +17,6 @@ from magwell.miniwell import (
 )
 from magwell.sl_engine import ConvergenceError, SolverError
 
-from oracles import degenerate_bottom, omega_orthogonal_direction
-
 
 def make_geometry(dim=2, **overrides):
     base = dict(
@@ -202,45 +200,27 @@ class TestSpectrumK:
         ks = spectrum_K(kop, 3)
         assert np.allclose(ks.levels, [6, 10, 12])
 
-    def test_negative_c_rejected(self):
-        kop = make_kop(-0.5, [1.0], np.array([[1.0]]))
-        with pytest.raises(SolverError, match="minimality"):
-            spectrum_K(kop, 2)
+    @pytest.mark.parametrize("c", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_c_omega_refused_at_construction(self, c):
+        # zero, negative, NaN or inf: K has discrete levels only at a
+        # non-degenerate band minimum, where c_omega = d2/2 is positive
+        with pytest.raises(SolverError, match=r"^c_omega = d2/2 must be positive"):
+            make_kop(c, [1.0], np.array([[1.0]]))
 
     def test_omega_must_be_spd(self):
-        kop = make_kop(1.0, [1.0, 0.0], np.diag([1.0, -1.0]))
         with pytest.raises(SolverError, match="positive definite"):
-            spectrum_K(kop, 2)
+            make_kop(1.0, [1.0, 0.0], np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_omega_refused_at_construction(self, value):
+        with pytest.raises(SolverError, match="positive definite and finite"):
+            make_kop(1.0, [1.0, 0.0], np.diag([1.0, value]))
 
     def test_imaginary_A_warns(self):
         kop = make_kop(1.0, [1.0], np.array([[1.0]]), A=1.0 + 1e-5j)
         with pytest.warns(UserWarning, match="complex constant"):
             ks = spectrum_K(kop, 2)
         assert ks.imag_A_warning
-
-    def test_degenerate_branch_half_line(self):
-        # c_omega = 0: quadratic along the Omega-conjugate direction, reduced
-        # oscillator on the completion
-        Om = np.array([[2.0, 0.3], [0.3, 1.0]])
-        e = np.array([1.0, 0.0])
-        kop = make_kop(0.0, e, Om, A=0.25)
-        ks = spectrum_K(kop, 4)
-        assert ks.branch == "degenerate"
-        assert ks.levels is None
-        # reduced oscillator: Omega restricted to span{e_2} = [[1.0]]
-        assert ks.bottom == pytest.approx(0.25 + 1.0)
-        eprime = omega_orthogonal_direction(kop)
-        assert abs(eprime @ Om @ np.array([0.0, 1.0])) < 1e-12
-
-    @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9,
-                                       1e-8, 1e-7, 1e-6, 1e-3])
-    def test_degenerate_bottom_with_e_near_an_axis(self, delta):
-        # e = (1, delta, 0)/r with r^2 = 1 + delta^2 has the complement
-        # u = (-delta, 1, 0)/r, (0, 0, 1), on which Omega = diag(1, 2, 3) is
-        # diag((2 + delta^2)/r^2, 3): the bottom is the sum of their roots
-        kop = make_kop(0.0, [1.0, delta, 0.0], np.diag([1.0, 2.0, 3.0]))
-        exact = np.sqrt((2.0 + delta**2) / (1.0 + delta**2)) + np.sqrt(3.0)
-        assert spectrum_K(kop, 1).bottom == pytest.approx(exact, rel=1e-13)
 
     def test_level_gap_equals_twice_frequency_1d(self):
         kop = make_kop(2.0, [1.0], np.array([[3.0]]))
@@ -278,17 +258,6 @@ class TestOracle:
         oracle = spectrum_K_oracle(kop, 6)
         assert np.max(np.abs(closed - oracle)) < 1e-4
 
-    def test_degenerate_branch_fiber_bottom(self):
-        # the half-line edge of the closed form against the minimum over
-        # the degenerate coordinate of the lowest fiber Ritz value
-        for e, Om, A in (([1.0, 0.0], [[2.0, 0.3], [0.3, 1.0]], 0.25),
-                         ([0.6, 0.8], [[1.5, 0.2], [0.2, 0.8]], 0.0),
-                         ([1.0, 0.0], [[30.0, 0.0], [0.0, 40.0]], -0.1),
-                         ([1.0], [[2.0]], 0.3)):
-            kop = make_kop(0.0, e, Om, A=A)
-            bottom = spectrum_K(kop, 1).bottom
-            assert abs(degenerate_bottom(kop) - bottom) < 1e-8
-
     def test_basis_cap_raises(self):
         # a rotated 1e4-anisotropic well is too elongated for an axis-aligned
         # Hermite basis of 128 functions per axis
@@ -299,12 +268,6 @@ class TestOracle:
             spectrum_K_oracle(kop, 6)
         before, after = info.value.estimates
         assert after <= before      # Ritz values never increase
-
-    def test_degenerate_branch_refused(self):
-        # the half line has no discrete levels to diagonalize
-        for e, Om in (([1.0], [[1.0]]), ([0.6, 0.8], [[1.5, 0.2], [0.2, 0.8]])):
-            with pytest.raises(ValueError, match="c_omega = 0"):
-                spectrum_K_oracle(make_kop(0.0, e, Om), 1)
 
     def test_zero_count_refused(self):
         kop = make_kop(1.0, [1.0], np.array([[1.0]]))
@@ -352,3 +315,10 @@ class TestBuildEffectiveOperator:
             st.report.nu_hat / (2 * 3) * 0.4, rel=1e-12)
         M = kop.kinetic_matrix()
         assert M[0, 0] == pytest.approx(kop.c_omega)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_c_omega_is_half_a_positive_curvature(self, states, k):
+        # every band minimum the package computes is non-degenerate
+        report = states[k].report
+        kop = build_effective_operator(flat_model_geometry(1.0, 0.4), report)
+        assert kop.c_omega == report.d2 / 2 > 0

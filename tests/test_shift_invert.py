@@ -127,6 +127,25 @@ class TestStopRule:
         # the bound is not at the rounding floor everywhere, so it is tested
         assert np.max(resid) > 20 * np.finfo(float).eps * dense[-1]
 
+    @pytest.mark.parametrize("at", ["zero", "shift"])
+    def test_all_pairs_tested_once_the_last_passes(self, monkeypatch, at):
+        # the k-th pair converges last: the test of all k pairs runs only
+        # once its value and its residual pass, and then stops the Lanczos
+        B = reflection_block(0)
+        shift = 0.9 * np.linalg.eigvalsh(B.toarray())[0] if at == "shift" else 0.0
+        full = []
+        real = _shift_invert._ritz_test
+
+        def spy(alpha, beta, m, il, iu, next_norm):
+            out = real(alpha, beta, m, il, iu, next_norm)
+            if iu > il:
+                full.append(out[2])
+            return out
+
+        monkeypatch.setattr(_shift_invert, "_ritz_test", spy)
+        lowest_sparse_eigenpairs(B, 4, shift=shift)
+        assert full == [True]
+
     def test_vectors_meet_the_residual_tol(self):
         # the values converge with residuals above 1e-12; rule (b) keeps
         # the vectors within RESIDUAL_TOL
