@@ -24,8 +24,11 @@ the odd block's own factor only when that bound is inconclusive.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -425,6 +428,87 @@ def _intercept_fit(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
+def _solve_h(config: Field2DConfig, m_count: int, lead_coef: float,
+             lead_pow: float, h: float) -> tuple[np.ndarray, list[Warning]]:
+    """The lowest m_count levels at h, and the warnings their solve issued."""
+    op = assemble_2d(config, h)
+    # 0.97 of the leading term forecasts a shift just below lambda_0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals = lowest_eigenvalues_2d(op, m_count, shift=0.97 * lead_coef * h**lead_pow)
+    return vals, [w.message for w in caught]
+
+
+def _env_threads(*names: str) -> Optional[int]:
+    """The first positive integer among the environment variables `names`,
+    read in order as BLAS libraries read their thread counts."""
+    for name in names:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+def _sweep_workers(n_h: int) -> int:
+    """Processes that solve the n_h values of an h sweep side by side.
+
+    One per usable core, at most one per h, when BLAS runs one thread: both
+    OpenBLAS (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else
+    OMP_NUM_THREADS) and MKL (MKL_NUM_THREADS, else OMP_NUM_THREADS) read 1.
+    Otherwise 1, in process: under BLAS's default threading each worker
+    starts one BLAS thread per core, and such a pool ran slower than the
+    serial sweep. Also 1 where `os.fork` or `os.sched_getaffinity` is
+    missing.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if (_env_threads("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS") != 1
+            or _env_threads("MKL_NUM_THREADS", "OMP_NUM_THREADS") != 1):
+        return 1
+    return min(n_h, len(os.sched_getaffinity(0)))
+
+
+_fork_task: Optional[Callable] = None    # set in each sweep worker process
+
+
+def _set_fork_task(task: Callable) -> None:
+    global _fork_task
+    _fork_task = task
+
+
+def _run_fork_task(h: float):
+    return _fork_task(h)
+
+
+@contextlib.contextmanager
+def _solved_h(solve: Callable, h_list: Sequence[float]):
+    """Calls that each return `solve(h)`, or raise its error, for the h of
+    h_list in that order.
+
+    With more than one `_sweep_workers`, the h are solved side by side in a
+    pool of forked processes (not threads: the SuperLU factorisation holds
+    the GIL), smallest h (largest grid) first; otherwise
+    each call solves its h in process. Leaving the block cancels the h not
+    yet started and joins the workers.
+    """
+    workers = _sweep_workers(len(h_list))
+    if workers == 1:
+        yield [partial(solve, h) for h in h_list]
+        return
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    # fork hands `solve` to the workers unpickled, so a config whose omega is
+    # a closure (as `default_omega_profile` returns) works; with one BLAS
+    # thread the parent holds no BLAS threads across the fork
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_fork_task, initargs=(solve,))
+    try:
+        futures = {h: pool.submit(_run_fork_task, h) for h in sorted(h_list)}
+        yield [futures[h].result for h in h_list]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     """Measure the low spectrum across the h sweep and compare with the
     semiclassical predictions.
@@ -439,6 +523,11 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     correction power h^{1/(k+2)} (the half-power term cancels for profiles
     even about the minimum). Warns when the largest h sits outside the
     asymptotic window (leading term less than ten times the miniwell term).
+
+    When BLAS runs one thread, the h values are solved side by side in
+    forked worker processes, one per usable core (`_sweep_workers`). Their
+    levels, warnings and errors are taken in h_list order, as in process:
+    the first error other than a skip is raised.
     """
     if m_count < 2:
         raise ValueError(f"the sweep fits level splittings, so it needs "
@@ -455,23 +544,21 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
 
     issued: list[str] = []
     kept, skipped, rows = [], [], []
-    for h in config.h_list:
-        try:
-            op = assemble_2d(config, h)
-        except ResolutionError as exc:
-            skipped.append(h)
-            issued.append(str(exc))
-            continue
-        # 0.97 of the leading term forecasts a shift just below lambda_0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows.append(lowest_eigenvalues_2d(op, m_count,
-                                              shift=0.97 * lead_coef * h**lead_pow))
-        for w in caught:
-            warnings.warn(w.message, stacklevel=2)
-            if issubclass(w.category, ShiftCertificateWarning):
-                issued.append(str(w.message))
-        kept.append(h)
+    solve = partial(_solve_h, config, m_count, lead_coef, lead_pow)
+    with _solved_h(solve, config.h_list) as results:
+        for h, result in zip(config.h_list, results):
+            try:
+                vals, messages = result()
+            except ResolutionError as exc:
+                skipped.append(h)
+                issued.append(str(exc))
+                continue
+            for message in messages:
+                warnings.warn(message, stacklevel=2)
+                if isinstance(message, ShiftCertificateWarning):
+                    issued.append(str(message))
+            rows.append(vals)
+            kept.append(h)
     if len(kept) < 4:
         raise ConvergenceError("fewer than 4 usable h values in the sweep")
 

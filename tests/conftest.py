@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -34,3 +35,28 @@ def sweep2d():
     """The full k=1 validation sweep; shared by the acceptance criteria."""
     config = Field2DConfig.default(k=1)
     return config, run_sweep(config, m_count=4)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def set_blas_threads(monkeypatch, threads=None, cores=2):
+    """Clear the BLAS thread variables, then set OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS to `threads` (if given) and show
+    `cores` usable cores; the choice `model2d.run_sweep` makes from them."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if threads is not None:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(name, str(threads))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.fixture(params=["pinned", "unpinned"])
+def blas(request, monkeypatch):
+    """Runs a test twice: with BLAS pinned to one thread on two cores, where
+    an h sweep runs in a pool of two forked workers, and with the BLAS
+    thread variables unset, where it runs in process."""
+    set_blas_threads(monkeypatch, 1 if request.param == "pinned" else None)
+    return request.param

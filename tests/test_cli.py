@@ -12,6 +12,8 @@ from magwell import montgomery
 from magwell.cli import main
 from magwell.sl_engine import ConvergenceError
 
+from conftest import set_blas_threads
+
 # The JSON schemas of the outputs. Most objects are written from a dataclass
 # with its field names as keys, so renaming a field would change the file
 # format; these sets pin it.
@@ -417,23 +419,27 @@ class TestValidate2D:
         assert (tmp_path / "sweep2d.csv").read_text().splitlines()[0] == \
             "h,lambda_0,lambda_1,lambda_2,z_0,z_1,z_2"
 
-    def test_numerical_failure_exits_1(self, tmp_path, capsys):
-        # every h outgrows the pinned grid, so the sweep cannot proceed
+    def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # every h outgrows the pinned grid, so the sweep cannot proceed,
+        # whether its h are solved in worker processes or in process
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
             "k": 1, "omega_min": 1.0, "a": 1.0, "S": 8.0, "s1": 2.4,
             "T": 0.8, "h_list": [0.005, 0.004, 0.003, 0.002],
             "n_s": 32, "n_t": 32,
         }))
-        rc = run_cli(["validate2d", "--config", str(path),
-                      "--out", str(tmp_path)])
-        assert rc == 1
-        assert "numerical failure" in capsys.readouterr().err
+        for threads in (1, None):
+            set_blas_threads(monkeypatch, threads)
+            rc = run_cli(["validate2d", "--config", str(path),
+                          "--out", str(tmp_path)])
+            assert rc == 1
+            assert "numerical failure" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 16 MB and 0.2 s to every magwell process, and
-    # a process pool its multiprocessing modules; k sweeps run serially.
+    # a process pool its multiprocessing modules; k sweeps run serially, and
+    # an h sweep imports the pool's modules only when it runs one.
     # (numpy.testing, which scipy may load, imports concurrent.futures itself.)
     # A child process is needed: the test oracles import scipy.optimize into
     # this one.

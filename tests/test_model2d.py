@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
+from magwell import model2d
 from magwell._shift_invert import (
     count_below,
     count_below_bounded,
@@ -18,6 +20,7 @@ from magwell.model2d import (
     Field2DConfig,
     ResolutionError,
     ShiftCertificateWarning,
+    _sweep_workers,
     assemble_2d,
     lowest_eigenvalues_2d,
     reflection_blocks,
@@ -26,6 +29,7 @@ from magwell.model2d import (
 )
 from magwell.sl_engine import ConvergenceError
 
+from conftest import set_blas_threads
 from oracles import fiber_eigenvalues
 
 
@@ -406,28 +410,124 @@ class TestSweepSmoke:
         assert len(rep.splitting_coefficients) == 2
 
     def test_failed_certificates_recorded(self):
-        # on a short cylinder at large h, levels odd in t are among the
-        # lowest four: the odd-block certificate fails, warns, and is recorded
-        cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, T=0.8,
-                                    h_list=tuple(np.geomspace(0.5, 0.05, 4)))
         with pytest.warns(UserWarning, match="asymptotic window"), \
                 pytest.warns(ShiftCertificateWarning, match="odd block"):
-            rep = run_sweep(cfg, m_count=4)
+            rep = run_sweep(certificate_sweep(), m_count=4)
         certs = [w for w in rep.warnings_issued if "block" in w]
         assert certs[0].startswith("h=0.5, odd block: 2 negative pivots")
         assert np.all(np.diff(rep.eigenvalues, axis=1) > 0)
 
     def test_budget_skips_recorded(self):
-        # pinned 48x48 grid satisfies the rule at large h only; the sweep
-        # must skip (and record) the h values that outgrow it
-        cfg = Field2DConfig.default(
-            k=1, S=2.0, s1=0.6, T=0.8,
-            h_list=tuple(np.geomspace(0.2, 0.004, 6)),
-            points_per_length=6, n_s=48, n_t=48)
         with pytest.warns(UserWarning):
-            rep = run_sweep(cfg, m_count=2)
+            rep = run_sweep(budget_sweep(), m_count=2)
         assert len(rep.skipped_h) >= 1
         assert len(rep.h_values) + len(rep.skipped_h) == 6
+
+
+def certificate_sweep():
+    # on a short cylinder at large h, levels odd in t are among the
+    # lowest four: the odd-block certificate fails, warns, and is recorded
+    return Field2DConfig.default(k=1, S=3.0, s1=0.9, T=0.8,
+                                 h_list=tuple(np.geomspace(0.5, 0.05, 4)))
+
+
+def budget_sweep():
+    # pinned 48x48 grid satisfies the rule at large h only; the sweep
+    # must skip (and record) the h values that outgrow it
+    return Field2DConfig.default(
+        k=1, S=2.0, s1=0.6, T=0.8,
+        h_list=tuple(np.geomspace(0.2, 0.004, 6)),
+        points_per_length=6, n_s=48, n_t=48)
+
+
+def recorded_sweep(config, m_count):
+    """run_sweep's report and the warnings it issued, as (category, text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run_sweep(config, m_count)
+    return rep, [(w.category, str(w.message)) for w in caught]
+
+
+class TestSweepPool:
+    @pytest.mark.parametrize("sweep, m_count", [(certificate_sweep, 4), (budget_sweep, 2)])
+    def test_pool_matches_in_process(self, monkeypatch, sweep, m_count):
+        config = sweep()
+        set_blas_threads(monkeypatch, None)
+        assert _sweep_workers(len(config.h_list)) == 1
+        serial, serial_warnings = recorded_sweep(config, m_count)
+        set_blas_threads(monkeypatch, 1)
+        assert _sweep_workers(len(config.h_list)) == 2
+        pooled, pooled_warnings = recorded_sweep(config, m_count)
+        assert multiprocessing.active_children() == []
+        assert pooled.eigenvalues.tobytes() == serial.eigenvalues.tobytes()
+        assert pooled.warnings_issued == serial.warnings_issued
+        assert pooled.skipped_h == serial.skipped_h
+        assert pooled_warnings == serial_warnings
+        assert any(c is ShiftCertificateWarning for c, _ in pooled_warnings) \
+            == (sweep is certificate_sweep)
+
+    def test_lambda_profile(self, blas):
+        # fork hands the config to the workers unpickled, so a profile that
+        # cannot be pickled still runs there
+        base = certificate_sweep()
+        config = dataclasses.replace(base, omega=lambda s: base.omega(s))
+        rep, _ = recorded_sweep(config, 4)
+        ref, _ = recorded_sweep(base, 4)
+        assert rep.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_every_h_skipped_raises(self, blas):
+        # every h outgrows the pinned grid: each solve is skipped, and the
+        # sweep is left with too few h to fit
+        config = Field2DConfig.from_json({
+            "k": 1, "omega_min": 1.0, "a": 1.0, "S": 8.0, "s1": 2.4,
+            "T": 0.8, "h_list": [0.005, 0.004, 0.003, 0.002],
+            "n_s": 32, "n_t": 32})
+        with pytest.raises(ConvergenceError, match="fewer than 4 usable h"):
+            run_sweep(config)
+        assert multiprocessing.active_children() == []
+
+    def test_first_error_in_h_order_raised(self, blas, monkeypatch):
+        # the second h and the smallest one (solved first in a pool) fail:
+        # the second one's error is raised, with its type and estimates
+        config = certificate_sweep()
+        failing = (config.h_list[1], config.h_list[3])
+        solve = model2d.lowest_eigenvalues_2d
+
+        def failing_solve(op, m_count, shift=0.0):
+            if op.h in failing:
+                raise ConvergenceError(f"forced at h={op.h}", estimates=(op.h,))
+            return solve(op, m_count, shift=shift)
+
+        monkeypatch.setattr(model2d, "lowest_eigenvalues_2d", failing_solve)
+        with pytest.raises(ConvergenceError, match="forced at h=") as info:
+            recorded_sweep(config, 4)
+        assert info.value.estimates == (failing[0],)
+        assert multiprocessing.active_children() == []
+
+
+class TestSweepWorkers:
+    PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize("env, cores, n_h, workers", [
+        ({}, 2, 4, 1),
+        (PINNED, 2, 4, 2),
+        (PINNED, 1, 4, 1),
+        (PINNED, 8, 4, 4),
+        (PINNED, 2, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 2, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}, 2, 4, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 4, 2),
+    ])
+    def test_sizing_rule(self, monkeypatch, env, cores, n_h, workers):
+        set_blas_threads(monkeypatch, None, cores)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert _sweep_workers(n_h) == workers
 
 
 class TestGridConvergence:
