@@ -236,11 +236,13 @@ def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
     call and freed before it returns or raises, so a caller that solves one
     matrix after another never holds two factors. When the k levels do not
     converge within LANCZOS_MAX_STEPS steps, ConvergenceError carries the
-    last Ritz values as `estimates`.
+    last Ritz values as `estimates`. A k outside 1..n, or one whose first
+    test step min(2k, n) lies past the last step, raises ValueError first.
     """
     n = H.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"cannot take {k} eigenvalues of a matrix of order {n}")
+    if not 1 <= k <= n or min(2 * k, n) > LANCZOS_MAX_STEPS:
+        raise ValueError(f"cannot take {k} eigenvalues of a matrix of order {n} "
+                         f"in {LANCZOS_MAX_STEPS} Lanczos steps")
     try:
         lu = _factor(H, shift)
     except RuntimeError:           # SuperLU: factor is exactly singular

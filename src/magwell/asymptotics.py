@@ -69,9 +69,9 @@ def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
 
 
 def gap_intervals(h: float, k: int, omega_min: float,
-                  K_levels: Sequence[float], N: int, c_res: float = 1.0,
+                  K_levels: Sequence[float], c_res: float = 1.0,
                   *, nu_hat: float) -> list[tuple[float, float]]:
-    """Predicted spectral gaps between consecutive quasimode energies.
+    """Predicted spectral gaps, one between each pair of consecutive levels.
 
     Each open interval (z_m, z_{m+1}) is shrunk on both sides by the
     quasimode residual margin r(h) = c_res * h^{(4k+7)/(2(k+2))}; a pair of
@@ -81,13 +81,11 @@ def gap_intervals(h: float, k: int, omega_min: float,
     if not 0 <= c_res < np.inf:
         raise ValueError(f"c_res must be finite and >= 0, got c_res={c_res}")
     levels = np.asarray(K_levels, dtype=float)
-    if len(levels) < N + 1:
-        raise ValueError(f"need at least {N + 1} ascending levels, got {len(levels)}")
     if np.any(np.diff(levels) <= 0):
         raise ValueError("K levels must be strictly ascending")
     r = c_res * h ** float(residual_exponent(k))
     out = []
-    for m in range(N):
+    for m in range(len(levels) - 1):
         z_lo = quasimode_energy(h, k, omega_min, levels[m], nu_hat=nu_hat)
         z_hi = quasimode_energy(h, k, omega_min, levels[m + 1], nu_hat=nu_hat)
         if z_hi - z_lo <= 2.0 * r:
@@ -167,8 +165,7 @@ def build_forecast(k: int, omega_min: float, K_levels: Sequence[float],
         hi.append(b[1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            gaps.append(tuple(gap_intervals(h, k, omega_min, levels,
-                                            len(levels) - 1, c_res,
+            gaps.append(tuple(gap_intervals(h, k, omega_min, levels, c_res,
                                             nu_hat=nu_hat)))
     return GapForecast(
         k=k, omega_min=omega_min, nu_hat=float(nu_hat), K_levels=levels,

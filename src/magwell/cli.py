@@ -36,17 +36,16 @@ class UsageError(Exception):
 
 
 def _parse_k_range(text: str) -> list[int]:
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            ks = list(range(int(lo), int(hi) + 1))
-        else:
-            ks = [int(text)]
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError as exc:
         raise UsageError(f"bad k range {text!r}: {exc}") from exc
-    if not ks or any(k < 1 for k in ks):
+    if lo > hi:
+        raise UsageError(f"k range {text!r} has LO > HI")
+    if lo < 1:
         raise UsageError(f"k values must be >= 1, got {text!r}")
-    return ks
+    return list(range(lo, hi + 1))
 
 
 def _parse_float_list(text: str) -> list[float]:

@@ -35,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._files import read_fields
-from ._shift_invert import ShiftRejected, count_below_bounded, lowest_sparse_eigenpairs
+from ._shift_invert import (RESIDUAL_TOL, ShiftRejected, count_below_bounded,
+                            lowest_sparse_eigenpairs)
 from .sl_engine import ConvergenceError, SolverError
 from .montgomery import _shifted_gauge, minimizer_state
 from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
@@ -117,8 +118,7 @@ class Field2DConfig:
     @classmethod
     def default(cls, k: int = 1, omega_min: float = 1.0, a: float = 1.0,
                 S: float = 14.0, s1: float = 4.2, T: float = 0.8,
-                h_list: Optional[Sequence[float]] = None,
-                points_per_length: int = 20, **kw) -> "Field2DConfig":
+                h_list: Optional[Sequence[float]] = None, **kw) -> "Field2DConfig":
         if h_list is None:      # the default sweep: seven h from 0.02 to 0.002
             h_list = tuple(np.geomspace(0.02, 0.002, 7))
         # omega''(s1); a and S are checked first, as S divides
@@ -129,8 +129,7 @@ class Field2DConfig:
             omega=default_omega_profile(omega_min, a, _finite("s1", s1), S),
             omega_min=omega_min,
             curvature_abs2=2.0 * omega_min * curv_omega,
-            S=S, T=T, h_list=tuple(h_list),
-            points_per_length=points_per_length, **kw)
+            S=S, T=T, h_list=tuple(h_list), **kw)
 
     @classmethod
     def from_json(cls, source) -> "Field2DConfig":
@@ -330,7 +329,7 @@ def _block_pairs(H, count: int, shift: float, where: str):
 
 
 def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
-                          tol: float = 1e-9, shift: float = 0.0) -> np.ndarray:
+                          shift: float = 0.0) -> np.ndarray:
     """m_count smallest eigenvalues of the operator, ascending.
 
     When the operator commutes exactly with the reflection t -> -t it is
@@ -362,9 +361,9 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     into blocks, each solved or certified on its own. A Lanczos that does
     not converge raises ConvergenceError with its last Ritz values. Each
     Lanczos stops once its Ritz vectors have residuals within
-    RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`), whatever `tol` is.
-    Every returned pair satisfies |H v - lambda v| <= tol |v| on the full
-    operator; a larger residual raises."""
+    RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`). Every returned pair
+    satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on the full operator; a
+    larger residual raises."""
     H = operator.hermitian
     where = f"h={operator.h:g}"
     blocks = reflection_blocks(operator)
@@ -392,9 +391,9 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     for i in range(m_count):
         v = vecs[:, i]
         resid = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
-        if resid > tol:
-            raise ConvergenceError(
-                f"eigenpair {i} residual {resid:.2e} exceeds tol {tol:g}")
+        if resid > RESIDUAL_TOL:
+            raise ConvergenceError(f"eigenpair {i} residual {resid:.2e} "
+                                   f"exceeds {RESIDUAL_TOL:g}")
     return vals
 
 

@@ -357,18 +357,18 @@ class ProfileTable:
 
 
 def profile(report: MinimizerReport, alpha_range: tuple[float, float],
-            n_samples: int, tol: float = 1e-6) -> ProfileTable:
+            n_samples: int) -> ProfileTable:
     """Tabulate lambda_0(alpha, 1) and the quadratic approximation
 
         lambda_quad(alpha) = nu_hat + (d2/2) (alpha - alpha_min)^2
 
-    over alpha_range, for the k of the given band-minimum report.
-    lambda_quad(alpha_min) equals nu_hat by construction.
+    over alpha_range (lambda_0 converged to 1e-6), for the k of the given
+    band-minimum report. lambda_quad(alpha_min) equals nu_hat by construction.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_samples)
-    lam = np.array([eigenvalue_converged(family_potential(report.k, a), 0, tol)[0]
+    lam = np.array([eigenvalue_converged(family_potential(report.k, a), 0, 1e-6)[0]
                     for a in alphas])
     quad = report.nu_hat + 0.5 * report.d2 * (alphas - report.alpha_min) ** 2
     return ProfileTable(alpha=alphas, lambda0=lam, lambda_quad=quad)

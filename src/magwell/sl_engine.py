@@ -26,6 +26,8 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 ROUGH_GRID_POINTS = 257     # points of the unconverged grids: box search, band scan
+PROBE_POINTS = 513          # points of the grid on which the half-width is doubled
+MAX_REFINEMENTS = 12        # spacing halvings before a converged solve gives up
 
 
 class SolverError(Exception):
@@ -276,9 +278,7 @@ def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int) -> floa
     return 1.02 * hi
 
 
-def eigenvalue_converged(potential, m: int, tol: float,
-                         probe_points: int = 513,
-                         max_refinements: int = 12) -> tuple[float, Spectrum1D]:
+def eigenvalue_converged(potential, m: int, tol: float) -> tuple[float, Spectrum1D]:
     """m-th eigenvalue of the continuum operator -u'' + V u on the line.
 
     Doubles the truncation half-width until the wall exceeds the level and
@@ -294,7 +294,8 @@ def eigenvalue_converged(potential, m: int, tol: float,
     convergence_estimate is the distance from each discrete eigenvalue to
     its extrapolant plus the final extrapolant increment. A potential that
     does not grow fast enough to confine raises ConvergenceError from the
-    box search.
+    box search; extrapolants that do not settle within MAX_REFINEMENTS
+    halvings raise it with the last two.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -302,7 +303,7 @@ def eigenvalue_converged(potential, m: int, tol: float,
 
     L = _initial_half_width(potential, m)
     for _ in range(24):
-        grid = Grid1D(L, probe_points)
+        grid = Grid1D(L, PROBE_POINTS)
         spec = lowest_eigenpairs(assemble(potential, grid), track)
         lam = spec.eigenvalues[m]
         wall = min(float(potential(-L)), float(potential(L)))
@@ -313,24 +314,24 @@ def eigenvalue_converged(potential, m: int, tol: float,
         raise ConvergenceError("half-width doubling exhausted",
                                estimates=(float(lam), float(lam)))
 
-    n = probe_points
+    n = PROBE_POINTS
     prev = spec.eigenvalues
-    prev_R = None
-    for _ in range(max_refinements):
+    extrapolants = []
+    for _ in range(MAX_REFINEMENTS):
         n = 2 * (n - 1) + 1
         op = assemble(potential, Grid1D(L, n))
         spec = lowest_eigenpairs(op, track)
         cur = spec.eigenvalues
         lam_R = (4.0 * cur - prev) / 3.0
         noise = 32.0 * np.finfo(float).eps * op.norm_bound()
-        if prev_R is not None:
-            step = float(np.max(np.abs(lam_R - prev_R)))
+        if extrapolants:
+            step = float(np.max(np.abs(lam_R - extrapolants[-1])))
             if step < max(tol, noise):
                 spec = replace(spec, convergence_estimate=np.abs(lam_R - cur) + step,
                                extrapolants=lam_R)
                 return float(lam_R[m]), spec
-        prev_R = lam_R
+        extrapolants.append(lam_R)
         prev = cur
     raise ConvergenceError(
         f"spacing refinement exhausted at n={n}",
-        estimates=(float(prev_R[m]), float(lam_R[m])))
+        estimates=tuple(float(lam_R[m]) for lam_R in extrapolants[-2:]))

@@ -210,8 +210,7 @@ def test_criterion_8_gap_forecast(sweep2d):
 
     clean = True
     for i, h in enumerate(hs):
-        bands = gap_intervals(h, 1, config.omega_min, rep.K_levels,
-                              len(rep.K_levels) - 1, c_res=c_fit,
+        bands = gap_intervals(h, 1, config.omega_min, rep.K_levels, c_res=c_fit,
                               nu_hat=rep.nu_hat)
         for lo, hi in bands:
             clean &= not np.any((lam[i] > lo) & (lam[i] < hi))

@@ -57,8 +57,7 @@ class TestGroundBounds:
 
 class TestGapIntervals:
     def test_two_gaps_disjoint(self):
-        gaps = gap_intervals(0.001, 1, 1.0, [2.0, 4.0, 6.0], 2,
-                             nu_hat=NU_HAT_K1)
+        gaps = gap_intervals(0.001, 1, 1.0, [2.0, 4.0, 6.0], nu_hat=NU_HAT_K1)
         assert len(gaps) == 2
         assert gaps[0][1] < gaps[1][0]
         for lo, hi in gaps:
@@ -67,7 +66,7 @@ class TestGapIntervals:
     def test_midpoint_spacing(self):
         h, k = 0.002, 1
         levels = [1.0, 3.5, 7.0]
-        gaps = gap_intervals(h, k, 1.0, levels, 2, nu_hat=NU_HAT_K1)
+        gaps = gap_intervals(h, k, 1.0, levels, nu_hat=NU_HAT_K1)
         mid = [0.5 * (lo + hi) for lo, hi in gaps]
         z = [quasimode_energy(h, k, 1.0, lam, nu_hat=NU_HAT_K1)
              for lam in levels]
@@ -89,8 +88,7 @@ class TestGapIntervals:
 
     def test_close_levels_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="dropped"):
-            gaps = gap_intervals(0.5, 1, 1.0, [1.0, 1.0 + 1e-6], 1,
-                                 nu_hat=NU_HAT_K1)
+            gaps = gap_intervals(0.5, 1, 1.0, [1.0, 1.0 + 1e-6], nu_hat=NU_HAT_K1)
         assert gaps == []
 
 

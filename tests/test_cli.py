@@ -124,9 +124,11 @@ class TestExitCodes:
          "h_list must be a list of finite numbers, got [0.02, nan, 0.005, 0.002]"),
         (["profile", "--k", "1", "--range", "nan:1"], "non-finite"),
         (["profile", "--k", "1", "--range=1:-1"], "range '1:-1' has LO > HI"),
+        (["table1", "--k", "3..1"], "k range '3..1' has LO > HI"),
+        (["verify", "--k", "3..1"], "k range '3..1' has LO > HI"),
     ], ids=["h-nan", "h-inf", "residual-constant-negative",
             "error-constant-nan", "geometry-nan", "sweep-h-nan", "range-nan",
-            "range-reversed"])
+            "range-reversed", "table1-k-reversed", "verify-k-reversed"])
     def test_nonfinite_or_negative_input_is_usage_error(self, tmp_path, capsys,
                                                          geometry_file, argv,
                                                          message):
@@ -402,6 +404,20 @@ class TestMiniwellPredict:
         data = json.loads((tmp_path / "forecast.json").read_text())
         lo = rows[0].index("gap_lo_0")
         assert float(rows[1][lo]) == data["gap_windows"][0][0][0]
+
+    def test_predict_single_level_has_no_gap(self, tmp_path, geometry_file):
+        # one K level bounds no gap, even with windows opened by a small
+        # residual constant: only the h and z_0 columns are written
+        rc = run_cli(["predict", "--geometry", geometry_file, "--h", "0.01,0.005",
+                      "--count", "1", "--residual-constant", "1e-4",
+                      "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "forecast.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["h", "z_0"]
+        assert len(rows) == 3 and all(len(row) == 2 for row in rows)
+        data = json.loads((tmp_path / "forecast.json").read_text())
+        assert data["gap_windows"] == [[], []]
 
 
 class TestValidate2D:

@@ -142,7 +142,7 @@ class TestAssembly:
         op = assemble_2d(cfg, h)
         # the 4th level is odd in t, so the odd block is solved and merged
         with pytest.warns(ShiftCertificateWarning, match="odd block"):
-            vals = lowest_eigenvalues_2d(op, 6, tol=1e-8)
+            vals = lowest_eigenvalues_2d(op, 6)
         n_s, n_t = cfg.grid_for(h)
         dt = 2 * cfg.T / (n_t - 1)
         ds = cfg.S / n_s
@@ -175,17 +175,23 @@ class TestEigenvalues:
         cfg = small_config(n_s=22, n_t=14)
         op = assemble_2d(cfg, 0.5)
         with pytest.warns(ShiftCertificateWarning, match="odd block"):
-            vals = lowest_eigenvalues_2d(op, 5, tol=1e-9)
+            vals = lowest_eigenvalues_2d(op, 5)
         dense = np.linalg.eigvalsh(op.hermitian.toarray())
         assert np.allclose(vals, dense[:5], atol=1e-9)
 
-    def test_residual_contract(self):
-        # pairs that meet the default tol are returned; a tol below any
-        # reachable residual makes the same solve raise
+    def test_residual_contract(self, monkeypatch):
+        # pairs that meet RESIDUAL_TOL are returned; the same solve raises
+        # once its Lanczos vectors are perturbed past it
         op = assemble_2d(small_config(), 0.5)
         assert len(lowest_eigenvalues_2d(op, 3)) == 3
+
+        def perturbed(H, count, vectors, shift=0.0):
+            vals, vecs = lowest_sparse_eigenpairs(H, count, vectors, shift=shift)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", perturbed)
         with pytest.raises(ConvergenceError, match="residual"):
-            lowest_eigenvalues_2d(op, 3, tol=1e-300)
+            lowest_eigenvalues_2d(op, 3)
 
 
 def mirror_permutation(op):

@@ -248,7 +248,7 @@ class TestNondegeneracy:
 
 class TestProfile:
     def test_k2_profile(self, states):
-        table = profile(states[2].report, (-1.0, 1.0), 21, tol=1e-6)
+        table = profile(states[2].report, (-1.0, 1.0), 21)
         assert len(table.alpha) == 21
         i_min = int(np.argmin(table.lambda0))
         assert abs(table.alpha[i_min]) < 0.15
@@ -260,8 +260,7 @@ class TestProfile:
 
     def test_quadratic_hugs_profile_near_minimum(self, states):
         st = states[1].report
-        table = profile(st, (st.alpha_min - 0.2, st.alpha_min + 0.2), 9,
-                        tol=1e-7)
+        table = profile(st, (st.alpha_min - 0.2, st.alpha_min + 0.2), 9)
         assert np.all(table.lambda_quad <= table.lambda0 + 0.05)
 
     def test_band_grows_toward_negative_alpha(self):

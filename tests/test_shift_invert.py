@@ -229,7 +229,14 @@ class TestFailures:
         assert len(estimates) == 2 and estimates[0] < estimates[1]
         assert np.all(np.abs(np.array(estimates) - d[:2]) < 1e-4)
 
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_count_outside_the_order_rejected(self, k):
-        with pytest.raises(ValueError, match="order 3"):
-            lowest_sparse_eigenpairs(sp.identity(3, format="csr"), k)
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (400, 101)],
+                             ids=["0", "4", "101"])
+    def test_count_outside_the_order_rejected(self, n, k, monkeypatch):
+        # 101 of 400 levels: the stop rule would first be tested at step 202,
+        # past the last of LANCZOS_MAX_STEPS, so the count is refused unsolved
+        factored = []
+        monkeypatch.setattr(_shift_invert, "splu", lambda *a, **kw: factored.append(a))
+        H = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        with pytest.raises(ValueError, match=f"order {n}"):
+            lowest_sparse_eigenpairs(H, k)
+        assert factored == []

@@ -255,13 +255,32 @@ class TestEigenvalueConverged:
         with pytest.raises(ValueError, match="positive and finite"):
             eigenvalue_converged(V_harmonic, 0, tol)
 
-    def test_nonconvergence_carries_last_estimates(self):
-        # starved refinement budget: the error must expose how far it got
-        with pytest.raises(ConvergenceError) as err:
-            eigenvalue_converged(V_harmonic, 0, 1e-14, probe_points=17,
-                                 max_refinements=2)
+    def test_nonconvergence_carries_last_estimates(self, monkeypatch):
+        # refinement grids whose levels alternate by +-0.01 about 1: the
+        # extrapolants never settle, and the error must expose the last two
+        fed = []          # (points, level) of every grid, half-width doubling included
+        true_pairs = sl_engine.lowest_eigenpairs
+
+        def alternating(operator, m_count):
+            if operator.grid.n_points == sl_engine.PROBE_POINTS:
+                spec = true_pairs(operator, m_count)
+            else:
+                spec = Spectrum1D(np.array([1.0 + 0.01 * (-1) ** len(fed)]),
+                                  np.zeros((1, 1)), operator.grid)
+            fed.append((operator.grid.n_points, spec.eigenvalues[0]))
+            return spec
+
+        monkeypatch.setattr(sl_engine, "lowest_eigenpairs", alternating)
+        with pytest.raises(ConvergenceError, match="refinement exhausted") as err:
+            eigenvalue_converged(V_harmonic, 0, 1e-6)
+        refined = [n for n, _ in fed if n != sl_engine.PROBE_POINTS]
+        assert len(refined) == sl_engine.MAX_REFINEMENTS
+        levels = [lam for _, lam in fed]
+        extrapolants = [(4.0 * cur - prev) / 3.0
+                        for prev, cur in zip(levels, levels[1:])]
         assert err.value.estimates is not None
         lo, hi = err.value.estimates
+        assert (lo, hi) == tuple(extrapolants[-2:])
         assert abs(lo - 1.0) < 0.1 and abs(hi - 1.0) < 0.1
 
 
