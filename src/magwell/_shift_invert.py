@@ -156,11 +156,11 @@ def _ritz_test(alpha, beta, m: int, il: int, iu: int, next_norm: float):
     return theta[want], S[:, want], passed
 
 
-def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
+def _lanczos(solve, shifted, n: int, k: int, dtype):
     """(theta, Y, converged): the k largest Ritz values of the Hermitian
     operator `solve` = (H - shift)^{-1}, ascending, their Ritz vectors (None
-    unless asked for, or when unconverged) and whether all k passed the
-    stop rule. `shifted` applies H - shift.
+    when unconverged) and whether all k passed the stop rule. `shifted`
+    applies H - shift.
 
     Starts from solve(1/sqrt(n)). Each new vector is orthogonalised against
     the whole basis by two classical Gram-Schmidt passes; the basis is kept
@@ -172,8 +172,7 @@ def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
     one product with H - shift, is within RESIDUAL_TOL/10. Both follow from
     ARPACK's test |beta_m s_{m,i}| <= eps |theta_i| whenever r_i <= gap_i
     and RESIDUAL_TOL/10 >= eps |(H - shift) v_{m+1}|, so the rule never
-    stops later than ARPACK's there. The test and the stop are the same
-    whether or not vectors are returned. The k-th pair, nearest the
+    stops later than ARPACK's there. The k-th pair, nearest the
     unwanted part of the spectrum, converges last, so its value alone is
     tested first (`next_norm` 0 leaves out the residual); once it passes,
     the product with H gives that same pair's residual, and the test of all
@@ -205,7 +204,7 @@ def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
             if passed:
                 theta, S, passed = _ritz_test(alpha, beta, m, il, m, next_norm)
             if passed:
-                return theta, basis @ S if return_eigenvectors else None, True
+                return theta, basis @ S, True
         if beta[j] == 0.0:
             break
         if m < m_max:
@@ -214,25 +213,22 @@ def _lanczos(solve, shifted, n: int, k: int, dtype, return_eigenvectors: bool):
     return theta, None, False
 
 
-def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
-                             shift: float = 0.0):
-    """The k lowest eigenvalues of the sparse Hermitian H, ascending, and
-    with `return_eigenvectors` also the matching columns.
+def lowest_sparse_eigenpairs(H, k: int, *, shift: float = 0.0):
+    """(values, vectors): the k lowest eigenvalues of the sparse Hermitian
+    H, ascending, and their unit Ritz vectors as columns.
 
     H - shift is factored once (see `_factor`) and the shift-invert Lanczos
     (`_lanczos`) applies its inverse from a fixed start vector, so repeated
     calls are deterministic; it returns the k levels just above the shift,
     which are the k lowest when no level lies below it. It stops once the
     values are converged to rounding and each unit Ritz vector v has
-    |H v - lambda v| <= RESIDUAL_TOL/10 (the stop rule of `_lanczos`); the
-    stop is the same with or without `return_eigenvectors`, so the values
-    are too. At shift 0 the caller vouches that H is positive definite and
-    no inertia is read. At a
-    nonzero shift the inertia of the same factor is read once the Lanczos
-    has returned or failed, when its basis is freed: a negative pivot (the
-    shift does not lie below the whole spectrum) or an inertia that cannot
-    be trusted raises ShiftRejected, whatever the Lanczos gave, so the
-    caller can warn and solve again at shift 0. The factor is local to the
+    |H v - lambda v| <= RESIDUAL_TOL/10 (the stop rule of `_lanczos`). At
+    shift 0 the caller vouches that H is positive definite and no inertia
+    is read. At a nonzero shift the inertia of the same factor is read once
+    the Lanczos has returned or failed, when its basis is freed: a negative
+    pivot (the shift does not lie below the whole spectrum) or an inertia
+    that cannot be trusted raises ShiftRejected, whatever the Lanczos gave,
+    so the caller can warn and solve again at shift 0. The factor is local to the
     call and freed before it returns or raises, so a caller that solves one
     matrix after another never holds two factors. When the k levels do not
     converge within LANCZOS_MAX_STEPS steps, ConvergenceError carries the
@@ -249,8 +245,7 @@ def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
         if shift:
             raise ShiftRejected(None) from None
         raise
-    theta, vecs, converged = _lanczos(lu.solve, lambda v: H @ v - shift * v, n, k,
-                                      H.dtype, return_eigenvectors)
+    theta, vecs, converged = _lanczos(lu.solve, lambda v: H @ v - shift * v, n, k, H.dtype)
     below = _negative_pivots(lu) if shift else 0
     del lu                         # free it before the caller refactors
     if below != 0:
@@ -262,6 +257,4 @@ def lowest_sparse_eigenpairs(H, k: int, return_eigenvectors: bool = False,
             f"shift-invert Lanczos: the {k} levels above {shift:.6e} did not "
             f"converge in {min(n, LANCZOS_MAX_STEPS)} steps",
             estimates=tuple(float(v) for v in vals[order]))
-    if not return_eigenvectors:
-        return vals[order]
     return vals[order], vecs[:, order]

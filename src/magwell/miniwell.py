@@ -343,7 +343,7 @@ def spectrum_K_oracle(kop: EffectiveOperatorK, count: int) -> np.ndarray:
     prev = None
     for n in sizes:
         H = _oracle_matrix(kop, [_hermite_axis(s, n) for s in scales])
-        levels = lowest_sparse_eigenpairs(H, count) + kop.A_const.real
+        levels = lowest_sparse_eigenpairs(H, count)[0] + kop.A_const.real
         if prev is not None and np.max(np.abs(levels - prev)) <= HERMITE_TOL:
             return levels
         prev, last = levels, prev

@@ -47,7 +47,8 @@ GRID_BUDGET = (1024, 512)     # (max n_s, max n_t) of any assembled grid
 
 
 class ResolutionError(SolverError):
-    """The grid under-resolves the magnetic length scales for this h."""
+    """The points-per-length grid cannot serve this h: it exceeds
+    GRID_BUDGET, or a link phase wraps too low inside the domain."""
 
 
 def default_omega_profile(omega_min: float, a: float, s1: float, S: float
@@ -61,20 +62,27 @@ def default_omega_profile(omega_min: float, a: float, s1: float, S: float
     return omega
 
 
-def _finite(key: str, value: float, positive: bool = False) -> float:
-    """`value`, once it is a finite number (and > 0 when `positive`);
+_SQUARE_MAX = float(np.sqrt(np.finfo(float).max))   # largest x with a finite x ** 2
+
+
+def _finite(key: str, value: float, positive: bool = False,
+            squared: bool = False) -> float:
+    """`value`, once it is a finite number (and > 0 when `positive`, and at
+    most _SQUARE_MAX, about 1.34e154, when `squared`: S and h are squared);
     ValueError naming `key` otherwise."""
     if not (np.isfinite(value) and (value > 0 or not positive)):
         rule = "a finite number > 0" if positive else "a finite number"
         raise ValueError(f"{key} must be {rule}, got {value!r}")
+    if squared and value > _SQUARE_MAX:
+        raise ValueError(f"{key} must be at most {_SQUARE_MAX:.6g}, as it is "
+                         f"squared, got {value!r}")
     return value
 
 
 # The keys of a sweep config document and their kinds (see _files.read_fields)
 SWEEP_FIELDS = {"k": "integer", "omega_min": "number", "a": "number",
                 "S": "number", "s1": "number", "T": "number",
-                "h_list": "numbers", "points_per_length": "integer",
-                "n_s": "integer?", "n_t": "integer?"}
+                "h_list": "numbers", "points_per_length": "integer"}
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,8 @@ class Field2DConfig:
     minimum with positive curvature); `omega_min` and `curvature_abs2`, the
     second derivative of |omega|^2 at that minimum, are declared by the
     caller since the sweep predictions need them in closed form. Grid sizes
-    follow the resolution rule `points_per_length` nodes per magnetic length
-    unless pinned explicitly through n_s / n_t, and must fit GRID_BUDGET.
+    follow the resolution rule, `points_per_length` nodes per magnetic
+    length (`grid_for`), and must fit GRID_BUDGET.
     """
 
     k: int
@@ -97,21 +105,19 @@ class Field2DConfig:
     T: float
     h_list: tuple[float, ...]
     points_per_length: int = 20
-    n_s: Optional[int] = None
-    n_t: Optional[int] = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        for key in ("points_per_length", "n_s", "n_t"):    # the pins may be None
-            if getattr(self, key) is not None and getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        if self.points_per_length < 1:
+            raise ValueError(f"points_per_length must be >= 1, "
+                             f"got {self.points_per_length!r}")
         if not self.h_list:
             raise ValueError("h_list must hold at least one h")
         for key in ("omega_min", "curvature_abs2", "S", "T"):
             _finite(key, getattr(self, key), positive=True)
         for h in self.h_list:
-            _finite("h", h, positive=True)
+            _finite("h", h, positive=True, squared=True)
         if sorted(self.h_list, reverse=True) != list(self.h_list):
             raise ValueError("h_list must be descending")
 
@@ -123,7 +129,7 @@ class Field2DConfig:
             h_list = tuple(np.geomspace(0.02, 0.002, 7))
         # omega''(s1); a and S are checked first, as S divides
         curv_omega = (omega_min * _finite("a", a, positive=True) * 2.0 * np.pi**2
-                      / _finite("S", S, positive=True) ** 2)
+                      / _finite("S", S, positive=True, squared=True) ** 2)
         return cls(
             k=k,
             omega=default_omega_profile(omega_min, a, _finite("s1", s1), S),
@@ -145,27 +151,19 @@ class Field2DConfig:
     def magnetic_length_s(self, h: float) -> float:
         return h ** (1.0 / (2 * (self.k + 2)))
 
-    def required_grid(self, h: float) -> tuple[int, int]:
-        """(n_s, n_t) demanded by the points-per-length rule at this h."""
-        n_t = int(np.ceil(2 * self.T / (self.magnetic_length_t(h)
-                                        / self.points_per_length))) + 1
-        n_s = int(np.ceil(self.S / (self.magnetic_length_s(h)
-                                    / self.points_per_length)))
-        return n_s, n_t
-
     def grid_for(self, h: float) -> tuple[int, int]:
-        """(n_s, n_t) used at this h: the pins, else the required grid.
-        Raises ResolutionError when the grid under-resolves h or exceeds
-        GRID_BUDGET."""
-        need_s, need_t = self.required_grid(h)
-        n_s = self.n_s or need_s
-        n_t = self.n_t or need_t
-        if n_s < need_s or n_t < need_t:
-            raise ResolutionError(
-                f"h={h:g} needs n_s >= {need_s}, n_t >= {need_t}; "
-                f"got ({n_s}, {n_t})")
+        """(n_s, n_t) of the points-per-length rule at this h:
+        `points_per_length` nodes per magnetic length along s and across t.
+        Raises ResolutionError when the grid exceeds GRID_BUDGET."""
+        n_t = np.ceil(2 * self.T / (self.magnetic_length_t(h)
+                                    / self.points_per_length))
+        n_s = np.ceil(self.S / (self.magnetic_length_s(h)
+                                / self.points_per_length))
+        # a count past the float range stays a float and is refused below
+        n_s, n_t = (int(c) if np.isfinite(c) else c for c in (n_s, n_t))
+        n_t += 1
         max_s, max_t = GRID_BUDGET
-        if n_s > max_s or n_t > max_t:
+        if not (n_s <= max_s and n_t <= max_t):
             raise ResolutionError(
                 f"h={h:g}: grid ({n_s}, {n_t}) exceeds the grid budget "
                 f"n_s <= {max_s}, n_t <= {max_t}")
@@ -205,15 +203,16 @@ def _check_wrap_clearance(config: Field2DConfig, h: float, t: np.ndarray,
     if zero_point < 10.0 * window:
         raise ResolutionError(
             f"link-phase wrap at |t|={t_wrap:.3f} (inside T={config.T}) sits "
-            f"too low ({zero_point:.3e} vs window {window:.3e}); refine n_s")
+            f"too low ({zero_point:.3e} vs window {window:.3e}); "
+            f"raise points_per_length")
 
 
 def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
     """Gauge-covariant five-point discretization at one h.
 
-    Dirichlet rows at t = +-T are eliminated; s is periodic. Refuses grids
-    that under-resolve the magnetic lengths (reporting what is required) or
-    that would admit low-lying link-wrap artifacts.
+    Dirichlet rows at t = +-T are eliminated; s is periodic. Refuses an h
+    whose grid exceeds GRID_BUDGET or would admit low-lying link-wrap
+    artifacts (ResolutionError).
     """
     n_s, n_t = config.grid_for(h)
     # interior nodes t_i = T (2i - (n_t - 1)) / (n_t - 1), i = 1..n_t-2:
@@ -301,15 +300,16 @@ def reflection_blocks(operator: MagneticOperator2D) -> list[tuple[str, Optional[
     return [("even", Q_even), ("odd", Q_odd)]
 
 
-def strip_labels(operator: MagneticOperator2D, size: int) -> np.ndarray:
-    """The strip along s of each unknown i n_s + j of a reflection block of
-    `size` unknowns: its column j among equal strips of at least
-    ceil(2 h^{1/(2(k+2))} / ds) columns, about two magnetic lengths. All
-    strips take at least that width, so no narrow remainder strip is left."""
-    ds = operator.S / operator.n_s
+def strip_labels(operator: MagneticOperator2D) -> np.ndarray:
+    """The strip along s of each unknown i n_s + j of the odd reflection
+    block: its column j among equal strips of at least ceil(2 h^{1/(2(k+2))}
+    / ds) columns, about two magnetic lengths. All strips take at least that
+    width, so no narrow remainder strip is left."""
+    n_s = operator.n_s
+    ds = operator.S / n_s
     width = int(np.ceil(2.0 * operator.h ** (1.0 / (2 * (operator.k + 2))) / ds))
-    n_strips = max(operator.n_s // width, 1)
-    return np.arange(size) % operator.n_s * n_strips // operator.n_s
+    n_strips = max(n_s // width, 1)
+    return np.arange((operator.n_t - 2) // 2 * n_s) % n_s * n_strips // n_s
 
 
 def _pivots(count: Optional[int]) -> str:
@@ -320,12 +320,12 @@ def _block_pairs(H, count: int, shift: float, where: str):
     """The `count` lowest eigenpairs of one block, by shift-invert at
     `shift` when its factor certifies it, else (with a warning) at 0."""
     try:
-        return lowest_sparse_eigenpairs(H, count, True, shift=shift)
+        return lowest_sparse_eigenpairs(H, count, shift=shift)
     except ShiftRejected as exc:
         warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
                       f"({_pivots(exc.negative_pivots)}); refactored at 0",
                       ShiftCertificateWarning, stacklevel=3)
-    return lowest_sparse_eigenpairs(H, count, True)
+    return lowest_sparse_eigenpairs(H, count)
 
 
 def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
@@ -376,8 +376,7 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
         vecs = Q @ vecs
     for name, Q in rest:
         block = (Q.T @ H @ Q).tocsr()
-        below = count_below_bounded(block, vals[-1],
-                                    strip_labels(operator, block.shape[0]))
+        below = count_below_bounded(block, vals[-1], strip_labels(operator))
         if below == 0:
             continue
         warnings.warn(f"{where}, {name} block: {_pivots(below)} at lambda_"
@@ -513,7 +512,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     semiclassical predictions.
 
     Needs m_count >= 2 (ValueError otherwise). Skips (and records) h values
-    whose grid exceeds GRID_BUDGET or under-resolves them. Each h
+    that `assemble_2d` refuses with ResolutionError. Each h
     is solved at the shift 0.97 nu_hat omega_min^{2/(k+2)} h^{(2k+2)/(k+2)},
     certified inside `lowest_eigenvalues_2d`; every failed certificate is
     warned and recorded in `warnings_issued`. Fits the leading power law on

@@ -183,9 +183,9 @@ class TestExitCodes:
         ("validate2d", '{"h_lst": [0.2]}', "unknown sweep config fields: ['h_lst']"),
         ("validate2d", '{"points_per_length": 0}', "points_per_length must be >= 1, got 0"),
         ("validate2d", '{"points_per_length": -3}', "points_per_length must be >= 1, got -3"),
-        ("validate2d", '{"n_s": 0}', "n_s must be >= 1, got 0"),
-        ("validate2d", '{"n_s": -5}', "n_s must be >= 1, got -5"),
-        ("validate2d", '{"n_t": 0}', "n_t must be >= 1, got 0"),
+        # the grid follows points_per_length alone: a pinned size is refused
+        ("validate2d", '{"n_s": 32}', "unknown sweep config fields: ['n_s']"),
+        ("validate2d", '{"n_t": 32}', "unknown sweep config fields: ['n_t']"),
         ("validate2d", '{"h_list": []}', "h_list must hold at least one h"),
         ("miniwell", '{' + GEOMETRY + '"domega_div": "x"}',
          "domega_div must be a number, got 'x'"),
@@ -209,7 +209,7 @@ class TestExitCodes:
         ("miniwell", '{' + GEOMETRY + '"omega02": [0.5]}', "unknown geometry fields: ['omega02']"),
         ("miniwell", '{' + GEOMETRY + '"gdotjl": [[0.5]]}', "unknown geometry fields: ['gdotjl']"),
     ], ids=["sweep-unknown-key", "points_per_length-zero", "points_per_length-negative",
-            "n_s-zero", "n_s-negative", "n_t-zero", "h_list-empty", "domega_div-text",
+            "n_s-pinned", "n_t-pinned", "h_list-empty", "domega_div-text",
             "domega_div-list", "domega_div-string", "omega01-bool", "omega01-string",
             "hess_abs2-overflow", "gdot0j", "gamma00", "gammaj0", "gdot00", "omega02",
             "gdotjl"])
@@ -223,6 +223,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc,code,message", [
+        ('{"S": 1e200}', 2,
+         "usage error: S must be at most 1.34078e+154, as it is squared, got 1e+200"),
+        ('{"T": 1e308}', 1, "numerical failure: fewer than 4 usable h values"),
+        ('{"h_list": [1e200, 1e190, 1e180, 1e170]}', 2,
+         "usage error: h must be at most 1.34078e+154, as it is squared, got 1e+200"),
+    ], ids=["S-squared", "T-infinite-grid", "h-squared"])
+    def test_sweep_past_the_float_range_ends_in_one_line(self, tmp_path, doc, code,
+                                                         message):
+        # a magwell process, so that a traceback would reach its stderr; with
+        # BLAS pinned, the h of the T case are refused in worker processes
+        # (every grid is infinite in t, so each h is skipped)
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        import magwell
+        src = str(Path(magwell.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        child = subprocess.run(
+            [sys.executable, "-m", "magwell.cli", "validate2d", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert child.returncode == code
+        assert message in child.stderr and "Traceback" not in child.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -436,13 +462,12 @@ class TestValidate2D:
             "h,lambda_0,lambda_1,lambda_2,z_0,z_1,z_2"
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
-        # every h outgrows the pinned grid, so the sweep cannot proceed,
-        # whether its h are solved in worker processes or in process
+        # the grid of every h exceeds the grid budget, so the sweep cannot
+        # proceed, whether its h are refused in worker processes or in process
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
             "k": 1, "omega_min": 1.0, "a": 1.0, "S": 8.0, "s1": 2.4,
-            "T": 0.8, "h_list": [0.005, 0.004, 0.003, 0.002],
-            "n_s": 32, "n_t": 32,
+            "T": 0.8, "h_list": [2.4e-4, 2.2e-4, 2e-4, 1.8e-4],
         }))
         for threads in (1, None):
             set_blas_threads(monkeypatch, threads)

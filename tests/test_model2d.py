@@ -41,15 +41,14 @@ def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0):
         S=S, T=T, h_list=tuple(h))
 
 
-def small_config(n_s=24, n_t=18, h=(0.5,), k=1):
-    """Deliberately tiny grids for structural checks; a relaxed
-    points-per-length factor keeps the resolution rule satisfied."""
+def small_config(points_per_length=11, k=1):
+    """Deliberately tiny grids for structural checks at h=0.5, set by a
+    small points-per-length factor: 11 gives (n_s, n_t) = (25, 18) at k=1."""
     return Field2DConfig(
         k=k,
         omega=lambda s: 1.0 + 0.5 * np.sin(np.pi * np.asarray(s) / 2.0) ** 2,
         omega_min=1.0, curvature_abs2=2.0 * 0.5 * 2 * np.pi**2 / 4.0,
-        S=2.0, T=0.6, h_list=tuple(h), n_s=n_s, n_t=n_t,
-        points_per_length=6)
+        S=2.0, T=0.6, h_list=(0.5,), points_per_length=points_per_length)
 
 
 class TestConfig:
@@ -70,6 +69,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="descending"):
             Field2DConfig.default(k=1, h_list=(0.01, 0.02))
 
+    def test_default_sweep_grids(self):
+        # the points-per-length grids of the default sweep (criterion 7);
+        # every other h, from the first, is the sweep2d benchmark
+        cfg = Field2DConfig.default(k=1)
+        assert [cfg.grid_for(h) for h in cfg.h_list] == [
+            (538, 119), (573, 135), (611, 154), (652, 175), (695, 198),
+            (740, 225), (789, 255)]
+
     def test_grid_budget_refusal_names_budget(self):
         cfg = Field2DConfig.default(k=1)
         with pytest.raises(ResolutionError, match=r"grid budget n_s <= 1024, n_t <= 512"):
@@ -89,7 +96,8 @@ class TestConfig:
             assert cfg.omega_min == 2.0
             assert cfg.h_list == (0.05, 0.02)
 
-    @pytest.mark.parametrize("key,value", [("k", 1.7), ("k", True), ("n_s", 12.9),
+    @pytest.mark.parametrize("key,value", [("k", 1.7), ("k", True),
+                                           ("points_per_length", 12.9),
                                            ("points_per_length", False)])
     def test_json_rejects_non_integral_counts(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
@@ -119,7 +127,7 @@ class TestConfig:
             Field2DConfig.default(k=1, **kw)
 
     def test_json_absent_keys_take_the_defaults(self):
-        got = Field2DConfig.from_json({"k": 2.0, "n_t": None})
+        got = Field2DConfig.from_json({"k": 2.0})
         want = Field2DConfig.default(k=2)
         assert got.k == 2 and isinstance(got.k, int)
         for f in dataclasses.fields(Field2DConfig):
@@ -136,7 +144,7 @@ class TestAssembly:
 
     def test_zero_field_matches_separable_laplacian(self):
         cfg = dataclasses.replace(
-            small_config(n_s=20, n_t=16),
+            small_config(points_per_length=9),
             omega=lambda s: np.zeros_like(np.asarray(s, dtype=float)))
         h = 0.5
         op = assemble_2d(cfg, h)
@@ -153,11 +161,6 @@ class TestAssembly:
         combo = np.sort((h**2 * (e_t[:, None] + e_s[None, :])).ravel())
         assert np.allclose(vals, combo[:6], atol=1e-8)
 
-    def test_resolution_refusal_reports_requirement(self):
-        cfg = small_config(n_s=24, n_t=18, h=(1e-4,))
-        with pytest.raises(ResolutionError, match="needs n_s >="):
-            assemble_2d(cfg, 1e-4)
-
     def test_link_wrap_refusal(self):
         # a very tall domain wraps the link phase inside |t| <= T while the
         # plain points-per-length rule is still satisfied
@@ -172,7 +175,7 @@ class TestAssembly:
 
 class TestEigenvalues:
     def test_small_grid_matches_dense(self):
-        cfg = small_config(n_s=22, n_t=14)
+        cfg = small_config(points_per_length=8)
         op = assemble_2d(cfg, 0.5)
         with pytest.warns(ShiftCertificateWarning, match="odd block"):
             vals = lowest_eigenvalues_2d(op, 5)
@@ -185,8 +188,8 @@ class TestEigenvalues:
         op = assemble_2d(small_config(), 0.5)
         assert len(lowest_eigenvalues_2d(op, 3)) == 3
 
-        def perturbed(H, count, vectors, shift=0.0):
-            vals, vecs = lowest_sparse_eigenpairs(H, count, vectors, shift=shift)
+        def perturbed(H, count, shift=0.0):
+            vals, vecs = lowest_sparse_eigenpairs(H, count, shift=shift)
             return vals, vecs + 1e-6
 
         monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", perturbed)
@@ -203,9 +206,11 @@ def mirror_permutation(op):
 
 
 class TestReflectionBlocks:
-    @pytest.mark.parametrize("n_t", [17, 18])      # odd, even interior count
-    def test_block_spectra_union_is_full_spectrum(self, n_t):
-        op = assemble_2d(small_config(n_s=14, n_t=n_t), 0.5)
+    @pytest.mark.parametrize("points_per_length, n_t", [(10, 17), (11, 18)],
+                             ids=["17", "18"])     # odd, even interior count
+    def test_block_spectra_union_is_full_spectrum(self, points_per_length, n_t):
+        op = assemble_2d(small_config(points_per_length), 0.5)
+        assert op.n_t == n_t
         H = op.hermitian
         names, blocks = [], []
         for name, Q in reflection_blocks(op):
@@ -221,7 +226,8 @@ class TestReflectionBlocks:
 
     def test_blocks_too_small_solve_whole_operator(self):
         # 126 unknowns split 70 + 56: 100 levels need the whole operator
-        op = assemble_2d(small_config(n_s=14, n_t=11), 0.5)
+        op = assemble_2d(small_config(points_per_length=6), 0.5)
+        assert (op.n_s, op.n_t) == (14, 11)
         dense = np.linalg.eigvalsh(op.hermitian.toarray())
         vals = lowest_eigenvalues_2d(op, 100)
         assert np.max(np.abs(vals - dense[:100])) <= 1e-12 * dense[-1]
@@ -260,8 +266,8 @@ class TestReflectionBlocks:
         assert np.max(np.abs(shifted - dense[:4]) / dense[:4]) < 1e-11
         _, Q_odd = reflection_blocks(op)[1]
         odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
-        labels = strip_labels(op, odd.shape[0])
-        assert labels.max() == 3
+        labels = strip_labels(op)
+        assert labels.shape == (odd.shape[0],) and labels.max() == 3
         assert count_below(strip_lower_bound(odd, labels), vals[-1]) == 0
 
     @staticmethod
@@ -301,17 +307,17 @@ class TestReflectionBlocks:
             assert count_below_bounded(odd, vals[-1], singletons) == 0
             assert count_below(odd, vals[-1]) == 0
         # the strips lowest_eigenvalues_2d uses settle it on the bound
-        labels = strip_labels(op, odd.shape[0])
+        labels = strip_labels(op)
+        assert labels.shape == (odd.shape[0],)
         assert count_below(strip_lower_bound(odd, labels), vals[-1]) == 0
         even = (Q_even.T @ op.hermitian @ Q_even).tocsr()
-        assert np.array_equal(vals, lowest_sparse_eigenpairs(even, 4))
+        assert np.array_equal(vals, lowest_sparse_eigenpairs(even, 4)[0])
 
     def test_strips_are_about_two_magnetic_lengths(self):
         cfg = Field2DConfig.default(k=1)
         h = cfg.h_list[0]
         op = assemble_2d(cfg, h)
-        n_odd = (op.n_t - 2) // 2 * op.n_s
-        labels = strip_labels(op, n_odd)
+        labels = strip_labels(op)
         assert np.array_equal(labels[:op.n_s], labels[op.n_s:2 * op.n_s])
         widths = np.bincount(labels[:op.n_s])
         assert np.all(np.diff(labels[:op.n_s]) >= 0)
@@ -353,7 +359,7 @@ class TestShiftInvertRoute:
         scales = (np.diag(kop.kinetic_matrix()) / np.diag(kop.Omega)) ** 0.25
         H = _oracle_matrix(kop, [_hermite_axis(s, 64) for s in scales])
         assert H.dtype == np.float64
-        vals = lowest_sparse_eigenpairs(H, 5)
+        vals = lowest_sparse_eigenpairs(H, 5)[0]
         ref = self.scipy_lowest(H.tocsc(), 5)
         assert np.max(np.abs(vals - ref) / ref) < 1e-10
 
@@ -426,8 +432,8 @@ class TestSweepSmoke:
     def test_budget_skips_recorded(self):
         with pytest.warns(UserWarning):
             rep = run_sweep(budget_sweep(), m_count=2)
-        assert len(rep.skipped_h) >= 1
-        assert len(rep.h_values) + len(rep.skipped_h) == 6
+        assert rep.skipped_h == (5e-6, 4e-6)
+        assert rep.h_values == (0.2, 0.1, 0.05, 0.02)
 
 
 def certificate_sweep():
@@ -438,12 +444,12 @@ def certificate_sweep():
 
 
 def budget_sweep():
-    # pinned 48x48 grid satisfies the rule at large h only; the sweep
-    # must skip (and record) the h values that outgrow it
+    # the grids of the four large h are small; those of the two smallest,
+    # (92, 563) and (96, 606), exceed the grid budget, and the sweep must
+    # skip (and record) them
     return Field2DConfig.default(
         k=1, S=2.0, s1=0.6, T=0.8,
-        h_list=tuple(np.geomspace(0.2, 0.004, 6)),
-        points_per_length=6, n_s=48, n_t=48)
+        h_list=(0.2, 0.1, 0.05, 0.02, 5e-6, 4e-6), points_per_length=6)
 
 
 def recorded_sweep(config, m_count):
@@ -483,12 +489,12 @@ class TestSweepPool:
         assert multiprocessing.active_children() == []
 
     def test_every_h_skipped_raises(self, blas):
-        # every h outgrows the pinned grid: each solve is skipped, and the
-        # sweep is left with too few h to fit
+        # the grid of every h exceeds the grid budget, (642, 516) and up:
+        # each h is skipped before assembly, and the sweep is left with too
+        # few h to fit
         config = Field2DConfig.from_json({
             "k": 1, "omega_min": 1.0, "a": 1.0, "S": 8.0, "s1": 2.4,
-            "T": 0.8, "h_list": [0.005, 0.004, 0.003, 0.002],
-            "n_s": 32, "n_t": 32})
+            "T": 0.8, "h_list": [2.4e-4, 2.2e-4, 2e-4, 1.8e-4]})
         with pytest.raises(ConvergenceError, match="fewer than 4 usable h"):
             run_sweep(config)
         assert multiprocessing.active_children() == []
@@ -542,9 +548,7 @@ class TestGridConvergence:
         # advertised accuracy scale
         h = 0.05
         base = Field2DConfig.default(k=1, S=8.0, s1=2.4, T=0.8, h_list=(h,))
-        n_s0, n_t0 = base.required_grid(h)
-        fine = Field2DConfig.default(k=1, S=8.0, s1=2.4, T=0.8, h_list=(h,),
-                                     n_s=2 * n_s0, n_t=2 * n_t0)
+        fine = dataclasses.replace(base, points_per_length=2 * base.points_per_length)
         v0 = lowest_eigenvalues_2d(assemble_2d(base, h), 2)
         v1 = lowest_eigenvalues_2d(assemble_2d(fine, h), 2)
         scale = v0[0]

@@ -22,12 +22,17 @@ from magwell.model2d import Field2DConfig, assemble_2d, reflection_blocks
 from magwell.sl_engine import ConvergenceError
 
 
+COLUMNS = 38       # n_s of the grid of `reflection_block`
+
+
 def reflection_block(which: int):
     """Complex Hermitian even (0) or odd (1) block of a small k=1 operator
-    on 32 columns: 448 unknowns each, block index i*32 + j for column j."""
-    cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, h_list=(0.5,), n_s=32,
-                                n_t=30, points_per_length=6)
+    on the (38, 24) grid: 418 unknowns each, block index i*38 + j for
+    column j."""
+    cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, h_list=(0.5,),
+                                points_per_length=11)
     op = assemble_2d(cfg, 0.5)
+    assert (op.n_s, op.n_t) == (COLUMNS, 24)
     name, Q = reflection_blocks(op)[which]
     assert name == ("even", "odd")[which]
     return (Q.T @ op.hermitian @ Q).tocsr()
@@ -58,12 +63,12 @@ class TestAgainstDense:
         # with one BLAS thread
         dense, V = np.linalg.eigh(B.toarray())
         ref = np.real(np.sum(V[:, :4].conj() * (B @ V[:, :4]), axis=0))
-        vals, vecs = lowest_sparse_eigenpairs(B, 4, True)
+        vals, vecs = lowest_sparse_eigenpairs(B, 4)
         assert np.max(np.abs(vals - ref) / ref) < 1e-12
         resid = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
         assert np.max(resid) < 1e-12 * dense[-1]
         # the same levels at a certified shift just below the ground state
-        shifted = lowest_sparse_eigenpairs(B, 4, shift=0.9 * dense[0])
+        shifted = lowest_sparse_eigenpairs(B, 4, shift=0.9 * dense[0])[0]
         assert np.max(np.abs(shifted - ref) / ref) < 1e-12
 
     def test_real_symmetric_oracle_matrix(self):
@@ -75,7 +80,7 @@ class TestAgainstDense:
         H = _oracle_matrix(kop, [_hermite_axis(s, 24) for s in scales])
         assert H.dtype == np.float64
         dense = np.linalg.eigvalsh(H.toarray())
-        vals = lowest_sparse_eigenpairs(H, 6)
+        vals = lowest_sparse_eigenpairs(H, 6)[0]
         assert np.max(np.abs(vals - dense[:6]) / dense[:6]) < 1e-12
 
     @staticmethod
@@ -86,7 +91,7 @@ class TestAgainstDense:
         d = np.concatenate([[1.0, 1.0 + split], np.linspace(1.5, 40.0, 298)])
         H = rotated_diagonal(d)
         dense = np.linalg.eigvalsh(H.toarray())
-        vals = lowest_sparse_eigenpairs(H, 4)
+        vals = lowest_sparse_eigenpairs(H, 4)[0]
         assert np.max(np.abs(vals - dense[:4])) < 1e-13
         assert vals[1] - vals[0] == pytest.approx(split, abs=1e-13)
 
@@ -118,7 +123,7 @@ class TestStopRule:
             return theta, S, passed
 
         monkeypatch.setattr(_shift_invert, "_ritz_test", spy)
-        vals, vecs = lowest_sparse_eigenpairs(B, 4, True, shift=shift)
+        vals, vecs = lowest_sparse_eigenpairs(B, 4, shift=shift)
         levels, bound = tested[-1]
         bound = bound[np.argsort(levels)]
         resid = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
@@ -150,7 +155,7 @@ class TestStopRule:
         # the values converge with residuals above 1e-12; rule (b) keeps
         # the vectors within RESIDUAL_TOL
         B = reflection_block(0)
-        vals, vecs = lowest_sparse_eigenpairs(B, 4, True)
+        vals, vecs = lowest_sparse_eigenpairs(B, 4)
         residual = np.max(np.linalg.norm(B @ vecs - vecs * vals, axis=0))
         assert 1e-12 < residual <= RESIDUAL_TOL
 
@@ -162,7 +167,7 @@ class TestShiftCertificate:
         for below in (1, 3):
             shift = 0.5 * (dense[below - 1] + dense[below])
             with pytest.raises(ShiftRejected) as err:
-                lowest_sparse_eigenpairs(B, 4, True, shift=shift)
+                lowest_sparse_eigenpairs(B, 4, shift=shift)
             assert err.value.negative_pivots == below
 
 
@@ -172,7 +177,7 @@ class TestStripLowerBound:
     @staticmethod
     def labellings(n):
         rng = np.random.default_rng(7)
-        return {"strips": np.arange(n) % 32 // 8, "random": rng.integers(0, 5, n)}
+        return {"strips": np.arange(n) % COLUMNS // 8, "random": rng.integers(0, 5, n)}
 
     @pytest.mark.parametrize("kind", ["strips", "random"])
     def test_bound_is_below_and_decoupled(self, kind):
