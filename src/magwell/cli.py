@@ -11,7 +11,10 @@ arguments, the tool version, a timestamp, and the output paths: each `cmd_*`
 returns (exit code, manifest name, output paths) and `main` writes the
 manifest. This module is the one place that names output columns and keys;
 `_files` writes them, every float as `repr(float(v))`, so outputs are
-byte-identical for identical parameter sets. k sweeps run serially in k order.
+byte-identical for identical parameter sets. The k sweeps of `table1` and
+`verify` run where every sweep of the package runs (`_workers.solved`): in
+forked worker processes when BLAS runs one thread, else in process; either
+way their results are read in k order.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -28,7 +31,7 @@ import numpy as np
 from . import __version__
 from ._files import write_csv, write_json
 from .sl_engine import SolverError, eigenvalue_converged
-from . import montgomery, miniwell, asymptotics, model2d
+from . import _workers, montgomery, miniwell, asymptotics, model2d
 
 
 class UsageError(Exception):
@@ -74,14 +77,18 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _each_k(ks: list[int], solve) -> dict:
-    """{k: solve(k)} in k order; a k whose solve raises SolverError is
-    reported on stderr and left out, so it does not cost the others."""
+    """{k: solve(k)} in k order, solved through `_workers.solved`: in forked
+    worker processes when BLAS runs one thread. A k whose solve raises
+    SolverError is reported on stderr, in k order, and left out, so it does
+    not cost the others; any other error propagates once the workers are
+    joined."""
     results = {}
-    for k in ks:
-        try:
-            results[k] = solve(k)
-        except SolverError as exc:
-            print(f"k={k}: FAILED ({exc})", file=sys.stderr)
+    with _workers.solved(solve, ks) as calls:
+        for k, call in zip(ks, calls):
+            try:
+                results[k] = call()
+            except SolverError as exc:
+                print(f"k={k}: FAILED ({exc})", file=sys.stderr)
     return results
 
 

@@ -24,8 +24,6 @@ the odd block's own factor only when that bound is inconclusive.
 """
 from __future__ import annotations
 
-import contextlib
-import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -34,6 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import _workers
 from ._files import read_fields
 from ._shift_invert import (RESIDUAL_TOL, ShiftRejected, count_below_bounded,
                             lowest_sparse_eigenpairs)
@@ -48,7 +47,8 @@ GRID_BUDGET = (1024, 512)     # (max n_s, max n_t) of any assembled grid
 
 class ResolutionError(SolverError):
     """The points-per-length grid cannot serve this h: it exceeds
-    GRID_BUDGET, or a link phase wraps too low inside the domain."""
+    GRID_BUDGET, has no interior t row, or a link phase wraps too low
+    inside the domain."""
 
 
 def default_omega_profile(omega_min: float, a: float, s1: float, S: float
@@ -154,11 +154,16 @@ class Field2DConfig:
     def grid_for(self, h: float) -> tuple[int, int]:
         """(n_s, n_t) of the points-per-length rule at this h:
         `points_per_length` nodes per magnetic length along s and across t.
-        Raises ResolutionError when the grid exceeds GRID_BUDGET."""
-        n_t = np.ceil(2 * self.T / (self.magnetic_length_t(h)
-                                    / self.points_per_length))
-        n_s = np.ceil(self.S / (self.magnetic_length_s(h)
-                                / self.points_per_length))
+        Raises ResolutionError when the grid exceeds GRID_BUDGET or has no
+        interior t row (n_t < 3)."""
+
+        def count(length: float, magnetic_length: float) -> float:
+            spacing = magnetic_length / self.points_per_length
+            # a spacing that underflows to 0 gives an infinite count
+            return np.ceil(length / spacing) if spacing > 0 else np.inf
+
+        n_t = count(2 * self.T, self.magnetic_length_t(h))
+        n_s = count(self.S, self.magnetic_length_s(h))
         # a count past the float range stays a float and is refused below
         n_s, n_t = (int(c) if np.isfinite(c) else c for c in (n_s, n_t))
         n_t += 1
@@ -167,6 +172,10 @@ class Field2DConfig:
             raise ResolutionError(
                 f"h={h:g}: grid ({n_s}, {n_t}) exceeds the grid budget "
                 f"n_s <= {max_s}, n_t <= {max_t}")
+        if n_t < 3:
+            raise ResolutionError(
+                f"h={h:g}: grid ({n_s}, {n_t}) has no interior t row; "
+                f"it needs n_t >= 3")
         return n_s, n_t
 
 
@@ -437,76 +446,6 @@ def _solve_h(config: Field2DConfig, m_count: int, lead_coef: float,
     return vals, [w.message for w in caught]
 
 
-def _env_threads(*names: str) -> Optional[int]:
-    """The first positive integer among the environment variables `names`,
-    read in order as BLAS libraries read their thread counts."""
-    for name in names:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
-
-
-def _sweep_workers(n_h: int) -> int:
-    """Processes that solve the n_h values of an h sweep side by side.
-
-    One per usable core, at most one per h, when BLAS runs one thread: both
-    OpenBLAS (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else
-    OMP_NUM_THREADS) and MKL (MKL_NUM_THREADS, else OMP_NUM_THREADS) read 1.
-    Otherwise 1, in process: under BLAS's default threading each worker
-    starts one BLAS thread per core, and such a pool ran slower than the
-    serial sweep. Also 1 where `os.fork` or `os.sched_getaffinity` is
-    missing.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if (_env_threads("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS") != 1
-            or _env_threads("MKL_NUM_THREADS", "OMP_NUM_THREADS") != 1):
-        return 1
-    return min(n_h, len(os.sched_getaffinity(0)))
-
-
-_fork_task: Optional[Callable] = None    # set in each sweep worker process
-
-
-def _set_fork_task(task: Callable) -> None:
-    global _fork_task
-    _fork_task = task
-
-
-def _run_fork_task(h: float):
-    return _fork_task(h)
-
-
-@contextlib.contextmanager
-def _solved_h(solve: Callable, h_list: Sequence[float]):
-    """Calls that each return `solve(h)`, or raise its error, for the h of
-    h_list in that order.
-
-    With more than one `_sweep_workers`, the h are solved side by side in a
-    pool of forked processes (not threads: the SuperLU factorisation holds
-    the GIL), smallest h (largest grid) first; otherwise
-    each call solves its h in process. Leaving the block cancels the h not
-    yet started and joins the workers.
-    """
-    workers = _sweep_workers(len(h_list))
-    if workers == 1:
-        yield [partial(solve, h) for h in h_list]
-        return
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-    # fork hands `solve` to the workers unpickled, so a config whose omega is
-    # a closure (as `default_omega_profile` returns) works; with one BLAS
-    # thread the parent holds no BLAS threads across the fork
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_fork_task, initargs=(solve,))
-    try:
-        futures = {h: pool.submit(_run_fork_task, h) for h in sorted(h_list)}
-        yield [futures[h].result for h in h_list]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     """Measure the low spectrum across the h sweep and compare with the
     semiclassical predictions.
@@ -522,10 +461,11 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     even about the minimum). Warns when the largest h sits outside the
     asymptotic window (leading term less than ten times the miniwell term).
 
-    When BLAS runs one thread, the h values are solved side by side in
-    forked worker processes, one per usable core (`_sweep_workers`). Their
-    levels, warnings and errors are taken in h_list order, as in process:
-    the first error other than a skip is raised.
+    The h values are solved through `_workers.solved`: when BLAS runs one
+    thread, side by side in forked worker processes, one per usable core,
+    the smallest h (largest grid) first. Their levels, warnings and errors
+    are taken in h_list order, as in process: the first error other than a
+    skip is raised.
     """
     if m_count < 2:
         raise ValueError(f"the sweep fits level splittings, so it needs "
@@ -543,7 +483,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     issued: list[str] = []
     kept, skipped, rows = [], [], []
     solve = partial(_solve_h, config, m_count, lead_coef, lead_pow)
-    with _solved_h(solve, config.h_list) as results:
+    with _workers.solved(solve, config.h_list, sorted(config.h_list)) as results:
         for h, result in zip(config.h_list, results):
             try:
                 vals, messages = result()

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from magwell import montgomery
+from magwell._workers import sweep_workers
 from magwell.cli import main
 from magwell.sl_engine import ConvergenceError
 
@@ -230,12 +232,19 @@ class TestExitCodes:
         ('{"T": 1e308}', 1, "numerical failure: fewer than 4 usable h values"),
         ('{"h_list": [1e200, 1e190, 1e180, 1e170]}', 2,
          "usage error: h must be at most 1.34078e+154, as it is squared, got 1e+200"),
-    ], ids=["S-squared", "T-infinite-grid", "h-squared"])
+        ('{"omega_min": 1e150, "h_list": [1e-175, 1e-176, 1e-177, 1e-178]}', 1,
+         "numerical failure: fewer than 4 usable h values"),
+        ('{"h_list": [1e8, 1e7, 1e6, 1e5]}', 1,
+         "numerical failure: fewer than 4 usable h values"),
+    ], ids=["S-squared", "T-infinite-grid", "h-squared", "t-length-underflow",
+            "no-interior-t-row"])
     def test_sweep_past_the_float_range_ends_in_one_line(self, tmp_path, doc, code,
                                                          message):
         # a magwell process, so that a traceback would reach its stderr; with
-        # BLAS pinned, the h of the T case are refused in worker processes
-        # (every grid is infinite in t, so each h is skipped)
+        # BLAS pinned, the h of the cases that exit 1 are refused in worker
+        # processes: every grid is infinite in t (T huge, or the magnetic
+        # length across t underflowing to 0) or has no interior t row, so
+        # each h is skipped
         path = tmp_path / "cfg.json"
         path.write_text(doc)
         import magwell
@@ -308,13 +317,19 @@ class TestTable1:
                 raise ConvergenceError("forced at k=2")
             return real(k, *args, **kwargs)
 
+        # the patch is made before the workers fork, so a pooled k sweep
+        # sees it too
         monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
-        assert run_cli(["table1", "--k", "1..3", "--out", str(tmp_path)]) == 1
-        assert "k=2: FAILED" in capsys.readouterr().err
-        rows = (tmp_path / "table1.csv").read_text().splitlines()
-        assert [row.split(",")[0] for row in rows[1:]] == ["1", "3"]
-        data = json.loads((tmp_path / "table1.json").read_text())
-        assert sorted(data) == ["1", "3"]
+        for threads in (1, None):
+            set_blas_threads(monkeypatch, threads)
+            out = tmp_path / f"threads-{threads}"
+            assert run_cli(["table1", "--k", "1..3", "--out", str(out)]) == 1
+            assert multiprocessing.active_children() == []
+            assert capsys.readouterr().err == "k=2: FAILED (forced at k=2)\n"
+            rows = (out / "table1.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == ["1", "3"]
+            data = json.loads((out / "table1.json").read_text())
+            assert sorted(data) == ["1", "3"]
 
     def test_no_table_when_every_k_fails(self, tmp_path, monkeypatch, capsys):
         def fail(k, *args, **kwargs):
@@ -335,6 +350,69 @@ class TestTable1:
             (out2 / "table1.csv").read_bytes()
         assert (out1 / "table1.json").read_bytes() == \
             (out2 / "table1.json").read_bytes()
+
+
+class TestKSweepWorkers:
+    """table1 and verify solve their k in forked workers when BLAS runs one
+    thread (two workers on the two cores shown), in process otherwise."""
+
+    @pytest.mark.parametrize("command, files", [
+        ("table1", ["table1.csv", "table1.json"]),
+        ("verify", ["verify.json"]),
+    ])
+    def test_pool_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys,
+                                        command, files):
+        written = {}
+        for threads in (1, None):
+            set_blas_threads(monkeypatch, threads)
+            assert sweep_workers(3) == (2 if threads else 1)
+            out = tmp_path / f"threads-{threads}"
+            assert run_cli([command, "--k", "1..3", "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            written[threads] = ([(out / name).read_bytes() for name in files],
+                                capsys.readouterr())
+        assert written[1] == written[None]
+
+    def test_k_solved_in_workers_only_when_pinned(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # every k fails naming the process that solved it
+        def fail_with_pid(k, *args, **kwargs):
+            raise ConvergenceError(f"pid {os.getpid()}")
+
+        monkeypatch.setattr(montgomery, "minimizer_state", fail_with_pid)
+        for threads in (1, None):
+            set_blas_threads(monkeypatch, threads)
+            assert run_cli(["table1", "--k", "1..3", "--out", str(tmp_path)]) == 1
+            assert multiprocessing.active_children() == []
+            lines = capsys.readouterr().err.splitlines()
+            assert [line.split(":")[0] for line in lines] == ["k=1", "k=2", "k=3"]
+            pids = {line.split("pid ")[1].rstrip(")") for line in lines}
+            if threads:
+                assert str(os.getpid()) not in pids and len(pids) <= 2
+            else:
+                assert pids == {str(os.getpid())}
+
+    @pytest.mark.parametrize("command", ["table1", "verify"])
+    def test_other_error_in_a_worker_exits_2(self, tmp_path, monkeypatch,
+                                             capsys, command):
+        # an error that is not a numerical failure is not reported per k:
+        # it ends the command as a usage error, once the workers are joined
+        real = montgomery.minimizer_state
+
+        def bad_at_k2(k, *args, **kwargs):
+            if k == 2:
+                raise ValueError("forced at k=2")
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(montgomery, "minimizer_state", bad_at_k2)
+        for threads in (1, None):
+            set_blas_threads(monkeypatch, threads)
+            out = tmp_path / f"threads-{threads}"
+            assert run_cli([command, "--k", "1..3", "--out", str(out)]) == 2
+            assert multiprocessing.active_children() == []
+            err = capsys.readouterr().err
+            assert err == "usage error: forced at k=2\n"
+            assert not out.exists()
 
 
 class TestProfile:
@@ -382,10 +460,14 @@ class TestVerify:
             return real(k, *args, **kwargs)
 
         monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
-        assert run_cli(["verify", "--k", "1..3", "--out", str(tmp_path)]) == 1
-        assert "k=2: FAILED" in capsys.readouterr().err
-        report = json.loads((tmp_path / "verify.json").read_text())
-        assert [entry["k"] for entry in report] == [1, 3]
+        for threads in (1, None):
+            set_blas_threads(monkeypatch, threads)
+            out = tmp_path / f"threads-{threads}"
+            assert run_cli(["verify", "--k", "1..3", "--out", str(out)]) == 1
+            assert multiprocessing.active_children() == []
+            assert capsys.readouterr().err == "k=2: FAILED (forced at k=2)\n"
+            report = json.loads((out / "verify.json").read_text())
+            assert [entry["k"] for entry in report] == [1, 3]
 
 
 class TestMiniwellPredict:
@@ -479,8 +561,8 @@ class TestValidate2D:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 16 MB and 0.2 s to every magwell process, and
-    # a process pool its multiprocessing modules; k sweeps run serially, and
-    # an h sweep imports the pool's modules only when it runs one.
+    # a process pool its multiprocessing modules; a k sweep or an h sweep
+    # imports the pool's modules only when it runs one.
     # (numpy.testing, which scipy may load, imports concurrent.futures itself.)
     # A child process is needed: the test oracles import scipy.optimize into
     # this one.

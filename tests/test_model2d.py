@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from magwell import model2d
+from magwell._workers import sweep_workers
 from magwell._shift_invert import (
     count_below,
     count_below_bounded,
@@ -20,7 +21,6 @@ from magwell.model2d import (
     Field2DConfig,
     ResolutionError,
     ShiftCertificateWarning,
-    _sweep_workers,
     assemble_2d,
     lowest_eigenvalues_2d,
     reflection_blocks,
@@ -85,6 +85,25 @@ class TestConfig:
         for h in cfg.h_list:
             n_s, n_t = cfg.grid_for(h)
             assert n_s <= 1024 and n_t <= 512
+
+    def test_grid_without_interior_t_row_refused(self):
+        # at h = 1e5 one magnetic length across t is wider than the strip
+        # [-T, T] at 20 points per length: the grid keeps only its two
+        # Dirichlet rows, and the refusal names the h and the grid
+        cfg = Field2DConfig.default(k=1)
+        with pytest.raises(ResolutionError,
+                           match=r"h=100000: grid \(42, 2\) has no interior t row"):
+            cfg.grid_for(1e5)
+        assert cfg.grid_for(1e4)[1] >= 3
+
+    def test_underflowing_magnetic_length_is_an_infinite_grid(self):
+        # h / omega_min underflows to 0, and so does the magnetic length
+        # across t: the count is infinite and refused with the budget
+        cfg = Field2DConfig.default(k=1, omega_min=1e150, h_list=(1e-175,))
+        assert cfg.magnetic_length_t(1e-175) == 0.0
+        with pytest.raises(ResolutionError, match=r"h=1e-175: grid \(\d+, inf\) "
+                           r"exceeds the grid budget"):
+            cfg.grid_for(1e-175)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -465,10 +484,10 @@ class TestSweepPool:
     def test_pool_matches_in_process(self, monkeypatch, sweep, m_count):
         config = sweep()
         set_blas_threads(monkeypatch, None)
-        assert _sweep_workers(len(config.h_list)) == 1
+        assert sweep_workers(len(config.h_list)) == 1
         serial, serial_warnings = recorded_sweep(config, m_count)
         set_blas_threads(monkeypatch, 1)
-        assert _sweep_workers(len(config.h_list)) == 2
+        assert sweep_workers(len(config.h_list)) == 2
         pooled, pooled_warnings = recorded_sweep(config, m_count)
         assert multiprocessing.active_children() == []
         assert pooled.eigenvalues.tobytes() == serial.eigenvalues.tobytes()
@@ -539,7 +558,7 @@ class TestSweepWorkers:
         set_blas_threads(monkeypatch, None, cores)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert _sweep_workers(n_h) == workers
+        assert sweep_workers(n_h) == workers
 
 
 class TestGridConvergence:
