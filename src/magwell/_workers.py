@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -67,16 +68,15 @@ def _run_fork_task(item):
 
 
 @contextlib.contextmanager
-def solved(solve: Callable, items: Sequence[Hashable],
-           start_order: Optional[Sequence[Hashable]] = None):
+def solved(solve: Callable, items: Sequence[Hashable]):
     """Calls that each return `solve(item)`, or raise its error, for the
     items in that order.
 
     With more than one `sweep_workers`, the items are solved side by side
     in a pool of forked processes (not threads: the SuperLU factorisation
-    holds the GIL), started in `start_order` (default: item order).
-    Otherwise each call solves its item in process. Leaving the block
-    cancels the items not yet started and joins the workers.
+    holds the GIL), the smallest item first. Otherwise each call solves
+    its item in process. Leaving the block cancels the items not yet
+    started and joins the workers.
     """
     workers = sweep_workers(len(items))
     if workers == 1:
@@ -84,13 +84,19 @@ def solved(solve: Callable, items: Sequence[Hashable],
         return
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
+    # each worker flushes its copy of the standard streams' buffers when it
+    # exits, so text still buffered here would be written once per worker
+    # (the fork start method of CPython flushes them too; this does not
+    # rely on it)
+    sys.stdout.flush()
+    sys.stderr.flush()
     # fork hands `solve` to the workers unpickled; with one BLAS thread the
     # parent holds no BLAS threads across the fork
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_set_fork_task, initargs=(solve,))
     try:
         futures = {item: pool.submit(_run_fork_task, item)
-                   for item in (items if start_order is None else start_order)}
+                   for item in sorted(items)}
         yield [futures[item].result for item in items]
     finally:
         pool.shutdown(cancel_futures=True)

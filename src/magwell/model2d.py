@@ -483,7 +483,7 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     issued: list[str] = []
     kept, skipped, rows = [], [], []
     solve = partial(_solve_h, config, m_count, lead_coef, lead_pow)
-    with _workers.solved(solve, config.h_list, sorted(config.h_list)) as results:
+    with _workers.solved(solve, config.h_list) as results:
         for h, result in zip(config.h_list, results):
             try:
                 vals, messages = result()

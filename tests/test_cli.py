@@ -14,7 +14,7 @@ from magwell._workers import sweep_workers
 from magwell.cli import main
 from magwell.sl_engine import ConvergenceError
 
-from conftest import set_blas_threads
+from conftest import BLAS_THREAD_VARS, set_blas_threads
 
 # The JSON schemas of the outputs. Most objects are written from a dataclass
 # with its field names as keys, so renaming a field would change the file
@@ -413,6 +413,32 @@ class TestKSweepWorkers:
             err = capsys.readouterr().err
             assert err == "usage error: forced at k=2\n"
             assert not out.exists()
+
+    def test_buffered_output_of_an_earlier_command_written_once(self, tmp_path):
+        # a process that runs table1 and then verify, its stdout a pipe and so
+        # block-buffered: table1's table must not reach the pipe again through
+        # the workers that verify forks. A child process is needed, as pytest
+        # replaces sys.stdout with an in-memory object.
+        import magwell
+        src = str(Path(magwell.__file__).resolve().parents[1])
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from magwell.cli import main\n"
+                "sys.exit(main(['table1', '--k', '1..2', '--out', sys.argv[1]])\n"
+                "         or main(['verify', '--k', '1..2', '--out', sys.argv[1]]))")
+        stdout = {}
+        for threads in (1, None):
+            env = {name: value for name, value in os.environ.items()
+                   if name not in BLAS_THREAD_VARS + ("PYTHONUNBUFFERED",)}
+            env["PYTHONPATH"] = src
+            if threads:
+                env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                           MKL_NUM_THREADS="1")
+            child = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"{threads}")],
+                                   env=env, capture_output=True, text=True, check=True)
+            stdout[threads] = child.stdout
+        headers = [line for line in stdout[1].splitlines() if line.startswith("k ")]
+        assert len(headers) == 1
+        assert stdout[1] == stdout[None]
 
 
 class TestProfile:
