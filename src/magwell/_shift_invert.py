@@ -16,9 +16,10 @@ caller uses. It works from a single start vector, so it resolves no exact
 multiplicity (the Krylov space holds one vector of each eigenspace) and
 sees no level that an exact symmetry keeps orthogonal to that vector. The
 2D solver splits off the one exact symmetry of its operator, the
-reflection t -> -t, and solves or certifies each block on its own. A count
-that only has to be 0 can first be read from a cheaper lower bound that
-decouples the matrix into strips (`count_below_bounded`).
+reflection t -> -t, and solves or certifies each block on its own. That a
+block has no level at or below a point is certified without a sparse
+factor, by one banded Cholesky of a lower bound that decouples the block
+into strips (`strip_bound_clears`).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dstemr
 from scipy.sparse.linalg import splu
 
@@ -71,17 +73,6 @@ def _negative_pivots(lu) -> Optional[int]:
     return int(np.count_nonzero(d < 0.0))
 
 
-def count_below(H, shift: float) -> Optional[int]:
-    """Number of eigenvalues of the sparse Hermitian H below `shift`, read
-    from the inertia of one factor of H - shift (freed on return); None when
-    that inertia cannot be trusted, including an exactly singular factor."""
-    try:
-        lu = _factor(H, shift)
-    except RuntimeError:           # SuperLU: factor is exactly singular
-        return None
-    return _negative_pivots(lu)
-
-
 def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
     """H_cut <= H, block diagonal over the strips `labels[i]` of the unknowns
     of the sparse Hermitian H: every entry (r, c) with labels[r] != labels[c]
@@ -90,7 +81,7 @@ def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
     [[|a|, a], [conj(a), |a|]], each positive semidefinite, so H_cut <= H for
     any labelling: a discrete Dirichlet-Neumann bracketing (Reed and Simon
     IV, XIII.15). Each eigenvalue of H_cut lies at or below the matching one
-    of H, so count_below(H_cut, x) >= count_below(H, x) at every x."""
+    of H, so H_cut has at least as many eigenvalues below any x as H."""
     C = H.tocoo()
     cut = labels[C.row] != labels[C.col]
     loss = np.bincount(C.row[cut], weights=np.abs(C.data[cut]), minlength=H.shape[0])
@@ -99,20 +90,24 @@ def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
     return (kept - sp.diags(loss, dtype=float)).tocsr()
 
 
-def count_below_bounded(H, shift: float, labels: np.ndarray) -> Optional[int]:
-    """count_below(H, shift), settled first on the strip-decoupled lower bound
-    `strip_lower_bound(H, labels)`: when the bound has no eigenvalue below
-    the shift, neither has H, and 0 is returned without factoring H. The
-    bound is factored one strip at a time, so only one small factor is alive
-    at once, and the first strip with a level below the shift, or with an
-    inertia that cannot be trusted, stops it. When the bound is inconclusive,
-    count_below(H, shift) decides."""
-    cut = strip_lower_bound(H, labels)
-    for strip in np.unique(labels):
-        idx = np.flatnonzero(labels == strip)
-        if count_below(cut[idx][:, idx], shift) != 0:
-            return count_below(H, shift)
-    return 0
+def strip_bound_clears(H, shift: float, labels: np.ndarray) -> bool:
+    """Whether the strip-decoupled lower bound `strip_lower_bound(H, labels)`
+    lies above `shift`, which proves that H has no eigenvalue at or below
+    it. Taken strip by strip (a stable sort of `labels`), the bound is
+    banded; for strips of whole grid columns its bandwidth is the widest
+    strip's. The answer is whether one banded Cholesky (LAPACK pbtrf) of
+    the bound minus `shift` succeeds."""
+    order = np.argsort(labels, kind="stable")
+    cut = sp.triu(strip_lower_bound(H, labels)[order][:, order], format="coo")
+    width = int(np.max(cut.col - cut.row))
+    band = np.zeros((width + 1, H.shape[0]), dtype=H.dtype)    # LAPACK upper band storage
+    band[width + cut.row - cut.col, cut.col] = cut.data
+    band[width] -= shift
+    try:
+        cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError:      # a pivot at or below 0
+        return False
+    return True
 
 
 def _residual_small(r: float, next_norm: float, theta: float) -> bool:

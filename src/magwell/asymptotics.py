@@ -20,6 +20,10 @@ from typing import Sequence
 import numpy as np
 
 
+# largest x with a finite x ** 2; every power of h taken here is below h^2
+_SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def leading_exponent(k: int) -> Fraction:
     return Fraction(2 * k + 2, k + 2)
 
@@ -45,8 +49,9 @@ def quasimode_energy(h: float, k: int, omega_min: float, lambda_level: float,
 
     with `nu_hat` the band minimum for this k.
     """
-    if not 0 < h < np.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    if not 0 < h <= _SQUARE_MAX:
+        raise ValueError(f"h must be positive and at most {_SQUARE_MAX:.6g}, "
+                         f"as powers of it up to h^2 are taken, got {h!r}")
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     return lead + lambda_level * h ** float(splitting_exponent(k))
 
@@ -61,8 +66,9 @@ def ground_energy_bounds(h: float, k: int, omega_min: float, C: float = 1.0,
     (6k+8)/(3(k+2)) - (2k+2)/(k+2) = 2/(3(k+2)) > 0, so the interval is
     genuinely higher order.
     """
-    if not (0 < h < np.inf and 0 <= C < np.inf):
-        raise ValueError(f"need finite h > 0 and C >= 0, got h={h}, C={C}")
+    if not (0 < h <= _SQUARE_MAX and 0 <= C < np.inf):
+        raise ValueError(f"need 0 < h <= {_SQUARE_MAX:.6g} and finite C >= 0, "
+                         f"got h={h}, C={C}")
     lead = nu_hat * omega_min ** (2.0 / (k + 2)) * h ** float(leading_exponent(k))
     err = C * h ** float(bound_error_exponent(k))
     return lead - err, lead + err
@@ -78,8 +84,9 @@ def gap_intervals(h: float, k: int, omega_min: float,
     levels closer than 2 r(h) (in splitting units) yields no predictable gap
     and is dropped with a warning.
     """
-    if not 0 <= c_res < np.inf:
-        raise ValueError(f"c_res must be finite and >= 0, got c_res={c_res}")
+    if not (0 < h <= _SQUARE_MAX and 0 <= c_res < np.inf):
+        raise ValueError(f"need 0 < h <= {_SQUARE_MAX:.6g} and finite c_res >= 0, "
+                         f"got h={h}, c_res={c_res}")
     levels = np.asarray(K_levels, dtype=float)
     if np.any(np.diff(levels) <= 0):
         raise ValueError("K levels must be strictly ascending")

@@ -17,10 +17,10 @@ bit, so the operator commutes exactly with the reflection t -> -t. The
 eigensolver then splits it into even and odd blocks of about N/2 unknowns.
 It solves the even block at a shift forecast just below the ground state,
 and certifies that shift by Sylvester inertia of its factor. The absence of
-odd levels among the lowest ones is certified by the inertia of a lower
-bound of the odd block that splits into strips about two magnetic lengths
-wide along s (`strip_labels`, `_shift_invert.strip_lower_bound`), and by
-the odd block's own factor only when that bound is inconclusive.
+odd levels among the lowest ones is certified by one banded Cholesky of a
+lower bound of the odd block that splits into strips about two magnetic
+lengths wide along s (`strip_labels`, `_shift_invert.strip_bound_clears`).
+When that bound is inconclusive, the odd block is solved too.
 """
 from __future__ import annotations
 
@@ -34,12 +34,13 @@ import scipy.sparse as sp
 
 from . import _workers
 from ._files import read_fields
-from ._shift_invert import (RESIDUAL_TOL, ShiftRejected, count_below_bounded,
-                            lowest_sparse_eigenpairs)
+from ._shift_invert import (RESIDUAL_TOL, ShiftRejected, lowest_sparse_eigenpairs,
+                            strip_bound_clears)
 from .sl_engine import ConvergenceError, SolverError
 from .montgomery import _shifted_gauge, minimizer_state
 from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
-from .asymptotics import exponent_fit, leading_exponent, quasimode_energy, splitting_exponent
+from .asymptotics import (_SQUARE_MAX, exponent_fit, leading_exponent, quasimode_energy,
+                          splitting_exponent)
 
 
 GRID_BUDGET = (1024, 512)     # (max n_s, max n_t) of any assembled grid
@@ -60,9 +61,6 @@ def default_omega_profile(omega_min: float, a: float, s1: float, S: float
         return omega_min * (1.0 + a * np.sin(np.pi * (np.asarray(s) - s1) / S) ** 2)
 
     return omega
-
-
-_SQUARE_MAX = float(np.sqrt(np.finfo(float).max))   # largest x with a finite x ** 2
 
 
 def _finite(key: str, value: float, positive: bool = False,
@@ -271,8 +269,8 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
 
 
 class ShiftCertificateWarning(UserWarning):
-    """An inertia certificate of the 2D solve failed, so the solve did more
-    work: a refactorisation at shift 0, or a solve of the odd block."""
+    """The 2D solve did more work than forecast: it refactored a block at
+    shift 0, or merged levels of the odd block into the lowest ones."""
 
 
 def reflection_blocks(operator: MagneticOperator2D) -> list[tuple[str, Optional[sp.csr_matrix]]]:
@@ -321,18 +319,16 @@ def strip_labels(operator: MagneticOperator2D) -> np.ndarray:
     return np.arange((operator.n_t - 2) // 2 * n_s) % n_s * n_strips // n_s
 
 
-def _pivots(count: Optional[int]) -> str:
-    return "untrusted inertia" if count is None else f"{count} negative pivots"
-
-
 def _block_pairs(H, count: int, shift: float, where: str):
     """The `count` lowest eigenpairs of one block, by shift-invert at
     `shift` when its factor certifies it, else (with a warning) at 0."""
     try:
         return lowest_sparse_eigenpairs(H, count, shift=shift)
     except ShiftRejected as exc:
+        below = exc.negative_pivots
+        pivots = "untrusted inertia" if below is None else f"{below} negative pivots"
         warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
-                      f"({_pivots(exc.negative_pivots)}); refactored at 0",
+                      f"({pivots}); refactored at 0",
                       ShiftCertificateWarning, stacklevel=3)
     return lowest_sparse_eigenpairs(H, count)
 
@@ -350,21 +346,19 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     read once the Lanczos is done, has no negative pivot (Sylvester
     inertia); otherwise the result is dropped and the block is solved again
     at 0. The odd block is certified at the largest even level
-    lambda_{m-1} in two tiers (`count_below_bounded`). The first factors,
-    strip by strip, the lower bound H_cut <= H_odd that drops every link
-    between the strips of `strip_labels` (equal strips of at least
-    ceil(2 h^{1/(2(k+2))} / ds) columns, 41 on the default grids) and
-    subtracts its modulus from both diagonal entries; a bound with no level
-    below lambda_{m-1} certifies the odd block. Its lowest level lies
+    lambda_{m-1} by a lower bound H_cut <= H_odd, decoupled into the strips
+    of `strip_labels` (41 or more columns on the default grids): when one
+    banded Cholesky of H_cut - lambda_{m-1} succeeds (`strip_bound_clears`),
+    no odd level is among the lowest m_count. The lowest level of H_cut lies
     1.99-2.17 times above lambda_3 on the default k=1 sweep, 2.70-3.30 times
-    at k=3 and 1.79-2.78 times on the S=8 test sweeps. Otherwise the factor
-    of H_odd - lambda_{m-1} decides: if it has a negative pivot, or its
-    inertia cannot be trusted, the odd block is solved too and its levels
-    merged. Each failed certificate emits a ShiftCertificateWarning; an
-    inconclusive bound alone emits none. Every factor uses the symmetric
-    minimum-degree ordering MMD_AT_PLUS_A, and only one factor is alive at a
-    time. The Lanczos runs from a single
-    start vector, so within a block it resolves no exact multiplicity and
+    at k=3 and 1.79-2.78 times on the S=8 test sweeps. Otherwise the odd
+    block is solved for m_count levels at `shift`, certified as the first,
+    and merged. A ShiftCertificateWarning is emitted for each refactorisation
+    at 0, and one naming their count when odd levels enter the lowest
+    m_count; an inconclusive bound alone emits none. Every sparse factor
+    uses the symmetric minimum-degree ordering MMD_AT_PLUS_A, and only one
+    factor is alive at a time. The Lanczos runs from a single start vector,
+    so within a block it resolves no exact multiplicity and
     sees no level that an exact symmetry keeps orthogonal to that vector.
     The reflection t -> -t is such a symmetry, which is why it is split off
     into blocks, each solved or certified on its own. A Lanczos that does
@@ -385,16 +379,17 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
         vecs = Q @ vecs
     for name, Q in rest:
         block = (Q.T @ H @ Q).tocsr()
-        below = count_below_bounded(block, vals[-1], strip_labels(operator))
-        if below == 0:
+        if strip_bound_clears(block, vals[-1], strip_labels(operator)):
             continue
-        warnings.warn(f"{where}, {name} block: {_pivots(below)} at lambda_"
-                      f"{m_count - 1} = {vals[-1]:.6e}; solving the {name} "
-                      f"block and merging", ShiftCertificateWarning, stacklevel=2)
-        need = m_count if below is None else min(below, m_count)
-        more, more_vecs = _block_pairs(block, need, shift, f"{where}, {name} block")
-        order = np.argsort(np.concatenate([vals, more]), kind="stable")[:m_count]
-        vals = np.concatenate([vals, more])[order]
+        more, more_vecs = _block_pairs(block, m_count, shift, f"{where}, {name} block")
+        merged = np.concatenate([vals, more])
+        order = np.argsort(merged, kind="stable")[:m_count]
+        entered = np.count_nonzero(order >= m_count)
+        if entered:
+            warnings.warn(f"{where}, {name} block: {entered} of the {m_count} "
+                          f"lowest levels; merged", ShiftCertificateWarning,
+                          stacklevel=2)
+        vals = merged[order]
         vecs = np.hstack([vecs, Q @ more_vecs])[:, order]
     for i in range(m_count):
         v = vecs[:, i]

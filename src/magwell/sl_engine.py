@@ -307,7 +307,7 @@ def eigenvalue_converged(potential, m: int, tol: float) -> tuple[float, Spectrum
         spec = lowest_eigenpairs(assemble(potential, grid), track)
         lam = spec.eigenvalues[m]
         wall = min(float(potential(-L)), float(potential(L)))
-        if wall >= lam + 1.0 and boundary_mass(spec) < max(tol**2, 1e-26):
+        if wall >= lam + 1.0 and boundary_mass(spec) < max(tol * tol, 1e-26):
             break
         L *= 2.0
     else:

@@ -102,6 +102,15 @@ class TestExitCodes:
         assert run_cli(["table1", "--k", "1", "--tol", tol,
                         "--out", str(tmp_path)]) == 2
 
+    def test_tol_past_the_square_range_runs(self, tmp_path):
+        # 1e200 squared overflows; the band scan takes it as it takes 1e100
+        for tol in ("1e200", "1e100"):
+            assert run_cli(["table1", "--k", "1", "--tol", tol,
+                            "--out", str(tmp_path / tol)]) == 0
+        for name in ("table1.csv", "table1.json"):
+            assert ((tmp_path / "1e200" / name).read_bytes()
+                    == (tmp_path / "1e100" / name).read_bytes())
+
     def test_negative_tol_is_usage_error_before_any_solve(self, tmp_path, capsys,
                                                           monkeypatch):
         def no_solve(k):
@@ -116,6 +125,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["predict", "--geometry", "{geometry}", "--h", "nan"], "non-finite"),
         (["predict", "--geometry", "{geometry}", "--h", "inf"], "non-finite"),
+        # powers of h up to h^2 are taken
+        (["predict", "--geometry", "{geometry}", "--h", "1e300"],
+         "h must be positive and at most 1.34078e+154, as powers of it up to "
+         "h^2 are taken, got 1e+300"),
         (["predict", "--geometry", "{geometry}", "--h", "0.01",
           "--residual-constant", "-1"], "c_res=-1.0"),
         (["predict", "--geometry", "{geometry}", "--h", "0.01",
@@ -128,7 +141,7 @@ class TestExitCodes:
         (["profile", "--k", "1", "--range=1:-1"], "range '1:-1' has LO > HI"),
         (["table1", "--k", "3..1"], "k range '3..1' has LO > HI"),
         (["verify", "--k", "3..1"], "k range '3..1' has LO > HI"),
-    ], ids=["h-nan", "h-inf", "residual-constant-negative",
+    ], ids=["h-nan", "h-inf", "h-overflow", "residual-constant-negative",
             "error-constant-nan", "geometry-nan", "sweep-h-nan", "range-nan",
             "range-reversed", "table1-k-reversed", "verify-k-reversed"])
     def test_nonfinite_or_negative_input_is_usage_error(self, tmp_path, capsys,

@@ -8,12 +8,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from magwell import model2d
+from magwell import _shift_invert, model2d
 from magwell._workers import sweep_workers
 from magwell._shift_invert import (
-    count_below,
-    count_below_bounded,
     lowest_sparse_eigenpairs,
+    strip_bound_clears,
     strip_lower_bound,
 )
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
@@ -201,6 +200,19 @@ class TestEigenvalues:
         dense = np.linalg.eigvalsh(op.hermitian.toarray())
         assert np.allclose(vals, dense[:5], atol=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 12: at shift 0 the Lanczos misses levels of an even-k "
+        "operator whose symmetry s -> 2 s1 - s, t -> -t it does not split off"))
+    def test_even_k_default_profile_at_shift_zero(self):
+        # k=2, N = 9,240: the inertia of H - lambda_3 (1 + 1e-9) counts the
+        # levels at or below the returned lambda_3, which should be four
+        cfg = Field2DConfig.default(k=2, S=8.0, s1=2.4, points_per_length=12)
+        op = assemble_2d(cfg, 0.01363)
+        assert op.hermitian.shape[0] == 9240
+        vals = lowest_eigenvalues_2d(op, 4)
+        lu = _shift_invert._factor(op.hermitian, vals[-1] * (1 + 1e-9))
+        assert _shift_invert._negative_pivots(lu) == 4
+
     def test_residual_contract(self, monkeypatch):
         # pairs that meet RESIDUAL_TOL are returned; the same solve raises
         # once its Lanczos vectors are perturbed past it
@@ -287,7 +299,9 @@ class TestReflectionBlocks:
         odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
         labels = strip_labels(op)
         assert labels.shape == (odd.shape[0],) and labels.max() == 3
-        assert count_below(strip_lower_bound(odd, labels), vals[-1]) == 0
+        bound = np.linalg.eigvalsh(strip_lower_bound(odd, labels).toarray())
+        assert bound[0] > vals[-1]
+        assert strip_bound_clears(odd, vals[-1], labels)
 
     @staticmethod
     def asymptotic_operator():
@@ -311,25 +325,34 @@ class TestReflectionBlocks:
             vals = lowest_eigenvalues_2d(op, 4, shift=0.5 * (ref[0] + ref[1]))
         assert np.allclose(vals, ref, rtol=1e-12, atol=0)
 
-    def test_inconclusive_bound_falls_back_to_the_exact_count(self):
+    def test_inconclusive_bound_solves_the_odd_block(self, monkeypatch):
         # one unknown per strip cuts every link: the bound is the Gershgorin
-        # diagonal, far below lambda_3; the exact count of the odd block then
-        # certifies it, with no warning, and the levels are the even block's
+        # diagonal, far below lambda_3; the odd block is then solved, none
+        # of its levels enters the lowest four, no warning is emitted, and
+        # the levels are the even block's
         op = self.asymptotic_operator()
+        (_, Q_even), (_, Q_odd) = reflection_blocks(op)
+        even = (Q_even.T @ op.hermitian @ Q_even).tocsr()
+        odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
+        singletons = np.arange(odd.shape[0])
+        solved = []
+
+        def spy(H, count, shift=0.0):
+            pairs = lowest_sparse_eigenpairs(H, count, shift=shift)
+            solved.append(pairs[0])
+            return pairs
+
+        monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", spy)
+        monkeypatch.setattr(model2d, "strip_labels", lambda op: singletons)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShiftCertificateWarning)
             vals = lowest_eigenvalues_2d(op, 4)
-            (_, Q_even), (_, Q_odd) = reflection_blocks(op)
-            odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
-            singletons = np.arange(odd.shape[0])
-            assert count_below(strip_lower_bound(odd, singletons), vals[-1]) > 0
-            assert count_below_bounded(odd, vals[-1], singletons) == 0
-            assert count_below(odd, vals[-1]) == 0
+        assert not strip_bound_clears(odd, vals[-1], singletons)
+        assert len(solved) == 2 and solved[1][0] > vals[-1]
         # the strips lowest_eigenvalues_2d uses settle it on the bound
         labels = strip_labels(op)
         assert labels.shape == (odd.shape[0],)
-        assert count_below(strip_lower_bound(odd, labels), vals[-1]) == 0
-        even = (Q_even.T @ op.hermitian @ Q_even).tocsr()
+        assert strip_bound_clears(odd, vals[-1], labels)
         assert np.array_equal(vals, lowest_sparse_eigenpairs(even, 4)[0])
 
     def test_strips_are_about_two_magnetic_lengths(self):
@@ -344,12 +367,6 @@ class TestReflectionBlocks:
         # n_s // 41 strips share the remainder, so none is narrower
         assert widths.min() >= 41 and widths.max() <= 42
         assert 2 * cfg.magnetic_length_s(h) <= widths.min() * cfg.S / op.n_s
-
-    def test_count_below_matches_dense(self):
-        op = assemble_2d(small_config(k=2), 0.5)
-        dense = np.linalg.eigvalsh(op.hermitian.toarray())
-        for x in (0.5 * dense[0], 0.5 * (dense[2] + dense[3]), dense[40] + 1e-6):
-            assert count_below(op.hermitian, x) == np.count_nonzero(dense < x)
 
 
 class TestShiftInvertRoute:
@@ -445,7 +462,7 @@ class TestSweepSmoke:
                 pytest.warns(ShiftCertificateWarning, match="odd block"):
             rep = run_sweep(certificate_sweep(), m_count=4)
         certs = [w for w in rep.warnings_issued if "block" in w]
-        assert certs[0].startswith("h=0.5, odd block: 2 negative pivots")
+        assert certs[0] == "h=0.5, odd block: 1 of the 4 lowest levels; merged"
         assert np.all(np.diff(rep.eigenvalues, axis=1) > 0)
 
     def test_budget_skips_recorded(self):

@@ -1,8 +1,8 @@
 """The shift-invert Lanczos of `magwell._shift_invert` against dense
 `eigvalsh`: complex Hermitian and real symmetric matrices, near-degenerate
 pairs, the residual bound of its stop rule, the inertia certificate of a
-shift, the strip-decoupled lower bound that certifies a count cheaply, and
-the typed failure."""
+shift, the strip-decoupled lower bound whose banded Cholesky certifies
+that no level lies below a point, and the typed failure."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,9 +12,8 @@ from magwell._shift_invert import (
     LANCZOS_MAX_STEPS,
     RESIDUAL_TOL,
     ShiftRejected,
-    count_below,
-    count_below_bounded,
     lowest_sparse_eigenpairs,
+    strip_bound_clears,
     strip_lower_bound,
 )
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
@@ -198,26 +197,31 @@ class TestStripLowerBound:
     def test_count_of_the_bound_is_no_smaller(self, kind):
         B = reflection_block(1)
         labels = self.labellings(B.shape[0])[kind]
-        cut = strip_lower_bound(B, labels)
+        bound = np.linalg.eigvalsh(strip_lower_bound(B, labels).toarray())
         dense = np.linalg.eigvalsh(B.toarray())
+        clears = []
         for x in (0.5 * dense[0], 0.5 * (dense[0] + dense[1]),
                   0.5 * (dense[3] + dense[4]), dense[40] + 1e-9):
-            exact = count_below(B, x)
-            assert exact == np.count_nonzero(dense < x)
-            assert count_below(cut, x) >= exact
-            assert count_below_bounded(B, x, labels) == exact
+            assert np.count_nonzero(bound < x) >= np.count_nonzero(dense < x)
+            clears.append(strip_bound_clears(B, x, labels))
+            assert clears[-1] == (bound[0] > x)
+        # the strips clear the lowest point and no other; the random
+        # labelling cuts more links and clears none
+        assert clears == [kind == "strips", False, False, False]
 
     def test_every_strip_is_checked(self):
         # all strips but the last raised above the Gershgorin bound of B:
-        # the lowest level then lives in the last strip
+        # the lowest level then lives in the last strip, the last in the band
         B = reflection_block(1)
         labels = self.labellings(B.shape[0])["strips"]
         raise_by = 2.0 * abs(B).sum(axis=1).max()
         H = (B + sp.diags(np.where(labels < labels.max(), raise_by, 0.0))).tocsr()
         dense = np.linalg.eigvalsh(H.toarray())
         x = 0.5 * (dense[0] + dense[1])
-        assert count_below(H, x) == 1
-        assert count_below_bounded(H, x, labels) == 1
+        assert np.count_nonzero(dense < x) == 1
+        assert not strip_bound_clears(H, x, labels)
+        bound = np.linalg.eigvalsh(strip_lower_bound(H, labels).toarray())
+        assert strip_bound_clears(H, 0.5 * bound[0], labels)
 
 
 class TestFailures:
