@@ -36,7 +36,7 @@ from . import _workers
 from ._files import read_fields
 from ._shift_invert import (RESIDUAL_TOL, ShiftRejected, lowest_sparse_eigenpairs,
                             strip_bound_clears)
-from .sl_engine import ConvergenceError, SolverError
+from .sl_engine import AssemblyError, ConvergenceError, SolverError
 from .montgomery import _shifted_gauge, minimizer_state
 from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
 from .asymptotics import (_SQUARE_MAX, exponent_fit, leading_exponent, quasimode_energy,
@@ -92,7 +92,9 @@ class Field2DConfig:
     second derivative of |omega|^2 at that minimum, are declared by the
     caller since the sweep predictions need them in closed form. Grid sizes
     follow the resolution rule, `points_per_length` nodes per magnetic
-    length (`grid_for`), and must fit GRID_BUDGET.
+    length (`grid_for`), and must fit GRID_BUDGET. `omega` must be finite
+    and not negative at the sample points (`s_midpoints`) of every grid of
+    h_list that fits, else ValueError; a zero field is allowed.
     """
 
     k: int
@@ -118,6 +120,19 @@ class Field2DConfig:
             _finite("h", h, positive=True, squared=True)
         if sorted(self.h_list, reverse=True) != list(self.h_list):
             raise ValueError("h_list must be descending")
+        for h in self.h_list:
+            try:
+                n_s = self.grid_for(h)[0]
+            except ResolutionError:
+                continue            # refused again, and skipped, by assemble_2d
+            s = self.s_midpoints(n_s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.asarray(self.omega(s), dtype=float)
+            bad = ~(np.isfinite(w) & (w >= 0))
+            if np.any(bad):
+                raise ValueError(f"omega must be finite and >= 0 at every grid "
+                                 f"sample, got {float(w[bad][0])!r} at "
+                                 f"s={float(s[bad][0])!r} (h={h:g})")
 
     @classmethod
     def default(cls, k: int = 1, omega_min: float = 1.0, a: float = 1.0,
@@ -125,9 +140,13 @@ class Field2DConfig:
                 h_list: Optional[Sequence[float]] = None, **kw) -> "Field2DConfig":
         if h_list is None:      # the default sweep: seven h from 0.02 to 0.002
             h_list = tuple(np.geomspace(0.02, 0.002, 7))
-        # omega''(s1); a and S are checked first, as S divides
-        curv_omega = (omega_min * _finite("a", a, positive=True) * 2.0 * np.pi**2
-                      / _finite("S", S, positive=True, squared=True) ** 2)
+        # omega''(s1); a and S are checked first, as S divides, squared
+        a = _finite("a", a, positive=True)
+        S2 = _finite("S", S, positive=True, squared=True) ** 2
+        if S2 < np.finfo(float).tiny:
+            raise ValueError(f"S must be at least {np.sqrt(np.finfo(float).tiny):.6g}, "
+                             f"as it divides squared, got {S!r}")
+        curv_omega = omega_min * a * 2.0 * np.pi**2 / S2
         return cls(
             k=k,
             omega=default_omega_profile(omega_min, a, _finite("s1", s1), S),
@@ -148,6 +167,10 @@ class Field2DConfig:
 
     def magnetic_length_s(self, h: float) -> float:
         return h ** (1.0 / (2 * (self.k + 2)))
+
+    def s_midpoints(self, n_s: int) -> np.ndarray:
+        """The n_s staggered midpoints (j + 1/2) S/n_s, where omega is sampled."""
+        return (np.arange(n_s) + 0.5) * (self.S / n_s)
 
     def grid_for(self, h: float) -> tuple[int, int]:
         """(n_s, n_t) of the points-per-length rule at this h:
@@ -219,7 +242,8 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
 
     Dirichlet rows at t = +-T are eliminated; s is periodic. Refuses an h
     whose grid exceeds GRID_BUDGET or would admit low-lying link-wrap
-    artifacts (ResolutionError).
+    artifacts (ResolutionError), and a link phase that is not finite
+    (AssemblyError).
     """
     n_s, n_t = config.grid_for(h)
     # interior nodes t_i = T (2i - (n_t - 1)) / (n_t - 1), i = 1..n_t-2:
@@ -228,12 +252,17 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
     t = config.T * (2.0 * np.arange(1, n_t - 1) - (n_t - 1)) / (n_t - 1)
     dt = 2 * config.T / (n_t - 1)
     ds = config.S / n_s
-    s_mid = (np.arange(n_s) + 0.5) * ds
 
     nt = len(t)
     N = nt * n_s
     # link phases ds A_s / h, A_s sampled at the staggered midpoints
-    theta = ds * np.outer(_shifted_gauge(config.k, 0.0, t), config.omega(s_mid)) / h
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = (ds * np.outer(_shifted_gauge(config.k, 0.0, t),
+                               config.omega(config.s_midpoints(n_s))) / h)
+    bad = ~np.isfinite(theta)
+    if np.any(bad):
+        raise AssemblyError(f"h={h:g}: link phase non-finite at "
+                            f"t={t[bad.any(axis=1)][:5].tolist()}")
     _check_wrap_clearance(config, h, t, theta)
 
     ii = np.arange(nt)

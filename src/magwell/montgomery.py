@@ -14,7 +14,10 @@ on the converged grid, which is exactly the discrete Hellmann-Feynman
 pairing of the assembled matrix. The band minimum is the root of that
 derivative on a fixed grid, found by Newton's method with the exact
 discrete second derivative (the reduced resolvent) as its slope, so the
-stationarity residual is at rounding level, not at grid level.
+stationarity residual is at rounding level, not at grid level. For even k
+the band is even in alpha (Montgomery, CMP 168, 1995), and its minimum is
+taken at alpha = 0 exactly: there the potential is even bit for bit, so
+every solve is split by parity, and the Newton run stops where it starts.
 """
 from __future__ import annotations
 
@@ -46,17 +49,18 @@ ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may c
 
 def _shifted_gauge(k: int, alpha: float, t: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """beta t^{k+1}/(k+1) - alpha, the gauge shifted by the momentum alpha.
-    For odd k the power is taken of t*t, so the samples on a mirror-symmetric
-    grid are even bit for bit (numpy's t ** 4, t ** 6 and t ** 8 are not)."""
-    power = (t * t) ** ((k + 1) // 2) if k % 2 else t ** (k + 1)
+    The power is taken of t*t, times t for even k, so on a mirror-symmetric
+    grid its samples are even (odd k) or odd (even k) bit for bit; numpy's
+    t ** 3, t ** 4, t ** 5, ... are not."""
+    power = (t * t) ** ((k + 1) // 2) if k % 2 else t * (t * t) ** (k // 2)
     return beta * power / (k + 1) - alpha
 
 
 def family_potential(k: int, alpha: float,
                      beta: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """The confining potential (beta t^{k+1}/(k+1) - alpha)^2; for odd k its
-    samples are even in t bit for bit, so `sl_engine` splits the operator by
-    parity."""
+    """The confining potential (beta t^{k+1}/(k+1) - alpha)^2; its samples
+    are even in t bit for bit for odd k, and for even k at alpha = 0, so
+    `sl_engine` splits the operator by parity there."""
     return lambda t: _shifted_gauge(k, alpha, t, beta) ** 2
 
 
@@ -262,12 +266,18 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     grid (`_scan_values`); for every interior local minimum of the scan, the
     root of the discrete Hellmann-Feynman derivative in the scan bracket
     around it on a frozen reference grid (`_stationary_alpha`, started at
-    the scan point), converged once; then two converged solves at the
-    global minimizer, each tracking nu_hat, lambda_1 and lambda_2 at
-    tol/10: on the grid of the first, the root is solved for again in the
-    same bracket, started at the reference root; the second (at that root)
-    gives the three levels, the eigenpairs, and the grid on which the
-    identities and non-degeneracy data are evaluated.
+    the scan point), converged once; for even k a bracket that holds 0
+    takes alpha = 0 exactly instead, as the band is even in alpha, and the
+    reference grid is solved for only when some bracket still needs it.
+    Then a converged solve at the global minimizer, tracking nu_hat,
+    lambda_1 and lambda_2 at tol/10; on its grid the root is solved for
+    again in the same bracket, started at the minimizer. When that moves
+    it, a second such solve at the new root follows (for even k at 0 it
+    does not, since g(0) vanishes to rounding there). The last solve gives
+    the three levels, the eigenpairs, and the grid on which the identities
+    and non-degeneracy data are evaluated. An even-k minimisation so makes
+    two converged solves, both split by parity, and one Newton run; an odd-k
+    one makes four and two.
 
     The scan values are never reported; they only pick the brackets, so
     the scan is not converged. Its one grid has the ROUGH_GRID_POINTS (257)
@@ -288,21 +298,26 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     alphas, vals = _scan_values(k)
     i_min, brackets = _scan_brackets(alphas, vals)
 
-    # frozen reference grid at the scan minimizer
-    _, ref_spec = eigenvalue_converged(family_potential(k, alphas[i_min]), 0,
-                                       min(tol, 1e-6) / 10.0)
-
+    ref_grid = None      # frozen reference grid at the scan minimizer, when needed
     local_minima = []
     for i in brackets:
-        a_loc = _stationary_alpha(k, ref_spec.grid, alphas[i - 1], alphas[i + 1],
-                                  alphas[i])
+        if k % 2 == 0 and alphas[i - 1] < 0.0 < alphas[i + 1]:
+            a_loc = 0.0          # the band is even in alpha
+        else:
+            if ref_grid is None:
+                ref_grid = eigenvalue_converged(family_potential(k, alphas[i_min]), 0,
+                                                min(tol, 1e-6) / 10.0)[1].grid
+            a_loc = _stationary_alpha(k, ref_grid, alphas[i - 1], alphas[i + 1],
+                                      alphas[i])
         lam_loc, _ = eigenvalue_converged(family_potential(k, a_loc), 0, tol)
         local_minima.append((float(a_loc), float(lam_loc)))
     i, (alpha_min, _) = min(zip(brackets, local_minima), key=lambda b: b[1][1])
 
     _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
-    alpha_min = _stationary_alpha(k, spec.grid, alphas[i - 1], alphas[i + 1], alpha_min)
-    _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
+    root = _stationary_alpha(k, spec.grid, alphas[i - 1], alphas[i + 1], alpha_min)
+    if root != alpha_min:
+        alpha_min = root
+        _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
     nu_hat, lam1, lam2 = spec.extrapolants
     grid = spec.grid
     op = assemble(family_potential(k, alpha_min), grid)

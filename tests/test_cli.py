@@ -242,6 +242,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc,code,message", [
         ('{"S": 1e200}', 2,
          "usage error: S must be at most 1.34078e+154, as it is squared, got 1e+200"),
+        ('{"S": 1e-300}', 2,
+         "usage error: S must be at least 1.49167e-154, as it divides squared, "
+         "got 1e-300"),
         ('{"T": 1e308}', 1, "numerical failure: fewer than 4 usable h values"),
         ('{"h_list": [1e200, 1e190, 1e180, 1e170]}', 2,
          "usage error: h must be at most 1.34078e+154, as it is squared, got 1e+200"),
@@ -249,8 +252,8 @@ class TestExitCodes:
          "numerical failure: fewer than 4 usable h values"),
         ('{"h_list": [1e8, 1e7, 1e6, 1e5]}', 1,
          "numerical failure: fewer than 4 usable h values"),
-    ], ids=["S-squared", "T-infinite-grid", "h-squared", "t-length-underflow",
-            "no-interior-t-row"])
+    ], ids=["S-squared", "S-square-underflow", "T-infinite-grid", "h-squared",
+            "t-length-underflow", "no-interior-t-row"])
     def test_sweep_past_the_float_range_ends_in_one_line(self, tmp_path, doc, code,
                                                          message):
         # a magwell process, so that a traceback would reach its stderr; with
@@ -271,6 +274,32 @@ class TestExitCodes:
         assert child.returncode == code
         assert message in child.stderr and "Traceback" not in child.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_nan_profile_refused_before_any_solve(self, tmp_path):
+        # pi (s - s1) overflows, so omega is NaN at every sample; pooled and in
+        # process alike, the config is refused before a NaN operator reaches
+        # the sparse factorisation
+        path = tmp_path / "cfg.json"
+        path.write_text('{"s1": 1e308, "h_list": [0.2, 0.1, 0.05, 0.02]}')
+        import magwell
+        src = str(Path(magwell.__file__).resolve().parents[1])
+        for threads in ("1", None):
+            env = {name: value for name, value in os.environ.items()
+                   if name not in BLAS_THREAD_VARS}
+            env["PYTHONPATH"] = src
+            if threads:
+                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+            out = tmp_path / f"out-{threads}"
+            child = subprocess.run(
+                [sys.executable, "-m", "magwell.cli", "validate2d", "--config",
+                 str(path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert child.returncode == 2
+            assert child.stderr == ("usage error: omega must be finite and >= 0 at "
+                                    "every grid sample, got nan at "
+                                    "s=0.01907356948228883 (h=0.2)\n")
+            assert not out.exists()
 
     def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -353,6 +382,14 @@ class TestTable1:
         captured = capsys.readouterr()
         assert "k=5: FAILED (forced at k=5)" in captured.err
         assert captured.out == ""
+
+    def test_even_k_alpha_min_prints_without_sign(self, tmp_path, capsys):
+        # alpha_min is 0.0 exactly for even k, so no -0.0000 in the table
+        assert run_cli(["table1", "--k", "1..7", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("alpha_min"))
+        assert row.split()[2::2] == ["0.0000"] * 3
+        assert "-0.0000" not in out
 
     def test_determinism(self, tmp_path):
         out1 = tmp_path / "a"

@@ -26,7 +26,7 @@ from magwell.model2d import (
     run_sweep,
     strip_labels,
 )
-from magwell.sl_engine import ConvergenceError
+from magwell.sl_engine import AssemblyError, ConvergenceError
 
 from conftest import set_blas_threads
 from oracles import fiber_eigenvalues
@@ -139,10 +139,20 @@ class TestConfig:
         ({"omega_min": float("nan")}, "omega_min must be a finite number > 0"),
         ({"a": 0.0}, "a must be a finite number > 0"),
         ({"h_list": (0.05, float("nan"))}, "h must be a finite number > 0"),
+        # S divides squared, and 1e-300 squared underflows to 0
+        ({"S": 1e-300}, "S must be at least 1.49167e-154, as it divides squared"),
+        # pi (s - s1) overflows, so the profile is NaN at every sample
+        ({"s1": 1e308}, "omega must be finite and >= 0 at every grid sample, got nan"),
     ])
     def test_out_of_range_values_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
             Field2DConfig.default(k=1, **kw)
+
+    def test_negative_profile_sample_rejected(self):
+        # a zero field is allowed (see TestAssembly); a negative one is not
+        with pytest.raises(ValueError, match="omega must be finite and >= 0 .* got -"):
+            Field2DConfig(k=1, omega=np.cos, omega_min=1.0, curvature_abs2=1.0,
+                          S=8.0, T=0.8, h_list=(0.5,))
 
     def test_json_absent_keys_take_the_defaults(self):
         got = Field2DConfig.from_json({"k": 2.0})
@@ -154,6 +164,15 @@ class TestConfig:
 
 
 class TestAssembly:
+    def test_nonfinite_link_phase_refused(self):
+        # a profile that is finite at every sample whose link phase
+        # ds A_s omega / h still overflows
+        cfg = Field2DConfig(k=1, omega=lambda s: np.full(np.shape(s), 1e308),
+                            omega_min=1.0, curvature_abs2=1.0, S=8.0, T=3.0,
+                            h_list=(0.05,))
+        with pytest.raises(AssemblyError, match="h=0.05: link phase non-finite"):
+            assemble_2d(cfg, 0.05)
+
     def test_hermitian_bit_exact(self):
         cfg = small_config()
         op = assemble_2d(cfg, 0.5)

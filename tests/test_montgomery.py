@@ -12,9 +12,11 @@ from magwell.montgomery import (
     _stationary_alpha,
     family_potential,
     lambda_m,
+    minimizer_state,
     profile,
 )
-from magwell.sl_engine import ConvergenceError, SolverError, eigenvalue_converged
+from magwell.sl_engine import (ConvergenceError, Grid1D, SolverError,
+                                eigenvalue_converged)
 
 from conftest import REFERENCE_BAND_DATA
 from oracles import d2_on_grid, dlambda_dalpha, large_alpha_ratio
@@ -38,6 +40,16 @@ class TestLambdaMArguments:
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             lambda_m(0, 0.3, 1.0, 0)
+
+
+class TestFamilyPotential:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_even_at_zero_shift_bit_for_bit(self, k):
+        # so that `sl_engine` splits the operator at alpha = 0 by parity
+        for n in (513, 1025, 2049):
+            t = Grid1D(5.7, n).interior_points()
+            v = family_potential(k, 0.0)(t)
+            assert np.array_equal(v, v[::-1]), n
 
 
 class TestScaling:
@@ -93,8 +105,37 @@ class TestMinimizer:
         assert r.lambda1 == pytest.approx(l1, abs=0.01)
 
     def test_even_k_minimum_at_zero(self, states):
-        assert abs(states[2].report.alpha_min) < 1e-4
-        assert abs(states[4].report.alpha_min) < 1e-4
+        # the band is even in alpha, so its minimum is taken at 0 exactly, on
+        # an operator split by parity, where the Hellmann-Feynman sum of an
+        # odd gauge against an even u0^2 cancels to rounding
+        for k in (2, 4, 6, 8):
+            st = states[k] if k in states else minimizer_state(k)
+            assert st.report.alpha_min == 0.0, k
+            assert st.spectrum.parity == ("even", "odd", "even"), k
+            assert st.report.hf_residual < 1e-15, k
+
+    @pytest.mark.parametrize("k,solves,roots", [(1, 4, 2), (2, 2, 1), (3, 4, 2),
+                                                (4, 2, 1)])
+    def test_solve_counts(self, monkeypatch, k, solves, roots):
+        # even k: one converged solve for the local minimum at 0 and one for
+        # the three levels there, and one Newton run on the final grid that
+        # stops where it starts; odd k also solves for the reference grid and
+        # again at the root that the final grid moves to
+        from magwell import montgomery
+        calls = {"eigenvalue_converged": 0, "_stationary_alpha": 0}
+
+        def counted(name):
+            real = getattr(montgomery, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(montgomery, name, counted(name))
+        minimizer_state(k)
+        assert calls == {"eigenvalue_converged": solves, "_stationary_alpha": roots}
 
     def test_single_local_minimum_recorded(self, states):
         # scan evidence, not a uniqueness certificate
