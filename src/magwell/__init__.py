@@ -15,12 +15,10 @@ __version__ = "0.1.0"
 from .sl_engine import (
     AssemblyError,
     ConvergenceError,
-    Grid1D,
+    SineBasis,
     SolverError,
     Spectrum1D,
-    assemble,
     eigenvalue_converged,
-    lowest_eigenpairs,
 )
 from .montgomery import (
     MinimizerReport,

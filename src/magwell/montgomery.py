@@ -7,41 +7,41 @@ lambda_0(alpha, 1) over alpha, eigenvalue derivatives in alpha, the
 stationarity and norm identities satisfied at the minimum, non-degeneracy
 criteria for the second derivative, and profile exports.
 
-The coarse scan that brackets the band minimum takes values-only solves on
-one fixed grid per k; everything it reports reduces to converged 1D
-eigenpairs from `sl_engine`. Quadratures use the plain spacing-weighted sum
-on the converged grid, which is exactly the discrete Hellmann-Feynman
-pairing of the assembled matrix. The band minimum is the root of that
-derivative on a fixed grid, found by Newton's method with the exact
-discrete second derivative (the reduced resolvent) as its slope, so the
-stationarity residual is at rounding level, not at grid level. For even k
-the band is even in alpha (Montgomery, CMP 168, 1995), and its minimum is
-taken at alpha = 0 exactly: there the potential is even bit for bit, so
-every solve is split by parity, and the Newton run stops where it starts.
+Everything here is computed in the sine basis of `sl_engine`. On one basis
+the family is H(alpha) = K + M_2 - 2 alpha M_1 + alpha^2, with M_1 and M_2
+the Galerkin matrices of t^{k+1}/(k+1) and its square, so one `eigh` of
+H(alpha) gives the lowest band, its exact alpha-derivative (Hellmann-Feynman)
+g = -2 <u_0, (M_1 - alpha) u_0> and its second derivative, the eigen-sum
+d2 = 2 - 8 sum_{n>0} <u_n, (M_1 - alpha) u_0>^2 / (lambda_n - lambda_0).
+A coarse scan at a fixed small basis brackets the band minimum; the basis of
+one converged solve near it carries the Newton run on g, whose slope is d2,
+so the stationarity residual is at rounding level, and the one `eigh` at
+the root gives every reported number. For even k the band is even in alpha
+(Montgomery, CMP 168, 1995), and its minimum is taken at alpha = 0 exactly:
+there the potential is even bit for bit, every solve is split by parity,
+and no Newton run is needed. Quadratures are weighted sums at the basis
+nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .sl_engine import (
-    ROUGH_GRID_POINTS,
     ConvergenceError,
-    Grid1D,
+    SineBasis,
     SolverError,
     Spectrum1D,
-    TridiagonalOperator,
-    _eigenvalues_only,
-    _initial_half_width,
-    assemble,
+    _box_half_widths,
+    _eigh,
+    _spectrum,
     eigenvalue_converged,
-    lowest_eigenpairs,
 )
 
 SCAN_POINTS = 40                 # coarse-scan samples over the bracketing range
+SCAN_SIZE = 32                   # sine-basis size of the coarse scan
 HF_TOL = 1e-5                    # largest stationarity residual a report may carry
 D2_SLACK = 1e-3                  # how far d2 may fall below its condik lower bound
 ALPHA_EVEN_TOL = 1e-4            # largest |alpha_min| a report for even k may carry
@@ -91,58 +91,36 @@ def lambda_m(k: int, alpha: float, beta: float, m: int, tol: float = 1e-8) -> fl
 
 
 # ---------------------------------------------------------------------------
-# fixed-grid discrete band function helpers
+# the band on one basis
 
-def _hellmann_feynman(k: int, alpha: float, spectrum: Spectrum1D) -> float:
-    """-2 sum(w u0^2) dt with w = t^{k+1}/(k+1) - alpha: the spacing-weighted
-    Hellmann-Feynman quadrature, which is the exact alpha-derivative of the
-    lowest discrete eigenvalue on the spectrum's grid."""
-    grid = spectrum.grid
-    u = spectrum.eigenfunctions[0]
-    w = _shifted_gauge(k, alpha, grid.interior_points())
-    return -2.0 * float(np.sum(w * u * u) * grid.spacing)
+def _gauge_matrices(k: int, basis: SineBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(M_1, M_2): the Galerkin matrices of t^{k+1}/(k+1) and its square."""
+    g = _shifted_gauge(k, 0.0, basis.nodes())
+    return basis.matrix(g), basis.matrix(g * g)
 
 
-def _discrete_hf(k: int, alpha: float, grid: Grid1D) -> tuple[float, float]:
-    """(d lambda_0/d alpha, lambda_0) of the discrete operator on the grid."""
-    spec = lowest_eigenpairs(assemble(family_potential(k, alpha), grid), 1)
-    return _hellmann_feynman(k, alpha, spec), float(spec.eigenvalues[0])
+class _Band(NamedTuple):
+    """Every level of H(alpha) on one basis (levels in the slots of
+    `sl_engine._eigh`, vectors as columns), the slope g and the curvature
+    d2 of the lowest."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    parity: Optional[tuple[str, ...]]
+    slope: float
+    curvature: float
 
 
-def _resolvent_d2(k: int, alpha: float, op: TridiagonalOperator,
-                  spectrum: Spectrum1D) -> float:
-    """2 - 4 <w u0, x>, the discrete second alpha-derivative of the lowest
-    band (w = t^{k+1}/(k+1) - alpha), where x = du0/dalpha solves
-    (T - lambda_0) x = 2 w u0 on span{u0}^perp. The system is shifted
-    1e-10 |lambda_0| off the eigenvalue; the u0 component excited through
-    that shift is projected away, two steps of iterative refinement remove
-    the rest, and a relative residual above 1e-9 raises."""
-    grid = op.grid
-    dt = grid.spacing
-    t = grid.interior_points()
-    u = spectrum.eigenfunctions[0]
-    lam = float(spectrum.eigenvalues[0])
-    w = _shifted_gauge(k, alpha, t)
-    rhs = 2.0 * w * u
-    rhs -= (np.sum(rhs * u) * dt) * u
-
-    n = op.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = op.offdiagonal
-    ab[1, :] = op.diagonal - (lam + 1e-10 * abs(lam))
-    ab[2, :-1] = op.offdiagonal
-    x = solve_banded((1, 1), ab, rhs)
-    x -= (np.sum(x * u) * dt) * u
-    for _ in range(2):
-        r = rhs - (op.matvec(x) - lam * x)
-        dx = solve_banded((1, 1), ab, r)
-        x += dx
-        x -= (np.sum(x * u) * dt) * u
-    resid = float(np.linalg.norm(op.matvec(x) - lam * x - rhs)
-                  / np.linalg.norm(rhs))
-    if resid > 1e-9:
-        raise SolverError(f"reduced-resolvent solve stalled: residual {resid:.2e}")
-    return 2.0 - 4.0 * float(np.sum(w * u * x) * dt)
+def _band(k: int, basis: SineBasis, alpha: float) -> _Band:
+    """One `eigh` of H(alpha) = K + M_2 - 2 alpha M_1 + alpha^2 on the basis,
+    split by parity where the potential is even (odd k, or alpha = 0)."""
+    m1, m2 = _gauge_matrices(k, basis)
+    h = m2 - 2.0 * alpha * m1
+    h[np.diag_indices_from(h)] += basis.kinetic() + alpha * alpha
+    values, vectors, parity = _eigh(h, basis.size, k % 2 == 1 or alpha == 0.0, True)
+    c = vectors.T @ (m1 @ vectors[:, 0] - alpha * vectors[:, 0])
+    d2 = 2.0 - 8.0 * float(np.sum(c[1:] ** 2 / (values[1:] - values[0])))
+    return _Band(values, vectors, parity, -2.0 * float(c[0]), d2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,44 +166,42 @@ class MinimizerReport:
 
 @dataclass(frozen=True)
 class MinimizerState:
-    """MinimizerReport plus the converged grid data the report came from."""
+    """MinimizerReport plus the eigenpairs the report came from."""
 
     report: MinimizerReport
-    spectrum: Spectrum1D          # three eigenpairs at alpha_min on the final grid
+    spectrum: Spectrum1D          # three eigenpairs at alpha_min on the final basis
 
 
-def _stationary_alpha(k: int, grid: Grid1D, lo: float, hi: float,
-                      start: float) -> float:
-    """Root of g = d lambda_0/d alpha of the discrete operator on a fixed
-    grid, inside a bracket with g(lo) < 0 < g(hi).
+def _stationary_alpha(k: int, basis: SineBasis, lo: float, hi: float,
+                      start: float) -> tuple[float, _Band]:
+    """(root of g = d lambda_0/d alpha on one basis, the band there), inside
+    a bracket with g(lo) < 0 < g(hi).
 
-    Newton's method with the exact slope d2 from `_resolvent_d2`; each
-    iterate shrinks the bracket, and a step that would leave it (or a slope
-    that is not positive) is replaced by bisection. Stops when a step falls
-    below 1e-13 or |g| below 1e-12. Raises ConvergenceError when g does not
-    change sign over the bracket, or when the iteration cap is reached; the
-    latter carries the last two iterates as `estimates`.
+    Newton's method with the exact slope d2 of `_band`; each iterate
+    shrinks the bracket, and a step that would leave it (or a slope that is
+    not positive) is replaced by bisection. Stops at an iterate where |g|
+    is below 1e-12 or the next step below 1e-13. Raises ConvergenceError
+    when g does not change sign over the bracket, or when the iteration cap
+    is reached; the latter carries the last two iterates as `estimates`.
     """
-    g_lo, g_hi = _discrete_hf(k, lo, grid)[0], _discrete_hf(k, hi, grid)[0]
+    g_lo, g_hi = _band(k, basis, lo).slope, _band(k, basis, hi).slope
     if not g_lo < 0.0 < g_hi:
         raise ConvergenceError(
             f"k={k}: d lambda_0/d alpha does not change sign on "
             f"[{lo:.6g}, {hi:.6g}] (g = {g_lo:.3e}, {g_hi:.3e})")
     alpha = start
     for _ in range(60):     # bisection alone shrinks any scan bracket below 1e-13
-        op = assemble(family_potential(k, alpha), grid)
-        spec = lowest_eigenpairs(op, 1)
-        g = _hellmann_feynman(k, alpha, spec)
+        band = _band(k, basis, alpha)
+        g = band.slope
         if abs(g) < 1e-12:
-            return alpha
+            return alpha, band
         lo, hi = (alpha, hi) if g < 0.0 else (lo, alpha)
-        d2 = _resolvent_d2(k, alpha, op, spec)
-        step = -g / d2 if d2 > 0.0 else np.inf
+        step = -g / band.curvature if band.curvature > 0.0 else np.inf
         if not lo < alpha + step < hi:
             step = 0.5 * (lo + hi) - alpha
-        prev, alpha = alpha, alpha + step
         if abs(step) < 1e-13:
-            return alpha
+            return alpha, band
+        prev, alpha = alpha, alpha + step
     raise ConvergenceError(
         f"k={k}: stationary-point solve not converged after 60 steps; "
         f"last alpha {alpha:.15g}, d lambda_0/d alpha {g:.3e}",
@@ -247,47 +223,44 @@ def _scan_brackets(alphas: np.ndarray, vals: np.ndarray) -> tuple[int, list[int]
 
 
 def _scan_values(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alphas, lambda_0 of the discrete operator at each) at SCAN_POINTS
-    values of alpha over [-1, 2 + k], solved values-only on the one grid
-    that `minimizer_state` describes."""
+    """(alphas, lambda_0 at each) at SCAN_POINTS values of alpha over
+    [-1, 2 + k], solved values-only in the one basis that `minimizer_state`
+    describes."""
     alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)     # generous bracket
-    L = max(_initial_half_width(family_potential(k, a), 0)
-            for a in (alphas[0], alphas[-1]))
-    grid = Grid1D(1.5 * L, ROUGH_GRID_POINTS)
-    vals = np.array([_eigenvalues_only(assemble(family_potential(k, a), grid), 1)[0]
-                     for a in alphas])
-    return alphas, vals
+    basis = SineBasis(max(_box_half_widths(family_potential(k, a), 0)[0]
+                          for a in (alphas[0], alphas[-1])), SCAN_SIZE)
+    m1, m2 = _gauge_matrices(k, basis)
+    a = alphas[:, None, None]
+    h = m2 - 2.0 * a * m1 + np.diag(basis.kinetic()) + a * a * np.eye(basis.size)
+    block = slice(0, None, 2) if k % 2 else slice(None)     # odd k: the even levels
+    return alphas, np.linalg.eigvalsh(h[:, block, block])[:, 0]
 
 
 def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     """Locate the band minimum and populate every derived quantity.
 
-    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k] on one fixed
-    grid (`_scan_values`); for every interior local minimum of the scan, the
-    root of the discrete Hellmann-Feynman derivative in the scan bracket
-    around it on a frozen reference grid (`_stationary_alpha`, started at
-    the scan point), converged once; for even k a bracket that holds 0
-    takes alpha = 0 exactly instead, as the band is even in alpha, and the
-    reference grid is solved for only when some bracket still needs it.
-    Then a converged solve at the global minimizer, tracking nu_hat,
-    lambda_1 and lambda_2 at tol/10; on its grid the root is solved for
-    again in the same bracket, started at the minimizer. When that moves
-    it, a second such solve at the new root follows (for even k at 0 it
-    does not, since g(0) vanishes to rounding there). The last solve gives
-    the three levels, the eigenpairs, and the grid on which the identities
-    and non-degeneracy data are evaluated. An even-k minimisation so makes
-    two converged solves, both split by parity, and one Newton run; an odd-k
-    one makes four and two.
+    Stages: coarse scan of lambda_0(alpha, 1) over [-1, 2 + k] in one fixed
+    basis (`_scan_values`); one converged solve at the scan minimizer,
+    tracking three levels at tol/10, which picks the basis of everything
+    that follows; for every interior local minimum of the scan, the root of
+    the Galerkin Hellmann-Feynman derivative in the scan bracket around it
+    (`_stationary_alpha`, started at the scan point), together with
+    lambda_0 there, which ranks the brackets; for even k a bracket that
+    holds 0 takes alpha = 0 exactly instead, as the band is even in alpha,
+    and the converged solve is made there too. At the lowest root one
+    `eigh` of H(alpha) gives nu_hat, lambda_1, lambda_2, d2, and the
+    eigenpairs on which the identities are evaluated. A minimisation so
+    makes one converged solve and, for odd k, one Newton run per bracket.
 
     The scan values are never reported; they only pick the brackets, so
-    the scan is not converged. Its one grid has the ROUGH_GRID_POINTS (257)
-    points of the `_initial_half_width` grids, on 1.5 L, where L is the
-    larger box `_initial_half_width` picks at alpha = -1 and alpha = 2 + k:
-    the wells of every alpha in between lie inside it. A bracket that such
-    a coarse scan gets wrong cannot pass silently, since `_stationary_alpha`
-    raises ConvergenceError unless d lambda_0/d alpha changes sign over it.
+    the scan is not converged. Its basis has SCAN_SIZE (32) functions on
+    the larger first box `_box_half_widths` picks at alpha = -1 and
+    alpha = 2 + k: the wells of every alpha in between lie inside it. A
+    bracket that such a coarse scan gets wrong cannot pass silently, since
+    `_stationary_alpha` raises ConvergenceError unless d lambda_0/d alpha
+    changes sign over it.
 
-    Nothing is cached: a caller that needs the state twice keeps the
+    No state is cached: a caller that needs the state twice keeps the
     returned (immutable) value and passes it on.
     """
     if k < 1:
@@ -298,38 +271,24 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
     alphas, vals = _scan_values(k)
     i_min, brackets = _scan_brackets(alphas, vals)
 
-    ref_grid = None      # frozen reference grid at the scan minimizer, when needed
-    local_minima = []
-    for i in brackets:
-        if k % 2 == 0 and alphas[i - 1] < 0.0 < alphas[i + 1]:
-            a_loc = 0.0          # the band is even in alpha
-        else:
-            if ref_grid is None:
-                ref_grid = eigenvalue_converged(family_potential(k, alphas[i_min]), 0,
-                                                min(tol, 1e-6) / 10.0)[1].grid
-            a_loc = _stationary_alpha(k, ref_grid, alphas[i - 1], alphas[i + 1],
-                                      alphas[i])
-        lam_loc, _ = eigenvalue_converged(family_potential(k, a_loc), 0, tol)
-        local_minima.append((float(a_loc), float(lam_loc)))
-    i, (alpha_min, _) = min(zip(brackets, local_minima), key=lambda b: b[1][1])
+    def holds_zero(i):           # the band is even in alpha for even k
+        return k % 2 == 0 and alphas[i - 1] < 0.0 < alphas[i + 1]
 
-    _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
-    root = _stationary_alpha(k, spec.grid, alphas[i - 1], alphas[i + 1], alpha_min)
-    if root != alpha_min:
-        alpha_min = root
-        _, spec = eigenvalue_converged(family_potential(k, alpha_min), 2, tol / 10.0)
-    nu_hat, lam1, lam2 = spec.extrapolants
-    grid = spec.grid
-    op = assemble(family_potential(k, alpha_min), grid)
+    start = 0.0 if holds_zero(i_min) else alphas[i_min]
+    basis = eigenvalue_converged(family_potential(k, start), 2, tol / 10.0)[1].basis
+    roots = [(0.0, _band(k, basis, 0.0)) if holds_zero(i) else
+             _stationary_alpha(k, basis, alphas[i - 1], alphas[i + 1], alphas[i])
+             for i in brackets]
+    alpha_min, band = min(roots, key=lambda root: root[1].values[0])
 
-    t = grid.interior_points()
-    dt = grid.spacing
+    spec = _spectrum(basis, band.values[:3], band.vectors[:, :3],
+                     band.parity[:3] if band.parity else None)
+    nu_hat, lam1, lam2 = spec.eigenvalues
+    d2 = band.curvature
     u0 = spec.eigenfunctions[0]
-    w = _shifted_gauge(k, alpha_min, t)
-    hf_residual = abs(_hellmann_feynman(k, alpha_min, spec))
-    norm_residual = abs(float(np.sum(w * w * u0 * u0) * dt) - nu_hat / (k + 2))
-
-    d2 = _resolvent_d2(k, alpha_min, op, spec)
+    w = _shifted_gauge(k, alpha_min, spec.nodes)
+    hf_residual = abs(2.0 * float(np.sum(spec.weights * w * u0 * u0)))
+    norm_residual = abs(float(np.sum(spec.weights * w * w * u0 * u0)) - nu_hat / (k + 2))
 
     bound = 2.0 * ((k + 2) * lam1 - (k + 6) * nu_hat) / ((k + 2) * (lam1 - nu_hat))
     margin = (k + 2) * lam1 - (k + 6) * nu_hat
@@ -353,7 +312,7 @@ def minimizer_state(k: int, tol: float = 1e-6) -> MinimizerState:
         condik_odd_margin=condik_odd_margin,
         norm_identity_residual=float(norm_residual),
         hf_residual=float(hf_residual),
-        local_minima_scan=tuple(local_minima),
+        local_minima_scan=tuple((float(a), float(b.values[0])) for a, b in roots),
     )
     report.validate()
     return MinimizerState(report=report, spectrum=spec)

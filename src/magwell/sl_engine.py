@@ -1,33 +1,45 @@
 """Converged eigenpairs of 1D Schrodinger operators -u'' + V(t) u with a
-confining potential V, on an adaptively truncated interval.
+confining potential V, by Dirichlet sine Galerkin on a truncated interval.
 
-The discrete operator is the second-order central-difference Laplacian plus
-the sampled potential, with Dirichlet conditions at +-L. Eigenvalues of the
-discrete matrix come from Sturm-sequence bisection (LAPACK stebz), and
-eigenvectors from LAPACK stein on the bisected eigenvalues; both routines
-are called directly, and each matrix is bisected once. On the
-mirror-symmetric grid an even potential gives a persymmetric matrix, which
-is split by t -> -t into an even and an odd block, so each level carries its
-parity by construction. Continuum eigenvalues are obtained by doubling L
-until the Dirichlet truncation is negligible (Agmon decay makes the error
-exponentially small once V exceeds the energy level) and halving the
-spacing with Richardson extrapolation until successive extrapolants agree;
-the eigenpairs of the last grid are returned as they were solved there.
+On the box [-T, T] the basis is phi_n(t) = sin(n theta)/sqrt(T), with
+theta = pi (t + T)/(2T) and n = 1..N: orthonormal, zero at +-T, and
+diagonal in the kinetic term, which is diag((n pi/(2T))^2). The potential
+matrix is (V phi_n, phi_m) = (c_{|n-m|} - c_{n+m})/2, Toeplitz minus Hankel
+in the cosine moments c_j = integral of V cos(j theta) over [-1, 1] in the
+scaled variable x = t/T. The moments are taken by Gauss-Legendre quadrature
+with 2N + 64 nodes; the nodes, the weights and the moment table depend on N
+alone, so each size is computed once per process (`_rule`). Dense `eigh` gives the
+levels and their coefficient vectors (Boyd, *Chebyshev and Fourier Spectral
+Methods*, 2nd ed., 2001, ch. 3).
+
+sin(n theta) is even in t for odd n and odd for even n. When V is even at
+the nodes bit for bit, the matrix is split into those two blocks: the odd n
+carry the even levels and the even n the odd ones, so each level carries its
+parity by construction.
+
+A converged solve takes its boxes from the potential (`_box_half_widths`):
+each one reaches AGMON_DISTANCE further into the classically forbidden
+region than the one before. On the first box N grows over SIZES until two
+successive sizes agree to tol/10; the box is then checked by one
+enlargement, to the next box at the next size, which must agree to tol/10
+as well, and that enlarged solve is returned.
 
 All containers are immutable after construction and every operation is a
 pure function, so parameter sweeps may call into this module concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg import eigvalsh_tridiagonal
 
-ROUGH_GRID_POINTS = 257     # points of the unconverged grids: box search, band scan
-PROBE_POINTS = 513          # points of the grid on which the half-width is doubled
-MAX_REFINEMENTS = 12        # spacing halvings before a converged solve gives up
+SIZES = (32, 48, 64, 96, 128, 192, 256, 384, 512)   # basis sizes a converged solve climbs
+ROUGH_SIZE = 32          # basis of the level estimates of the box search
+AGMON_DISTANCE = 20.0    # decay exponent that each box adds: sqrt(V - lambda) summed over t
+MAX_BOXES = 6            # boxes a converged solve may try, each checked by the next
 
 
 class SolverError(Exception):
@@ -50,80 +62,100 @@ class ConvergenceError(SolverError):
         self.estimates = estimates
 
 
+class _Rule(NamedTuple):
+    """Gauss-Legendre rule on [-1, 1] for basis size N, and the tables
+    built on it."""
+
+    x: np.ndarray          # nodes, x[::-1] == -x bit for bit
+    w: np.ndarray          # weights, w[::-1] == w bit for bit
+    moments: np.ndarray    # (2N+1, nodes): w_q cos(j theta_q), j = 0..2N
+    sines: np.ndarray      # (N, nodes): sin(n theta_q), n = 1..N
+    toeplitz: np.ndarray   # (N, N): |n - m|
+    hankel: np.ndarray     # (N, N): n + m
+
+
+@lru_cache(maxsize=16)
+def _rule(size: int) -> _Rule:
+    """The rule with q = 2 size + 64 nodes: the positive eigenvalues of the
+    Jacobi matrix of the Legendre polynomials (Golub and Welsch, Math. Comp.
+    23, 1969), two Newton steps on P_q, whose three-term recurrence also
+    gives P_q' = q (P_{q-1} - x P_q)/(1 - x^2) and the weights
+    2/((1 - x^2) P_q'^2), and the mirror image of both."""
+    q = 2 * size + 64
+    j = np.arange(1.0, q)
+    x = eigvalsh_tridiagonal(np.zeros(q), j / np.sqrt(4.0 * j * j - 1.0))[q // 2:]
+    for _ in range(2):
+        p_prev, p = np.ones_like(x), x
+        for n in range(1, q):
+            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        dp = q * (p_prev - x * p) / (1.0 - x * x)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = np.r_[-x[::-1], x], np.r_[w[::-1], w]
+    theta = 0.5 * np.pi * (x + 1.0)
+    n = np.arange(1, size + 1)
+    rule = _Rule(x, w, np.cos(np.outer(np.arange(2 * size + 1), theta)) * w,
+                 np.sin(np.outer(n, theta)), np.abs(n[:, None] - n), n[:, None] + n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid on [-half_width, half_width], endpoints included."""
+class SineBasis:
+    """The Dirichlet sine basis sin(n pi (t + T)/(2T))/sqrt(T), n = 1..size,
+    on [-T, T] with T = half_width, and its quadrature nodes."""
 
     half_width: float
-    n_points: int
+    size: int
 
     def __post_init__(self):
-        if not (self.half_width > 0):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if self.n_points < 16:
-            raise ValueError(f"n_points must be >= 16, got {self.n_points}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        if self.size < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.n_points - 1)
+    def nodes(self) -> np.ndarray:
+        """The 2 size + 64 Gauss-Legendre nodes in t, mirror-symmetric bit
+        for bit."""
+        return self.half_width * _rule(self.size).x
 
-    def points(self) -> np.ndarray:
-        """t_i = L (2i - (n-1)) / (n-1), so t_{n-1-i} == -t_i bit for bit."""
-        n = self.n_points
-        return self.half_width * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+    def weights(self) -> np.ndarray:
+        """Quadrature weights in t: sum(weights * f(nodes)) integrates f."""
+        return self.half_width * _rule(self.size).w
 
-    def interior_points(self) -> np.ndarray:
-        return self.points()[1:-1]
+    def kinetic(self) -> np.ndarray:
+        """Diagonal of the matrix of -d^2/dt^2."""
+        return (np.arange(1, self.size + 1) * (0.5 * np.pi / self.half_width)) ** 2
 
+    def matrix(self, samples: np.ndarray) -> np.ndarray:
+        """Galerkin matrix (f phi_n, phi_m) of the function with these node
+        samples."""
+        rule = _rule(self.size)
+        c = rule.moments @ samples
+        return 0.5 * (c[rule.toeplitz] - c[rule.hankel])
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Symmetric tridiagonal matrix acting on interior grid values."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        self.diagonal.setflags(write=False)
-        self.offdiagonal.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.diagonal)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.offdiagonal * v[1:]
-        out[1:] += self.offdiagonal * v[:-1]
-        return out
-
-    def norm_bound(self) -> float:
-        """Infinity-norm bound, used for eigenvalue noise floors."""
-        return float(np.max(np.abs(self.diagonal)) + 2.0 * np.max(np.abs(self.offdiagonal)))
+    def functions(self, coefficients: np.ndarray) -> np.ndarray:
+        """Node samples of the functions whose coefficient vectors are the
+        columns of `coefficients`, one row per function."""
+        return (coefficients.T @ _rule(self.size).sines) / np.sqrt(self.half_width)
 
 
 @dataclass(frozen=True)
 class Spectrum1D:
-    """Low eigenpairs of a discrete 1D operator.
+    """Low eigenpairs of a 1D operator in a sine basis.
 
-    Eigenvalues are those of the discrete matrix, ascending and simple
-    within each parity class; eigenfunctions (rows) live on the interior
-    points and carry discrete L2 norm 1, i.e. spacing * sum(u^2) == 1.
+    Eigenvalues are those of the Galerkin matrix, ascending and simple
+    within each parity class. Eigenfunctions (rows) are samples at the
+    basis nodes, with weighted L2 norm 1: sum(weights * u^2) == 1.
     `parity` labels each level "even" or "odd" under t -> -t when the matrix
     was split by that reflection (even levels in slots 0, 2, ..., odd ones
-    in 1, 3, ...), and is None when it was not. `convergence_estimate` holds a
-    per-eigenvalue error indication against the continuum operator where
-    available (plain residuals for a fixed-grid solve). `extrapolants` holds
-    the Richardson-extrapolated continuum eigenvalues of a converged solve,
-    one per tracked level, and is None on a fixed-grid spectrum.
+    in 1, 3, ...), and is None when it was not.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    grid: Grid1D
-    convergence_estimate: np.ndarray = field(default=None)
-    extrapolants: Optional[np.ndarray] = None
+    basis: SineBasis
     parity: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -133,205 +165,169 @@ class Spectrum1D:
                               "class; 1D confining operators have simple spectrum")
         self.eigenvalues.setflags(write=False)
         self.eigenfunctions.setflags(write=False)
-        if self.extrapolants is not None:
-            self.extrapolants.setflags(write=False)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.basis.nodes()
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.basis.weights()
 
 
-def assemble(potential, grid: Grid1D) -> TridiagonalOperator:
-    """Central-difference discretization of -d^2/dt^2 + V on the grid interior.
-
-    Dirichlet conditions at +-half_width. Raises AssemblyError if V returns
-    a non-finite sample, reporting the offending t.
-    """
-    ti = grid.interior_points()
-    v = np.asarray(potential(ti), dtype=float)
+def _samples(potential, basis: SineBasis) -> np.ndarray:
+    """V at the basis nodes; raises AssemblyError on a non-finite sample,
+    reporting the offending t."""
+    t = basis.nodes()
+    v = np.asarray(potential(t), dtype=float)
     bad = ~np.isfinite(v)
     if np.any(bad):
-        where = ti[bad][:5]
-        raise AssemblyError(f"potential non-finite at t={where.tolist()}")
-    dt = grid.spacing
-    diag = 2.0 / dt**2 + v
-    off = np.full(len(ti) - 1, -1.0 / dt**2)
-    return TridiagonalOperator(diag, off, grid)
+        raise AssemblyError(f"potential non-finite at t={t[bad][:5].tolist()}")
+    return v
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, m_count: int, vectors: bool):
-    """(values, unit eigenvectors as columns or None) of the m_count lowest
-    levels of one Jacobi matrix: LAPACK stebz by index (range 2) with tol 0,
-    then stein on its values. These are the calls that
-    `eigh_tridiagonal(select="i", lapack_driver="stebz")` makes, without its
-    input checks. A nonzero info, or fewer levels than asked for, raises
-    SolverError."""
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, m_count, 0.0,
-                                        "B" if vectors else "E")
-    if info != 0 or m < m_count:
-        raise SolverError(f"tridiagonal bisection (stebz) failed: info {info}, "
-                          f"{m} of {m_count} levels")
-    w = w[:m_count]
-    if not vectors:
-        return w, None
-    v, info = dstein(diag, off, w, iblock, isplit)
-    if info != 0:
-        raise SolverError(f"inverse iteration (stein) failed: info {info}")
-    order = np.argsort(w)     # block order to ascending order
-    return w[order], v[:, order]
+def _eigh(hamiltonian: np.ndarray, count: int, split: bool, vectors: bool):
+    """(values, coefficient vectors as columns or None, parity or None) of
+    the count lowest levels of a Galerkin matrix.
 
-
-def _stebz(operator: TridiagonalOperator, m_count: int, vectors: bool):
-    """(values, vectors or None, parity or None) of the m_count lowest levels.
-
-    An odd-sized matrix that is persymmetric bit for bit is split by t -> -t
-    around its centre row c: the even block is rows c.. with its first
-    off-diagonal times sqrt(2), the odd block rows c+1.. (Dirichlet at t=0).
-    The levels of the two interlace, even first, so they fill the slots
-    0, 2, ... and 1, 3, ... unsorted, and keep their labels even when a pair
-    splits below rounding. Vectors are lifted back as u_c = v_0 and
-    u_{c+-j} = v_j/sqrt(2) (even) or +-v_j/sqrt(2) (odd).
+    With `split`, the blocks of odd n (even levels) and even n (odd levels)
+    are solved apart, their levels placed in the slots 0, 2, ... and
+    1, 3, ... unsorted, and the vectors padded back to all n. Asking for
+    more levels than the matrix has raises SolverError.
     """
-    if m_count > operator.size:
-        raise SolverError(f"requested {m_count} eigenvalues from operator of size "
-                          f"{operator.size}")
-    d, e = operator.diagonal, operator.offdiagonal
-    if operator.size % 2 == 0 or not (np.array_equal(d, d[::-1])
-                                      and np.array_equal(e, e[::-1])):
-        return (*_bisect(d, e, m_count, vectors), None)
-    c, n_odd = operator.size // 2, m_count // 2
-    vals = np.empty(m_count)
-    vals[0::2], v_even = _bisect(d[c:], np.r_[np.sqrt(2.0) * e[c], e[c + 1:]],
-                                 m_count - n_odd, vectors)
-    if n_odd:
-        vals[1::2], v_odd = _bisect(d[c + 1:], e[c + 1:], n_odd, vectors)
-    parity = tuple(("even", "odd")[i % 2] for i in range(m_count))
-    if not vectors:
-        return vals, None, parity
-    vecs = np.zeros((operator.size, m_count))
-    vecs[c, 0::2] = v_even[0]
-    vecs[c + 1:, 0::2] = v_even[1:] / np.sqrt(2.0)
-    if n_odd:
-        vecs[c + 1:, 1::2] = v_odd / np.sqrt(2.0)
-    vecs[:c] = vecs[:c:-1] * (-1.0) ** np.arange(m_count)
-    return vals, vecs, parity
+    size = len(hamiltonian)
+    if count > size:
+        raise SolverError(f"requested {count} eigenvalues from a basis of size {size}")
+    blocks = (slice(0, None, 2), slice(1, None, 2)) if split else (slice(None),)
+    values = np.empty(count)
+    vecs = np.zeros((size, count)) if vectors else None
+    for first, block in enumerate(blocks):
+        slots = slice(first, None, len(blocks))
+        want = len(range(count)[slots])
+        if vectors:
+            w, v = np.linalg.eigh(hamiltonian[block, block])
+            vecs[block, slots] = v[:, :want]
+        else:
+            w = np.linalg.eigvalsh(hamiltonian[block, block])
+        values[slots] = w[:want]
+    parity = tuple(("even", "odd")[i % 2] for i in range(count)) if split else None
+    return values, vecs, parity
 
 
-def _eigenvalues_only(operator: TridiagonalOperator, m_count: int) -> np.ndarray:
-    return _stebz(operator, m_count, vectors=False)[0]
+def _spectrum(basis: SineBasis, values: np.ndarray, coefficients: np.ndarray,
+             parity: Optional[tuple[str, ...]]) -> Spectrum1D:
+    """Spectrum1D of the levels with these coefficient vectors (columns).
 
-
-def lowest_eigenpairs(operator: TridiagonalOperator, m_count: int) -> Spectrum1D:
-    """The m_count smallest eigenpairs of the discrete operator.
-
-    Eigenvalues via Sturm-sequence bisection, eigenvectors via LAPACK stein
-    on those eigenvalues, both per parity block when the matrix is split by
-    t -> -t (see Spectrum1D.parity). Each eigenvector is normalized to
-    discrete L2 norm 1 and signed so that its largest-magnitude entry is
-    positive; an odd vector takes that magnitude at t and -t alike, and the
-    tie goes to the smaller t. `convergence_estimate` holds the eigenpair
-    residuals |T u - lambda u| relative to |u|.
+    Each eigenfunction is signed so that its largest-magnitude sample is
+    positive. A labelled level is made even or odd at the nodes bit for bit
+    (its samples on t < 0 are those on t > 0, reflected), so an odd one
+    takes its largest magnitude at t and -t alike, and the tie goes to the
+    smaller t.
     """
-    if m_count < 1:
-        raise ValueError("m_count must be >= 1")
-    vals, vecs, parity = _stebz(operator, m_count, vectors=True)
-    vecs = vecs.T / np.sqrt(operator.grid.spacing)
-    peaks = vecs[np.arange(m_count), np.argmax(np.abs(vecs), axis=1)]
-    vecs *= np.sign(peaks)[:, None]
-    resid = np.array([np.linalg.norm(operator.matvec(u) - lam * u) / np.linalg.norm(u)
-                      for lam, u in zip(vals, vecs)])
-    return Spectrum1D(vals, vecs, operator.grid, resid, parity=parity)
+    u = basis.functions(coefficients)
+    if parity is not None:
+        half = u.shape[1] // 2
+        signs = np.array([1.0 if p == "even" else -1.0 for p in parity])
+        u[:, :half] = u[:, :half - 1:-1] * signs[:, None]
+    peaks = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+    return Spectrum1D(values, u * np.sign(peaks)[:, None], basis, parity)
 
 
-def boundary_mass(spectrum: Spectrum1D) -> float:
-    """Discrete L2 mass of the highest computed eigenfunction beyond
-    0.9 * half_width; the Dirichlet truncation-quality indicator."""
-    t = spectrum.grid.interior_points()
-    u = spectrum.eigenfunctions[-1]
-    edge = np.abs(t) > 0.9 * spectrum.grid.half_width
-    return float(np.sum(u[edge] ** 2) * spectrum.grid.spacing)
+def _solve(potential, basis: SineBasis, count: int, vectors: bool):
+    """Levels of -u'' + V u on the basis: the values alone, or the
+    Spectrum1D. The matrix is split by parity when V is even at the nodes
+    bit for bit."""
+    v = _samples(potential, basis)
+    h = basis.matrix(v)
+    h[np.diag_indices_from(h)] += basis.kinetic()
+    values, vecs, parity = _eigh(h, count, np.array_equal(v, v[::-1]), vectors)
+    return _spectrum(basis, values, vecs, parity) if vectors else values
 
 
-def _initial_half_width(pot: Callable[[np.ndarray], np.ndarray], m: int) -> float:
-    """Smallest L with V(+-L) >= 4 * rough level estimate, the level taken
-    on a ROUGH_GRID_POINTS grid.
+def _box_half_widths(potential: Callable[[np.ndarray], np.ndarray],
+                     m: int) -> list[float]:
+    """Half-widths of the boxes of a converged solve for level m: the
+    points beyond which the eigenfunction has decayed by exp(-j
+    AGMON_DISTANCE), j = 1..MAX_BOXES.
 
-    Doubles from L=1 to bracket the crossing, then bisects down to it; a
-    needlessly large box would put enormous potential samples on the wall
-    and raise the floating-point noise floor of the eigenvalue bisection.
+    Doubles L from 1 until the wall min V(+-L) reaches 4 max(lambda, 0.25),
+    with lambda the m-th level on [-L, L] in a ROUGH_SIZE basis (an upper
+    bound of the true level, as Galerkin levels are), and takes on each side
+    the last crossing of that wall height in (L/2, L]. From there it marches
+    outward in steps of L/64, summing sqrt(V - lambda) by the rectangle rule
+    (the Agmon distance from the wall), and notes where the sum passes each
+    multiple of AGMON_DISTANCE; a box takes the larger of its two sides.
     """
     L = 1.0
     for _ in range(60):
-        lam = _eigenvalues_only(assemble(pot, Grid1D(L, ROUGH_GRID_POINTS)), m + 1)[m]
-        wall = min(float(pot(-L)), float(pot(L)))
-        if wall >= 4.0 * max(lam, 0.25):
+        lam = _solve(potential, SineBasis(L, max(ROUGH_SIZE, 4 * (m + 1))), m + 1,
+                     vectors=False)[m]
+        wall = 4.0 * max(lam, 0.25)
+        if min(float(potential(-L)), float(potential(L))) >= wall:
             break
         L *= 2.0
     else:
         raise ConvergenceError("could not find a confining box; is V confining?")
-    if L == 1.0:
-        return L
-    target = 4.0 * max(lam, 0.25)
-    lo, hi = L / 2.0, L
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if min(float(pot(-mid)), float(pot(mid))) >= target:
-            hi = mid
+    step = L / 64.0
+    goals = AGMON_DISTANCE * np.arange(1, MAX_BOXES + 1)
+    ends = []
+    for side in (-1.0, 1.0):
+        t = L * np.arange(33, 65) / 64.0
+        below = np.flatnonzero(np.asarray(potential(side * t), dtype=float) < wall)
+        start, distance, passed = t[below[-1] + 1 if len(below) else 0], 0.0, []
+        for _ in range(1000):        # 64 steps each
+            t = start + step * np.arange(1, 65)
+            climb = distance + step * np.cumsum(
+                np.sqrt(np.maximum(np.asarray(potential(side * t), dtype=float) - lam, 0.0)))
+            hit = np.searchsorted(climb, goals[len(passed):])
+            passed += list(t[hit[hit < len(t)]])
+            if len(passed) == MAX_BOXES:
+                break
+            start, distance = t[-1], climb[-1]
         else:
-            lo = mid
-    return 1.02 * hi
+            raise ConvergenceError("could not find a confining box; is V confining?")
+        ends.append(passed)
+    return [max(a, b) for a, b in zip(*ends)]
 
 
 def eigenvalue_converged(potential, m: int, tol: float) -> tuple[float, Spectrum1D]:
     """m-th eigenvalue of the continuum operator -u'' + V u on the line.
 
-    Doubles the truncation half-width until the wall exceeds the level and
-    the boundary eigenfunction mass drops below tol^2, then halves the
-    spacing with Richardson extrapolation until successive extrapolants
-    differ by less than tol (or by less than the floating-point noise floor
-    of the discrete eigenproblem, whichever is larger).
-
-    Each refinement grid is bisected once, for eigenpairs, so the finest
-    one is returned without a second solve. Returns (extrapolated
-    eigenvalue, Spectrum1D on the finest grid). The spectrum tracks the m+1
-    lowest eigenpairs and carries the extrapolants of all of them; its
-    convergence_estimate is the distance from each discrete eigenvalue to
-    its extrapolant plus the final extrapolant increment. A potential that
-    does not grow fast enough to confine raises ConvergenceError from the
-    box search; extrapolants that do not settle within MAX_REFINEMENTS
-    halvings raise it with the last two.
+    On the first box of `_box_half_widths`, solves in the sine basis for
+    the m+1 lowest levels at the sizes of SIZES of at least 2(m+1)
+    functions in turn, values only, until
+    two successive sizes agree to tol/10 on every level. Then solves once
+    more, with eigenvectors, on the next box at the next size; when that
+    agrees to tol/10 as well it is returned, as (its m-th level, its
+    Spectrum1D), and otherwise the basis growth goes on from it on that
+    box. Each basis is solved once, and only the returned one with
+    eigenvectors. A potential that does not grow fast enough to confine
+    raises ConvergenceError from the box search. A basis growth that passes
+    the largest size, or a box check that fails on the last box, raises it
+    with the last two estimates of the m-th level; an m that leaves fewer
+    than two sizes raises SolverError.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    track = m + 1
-
-    L = _initial_half_width(potential, m)
-    for _ in range(24):
-        grid = Grid1D(L, PROBE_POINTS)
-        spec = lowest_eigenpairs(assemble(potential, grid), track)
-        lam = spec.eigenvalues[m]
-        wall = min(float(potential(-L)), float(potential(L)))
-        if wall >= lam + 1.0 and boundary_mass(spec) < max(tol * tol, 1e-26):
-            break
-        L *= 2.0
-    else:
-        raise ConvergenceError("half-width doubling exhausted",
-                               estimates=(float(lam), float(lam)))
-
-    n = PROBE_POINTS
-    prev = spec.eigenvalues
-    extrapolants = []
-    for _ in range(MAX_REFINEMENTS):
-        n = 2 * (n - 1) + 1
-        op = assemble(potential, Grid1D(L, n))
-        spec = lowest_eigenpairs(op, track)
-        cur = spec.eigenvalues
-        lam_R = (4.0 * cur - prev) / 3.0
-        noise = 32.0 * np.finfo(float).eps * op.norm_bound()
-        if extrapolants:
-            step = float(np.max(np.abs(lam_R - extrapolants[-1])))
-            if step < max(tol, noise):
-                spec = replace(spec, convergence_estimate=np.abs(lam_R - cur) + step,
-                               extrapolants=lam_R)
-                return float(lam_R[m]), spec
-        extrapolants.append(lam_R)
-        prev = cur
-    raise ConvergenceError(
-        f"spacing refinement exhausted at n={n}",
-        estimates=tuple(float(lam_R[m]) for lam_R in extrapolants[-2:]))
+    count = m + 1
+    sizes = [n for n in SIZES if n >= 2 * count]
+    if len(sizes) < 2:
+        raise SolverError(f"level m={m} needs a basis beyond {SIZES[-1]} functions")
+    boxes = _box_half_widths(potential, m)
+    i, prev, cur = 0, None, None
+    for half_width, check in zip(boxes, boxes[1:]):
+        while prev is None or np.max(np.abs(cur - prev)) > tol / 10.0:
+            if i == len(sizes):
+                raise ConvergenceError(f"basis growth exhausted at N={sizes[-1]}",
+                                       estimates=(float(prev[m]), float(cur[m])))
+            prev, cur = cur, _solve(potential, SineBasis(half_width, sizes[i]), count,
+                                    vectors=False)
+            i += 1
+        i = min(i, len(sizes) - 1)
+        spec = _solve(potential, SineBasis(check, sizes[i]), count, vectors=True)
+        prev, cur = cur, spec.eigenvalues
+        if np.max(np.abs(cur - prev)) <= tol / 10.0:
+            return float(cur[m]), spec
+        i += 1
+    raise ConvergenceError("box enlargement exhausted",
+                           estimates=(float(prev[m]), float(cur[m])))

@@ -1,26 +1,31 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the shooting oracle
-integrates the Prufer phase ODE (no matrices at all), and the dense oracle
-runs the full-QR tridiagonal eigensolver (LAPACK stev) instead of bisection.
-The wrapper oracle reaches stebz and stein through scipy's checked
-`eigh_tridiagonal`, which the library calls around.
+integrates the Prufer phase ODE (no matrices at all); the finite-difference
+oracles discretise -u'' + V u by the three-point stencil on a uniform grid,
+assembled here (the library solves in a sine basis), and solve it by
+tridiagonal QR or bisection through scipy's `eigh_tridiagonal`; the Hermite
+oracle is Rayleigh-Ritz in Hermite functions. `band_minimum_oracle` gives
+the five band-minimum columns by the Hermite route for k <= 3 and by
+Richardson extrapolation over a pair of finite-difference grids for k >= 4,
+with d2 from the bordered reduced-resolvent system there.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
-The band-derivative helpers evaluate the Hellmann-Feynman and
-reduced-resolvent quadratures of `montgomery` at points of the tests'
-choosing; the large-alpha ratio compares the band with its semiclassical
-growth law. These and the remaining helpers are small test-side
-computations that the library itself never needs.
+The large-alpha ratio compares the band with its semiclassical growth law.
+These and the remaining helpers are small test-side computations that the
+library itself never needs.
 """
+from functools import lru_cache
+
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
 from magwell.model2d import Field2DConfig
-from magwell.montgomery import (_hellmann_feynman, _resolvent_d2, family_potential,
-                                lambda_m)
-from magwell.sl_engine import Grid1D, assemble, eigenvalue_converged, lowest_eigenpairs
+from magwell.montgomery import _shifted_gauge, family_potential, lambda_m
+from magwell.sl_engine import eigenvalue_converged
 
 
 def prufer_phase(V, lam, L):
@@ -54,34 +59,130 @@ def shooting_eigenvalue(V, m, L, lo, hi, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def dense_eigenvalues(potential, grid: Grid1D, m_count: int) -> np.ndarray:
-    """All-eigenvalue QR route (LAPACK stev) on the same discretization."""
-    op = assemble(potential, grid)
-    vals = eigh_tridiagonal(op.diagonal, op.offdiagonal,
-                            eigvals_only=True, lapack_driver="stev")
+# ---------------------------------------------------------------------------
+# finite differences
+
+def fd_operator(potential, half_width: float, n: int):
+    """(diagonal, off-diagonal, interior points, spacing) of the
+    central-difference -d^2/dt^2 + V on the uniform n-point grid of
+    [-L, L], Dirichlet at the ends. The points are L (2i - (n-1))/(n-1), so
+    the grid is mirror-symmetric bit for bit."""
+    t = half_width * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+    dt = 2.0 * half_width / (n - 1)
+    ti = t[1:-1]
+    diag = 2.0 / dt**2 + np.asarray(potential(ti), dtype=float)
+    return diag, np.full(n - 3, -1.0 / dt**2), ti, dt
+
+
+def dense_eigenvalues(potential, half_width: float, n: int, m_count: int) -> np.ndarray:
+    """All-eigenvalue QR route (LAPACK stev) on the n-point grid."""
+    diag, off, _, _ = fd_operator(potential, half_width, n)
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stev")
     return np.sort(vals)[:m_count]
-
-
-def wrapper_bisect(diag: np.ndarray, off: np.ndarray, m_count: int, vectors: bool):
-    """(values, vectors as columns or None) of the m_count lowest levels
-    through scipy's `eigh_tridiagonal` wrapper (select="i", stebz driver):
-    the route `sl_engine._bisect` replaces with direct LAPACK calls."""
-    out = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                           select_range=(0, m_count - 1), lapack_driver="stebz")
-    return out if vectors else (out, None)
 
 
 def dense_converged(potential, m: int, half_width: float, n: int) -> float:
     """Richardson-extrapolated continuum eigenvalue through the dense QR
-    route on a fixed box: independent of both the Sturm bisection and the
+    route on a fixed box: independent of both the sine basis and the
     adaptive truncation logic."""
-    c = dense_eigenvalues(potential, Grid1D(half_width, n), m + 1)[m]
-    f = dense_eigenvalues(potential, Grid1D(half_width, 2 * (n - 1) + 1), m + 1)[m]
-    ff = dense_eigenvalues(potential, Grid1D(half_width, 4 * (n - 1) + 1), m + 1)[m]
+    c = dense_eigenvalues(potential, half_width, n, m + 1)[m]
+    f = dense_eigenvalues(potential, half_width, 2 * (n - 1) + 1, m + 1)[m]
+    ff = dense_eigenvalues(potential, half_width, 4 * (n - 1) + 1, m + 1)[m]
     r1 = (4 * f - c) / 3
     r2 = (4 * ff - f) / 3
     # second extrapolation removes the next even order
     return (16 * r2 - r1) / 15
+
+
+def fd_band(k: int, alpha: float, half_width: float, n: int):
+    """(lambda_0, lambda_1, lambda_2, g, d2) of the finite-difference family
+    operator on the n-point grid: g is the Hellmann-Feynman sum
+    -2 sum(w u0^2) dt with w = t^{k+1}/(k+1) - alpha, the exact derivative
+    of the discrete level, and d2 = 2 - 4 sum(w u0 x) dt with x from the
+    bordered system [[T - lambda_0, u0], [u0^T, 0]] [x, mu] = [2 w u0, 0],
+    which puts x orthogonal to u0, solved by sparse LU."""
+    diag, off, t, dt = fd_operator(family_potential(k, alpha), half_width, n)
+    lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
+    u = vec[:, 0] / np.sqrt(dt)
+    w = _shifted_gauge(k, alpha, t)
+    tri = sp.diags([off, diag - lam[0], off], [-1, 0, 1])
+    bordered = sp.bmat([[tri, u[:, None]], [u[None, :], None]], format="csc")
+    x = splu(bordered, permc_spec="NATURAL").solve(np.r_[2.0 * w * u, 0.0])[:-1]
+    return (*lam, -2.0 * float(np.sum(w * u * u) * dt),
+            2.0 - 4.0 * float(np.sum(w * u * x) * dt))
+
+
+# ---------------------------------------------------------------------------
+# Hermite functions
+
+def hermite_band(k: int, alpha: float, size: int = 160, scale: float = 0.6):
+    """(levels, vectors as columns, G) of -d^2/dt^2 + (G - alpha)^2 with
+    G = t^{k+1}/(k+1), by Rayleigh-Ritz in the Hermite functions
+    psi_n(t/scale), n < size. Position is tridiagonal in that basis; the
+    products are formed in a basis 2k + 4 larger, so the leading size x size
+    block of every matrix is exact."""
+    big = size + 2 * k + 4
+    root = np.sqrt(np.arange(1, big) / 2.0)
+    x = np.diag(root, 1) + np.diag(root, -1)
+    p2 = np.diag(2.0 * np.arange(big) + 1.0) - x @ x
+    g = np.linalg.matrix_power(scale * x, k + 1) / (k + 1)
+    shifted = g - alpha * np.eye(big)
+    h = p2 / scale**2 + shifted @ shifted
+    lam, vec = np.linalg.eigh(h[:size, :size])
+    return lam, vec, g[:size, :size]
+
+
+def _hermite_slope(k: int, alpha: float) -> float:
+    _, vec, g = hermite_band(k, alpha)
+    u = vec[:, 0]
+    return -2.0 * float(u @ g @ u - alpha)
+
+
+def _hermite_columns(k: int) -> dict:
+    """alpha_min as the root of the Hermite Hellmann-Feynman slope (secant
+    steps), d2 as its central difference extrapolated over steps 2e-3 and
+    1e-3, the levels from the basis at the root."""
+    a0, a1 = 0.0, 0.3
+    g0, g1 = _hermite_slope(k, a0), _hermite_slope(k, a1)
+    for _ in range(40):
+        if g1 == g0 or abs(a1 - a0) < 1e-14:
+            break
+        a0, a1, g0 = a1, a1 - g1 * (a1 - a0) / (g1 - g0), g1
+        g1 = _hermite_slope(k, a1)
+
+    def central(delta):
+        return (_hermite_slope(k, a1 + delta) - _hermite_slope(k, a1 - delta)) / (2 * delta)
+
+    lam = hermite_band(k, a1)[0]
+    return {"alpha_min": a1, "nu_hat": lam[0], "lambda1": lam[1], "lambda2": lam[2],
+            "d2": (4.0 * central(1e-3) - central(2e-3)) / 3.0}
+
+
+def _fd_columns(k: int) -> dict:
+    """The five columns on the box where the potential at alpha = 0 reaches
+    1e4, (100 (k+1))^{1/(k+1)}, at 4097 and 8193 points, combined by one
+    Richardson step; alpha_min is Newton's root of each grid's g, with d2
+    as the slope."""
+    half_width = (100.0 * (k + 1)) ** (1.0 / (k + 1))
+    per_grid = []
+    for n in (4097, 8193):
+        alpha = 0.1
+        for _ in range(30):
+            lam0, lam1, lam2, g, d2 = fd_band(k, alpha, half_width, n)
+            if abs(g / d2) < 1e-11:     # g carries rounding near 1e-12
+                break
+            alpha -= g / d2
+        per_grid.append(np.array([alpha, lam0, lam1, lam2, d2]))
+    coarse, fine = per_grid
+    names = ("alpha_min", "nu_hat", "lambda1", "lambda2", "d2")
+    return dict(zip(names, (4.0 * fine - coarse) / 3.0))
+
+
+@lru_cache(maxsize=None)
+def band_minimum_oracle(k: int) -> dict:
+    """alpha_min, nu_hat, lambda1, lambda2 and d2 of the band minimum at k,
+    by routes that share no code with `montgomery.minimizer_state`."""
+    return _hermite_columns(k) if k <= 3 else _fd_columns(k)
 
 
 def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
@@ -92,8 +193,8 @@ def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
     2D spectrum to solver accuracy).
 
     The fiber potential is the discrete s-symbol
-    (2 h^2/ds^2)(1 - cos(2 pi m / n_s - theta(t))), fed through the shared
-    1D assembly after dividing by h^2.
+    (2 h^2/ds^2)(1 - cos(2 pi m / n_s - theta(t))), fed through the
+    finite-difference assembly after dividing by h^2.
     """
     n_s, n_t = config.grid_for(h)
     ds = config.S / n_s
@@ -104,22 +205,25 @@ def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
         theta = ds * t ** (config.k + 1) * omega_const / ((config.k + 1) * h)
         return (2.0 / ds**2) * (1.0 - np.cos(kappa - theta))
 
-    grid = Grid1D(config.T, n_t)
-    spec = lowest_eigenpairs(assemble(fiber_potential, grid), m_count)
-    return h**2 * spec.eigenvalues
+    diag, off, _, _ = fd_operator(fiber_potential, config.T, n_t)
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, m_count - 1))
+    return h**2 * vals
 
 
 def count_sign_changes(u: np.ndarray, floor: float = 1e-8) -> int:
-    """Interior sign changes of a discrete eigenfunction, ignoring samples
-    below floor * max|u| (where the decaying tail is pure noise)."""
+    """Interior sign changes of an eigenfunction sampled at ascending t,
+    ignoring samples below floor * max|u| (where the decaying tail is pure
+    noise)."""
     v = u[np.abs(u) > floor * np.max(np.abs(u))]
     s = np.sign(v)
     return int(np.sum(s[1:] != s[:-1]))
 
 
 def reflection_residuals(spectrum) -> np.ndarray:
-    """|u(-t) - s u(t)| / |u(t)| for each eigenfunction, with s = +1 for the
-    levels labelled even and -1 for those labelled odd."""
+    """|u(-t) - s u(t)| / |u(t)| at the mirror-symmetric nodes for each
+    eigenfunction, with s = +1 for the levels labelled even and -1 for those
+    labelled odd."""
     return np.array([
         np.linalg.norm(u[::-1] - (1.0 if p == "even" else -1.0) * u) / np.linalg.norm(u)
         for u, p in zip(spectrum.eigenfunctions, spectrum.parity)])
@@ -127,16 +231,10 @@ def reflection_residuals(spectrum) -> np.ndarray:
 
 def dlambda_dalpha(k: int, alpha: float, tol: float = 1e-8) -> float:
     """d lambda_0/d alpha at (k, alpha, beta=1): the Hellmann-Feynman
-    quadrature -2 sum(w u0^2) dt on the grid of a converged solve."""
+    quadrature -2 sum(weights w u0^2) at the nodes of a converged solve."""
     _, spec = eigenvalue_converged(family_potential(k, alpha), 0, tol)
-    return _hellmann_feynman(k, alpha, spec)
-
-
-def d2_on_grid(k: int, alpha: float, grid: Grid1D) -> float:
-    """Second alpha-derivative of the lowest discrete band on a fixed grid,
-    through the reduced resolvent."""
-    op = assemble(family_potential(k, alpha), grid)
-    return _resolvent_d2(k, alpha, op, lowest_eigenpairs(op, 1))
+    u = spec.eigenfunctions[0]
+    return -2.0 * float(np.sum(spec.weights * _shifted_gauge(k, alpha, spec.nodes) * u * u))
 
 
 def large_alpha_ratio(k: int, alpha: float, tol: float = 1e-6) -> float:

@@ -19,7 +19,7 @@ from magwell.miniwell import (
     spectrum_K_oracle,
 )
 from magwell.montgomery import (
-    _discrete_hf,
+    _band,
     family_potential,
     lambda_m,
     minimizer_state,
@@ -56,25 +56,19 @@ def test_criterion_2_identity_suite(states):
     """Stationarity residual < 1e-5, norm-identity residual < 1e-4, and
     Hellmann-Feynman vs finite differences < 1e-5, for all k = 1..7.
 
-    The derivative comparison pairs the quadrature with a central-difference
-    oracle of the band function on one shared grid of moderate size: the
-    identity is exact there, and a moderate matrix norm keeps the
-    delta-divided eigenvalue rounding far below the tolerance.
+    The derivative comparison pairs the Hellmann-Feynman slope with a
+    central-difference oracle of the band function on one shared basis, the
+    basis of the minimizer state: the identity is exact there.
     """
-    from magwell.sl_engine import Grid1D, _initial_half_width
-
     worst_st, worst_nm, worst_fd = 0.0, 0.0, 0.0
     for k, st in states.items():
         r = st.report
         worst_st = max(worst_st, r.hf_residual)
         worst_nm = max(worst_nm, r.norm_identity_residual)
-        alpha = r.alpha_min + 0.15
-        L = _initial_half_width(family_potential(k, alpha), 0)
-        grid = Grid1D(L, 1025)
-        hf, _ = _discrete_hf(k, alpha, grid)
-        d = 1e-4
-        _, lp = _discrete_hf(k, alpha + d, grid)
-        _, lm = _discrete_hf(k, alpha - d, grid)
+        alpha, basis, d = r.alpha_min + 0.15, st.spectrum.basis, 1e-4
+        hf = _band(k, basis, alpha).slope
+        lp = _band(k, basis, alpha + d).values[0]
+        lm = _band(k, basis, alpha - d).values[0]
         worst_fd = max(worst_fd, abs(hf - (lp - lm) / (2 * d)))
     ok = worst_st < 1e-5 and worst_nm < 1e-4 and worst_fd < 1e-5
     _line(2, ok, f"identities k=1..7: stationarity {worst_st:.2e} (<1e-5), "

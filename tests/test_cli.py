@@ -111,6 +111,12 @@ class TestExitCodes:
             assert ((tmp_path / "1e200" / name).read_bytes()
                     == (tmp_path / "1e100" / name).read_bytes())
 
+    def test_tight_tol_at_k5_runs(self, tmp_path):
+        # every column converges in the sine basis; no resolvent solve is
+        # left to stall at a grid's rounding floor
+        assert run_cli(["table1", "--k", "5", "--tol", "1e-8",
+                        "--out", str(tmp_path)]) == 0
+
     def test_negative_tol_is_usage_error_before_any_solve(self, tmp_path, capsys,
                                                           monkeypatch):
         def no_solve(k):

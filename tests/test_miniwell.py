@@ -137,21 +137,19 @@ class TestOmega:
 
 def former_real_integrands(state):
     """The three fiber integrands that the real part of A once paired with
-    the vector-potential and metric data, on the converged grid of the
-    ground state: tau u0'' u0 (second derivative by the operator's stencil,
-    Dirichlet beyond the walls), (tau^{k+2}/(k+2)) w u0^2 and tau w^2 u0^2,
-    with w = tau^{k+1}/(k+1) - alpha_min."""
+    the vector-potential and metric data, at the nodes of the ground state:
+    tau u0'' u0 (with u0'' = (w^2 - nu_hat) u0, the eigenvalue equation),
+    (tau^{k+2}/(k+2)) w u0^2 and tau w^2 u0^2, with
+    w = tau^{k+1}/(k+1) - alpha_min."""
     k, am = state.report.k, state.report.alpha_min
-    grid = state.spectrum.grid
-    t = grid.interior_points()
-    dt = grid.spacing
-    u = state.spectrum.eigenfunctions[0]
-    padded = np.concatenate(([0.0], u, [0.0]))
-    upp = (padded[2:] - 2.0 * u + padded[:-2]) / dt**2
+    spec = state.spectrum
+    t, weights = spec.nodes, spec.weights
+    u = spec.eigenfunctions[0]
     w = t ** (k + 1) / (k + 1) - am
-    return (float(np.sum(t * upp * u) * dt),
-            float(np.sum(t ** (k + 2) / (k + 2) * w * u * u) * dt),
-            float(np.sum(t * w * w * u * u) * dt))
+    upp = (w * w - state.report.nu_hat) * u
+    return (float(np.sum(weights * t * upp * u)),
+            float(np.sum(weights * t ** (k + 2) / (k + 2) * w * u * u)),
+            float(np.sum(weights * t * w * w * u * u)))
 
 
 class TestA:

@@ -6,7 +6,7 @@ import pytest
 from magwell.montgomery import (
     SCAN_POINTS,
     MinimizerReport,
-    _discrete_hf,
+    _band,
     _scan_brackets,
     _scan_values,
     _stationary_alpha,
@@ -15,15 +15,22 @@ from magwell.montgomery import (
     minimizer_state,
     profile,
 )
-from magwell.sl_engine import (ConvergenceError, Grid1D, SolverError,
-                                eigenvalue_converged)
+from magwell.sl_engine import ConvergenceError, SineBasis, SolverError, eigenvalue_converged
 
 from conftest import REFERENCE_BAND_DATA
-from oracles import d2_on_grid, dlambda_dalpha, large_alpha_ratio
+from oracles import band_minimum_oracle, dlambda_dalpha, large_alpha_ratio
 
 # frozen: 2((k+2) lambda1 - (k+6) nu_hat)/((k+2)(lambda1 - nu_hat)) with the
 # k=1 reference values, 2(3*1.98 - 7*0.57)/(3*(1.98 - 0.57))
 D2_BOUND_K1 = 0.92
+
+# frozen band-minimum columns, agreed on by the Hermite and sine routes to
+# about 1e-12
+REFERENCE_K1 = {"alpha_min": 0.346758403750, "nu_hat": 0.569820317442,
+                "lambda1": 1.98744363136, "lambda2": 4.10924313168,
+                "d2": 1.57612689328}
+REFERENCE_D2_K5 = 1.91291751013
+COLUMNS = ("alpha_min", "nu_hat", "lambda1", "lambda2", "d2")
 
 
 def direct(k, alpha, beta):
@@ -46,9 +53,8 @@ class TestFamilyPotential:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_even_at_zero_shift_bit_for_bit(self, k):
         # so that `sl_engine` splits the operator at alpha = 0 by parity
-        for n in (513, 1025, 2049):
-            t = Grid1D(5.7, n).interior_points()
-            v = family_potential(k, 0.0)(t)
+        for n in (32, 96, 512):
+            v = family_potential(k, 0.0)(SineBasis(5.7, n).nodes())
             assert np.array_equal(v, v[::-1]), n
 
 
@@ -114,13 +120,11 @@ class TestMinimizer:
             assert st.spectrum.parity == ("even", "odd", "even"), k
             assert st.report.hf_residual < 1e-15, k
 
-    @pytest.mark.parametrize("k,solves,roots", [(1, 4, 2), (2, 2, 1), (3, 4, 2),
-                                                (4, 2, 1)])
+    @pytest.mark.parametrize("k,solves,roots", [(1, 1, 1), (2, 1, 0), (3, 1, 1),
+                                                (4, 1, 0)])
     def test_solve_counts(self, monkeypatch, k, solves, roots):
-        # even k: one converged solve for the local minimum at 0 and one for
-        # the three levels there, and one Newton run on the final grid that
-        # stops where it starts; odd k also solves for the reference grid and
-        # again at the root that the final grid moves to
+        # one converged solve picks the basis; odd k run Newton on it once,
+        # even k take alpha = 0 exactly and run none
         from magwell import montgomery
         calls = {"eigenvalue_converged": 0, "_stationary_alpha": 0}
 
@@ -150,8 +154,8 @@ class TestMinimizer:
             assert r.hf_residual < 1e-5
 
     def test_stationarity_at_rounding_level(self, states):
-        # the minimizer is solved for on the grid of the resolution the
-        # residual is evaluated at, so only rounding is left
+        # the minimizer is solved for on the basis the residual is evaluated
+        # on, so only rounding is left
         for k, st in states.items():
             assert st.report.hf_residual < 1e-10, k
 
@@ -160,15 +164,19 @@ class TestDerivatives:
     def test_stationary_at_minimum(self, states):
         assert abs(dlambda_dalpha(1, states[1].report.alpha_min, 1e-8)) < 1e-5
 
+    @staticmethod
+    def fixed_basis(k, alpha):
+        """The basis of a converged solve at (k, alpha)."""
+        return eigenvalue_converged(family_potential(k, alpha), 0, 1e-8)[1].basis
+
     @pytest.mark.parametrize("k,alpha", [(1, 0.0), (3, 1.0)])
     def test_hf_vs_finite_difference(self, k, alpha):
-        # oracle: central difference of the discrete band function computed
-        # on the same converged grid (the quadrature path is not involved)
+        # oracle: central difference of the band on the basis of a converged
+        # solve, against the quadrature at its nodes
         hf = dlambda_dalpha(k, alpha, 1e-8)
-        _, spec = eigenvalue_converged(family_potential(k, alpha), 0, 1e-8)
-        delta = 1e-4
-        _, lp = _discrete_hf(k, alpha + delta, spec.grid)
-        _, lm = _discrete_hf(k, alpha - delta, spec.grid)
+        basis, delta = self.fixed_basis(k, alpha), 1e-4
+        lp = _band(k, basis, alpha + delta).values[0]
+        lm = _band(k, basis, alpha - delta).values[0]
         assert hf == pytest.approx((lp - lm) / (2 * delta), abs=1e-6)
 
     def test_hf_vs_finite_difference_random(self):
@@ -177,10 +185,9 @@ class TestDerivatives:
             k = int(rng.integers(1, 5))
             alpha = float(rng.uniform(-0.5, 1.0))
             hf = dlambda_dalpha(k, alpha, 1e-8)
-            _, spec = eigenvalue_converged(family_potential(k, alpha), 0, 1e-8)
-            delta = 1e-4
-            _, lp = _discrete_hf(k, alpha + delta, spec.grid)
-            _, lm = _discrete_hf(k, alpha - delta, spec.grid)
+            basis, delta = self.fixed_basis(k, alpha), 1e-4
+            lp = _band(k, basis, alpha + delta).values[0]
+            lm = _band(k, basis, alpha - delta).values[0]
             assert hf == pytest.approx((lp - lm) / (2 * delta), abs=1e-5)
 
     def test_d2_above_frozen_bound(self, states):
@@ -188,34 +195,24 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("k", list(range(1, 8)))
     def test_d2_vs_lambda_second_difference(self, k, states):
-        # oracle: second central difference of the discrete band function,
-        # step 1e-3. Both routes are evaluated on the same fixed moderate
-        # box: the agreement is a grid-independent identity, and a modest
-        # matrix norm keeps the 1/delta^2-amplified eigenvalue rounding far
-        # below the tolerance.
-        from magwell.sl_engine import Grid1D, _initial_half_width
-
+        # oracle: second central difference of the band, step 1e-3, on the
+        # basis of the minimizer state; the eigen-sum is the exact second
+        # derivative on that basis
         alpha = states[k].report.alpha_min
-        L = _initial_half_width(family_potential(k, alpha), 0)
-        grid = Grid1D(L, 257)
-        d2 = d2_on_grid(k, alpha, grid)
-        delta = 1e-3
-        _, l0 = _discrete_hf(k, alpha, grid)
-        _, lp = _discrete_hf(k, alpha + delta, grid)
-        _, lm = _discrete_hf(k, alpha - delta, grid)
+        basis, delta = states[k].spectrum.basis, 1e-3
+        l0, lp, lm = (_band(k, basis, a).values[0] for a in (alpha, alpha + delta, alpha - delta))
         fd = (lp - 2 * l0 + lm) / delta**2
-        assert d2 == pytest.approx(fd, abs=1e-4)
+        assert _band(k, basis, alpha).curvature == pytest.approx(fd, abs=1e-4)
 
     def test_d2_resolvent_vs_hf_difference(self):
-        # oracle: central difference of the discrete Hellmann-Feynman
-        # derivative on the same converged grid, step 1e-3; both routes
-        # compute the same discrete quantity
+        # oracle: central difference of the Hellmann-Feynman slope on one
+        # basis, step 1e-3; the eigen-sum is the reduced resolvent in the
+        # eigenbasis, so both routes compute the same quantity
         tol = 1e-6
-        _, spec = eigenvalue_converged(family_potential(1, 0.2), 0, tol)
-        d2 = d2_on_grid(1, 0.2, spec.grid)
-        delta = 1e-3
-        hf_p, _ = _discrete_hf(1, 0.2 + delta, spec.grid)
-        hf_m, _ = _discrete_hf(1, 0.2 - delta, spec.grid)
+        basis, delta = self.fixed_basis(1, 0.2), 1e-3
+        d2 = _band(1, basis, 0.2).curvature
+        hf_p = _band(1, basis, 0.2 + delta).slope
+        hf_m = _band(1, basis, 0.2 - delta).slope
         assert np.isfinite(d2)
         assert abs(d2 - (hf_p - hf_m) / (2 * delta)) <= 10 * tol
 
@@ -226,14 +223,30 @@ class TestDerivatives:
         assert d2_7 > states[1].report.d2
 
 
+class TestColumnsVsOracles:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("k", list(range(1, 8)))
+    def test_five_columns_within_tol(self, k, tol):
+        # oracles: Hermite Rayleigh-Ritz for k <= 3, Richardson over two
+        # finite-difference grids (d2 from the bordered resolvent) for k >= 4
+        r = minimizer_state(k, tol).report
+        oracle = band_minimum_oracle(k)
+        for name in COLUMNS:
+            assert abs(getattr(r, name) - oracle[name]) <= tol, name
+
+    def test_reference_values(self, states):
+        r = states[1].report
+        for name in COLUMNS:
+            assert getattr(r, name) == pytest.approx(REFERENCE_K1[name], abs=1e-10), name
+        assert states[5].report.d2 == pytest.approx(REFERENCE_D2_K5, abs=1e-10)
+
+
 class TestIdentities:
     def test_norm_identity_value_k1(self, states):
-        st = states[1]
-        grid = st.spectrum.grid
-        t = grid.interior_points()
-        u0 = st.spectrum.eigenfunctions[0]
-        w = t**2 / 2 - st.report.alpha_min
-        integral = float(np.sum(w**2 * u0**2) * grid.spacing)
+        spec = states[1].spectrum
+        u0 = spec.eigenfunctions[0]
+        w = spec.nodes**2 / 2 - states[1].report.alpha_min
+        integral = float(np.sum(spec.weights * w**2 * u0**2))
         assert integral == pytest.approx(0.57 / 3, abs=0.01)
 
     def test_stationarity_forced_by_symmetry_k2(self, states):
@@ -351,22 +364,23 @@ class TestFixedGridScan:
 class TestStationarySolve:
     @staticmethod
     def scan_bracket(k, alpha):
-        """The reference grid at the scan point nearest alpha, and that
-        point with its two scan neighbours."""
+        """The basis of a converged solve at the scan point nearest alpha,
+        and that point with its two scan neighbours."""
         alphas = np.linspace(-1.0, 2.0 + k, SCAN_POINTS)
         i = int(np.argmin(np.abs(alphas - alpha)))
         _, spec = eigenvalue_converged(family_potential(k, alphas[i]), 0, 1e-7)
-        return spec.grid, alphas[i - 1], alphas[i + 1], alphas[i]
+        return spec.basis, alphas[i - 1], alphas[i + 1], alphas[i]
 
     @pytest.mark.parametrize("k", [1, 4, 5])
     def test_wide_bracket_reaches_scan_root(self, k, states):
         # started at 1 + k, where the band is concave, the first steps on
         # [-1, 2 + k] are bisections; the root is still the scan bracket's
-        grid, lo, hi, start = self.scan_bracket(k, states[k].report.alpha_min)
-        root = _stationary_alpha(k, grid, lo, hi, start)
+        basis, lo, hi, start = self.scan_bracket(k, states[k].report.alpha_min)
+        root, band = _stationary_alpha(k, basis, lo, hi, start)
         assert lo < root < hi
-        assert abs(_discrete_hf(k, root, grid)[0]) < 1e-11
-        wide = _stationary_alpha(k, grid, -1.0, 2.0 + k, 1.0 + k)
+        assert abs(band.slope) < 1e-11
+        assert band.values[0] == _band(k, basis, root).values[0]
+        wide, _ = _stationary_alpha(k, basis, -1.0, 2.0 + k, 1.0 + k)
         assert wide == pytest.approx(root, abs=1e-12)
 
     def test_iteration_cap_carries_last_iterates(self, states, monkeypatch):
@@ -374,17 +388,17 @@ class TestStationarySolve:
         # bracket but a millionth of the distance to the root, so the 60
         # steps run out; the error carries the last two iterates
         from magwell import montgomery
-        true_d2 = montgomery._resolvent_d2
-        monkeypatch.setattr(montgomery, "_resolvent_d2",
-                            lambda *args: 1e6 * true_d2(*args))
-        grid, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
+        true_band = montgomery._band
+        monkeypatch.setattr(montgomery, "_band", lambda *args: true_band(*args)._replace(
+            curvature=1e6 * true_band(*args).curvature))
+        basis, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
         with pytest.raises(ConvergenceError, match="not converged after 60 steps") as err:
-            _stationary_alpha(1, grid, lo, hi, lo + 0.01 * (hi - lo))
+            _stationary_alpha(1, basis, lo, hi, lo + 0.01 * (hi - lo))
         before, last = err.value.estimates
         assert lo < before < last < hi
         assert f"last alpha {last:.15g}" in str(err.value)
 
     def test_bracket_without_sign_change_raises(self, states):
-        grid, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
+        basis, lo, hi, _ = self.scan_bracket(1, states[1].report.alpha_min)
         with pytest.raises(ConvergenceError, match="does not change sign"):
-            _stationary_alpha(1, grid, hi, hi + 1.0, hi + 0.5)
+            _stationary_alpha(1, basis, hi, hi + 1.0, hi + 0.5)

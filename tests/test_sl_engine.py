@@ -1,31 +1,24 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
 
 from magwell import sl_engine
 from magwell.sl_engine import (
     AssemblyError,
     ConvergenceError,
-    Grid1D,
+    SineBasis,
     SolverError,
     Spectrum1D,
-    assemble,
-    boundary_mass,
-    _bisect,
-    _eigenvalues_only,
-    _initial_half_width,
+    _eigh,
+    _solve,
     eigenvalue_converged,
-    lowest_eigenpairs,
 )
 from magwell.montgomery import family_potential
 
 from oracles import (
     count_sign_changes,
     dense_converged,
-    dense_eigenvalues,
     reflection_residuals,
     shooting_eigenvalue,
-    wrapper_bisect,
 )
 
 # frozen from the Prufer shooting oracle in tests/oracles.py
@@ -41,182 +34,131 @@ def V_family_k1(t, alpha=0.35):
     return (t**2 / 2 - alpha) ** 2
 
 
-class TestGrid:
-    def test_spacing_and_endpoints(self):
-        g = Grid1D(2.0, 17)
-        t = g.points()
-        assert t[0] == -2.0 and t[-1] == 2.0
-        assert np.allclose(np.diff(t), g.spacing)
-        assert g.spacing == pytest.approx(4.0 / 16)
+def galerkin_matrix(potential, basis):
+    """The matrix `sl_engine` solves: kinetic diagonal plus the potential's
+    Galerkin matrix."""
+    return basis.matrix(potential(basis.nodes())) + np.diag(basis.kinetic())
 
-    @pytest.mark.parametrize("L, n", [(9.582312144488096, 8193), (0.3, 17),
-                                      (2.0, 64), (11.989236065894366, 16385)])
-    def test_mirror_symmetric_bit_for_bit(self, L, n):
-        t = Grid1D(L, n).interior_points()
-        assert np.array_equal(t, -t[::-1])
+
+class TestSineBasis:
+    @pytest.mark.parametrize("half_width, size", [(9.582312144488096, 96), (0.3, 32),
+                                                  (2.0, 48), (11.989236065894366, 512)])
+    def test_nodes_mirror_symmetric_bit_for_bit(self, half_width, size):
+        basis = SineBasis(half_width, size)
+        t, w = basis.nodes(), basis.weights()
+        assert len(t) == 2 * size + 64
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(t) > 0) and np.sum(w) == pytest.approx(2 * half_width)
+
+    def test_functions_orthonormal_at_the_nodes(self):
+        basis = SineBasis(3.0, 64)
+        u = basis.functions(np.eye(64))
+        gram = (u * basis.weights()) @ u.T
+        assert np.max(np.abs(gram - np.eye(64))) < 1e-13
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            Grid1D(-1.0, 64)
-        with pytest.raises(ValueError):
-            Grid1D(1.0, 8)
+        for half_width, size in ((-1.0, 64), (np.inf, 64), (1.0, 0)):
+            with pytest.raises(ValueError):
+                SineBasis(half_width, size)
 
 
 class TestAssemble:
-    def test_free_laplacian_stencil(self):
-        g = Grid1D(1.0, 17)
-        op = assemble(lambda t: np.zeros_like(t), g)
-        dt = g.spacing
-        assert np.allclose(op.diagonal, 2.0 / dt**2)
-        assert np.allclose(op.offdiagonal, -1.0 / dt**2)
+    def test_free_laplacian_is_diagonal(self):
+        basis = SineBasis(1.0, 32)
+        h = galerkin_matrix(lambda t: np.zeros_like(t), basis)
+        assert np.array_equal(h, np.diag((np.arange(1, 33) * np.pi / 2.0) ** 2))
 
-    def test_harmonic_ground_on_fine_grid(self):
-        op = assemble(V_harmonic, Grid1D(10.0, 4001))
-        spec = lowest_eigenpairs(op, 1)
-        assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-5)
+    def test_harmonic_ground_in_fixed_basis(self):
+        spec = _solve(V_harmonic, SineBasis(10.0, 96), 1, vectors=True)
+        assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_hand_built_matrix(self):
-        # independent construction with explicit loops
-        g = Grid1D(3.0, 41)
-        op = assemble(V_family_k1, g)
-        t = g.points()
-        dt = 2.0 * g.half_width / (g.n_points - 1)
-        n = g.n_points - 2
-        dense = np.zeros((n, n))
-        for i in range(n):
-            ti = t[i + 1]
-            dense[i, i] = 2.0 / dt**2 + (ti**2 / 2 - 0.35) ** 2
-            if i + 1 < n:
-                dense[i, i + 1] = -1.0 / dt**2
-                dense[i + 1, i] = -1.0 / dt**2
-        assert np.array_equal(np.diag(dense), op.diagonal)
-        assert np.array_equal(np.diag(dense, 1), op.offdiagonal)
+        # independent construction with explicit loops over the quadrature
+        # of sin(n theta) sin(m theta) V / T
+        basis = SineBasis(3.0, 16)
+        t, w = basis.nodes(), basis.weights()
+        theta = np.pi * (t + 3.0) / 6.0
+        dense = np.zeros((16, 16))
+        for n in range(1, 17):
+            for m in range(1, 17):
+                dense[n - 1, m - 1] = sum(
+                    wq * V_family_k1(tq) * np.sin(n * th) * np.sin(m * th) / 3.0
+                    for tq, wq, th in zip(t, w, theta))
+            dense[n - 1, n - 1] += (n * np.pi / 6.0) ** 2
+        assert np.max(np.abs(galerkin_matrix(V_family_k1, basis) - dense)) < 1e-12
 
     def test_nonfinite_potential_rejected(self):
         def bad(t):
             return np.where(np.abs(t) < 0.5, np.nan, t**2)
 
         with pytest.raises(AssemblyError, match="t="):
-            assemble(bad, Grid1D(2.0, 65))
+            _solve(bad, SineBasis(2.0, 32), 1, vectors=False)
 
 
 class TestLowestEigenpairs:
     def test_oscillator_first_three(self):
-        op = assemble(V_harmonic, Grid1D(12.0, 4001))
-        spec = lowest_eigenpairs(op, 3)
-        assert np.allclose(spec.eigenvalues, [1.0, 3.0, 5.0], atol=1e-6)
+        spec = _solve(V_harmonic, SineBasis(12.0, 128), 3, vectors=True)
+        assert np.allclose(spec.eigenvalues, [1.0, 3.0, 5.0], atol=1e-10)
 
     def test_quartic_ground_matches_dense_oracle(self):
-        g = Grid1D(6.0, 2001)
-        op = assemble(lambda t: t**4, g)
-        spec = lowest_eigenpairs(op, 2)
-        oracle = dense_eigenvalues(lambda t: t**4, g, 2)
+        spec = _solve(lambda t: t**4, SineBasis(6.0, 96), 2, vectors=True)
+        oracle = [dense_converged(lambda t: t**4, m, 6.0, 769) for m in (0, 1)]
         assert np.allclose(spec.eigenvalues, oracle, atol=1e-8)
 
     def test_box_ground_state(self):
+        # the sine basis diagonalises the box exactly
         L = 2.0
-        op = assemble(lambda t: np.zeros_like(t), Grid1D(L, 2001))
-        spec = lowest_eigenpairs(op, 1)
-        exact = np.pi**2 / (2 * L) ** 2
-        assert spec.eigenvalues[0] == pytest.approx(exact, rel=1e-5)
+        spec = _solve(lambda t: np.zeros_like(t), SineBasis(L, 32), 1, vectors=True)
+        assert spec.eigenvalues[0] == pytest.approx(np.pi**2 / (2 * L) ** 2, rel=1e-14)
 
     def test_normalization_and_residuals(self):
-        g = Grid1D(8.0, 1001)
-        op = assemble(V_harmonic, g)
-        spec = lowest_eigenpairs(op, 4)
+        basis = SineBasis(8.0, 64)
+        spec = _solve(V_harmonic, basis, 4, vectors=True)
         for u in spec.eigenfunctions:
-            assert np.sum(u**2) * g.spacing == pytest.approx(1.0, abs=1e-12)
-        assert np.all(spec.convergence_estimate < 1e-8)
+            assert np.sum(spec.weights * u**2) == pytest.approx(1.0, abs=1e-12)
+        h = galerkin_matrix(V_harmonic, basis)
+        vals, vecs, _ = _eigh(h, 4, split=True, vectors=True)
+        resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+        assert np.all(resid < 1e-12 * np.abs(h).max())
 
     def test_sign_convention(self):
-        spec = lowest_eigenpairs(assemble(V_family_k1, Grid1D(6.0, 801)), 4)
+        spec = _solve(V_family_k1, SineBasis(6.0, 64), 4, vectors=True)
         for u in spec.eigenfunctions:
             assert u[np.argmax(np.abs(u))] > 0
-        assert spec.extrapolants is None
 
     def test_too_many_requested(self):
-        op = assemble(V_harmonic, Grid1D(2.0, 16))
         with pytest.raises(SolverError):
-            lowest_eigenpairs(op, 100)
-
-
-def parity_blocks(op):
-    """The even and odd blocks `sl_engine` splits an odd-sized operator into."""
-    d, e = op.diagonal, op.offdiagonal
-    c = op.size // 2
-    return {"even": (d[c:], np.r_[np.sqrt(2.0) * e[c], e[c + 1:]]),
-            "odd": (d[c + 1:], e[c + 1:])}
-
-
-class TestBisect:
-    @pytest.mark.parametrize("vectors", [False, True])
-    @pytest.mark.parametrize("block", ["even", "odd"])
-    @pytest.mark.parametrize("k", list(range(1, 8)))
-    def test_matches_wrapper_bit_for_bit(self, k, block, vectors):
-        # oracle: scipy's eigh_tridiagonal on the same block
-        pot = family_potential(k, 0.3)
-        op = assemble(pot, Grid1D(1.5 * _initial_half_width(pot, 2), 1025))
-        diag, off = parity_blocks(op)[block]
-        vals, vecs = _bisect(diag, off, 3, vectors)
-        want_vals, want_vecs = wrapper_bisect(diag, off, 3, vectors)
-        assert np.array_equal(vals, want_vals)
-        if vectors:
-            assert np.array_equal(vecs, want_vecs)
-        else:
-            assert vecs is None
-
-    @pytest.mark.parametrize("m, info", [(3, 1), (2, 0)],
-                             ids=["nonzero-info", "too-few-levels"])
-    def test_stebz_failure_raises(self, monkeypatch, m, info):
-        true_stebz = sl_engine.dstebz
-
-        def failing(*args):
-            _, w, iblock, isplit, _ = true_stebz(*args)
-            return m, w, iblock, isplit, info
-
-        monkeypatch.setattr(sl_engine, "dstebz", failing)
-        op = assemble(V_harmonic, Grid1D(8.0, 101))
-        with pytest.raises(SolverError, match=f"info {info}, {m} of 3 levels"):
-            _bisect(op.diagonal, op.offdiagonal, 3, vectors=False)
-
-    def test_stein_failure_raises(self, monkeypatch):
-        true_stein = sl_engine.dstein
-        monkeypatch.setattr(sl_engine, "dstein",
-                            lambda *args: (true_stein(*args)[0], 1))
-        op = assemble(V_harmonic, Grid1D(8.0, 101))
-        with pytest.raises(SolverError, match="stein"):
-            _bisect(op.diagonal, op.offdiagonal, 3, vectors=True)
+            _solve(V_harmonic, SineBasis(2.0, 32), 100, vectors=False)
 
 
 class TestEigenvalueConverged:
-    def test_each_grid_bisected_once_per_parity_block(self, monkeypatch):
-        # every dstebz call is charged to the grid assembled last; k=1 is
-        # split, so each grid takes one call for the even block and one for
-        # the odd block, the finest included
-        calls = {}
-        last = {}
-        true_assemble, true_stebz = sl_engine.assemble, sl_engine.dstebz
+    def test_vectors_only_on_the_returned_basis(self, monkeypatch):
+        # the box search and the basis growth solve values only, each basis
+        # once; the one solve with eigenvectors is the box check, returned
+        calls = []
+        true_solve = sl_engine._solve
 
-        def spy_assemble(potential, grid):
-            last["grid"] = (grid.half_width, grid.n_points)
-            return true_assemble(potential, grid)
+        def spy(potential, basis, count, vectors):
+            calls.append((basis, vectors))
+            return true_solve(potential, basis, count, vectors)
 
-        def spy_stebz(diag, *args):
-            calls.setdefault(last["grid"], []).append(len(diag))
-            return true_stebz(diag, *args)
-
-        monkeypatch.setattr(sl_engine, "assemble", spy_assemble)
-        monkeypatch.setattr(sl_engine, "dstebz", spy_stebz)
+        monkeypatch.setattr(sl_engine, "_solve", spy)
         _, spec = eigenvalue_converged(family_potential(1, 0.3), 2, 1e-7)
-        final = (spec.grid.half_width, spec.grid.n_points)
-        assert final in calls and len(calls) >= 4
-        for (_, n), sizes in calls.items():
-            c = (n - 2) // 2
-            assert sorted(sizes) == [c, c + 1]
+        assert [basis for basis, vectors in calls if vectors] == [spec.basis]
+        values_only = [basis for basis, vectors in calls if not vectors]
+        assert len(set(values_only)) == len(values_only)
 
     def test_oscillator_m4(self):
         val, _ = eigenvalue_converged(V_harmonic, 4, 1e-7)
         assert val == pytest.approx(9.0, abs=1e-7)
+
+    def test_high_oscillator_level(self):
+        # the box search and the basis growth size their bases from m; a
+        # level no size of SIZES can hold is refused
+        val, _ = eigenvalue_converged(V_harmonic, 40, 1e-8)
+        assert val == pytest.approx(81.0, abs=1e-8)
+        with pytest.raises(SolverError, match="beyond"):
+            eigenvalue_converged(V_harmonic, 300, 1e-8)
 
     def test_family_k1_near_table_value(self):
         val, _ = eigenvalue_converged(V_family_k1, 0, 1e-6)
@@ -235,14 +177,16 @@ class TestEigenvalueConverged:
         live = shooting_eigenvalue(lambda t: (t**2 / 2) ** 2, 0, 6.0, 0.1, 1.5)
         assert live == pytest.approx(GROUND_QUARTIC_HALF, abs=1e-9)
 
-    def test_extrapolants_carry_every_level(self):
+    def test_spectrum_carries_every_level(self):
         val, spec = eigenvalue_converged(V_harmonic, 2, 1e-8)
-        assert spec.extrapolants[2] == val
-        assert np.allclose(spec.extrapolants, [1.0, 3.0, 5.0], atol=1e-8)
+        assert spec.eigenvalues[2] == val
+        assert np.allclose(spec.eigenvalues, [1.0, 3.0, 5.0], atol=1e-8)
 
     def test_boundary_mass_is_small(self):
+        # weighted mass of the highest level beyond 0.9 of the half-width
         _, spec = eigenvalue_converged(V_harmonic, 2, 1e-8)
-        assert boundary_mass(spec) < 1e-16
+        edge = np.abs(spec.nodes) > 0.9 * spec.basis.half_width
+        assert np.sum(spec.weights[edge] * spec.eigenfunctions[-1][edge] ** 2) < 1e-16
 
     def test_nonconfining_potential_raises_convergence_error(self):
         # no wall ever rises above the level, so the box search gives up
@@ -256,32 +200,45 @@ class TestEigenvalueConverged:
             eigenvalue_converged(V_harmonic, 0, tol)
 
     def test_nonconvergence_carries_last_estimates(self, monkeypatch):
-        # refinement grids whose levels alternate by +-0.01 about 1: the
-        # extrapolants never settle, and the error must expose the last two
-        fed = []          # (points, level) of every grid, half-width doubling included
-        true_pairs = sl_engine.lowest_eigenpairs
+        # basis sizes whose levels alternate by +-0.01 about 1 never agree:
+        # the growth runs through every size and the error exposes the last
+        # two levels it saw
+        fed = []
 
-        def alternating(operator, m_count):
-            if operator.grid.n_points == sl_engine.PROBE_POINTS:
-                spec = true_pairs(operator, m_count)
-            else:
-                spec = Spectrum1D(np.array([1.0 + 0.01 * (-1) ** len(fed)]),
-                                  np.zeros((1, 1)), operator.grid)
-            fed.append((operator.grid.n_points, spec.eigenvalues[0]))
-            return spec
+        def alternating(potential, basis, count, vectors):
+            fed.append(1.0 + 0.01 * (-1) ** len(fed))
+            return np.array([fed[-1]])
 
-        monkeypatch.setattr(sl_engine, "lowest_eigenpairs", alternating)
-        with pytest.raises(ConvergenceError, match="refinement exhausted") as err:
+        monkeypatch.setattr(sl_engine, "_box_half_widths", lambda potential, m: [4.0, 6.0])
+        monkeypatch.setattr(sl_engine, "_solve", alternating)
+        with pytest.raises(ConvergenceError, match="basis growth exhausted") as err:
             eigenvalue_converged(V_harmonic, 0, 1e-6)
-        refined = [n for n, _ in fed if n != sl_engine.PROBE_POINTS]
-        assert len(refined) == sl_engine.MAX_REFINEMENTS
-        levels = [lam for _, lam in fed]
-        extrapolants = [(4.0 * cur - prev) / 3.0
-                        for prev, cur in zip(levels, levels[1:])]
-        assert err.value.estimates is not None
-        lo, hi = err.value.estimates
-        assert (lo, hi) == tuple(extrapolants[-2:])
-        assert abs(lo - 1.0) < 0.1 and abs(hi - 1.0) < 0.1
+        assert len(fed) == len(sl_engine.SIZES)
+        assert err.value.estimates == tuple(fed[-2:])
+
+    def test_failed_box_checks_carry_last_estimates(self, monkeypatch):
+        # each box converges in the basis, and each larger box sits 0.01
+        # higher: every check fails, and after the last box the error
+        # carries the level of the one before it and the last check's
+        boxes = [4.0 + i for i in range(sl_engine.MAX_BOXES)]
+        true_solve = sl_engine._solve
+
+        def drifting(potential, basis, count, vectors):
+            spec = true_solve(potential, basis, count, vectors)
+            shift = 0.01 * boxes.index(basis.half_width)
+            if vectors:
+                return Spectrum1D(spec.eigenvalues + shift, spec.eigenfunctions.copy(),
+                                  basis, spec.parity)
+            return spec + shift
+
+        monkeypatch.setattr(sl_engine, "_box_half_widths", lambda potential, m: boxes)
+        monkeypatch.setattr(sl_engine, "SIZES", tuple(range(32, 112, 4)))
+        monkeypatch.setattr(sl_engine, "_solve", drifting)
+        with pytest.raises(ConvergenceError, match="box enlargement exhausted") as err:
+            eigenvalue_converged(V_harmonic, 0, 1e-2)
+        before, last = err.value.estimates
+        assert last - before == pytest.approx(0.01, abs=1e-6)
+        assert last == pytest.approx(1.0 + 0.01 * (len(boxes) - 1), abs=1e-6)
 
 
 ALTERNATING = ("even", "odd", "even", "odd")
@@ -302,18 +259,33 @@ class TestParity:
         _, spec = eigenvalue_converged(family_potential(k, alpha), 3, 1e-8)
         assert spec.parity == ALTERNATING
         assert np.all(reflection_residuals(spec) == 0.0)
-        op = assemble(family_potential(k, alpha), spec.grid)
-        whole = eigvalsh_tridiagonal(op.diagonal, op.offdiagonal,
-                                     select="i", select_range=(0, 3))
-        assert np.max(np.abs(spec.eigenvalues - whole)) <= 1e-14 * op.norm_bound()
+        h = galerkin_matrix(family_potential(k, alpha), spec.basis)
+        whole = np.linalg.eigvalsh(h)[:4]
+        norm_bound = np.max(np.sum(np.abs(h), axis=1))
+        assert np.max(np.abs(spec.eigenvalues - whole)) <= 1e-14 * norm_bound
+
+    @pytest.mark.parametrize("k", list(range(1, 8)))
+    def test_split_matches_whole_matrix(self, k):
+        # each parity block gives the whole matrix's levels of that parity,
+        # and the same eigenvectors up to sign
+        basis = SineBasis(4.0, 64)
+        h = galerkin_matrix(family_potential(k, 0.3 if k % 2 else 0.0), basis)
+        vals, vecs, parity = _eigh(h, 6, split=True, vectors=True)
+        whole_vals, whole_vecs = np.linalg.eigh(h)
+        assert parity == ALTERNATING + ("even", "odd")
+        assert np.allclose(vals, whole_vals[:6], rtol=0, atol=1e-12 * np.abs(h).max())
+        overlap = np.abs(np.sum(vecs * whole_vecs[:, :6], axis=0))
+        assert np.allclose(overlap, 1.0, atol=1e-10)
 
     def test_values_only_match_eigenpairs(self):
-        op = assemble(family_potential(1, 10.0), Grid1D(12.0, 1025))
-        vals = _eigenvalues_only(op, 3)
-        assert np.array_equal(vals, lowest_eigenpairs(op, 3).eigenvalues)
+        basis = SineBasis(12.0, 128)
+        vals = _solve(family_potential(1, 10.0), basis, 3, vectors=False)
+        spec = _solve(family_potential(1, 10.0), basis, 3, vectors=True)
+        h = galerkin_matrix(family_potential(1, 10.0), basis)
+        assert np.max(np.abs(vals - spec.eigenvalues)) <= 1e-14 * np.abs(h).max()
 
     def test_odd_sign_tie_goes_to_smaller_t(self):
-        spec = lowest_eigenpairs(assemble(V_family_k1, Grid1D(6.0, 801)), 2)
+        spec = _solve(V_family_k1, SineBasis(6.0, 64), 2, vectors=True)
         u = spec.eigenfunctions[1]
         assert np.argmax(np.abs(u)) < len(u) // 2 and u[np.argmax(np.abs(u))] > 0
 
@@ -321,28 +293,21 @@ class TestParity:
         _, spec = eigenvalue_converged(lambda t: t**2 + t, 0, 1e-8)
         assert spec.parity is None
 
-    def test_even_point_count_is_not_split(self):
-        spec = lowest_eigenpairs(assemble(V_harmonic, Grid1D(8.0, 1000)), 3)
-        assert spec.parity is None
-
 
 class TestInvariants:
     def test_eigenvalue_monotone_in_potential(self):
-        g = Grid1D(8.0, 1201)
-        s1 = lowest_eigenpairs(assemble(lambda t: t**2, g), 4)
-        s2 = lowest_eigenpairs(assemble(lambda t: t**2 + 0.5 + 0.1 * t**4, g), 4)
+        basis = SineBasis(8.0, 96)
+        s1 = _solve(lambda t: t**2, basis, 4, vectors=True)
+        s2 = _solve(lambda t: t**2 + 0.5 + 0.1 * t**4, basis, 4, vectors=True)
         assert np.all(s1.eigenvalues <= s2.eigenvalues)
 
-    def test_refinement_gains_factor_three(self):
-        # second-order stencil: error drops ~4x per halving once asymptotic
-        vals = []
-        for n in (801, 1601, 3201):
-            op = assemble(V_harmonic, Grid1D(9.0, n))
-            vals.append(lowest_eigenpairs(op, 3).eigenvalues)
-        for m in range(3):
-            d1 = abs(vals[1][m] - vals[0][m])
-            d2 = abs(vals[2][m] - vals[1][m])
-            assert d1 / d2 >= 3.0
+    def test_basis_growth_converges_spectrally(self):
+        # the sine series of a smooth eigenfunction converges faster than
+        # any power: each size of SIZES gains a factor 100 at least until
+        # rounding takes over
+        errors = [np.max(np.abs(_solve(V_harmonic, SineBasis(9.0, n), 3, vectors=False)
+                                - [1.0, 3.0, 5.0])) for n in (32, 48, 64)]
+        assert errors[1] < 1e-2 * errors[0] and errors[2] < max(1e-2 * errors[1], 1e-12)
 
     def test_oscillation_theorem(self):
         _, spec = eigenvalue_converged(V_family_k1, 5, 1e-7)
@@ -358,13 +323,11 @@ class TestInvariants:
             pot = lambda t, a=c1, b=c2, c=c4: c * t**4 + b * t**2 + a * t
             m = int(rng.integers(0, 3))
             val, spec = eigenvalue_converged(pot, m, 1e-9)
-            oracle = dense_converged(pot, m, spec.grid.half_width, 769)
+            oracle = dense_converged(pot, m, spec.basis.half_width, 769)
             assert val == pytest.approx(oracle, abs=1e-7)
 
 
 class TestSerialization:
     def test_spectrum_rejects_nonincreasing(self):
-        g = Grid1D(1.0, 16)
         with pytest.raises(SolverError):
-            Spectrum1D(np.array([1.0, 1.0]), np.zeros((2, 14)), g,
-                       np.zeros(2))
+            Spectrum1D(np.array([1.0, 1.0]), np.zeros((2, 96)), SineBasis(1.0, 16))
