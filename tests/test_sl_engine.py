@@ -56,6 +56,23 @@ class TestSineBasis:
         gram = (u * basis.weights()) @ u.T
         assert np.max(np.abs(gram - np.eye(64))) < 1e-13
 
+
+class TestGrid:
+    """The quadrature nodes of the sine basis, at which the levels'
+    eigenfunctions are sampled."""
+
+    def test_spacing_and_endpoints(self):
+        # Gauss-Legendre nodes crowd the ends: each end node sits closer to
+        # its end than any two nodes sit to each other, and the widest gap,
+        # at the middle, is about pi T/(q + 1/2) for q nodes
+        basis = SineBasis(2.0, 17)
+        t = basis.nodes()
+        gaps = np.diff(t)
+        assert -2.0 < t[0] and t[-1] < 2.0
+        assert t[0] + 2.0 < gaps.min() and 2.0 - t[-1] < gaps.min()
+        assert gaps.max() == pytest.approx(np.pi * 2.0 / (len(t) + 0.5), rel=1e-2)
+        assert gaps.max() < np.pi * 2.0 / len(t)
+
     def test_invalid(self):
         for half_width, size in ((-1.0, 64), (np.inf, 64), (1.0, 0)):
             with pytest.raises(ValueError):
@@ -308,6 +325,15 @@ class TestInvariants:
         errors = [np.max(np.abs(_solve(V_harmonic, SineBasis(9.0, n), 3, vectors=False)
                                 - [1.0, 3.0, 5.0])) for n in (32, 48, 64)]
         assert errors[1] < 1e-2 * errors[0] and errors[2] < max(1e-2 * errors[1], 1e-12)
+
+    def test_refinement_gains_factor_three(self):
+        # each larger basis moves every level less than a third as far as
+        # the step before it did
+        vals = [_solve(V_harmonic, SineBasis(9.0, n), 3, vectors=False) for n in (16, 24, 32)]
+        for m in range(3):
+            d1 = abs(vals[1][m] - vals[0][m])
+            d2 = abs(vals[2][m] - vals[1][m])
+            assert d1 / d2 >= 3.0
 
     def test_oscillation_theorem(self):
         _, spec = eigenvalue_converged(V_family_k1, 5, 1e-7)
