@@ -1,21 +1,22 @@
-"""Where the items of a sweep are solved: side by side in forked worker
+"""Where the items of the h sweep are solved: side by side in forked worker
 processes, or one after another in process.
 
-Both sweeps of the package go through `solved`: the k sweep of the CLI's
-`table1` and `verify`, and the h sweep of `model2d.run_sweep`. One rule,
-`sweep_workers`, decides where they run. When BLAS runs one thread, each
-sweep gets one forked worker per usable core, at most one per item.
-Otherwise it runs in process. Results and errors are read in item order,
-as in process; the h sweep carries its warnings back in its results.
+`model2d.run_sweep` solves its h through `solved`, and one rule,
+`sweep_workers`, decides where. When BLAS runs one thread, the sweep gets
+one forked worker per usable core, at most one per item. Otherwise it runs
+in process. Results and errors are read in item order, as in process; the
+h sweep carries its warnings back in its results. The k sweeps of the CLI
+do not come here: one k costs milliseconds of 1D work, less than a pool
+costs to start, so they run in process.
 
 Everything is pure and immutable after construction, so sweeps are safe to
 run concurrently in separate processes. Threads are another matter: they
 must not share `model2d.run_sweep` or `asymptotics.build_forecast`. Both
 enter `warnings.catch_warnings`, which swaps the process-wide warning state
 and is not thread-safe. The workers inherit the task through `fork`, so it
-may be any callable, a lambda or closure included: an h sweep's config
-whose `omega` is a closure, or a k sweep's lambda over the parsed
-arguments. The workers are joined before the sweep returns or raises.
+may be any callable, a lambda or closure included, such as an h sweep's
+config whose `omega` is a closure. The workers are joined before the sweep
+returns or raises.
 """
 from __future__ import annotations
 
@@ -74,9 +75,9 @@ def solved(solve: Callable, items: Sequence[Hashable]):
 
     With more than one `sweep_workers`, the items are solved side by side
     in a pool of forked processes (not threads: the SuperLU factorisation
-    holds the GIL), the smallest item first. Otherwise each call solves
-    its item in process. Leaving the block cancels the items not yet
-    started and joins the workers.
+    holds the GIL), the smallest item first: for the h sweep, the largest
+    grid. Otherwise each call solves its item in process. Leaving the block
+    cancels the items not yet started and joins the workers.
     """
     workers = sweep_workers(len(items))
     if workers == 1:

@@ -12,9 +12,7 @@ returns (exit code, manifest name, output paths) and `main` writes the
 manifest. This module is the one place that names output columns and keys;
 `_files` writes them, every float as `repr(float(v))`, so outputs are
 byte-identical for identical parameter sets. The k sweeps of `table1` and
-`verify` run where every sweep of the package runs (`_workers.solved`): in
-forked worker processes when BLAS runs one thread, else in process; either
-way their results are read in k order.
+`verify` solve their k in process, one after another, in k order.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -31,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._files import write_csv, write_json
 from .sl_engine import SolverError, eigenvalue_converged
-from . import _workers, montgomery, miniwell, asymptotics, model2d
+from . import montgomery, miniwell, asymptotics, model2d
 
 
 class UsageError(Exception):
@@ -77,18 +75,15 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _each_k(ks: list[int], solve) -> dict:
-    """{k: solve(k)} in k order, solved through `_workers.solved`: in forked
-    worker processes when BLAS runs one thread. A k whose solve raises
-    SolverError is reported on stderr, in k order, and left out, so it does
-    not cost the others; any other error propagates once the workers are
-    joined."""
+    """{k: solve(k)}, each k solved in process, in k order. A k whose solve
+    raises SolverError is reported on stderr and left out, so it does not
+    cost the others; any other error propagates at once."""
     results = {}
-    with _workers.solved(solve, ks) as calls:
-        for k, call in zip(ks, calls):
-            try:
-                results[k] = call()
-            except SolverError as exc:
-                print(f"k={k}: FAILED ({exc})", file=sys.stderr)
+    for k in ks:
+        try:
+            results[k] = solve(k)
+        except SolverError as exc:
+            print(f"k={k}: FAILED ({exc})", file=sys.stderr)
     return results
 
 

@@ -44,7 +44,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 def set_blas_threads(monkeypatch, threads=None, cores=2):
     """Clear the BLAS thread variables, then set OPENBLAS_NUM_THREADS,
     OMP_NUM_THREADS and MKL_NUM_THREADS to `threads` (if given) and show
-    `cores` usable cores: what every sweep (`_workers.sweep_workers`) reads
+    `cores` usable cores: what the h sweep (`_workers.sweep_workers`) reads
     to choose between worker processes and in process."""
     for name in BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
@@ -57,7 +57,7 @@ def set_blas_threads(monkeypatch, threads=None, cores=2):
 @pytest.fixture(params=["pinned", "unpinned"])
 def blas(request, monkeypatch):
     """Runs a test twice: with BLAS pinned to one thread on two cores, where
-    a sweep runs in a pool of two forked workers, and with the BLAS thread
+    an h sweep runs in a pool of two forked workers, and with the BLAS thread
     variables unset, where it runs in process."""
     set_blas_threads(monkeypatch, 1 if request.param == "pinned" else None)
     return request.param

@@ -365,8 +365,6 @@ class TestTable1:
                 raise ConvergenceError("forced at k=2")
             return real(k, *args, **kwargs)
 
-        # the patch is made before the workers fork, so a pooled k sweep
-        # sees it too
         monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
         for threads in (1, None):
             set_blas_threads(monkeypatch, threads)
@@ -408,16 +406,16 @@ class TestTable1:
             (out2 / "table1.json").read_bytes()
 
 
-class TestKSweepWorkers:
-    """table1 and verify solve their k in forked workers when BLAS runs one
-    thread (two workers on the two cores shown), in process otherwise."""
+class TestKSweep:
+    """table1 and verify solve their k in process, one after another,
+    whether BLAS runs one thread on the two cores shown or its default."""
 
     @pytest.mark.parametrize("command, files", [
         ("table1", ["table1.csv", "table1.json"]),
         ("verify", ["verify.json"]),
     ])
-    def test_pool_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys,
-                                        command, files):
+    def test_pinned_and_unpinned_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                                      capsys, command, files):
         written = {}
         for threads in (1, None):
             set_blas_threads(monkeypatch, threads)
@@ -429,8 +427,8 @@ class TestKSweepWorkers:
                                 capsys.readouterr())
         assert written[1] == written[None]
 
-    def test_k_solved_in_workers_only_when_pinned(self, tmp_path, monkeypatch,
-                                                  capsys):
+    def test_every_k_solved_in_the_calling_process(self, tmp_path, monkeypatch,
+                                                   capsys):
         # every k fails naming the process that solved it
         def fail_with_pid(k, *args, **kwargs):
             raise ConvergenceError(f"pid {os.getpid()}")
@@ -443,16 +441,13 @@ class TestKSweepWorkers:
             lines = capsys.readouterr().err.splitlines()
             assert [line.split(":")[0] for line in lines] == ["k=1", "k=2", "k=3"]
             pids = {line.split("pid ")[1].rstrip(")") for line in lines}
-            if threads:
-                assert str(os.getpid()) not in pids and len(pids) <= 2
-            else:
-                assert pids == {str(os.getpid())}
+            assert pids == {str(os.getpid())}
 
     @pytest.mark.parametrize("command", ["table1", "verify"])
-    def test_other_error_in_a_worker_exits_2(self, tmp_path, monkeypatch,
-                                             capsys, command):
+    def test_other_error_at_one_k_exits_2(self, tmp_path, monkeypatch,
+                                          capsys, command):
         # an error that is not a numerical failure is not reported per k:
-        # it ends the command as a usage error, once the workers are joined
+        # it ends the command as a usage error at once
         real = montgomery.minimizer_state
 
         def bad_at_k2(k, *args, **kwargs):
@@ -469,32 +464,6 @@ class TestKSweepWorkers:
             err = capsys.readouterr().err
             assert err == "usage error: forced at k=2\n"
             assert not out.exists()
-
-    def test_buffered_output_of_an_earlier_command_written_once(self, tmp_path):
-        # a process that runs table1 and then verify, its stdout a pipe and so
-        # block-buffered: table1's table must not reach the pipe again through
-        # the workers that verify forks. A child process is needed, as pytest
-        # replaces sys.stdout with an in-memory object.
-        import magwell
-        src = str(Path(magwell.__file__).resolve().parents[1])
-        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "from magwell.cli import main\n"
-                "sys.exit(main(['table1', '--k', '1..2', '--out', sys.argv[1]])\n"
-                "         or main(['verify', '--k', '1..2', '--out', sys.argv[1]]))")
-        stdout = {}
-        for threads in (1, None):
-            env = {name: value for name, value in os.environ.items()
-                   if name not in BLAS_THREAD_VARS + ("PYTHONUNBUFFERED",)}
-            env["PYTHONPATH"] = src
-            if threads:
-                env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                           MKL_NUM_THREADS="1")
-            child = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"{threads}")],
-                                   env=env, capture_output=True, text=True, check=True)
-            stdout[threads] = child.stdout
-        headers = [line for line in stdout[1].splitlines() if line.startswith("k ")]
-        assert len(headers) == 1
-        assert stdout[1] == stdout[None]
 
 
 class TestProfile:
@@ -640,11 +609,42 @@ class TestValidate2D:
             assert rc == 1
             assert "numerical failure" in capsys.readouterr().err
 
+    def test_buffered_output_of_an_earlier_command_written_once(self, tmp_path):
+        # a process that runs table1 and then validate2d, its stdout a pipe
+        # and so block-buffered: table1's table must not reach the pipe again
+        # through the workers that the h sweep forks. A child process is
+        # needed, as pytest replaces sys.stdout with an in-memory object.
+        import magwell
+        src = str(Path(magwell.__file__).resolve().parents[1])
+        config = tmp_path / "k3-sweep.json"
+        config.write_text(json.dumps({"k": 3, "S": 8.0, "s1": 2.4,
+                                      "h_list": [0.2, 0.1, 0.05, 0.02]}))
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from magwell.cli import main\n"
+                "sys.exit(main(['table1', '--k', '1..2', '--out', sys.argv[1]])\n"
+                "         or main(['validate2d', '--config', sys.argv[2],\n"
+                "                  '--levels', '3', '--out', sys.argv[1]]))")
+        stdout = {}
+        for threads in (1, None):
+            env = {name: value for name, value in os.environ.items()
+                   if name not in BLAS_THREAD_VARS + ("PYTHONUNBUFFERED",)}
+            env["PYTHONPATH"] = src
+            if threads:
+                env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                           MKL_NUM_THREADS="1")
+            child = subprocess.run([sys.executable, "-c", code,
+                                    str(tmp_path / f"{threads}"), str(config)],
+                                   env=env, capture_output=True, text=True, check=True)
+            stdout[threads] = child.stdout
+        headers = [line for line in stdout[1].splitlines() if line.startswith("k ")]
+        assert len(headers) == 1
+        assert stdout[1] == stdout[None]
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 16 MB and 0.2 s to every magwell process, and
-    # a process pool its multiprocessing modules; a k sweep or an h sweep
-    # imports the pool's modules only when it runs one.
+    # a process pool its multiprocessing modules; an h sweep imports the
+    # pool's modules only when it runs one, and a k sweep never does.
     # (numpy.testing, which scipy may load, imports concurrent.futures itself.)
     # A child process is needed: the test oracles import scipy.optimize into
     # this one.
