@@ -14,6 +14,12 @@ manifest. This module is the one place that names output columns and keys;
 byte-identical for identical parameter sets. The k sweeps of `table1` and
 `verify` solve their k in process, one after another, in k order.
 
+`table1`, `profile` and `verify` need numpy alone, and a process that runs
+only them (or `--version`) never imports scipy. `miniwell` and `predict`
+import `miniwell`, and `validate2d` imports `model2d`, inside the
+subcommand: those two modules and their sparse solves need scipy, which
+adds about 0.25 s to a cold process.
+
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from . import __version__
 from ._files import write_csv, write_json
 from .sl_engine import SolverError, eigenvalue_converged
-from . import montgomery, miniwell, asymptotics, model2d
+from . import montgomery, asymptotics
 
 
 class UsageError(Exception):
@@ -183,6 +189,7 @@ def cmd_verify(args) -> tuple[int, str, list[Path]]:
 
 
 def cmd_miniwell(args) -> tuple[int, str, list[Path]]:
+    from . import miniwell
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
     report = montgomery.minimizer_state(args.k).report
     kop = miniwell.build_effective_operator(geom, report)
@@ -205,6 +212,7 @@ def cmd_miniwell(args) -> tuple[int, str, list[Path]]:
 
 
 def cmd_predict(args) -> tuple[int, str, list[Path]]:
+    from . import miniwell
     outdir = Path(args.out)
     h_list = _parse_float_list(args.h)
     geom = miniwell.MiniwellGeometry.from_json(args.geometry)
@@ -229,6 +237,7 @@ def cmd_predict(args) -> tuple[int, str, list[Path]]:
 
 
 def cmd_validate2d(args) -> tuple[int, str, list[Path]]:
+    from . import model2d
     outdir = Path(args.out)
     config = model2d.Field2DConfig.from_json(args.config)
     report = model2d.run_sweep(config, m_count=args.levels)

@@ -10,7 +10,8 @@ scaled variable x = t/T. The moments are taken by Gauss-Legendre quadrature
 with 2N + 64 nodes; the nodes, the weights and the moment table depend on N
 alone, so each size is computed once per process (`_rule`). Dense `eigh` gives the
 levels and their coefficient vectors (Boyd, *Chebyshev and Fourier Spectral
-Methods*, 2nd ed., 2001, ch. 3).
+Methods*, 2nd ed., 2001, ch. 3). The module needs numpy alone, so `montgomery`
+and the 1D subcommands built on it run without importing scipy.
 
 sin(n theta) is even in t for odd n and odd for even n. When V is even at
 the nodes bit for bit, the matrix is split into those two blocks: the odd n
@@ -34,7 +35,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 SIZES = (32, 48, 64, 96, 128, 192, 256, 384, 512)   # basis sizes a converged solve climbs
 ROUGH_SIZE = 32          # basis of the level estimates of the box search
@@ -78,12 +78,13 @@ class _Rule(NamedTuple):
 def _rule(size: int) -> _Rule:
     """The rule with q = 2 size + 64 nodes: the positive eigenvalues of the
     Jacobi matrix of the Legendre polynomials (Golub and Welsch, Math. Comp.
-    23, 1969), two Newton steps on P_q, whose three-term recurrence also
-    gives P_q' = q (P_{q-1} - x P_q)/(1 - x^2) and the weights
+    23, 1969), by numpy's dense `eigvalsh` of its lower triangle, two Newton
+    steps on P_q, whose three-term recurrence also gives
+    P_q' = q (P_{q-1} - x P_q)/(1 - x^2) and the weights
     2/((1 - x^2) P_q'^2), and the mirror image of both."""
     q = 2 * size + 64
     j = np.arange(1.0, q)
-    x = eigvalsh_tridiagonal(np.zeros(q), j / np.sqrt(4.0 * j * j - 1.0))[q // 2:]
+    x = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))[q // 2:]
     for _ in range(2):
         p_prev, p = np.ones_like(x), x
         for n in range(1, q):

@@ -12,6 +12,9 @@ with d2 from the bordered reduced-resolvent system there.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
 The large-alpha ratio compares the band with its semiclassical growth law.
+`gauss_legendre_reference` is the quadrature rule of `sl_engine._rule` with
+its Golub-Welsch nodes from LAPACK's tridiagonal solver, which the library
+takes from numpy's dense `eigvalsh` instead.
 These and the remaining helpers are small test-side computations that the
 library itself never needs.
 """
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from magwell.model2d import Field2DConfig
@@ -209,6 +212,24 @@ def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
     vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                             select_range=(0, m_count - 1))
     return h**2 * vals
+
+
+def gauss_legendre_reference(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 2 size + 64 point Gauss-Legendre rule: the
+    positive eigenvalues of the Legendre Jacobi matrix by scipy's
+    `eigvalsh_tridiagonal`, two Newton steps on P_q, the weights
+    2/((1 - x^2) P_q'^2), and the mirror image of both."""
+    q = 2 * size + 64
+    j = np.arange(1.0, q)
+    x = eigvalsh_tridiagonal(np.zeros(q), j / np.sqrt(4.0 * j * j - 1.0))[q // 2:]
+    for _ in range(2):
+        p_prev, p = np.ones_like(x), x
+        for n in range(1, q):
+            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        dp = q * (p_prev - x * p) / (1.0 - x * x)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.r_[-x[::-1], x], np.r_[w[::-1], w]
 
 
 def count_sign_changes(u: np.ndarray, floor: float = 1e-8) -> int:

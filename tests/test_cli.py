@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import multiprocessing
 import os
@@ -641,19 +642,60 @@ class TestValidate2D:
         assert stdout[1] == stdout[None]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 16 MB and 0.2 s to every magwell process, and
-    # a process pool its multiprocessing modules; an h sweep imports the
-    # pool's modules only when it runs one, and a k sweep never does.
-    # (numpy.testing, which scipy may load, imports concurrent.futures itself.)
-    # A child process is needed: the test oracles import scipy.optimize into
-    # this one.
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # the 1D subcommands need numpy alone: importing the package or the CLI,
+    # or running --version, table1, verify or profile, loads no scipy (nor
+    # numpy.f2py and numpy.testing, which scipy's import pulls in) and no
+    # process pool, whose modules an h sweep imports only when it runs one.
+    # A child process is needed: the test oracles import scipy into this one.
     import magwell
     src = str(Path(magwell.__file__).resolve().parents[1])
-    code = ("import sys, magwell.cli; print(' '.join(m for m in ("
-            "'scipy.optimize', 'multiprocessing', 'concurrent.futures.process')"
-            " if m in sys.modules))")
+    code = ("import json, sys\n"
+            "watched = ('scipy', 'numpy.f2py', 'numpy.testing', 'multiprocessing',\n"
+            "           'concurrent.futures')\n"
+            "loaded = {}\n"
+            "def note(step):\n"
+            "    loaded[step] = [m for m in watched if m in sys.modules]\n"
+            "import magwell; note('import magwell')\n"
+            "import magwell.cli; note('import magwell.cli')\n"
+            "assert magwell.cli.main(['--version']) == 0; note('--version')\n"
+            "for argv in (['table1', '--k', '1..2'], ['verify', '--k', '1'],\n"
+            "             ['profile', '--k', '2', '--range=-1:1', '--samples', '5']):\n"
+            "    assert magwell.cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
+            "    note(argv[0])\n"
+            "print(json.dumps(loaded))\n")
     env = {**os.environ, "PYTHONPATH": src}
-    child = subprocess.run([sys.executable, "-c", code], env=env,
+    child = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                            capture_output=True, text=True, check=True)
-    assert child.stdout.split() == []
+    steps = ("import magwell", "import magwell.cli", "--version", "table1", "verify",
+             "profile")
+    assert json.loads(child.stdout.splitlines()[-1]) == {step: [] for step in steps}
+
+
+# every name the package exported when it imported all five modules eagerly
+PACKAGE_EXPORTS = {
+    "sl_engine": ("AssemblyError", "ConvergenceError", "SineBasis", "SolverError",
+                  "Spectrum1D", "eigenvalue_converged"),
+    "montgomery": ("MinimizerReport", "MinimizerState", "ProfileTable", "lambda_m",
+                   "minimizer_state", "profile"),
+    "miniwell": ("EffectiveOperatorK", "KSpectrum", "MiniwellGeometry", "build_A",
+                 "build_Omega", "build_effective_operator", "spectrum_K",
+                 "spectrum_K_oracle"),
+    "asymptotics": ("GapForecast", "build_forecast", "exponent_fit", "gap_intervals",
+                    "ground_energy_bounds", "quasimode_energy"),
+    "model2d": ("Field2DConfig", "Sweep2DReport", "assemble_2d", "lowest_eigenvalues_2d",
+                "run_sweep"),
+}
+
+
+def test_package_exports_resolve_to_their_modules():
+    import magwell
+    for module, names in PACKAGE_EXPORTS.items():
+        submodule = importlib.import_module(f"magwell.{module}")
+        for name in names:
+            assert name in dir(magwell)
+            assert getattr(magwell, name) is getattr(submodule, name)
+    from magwell import run_sweep
+    assert run_sweep is magwell.model2d.run_sweep
+    with pytest.raises(AttributeError):
+        magwell.no_such_name

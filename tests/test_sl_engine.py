@@ -12,11 +12,12 @@ from magwell.sl_engine import (
     _solve,
     eigenvalue_converged,
 )
-from magwell.montgomery import family_potential
+from magwell.montgomery import SCAN_SIZE, family_potential
 
 from oracles import (
     count_sign_changes,
     dense_converged,
+    gauss_legendre_reference,
     reflection_residuals,
     shooting_eigenvalue,
 )
@@ -49,6 +50,15 @@ class TestSineBasis:
         assert len(t) == 2 * size + 64
         assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
         assert np.all(np.diff(t) > 0) and np.sum(w) == pytest.approx(2 * half_width)
+
+    @pytest.mark.parametrize("size", sorted({*range(1, 65), *sl_engine.SIZES, SCAN_SIZE}))
+    def test_rule_matches_the_lapack_route_bit_for_bit(self, size):
+        # every output rests on these nodes: after the two Newton steps, the
+        # start from numpy's dense eigvalsh must give the bits that LAPACK's
+        # tridiagonal solver gave
+        x, w = gauss_legendre_reference(size)
+        rule = sl_engine._rule(size)
+        assert np.array_equal(rule.x, x) and np.array_equal(rule.w, w)
 
     def test_functions_orthonormal_at_the_nodes(self):
         basis = SineBasis(3.0, 64)
