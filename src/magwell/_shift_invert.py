@@ -100,7 +100,8 @@ def strip_bound_clears(H, shift: float, labels: np.ndarray) -> bool:
     order = np.argsort(labels, kind="stable")
     cut = sp.triu(strip_lower_bound(H, labels)[order][:, order], format="coo")
     width = int(np.max(cut.col - cut.row))
-    band = np.zeros((width + 1, H.shape[0]), dtype=H.dtype)    # LAPACK upper band storage
+    # LAPACK upper band storage, in Fortran order so that pbtrf factors it in place
+    band = np.zeros((width + 1, H.shape[0]), dtype=H.dtype, order="F")
     band[width + cut.row - cut.col, cut.col] = cut.data
     band[width] -= shift
     try:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -240,7 +241,15 @@ def cmd_validate2d(args) -> tuple[int, str, list[Path]]:
     from . import model2d
     outdir = Path(args.out)
     config = model2d.Field2DConfig.from_json(args.config)
-    report = model2d.run_sweep(config, m_count=args.levels)
+    # every warning of the sweep is printed as one line with no source
+    # location, as failures are
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = model2d.run_sweep(config, m_count=args.levels)
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
     json_path = outdir / "sweep2d.json"
     csv_path = outdir / "sweep2d.csv"
     data = asdict(report)

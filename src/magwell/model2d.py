@@ -13,14 +13,27 @@ gauge transformations exact unitary conjugations. The assembled operator is
 complex Hermitian, bit for bit.
 
 For odd k the gauge is even in t and the t grid is mirror-symmetric bit for
-bit, so the operator commutes exactly with the reflection t -> -t. The
-eigensolver then splits it into even and odd blocks of about N/2 unknowns.
-It solves the even block at a shift forecast just below the ground state,
-and certifies that shift by Sylvester inertia of its factor. The absence of
-odd levels among the lowest ones is certified by one banded Cholesky of a
-lower bound of the odd block that splits into strips about two magnetic
-lengths wide along s (`strip_labels`, `_shift_invert.strip_bound_clears`).
-When that bound is inconclusive, the odd block is solved too.
+bit, so the link phases of each t row equal those of its mirror image and
+the operator commutes exactly with the reflection t -> -t. The eigensolver
+then splits it into even and odd blocks of about N/2 unknowns. Each block
+is assembled straight from the lower half of the grid (plus the centre row
+for the even block, when the interior t count is odd): an entry between
+two pair rows is 2((w x) w) with w = sqrt(1/2) and x the operator's entry,
+a hop to the centre row 2(w x), and at an even interior count the last
+pair row's hop to its mirror image folds onto its diagonal d as
+2((w d +- w hop) w). These are the roundings of the sparse product Q^T H Q
+with the reflection isometries Q, so the blocks equal it bit for bit. The
+even block is built and solved first; it is solved at a shift forecast
+just below the ground state, and that shift is certified by Sylvester
+inertia of its factor. The odd block is built once that factor is freed.
+The absence of odd levels among the lowest ones is certified by one banded
+Cholesky of a lower bound of the odd block that splits into strips about
+two magnetic lengths wide along s (`strip_labels`,
+`_shift_invert.strip_bound_clears`). When that bound is inconclusive, the
+odd block is solved too. The operator on the whole grid is assembled only
+for the residual check that closes the solve, once no factor is alive, or
+when it is solved as one block (even k, or blocks too small for the levels
+asked).
 """
 from __future__ import annotations
 
@@ -202,18 +215,27 @@ class Field2DConfig:
 
 @dataclass(frozen=True)
 class MagneticOperator2D:
-    """Assembled discrete magnetic operator on the cylinder grid.
+    """The discrete magnetic operator on the cylinder grid at one h, held
+    as its grid and its link phases: `theta[i, j]` = ds A_s / h on the s
+    link from node j to j + 1 of interior t row i.
 
-    `hermitian` is the operator actually diagonalized (complex Hermitian
-    CSR, equal to its conjugate transpose bit for bit).
+    `hermitian` assembles the whole operator (complex Hermitian CSR, equal
+    to its conjugate transpose bit for bit) at each access, and
+    `reflection_block` one block of it; `lowest_eigenvalues_2d` builds only
+    what it solves.
     """
 
-    hermitian: sp.csr_matrix
     h: float
     k: int
     n_s: int
     n_t: int
     S: float
+    T: float
+    theta: np.ndarray
+
+    @property
+    def hermitian(self) -> sp.csr_matrix:
+        return _assemble(self, self.n_t - 2)
 
 
 def _check_wrap_clearance(config: Field2DConfig, h: float, t: np.ndarray,
@@ -238,7 +260,8 @@ def _check_wrap_clearance(config: Field2DConfig, h: float, t: np.ndarray,
 
 
 def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
-    """Gauge-covariant five-point discretization at one h.
+    """Gauge-covariant five-point discretization at one h: its grid and
+    link phases, from which `MagneticOperator2D` assembles its matrices.
 
     Dirichlet rows at t = +-T are eliminated; s is periodic. Refuses an h
     whose grid exceeds GRID_BUDGET or would admit low-lying link-wrap
@@ -250,11 +273,7 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
     # mirror-symmetric bit for bit, so an A_s even in t gives an operator
     # that commutes exactly with the reflection t -> -t
     t = config.T * (2.0 * np.arange(1, n_t - 1) - (n_t - 1)) / (n_t - 1)
-    dt = 2 * config.T / (n_t - 1)
     ds = config.S / n_s
-
-    nt = len(t)
-    N = nt * n_s
     # link phases ds A_s / h, A_s sampled at the staggered midpoints
     with np.errstate(over="ignore", invalid="ignore"):
         theta = (ds * np.outer(_shifted_gauge(config.k, 0.0, t),
@@ -264,37 +283,75 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
         raise AssemblyError(f"h={h:g}: link phase non-finite at "
                             f"t={t[bad.any(axis=1)][:5].tolist()}")
     _check_wrap_clearance(config, h, t, theta)
+    return MagneticOperator2D(h=h, k=config.k, n_s=n_s, n_t=n_t, S=config.S,
+                              T=config.T, theta=theta)
 
-    ii = np.arange(nt)
-    jj = np.arange(n_s)
-    I, J = np.meshgrid(ii, jj, indexing="ij")
 
-    def idx(i, j):
-        return i * n_s + j
+def _assemble(operator: MagneticOperator2D, rows: int, parity: int = 0) -> sp.csr_matrix:
+    """The operator on its first `rows` interior t rows (its principal
+    submatrix there), or with parity +1 or -1 the reflection block folded
+    from it (see `reflection_block`), as CSR with sorted indices.
 
-    rows, cols, vals = [], [], []
-    coef_t = -(h**2) / dt**2
-    r = idx(I[:-1, :], J[:-1, :]).ravel()
-    c = idx(I[:-1, :] + 1, J[:-1, :]).ravel()
-    hop_t = np.full(r.size, coef_t, dtype=complex)
-    rows += [r, c]
-    cols += [c, r]
-    vals += [hop_t, hop_t]
+    Unknown i n_s + j holds, in column order, its t hop to row i - 1, its s
+    ring in row i and its t hop to row i + 1: the entries of the five-point
+    scheme, each summed in the order in which a sparse sum of the t hops,
+    the s links and then the diagonal adds them.
+    """
+    n_s, h = operator.n_s, operator.h
+    dt = 2 * operator.T / (operator.n_t - 1)
+    ds = operator.S / n_s
+    hop = complex(-(h**2) / dt**2)
+    link = -(h**2 / ds**2) * np.exp(-1j * operator.theta[:rows])
+    j = np.arange(n_s)
+    # the s entries of node j, in the order they are added: the link from
+    # j - 1, the link to j + 1 and the diagonal; with n_s <= 2 they share
+    # columns, so the ring of each node is every column
+    adds = np.stack([(j - 1) % n_s, (j + 1) % n_s, j], axis=1)
+    if n_s > 2:
+        ring = np.sort(adds, axis=1)
+        slot = np.argsort(np.argsort(adds, axis=1), axis=1)
+    else:
+        ring = np.tile(j, (n_s, 1))
+        slot = adds
+    pattern = np.concatenate([(j - n_s)[:, None], ring, (j + n_s)[:, None]], axis=1)
+    index = (np.arange(rows, dtype=np.int32)[:, None, None] * n_s
+             + pattern.astype(np.int32))
+    data = np.zeros(index.shape, dtype=complex)
+    data[..., 0] = data[..., -1] = hop
+    diagonal = 2 * h**2 / dt**2 + 2 * h**2 / ds**2
+    for s, value in zip(slot.T, (np.roll(link, 1, axis=1).conj(), link, diagonal)):
+        data[:, j, s + 1] += value
+    if parity:
+        _fold(data, operator.n_t - 2, parity, hop, diagonal=(j, slot[:, 2] + 1))
+    keep = np.ones(index.shape, dtype=bool)
+    keep[:1, :, 0] = keep[-1:, :, -1] = False       # no row below 0 or above rows - 1
+    indptr = np.zeros(rows * n_s + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix((data[keep], index[keep], indptr), shape=(rows * n_s,) * 2)
 
-    link = -(h**2 / ds**2) * np.exp(-1j * theta)
-    r = idx(I, J).ravel()
-    c = idx(I, (J + 1) % n_s).ravel()
-    rows += [r, c]
-    cols += [c, r]
-    vals += [link.ravel(), np.conj(link).ravel()]
 
-    diag = np.full(N, 2 * h**2 / dt**2 + 2 * h**2 / ds**2, dtype=complex)
-    H = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N)).tocsr()
-    H += sp.diags(diag)
-    return MagneticOperator2D(hermitian=H, h=h, k=config.k, n_s=n_s, n_t=n_t,
-                              S=config.S)
+def _fold(data: np.ndarray, nt: int, parity: int, hop: complex, diagonal) -> None:
+    """Fold the entries `data` of the first t rows, in place, into those of
+    Q^T H Q with Q the isometry onto the functions of `parity` (see
+    `reflection_block`), each entry rounded as that sparse product rounds
+    it. With w = sqrt(1/2), an entry x between two pair rows becomes
+    2((w x) w); the hops between the last pair row and the centre row
+    become 2(w hop); the centre row's own entries stay. When the interior
+    count `nt` is even, the last pair row's hop to its mirror image folds
+    onto its diagonal entries d, at the (node, slot) index `diagonal` of a
+    row, as 2((w d + parity w hop) w)."""
+    w = np.sqrt(0.5)
+    pairs = nt // 2
+    lower = data[:pairs]
+    if nt % 2 == 0:
+        seam = 2 * ((w * lower[-1][diagonal] + parity * w * hop) * w)
+    lower *= w
+    lower *= w
+    lower *= 2
+    if nt % 2 == 0:
+        lower[-1][diagonal] = seam
+    elif len(data) > pairs and pairs:           # the centre row
+        data[pairs - 1, :, -1] = data[pairs, :, 0] = 2 * (w * hop)
 
 
 class ShiftCertificateWarning(UserWarning):
@@ -302,38 +359,38 @@ class ShiftCertificateWarning(UserWarning):
     shift 0, or merged levels of the odd block into the lowest ones."""
 
 
-def reflection_blocks(operator: MagneticOperator2D) -> list[tuple[str, Optional[sp.csr_matrix]]]:
-    """The isometries Q that split the operator by the reflection t -> -t.
+def _mirror_symmetric(operator: MagneticOperator2D) -> bool:
+    """Whether the link phases of each t row equal those of its mirror
+    image, so that the operator commutes exactly with t -> -t."""
+    return np.array_equal(operator.theta, operator.theta[::-1])
 
-    When P H P == H holds bit for bit, with P the reflection of the interior
-    t rows, this returns [("even", Q_even), ("odd", Q_odd)]. The columns of
-    Q_even are (e_i + e_Pi)/sqrt(2) over the row pairs and e_i on the centre
-    row (odd interior count); those of Q_odd are (e_i - e_Pi)/sqrt(2). The
-    blocks Q^T H Q have about N/2 unknowns each, and their spectra together
-    are that of H. Without the symmetry (A_s odd in t, as for even k) the
-    operator stays one block: [("full", None)].
-    """
-    H = operator.hermitian
-    n_s, nt = operator.n_s, operator.n_t - 2
-    i = np.arange(nt)[:, None]
-    j = np.arange(n_s)[None, :]
-    mirror = ((nt - 1 - i) * n_s + j).ravel()
-    if (H[mirror][:, mirror] != H).nnz:
-        return [("full", None)]
-    N = H.shape[0]
-    lo = (i[:nt // 2] * n_s + j).ravel()
-    hi = mirror[:lo.size]
-    col = np.arange(lo.size)
-    w = np.full(lo.size, np.sqrt(0.5))
-    centre = np.arange(lo.size, N - lo.size)    # the centre row, if any
-    Q_even = sp.csr_matrix((np.concatenate([w, w, np.ones(centre.size)]),
-                            (np.concatenate([lo, hi, centre]),
-                             np.concatenate([col, col, centre]))),
-                           shape=(N, N - lo.size))
-    Q_odd = sp.csr_matrix((np.concatenate([w, -w]),
-                           (np.concatenate([lo, hi]), np.concatenate([col, col]))),
-                          shape=(N, lo.size))
-    return [("even", Q_even), ("odd", Q_odd)]
+
+def reflection_block(operator: MagneticOperator2D, parity: int) -> sp.csr_matrix:
+    """The block Q^T H Q of an operator H that commutes with the reflection
+    t -> -t (`_mirror_symmetric`), on its even (parity 1) or odd (-1)
+    functions, built from the lower half of the grid alone.
+
+    The columns of Q are (e_i + parity e_Pi)/sqrt(2) over the unknowns i of
+    the nt // 2 lowest interior t rows, P the reflection, and for the even
+    block e_i on the centre row when the interior count nt is odd. The block
+    takes the unknowns in that order, as the lower rows of the grid, and
+    each entry is rounded as the sparse product Q^T H Q rounds it: the two
+    blocks together have the spectrum of H."""
+    nt = operator.n_t - 2
+    return _assemble(operator, nt // 2 + (parity > 0) * (nt % 2), parity)
+
+
+def _unfold(operator: MagneticOperator2D, vecs: np.ndarray, parity: int) -> np.ndarray:
+    """The grid vectors Q v of the columns v of `vecs`, vectors of the
+    `parity` block (see `reflection_block`)."""
+    nt, n_s = operator.n_t - 2, operator.n_s
+    pairs = nt // 2
+    half = vecs.reshape(-1, n_s, vecs.shape[1])
+    full = np.zeros((nt, n_s, vecs.shape[1]), dtype=vecs.dtype)
+    full[:pairs] = np.sqrt(0.5) * half[:pairs]
+    full[nt - pairs:] = parity * full[:pairs][::-1]
+    full[pairs:len(half)] = half[pairs:]              # the centre row, if any
+    return full.reshape(nt * n_s, -1)
 
 
 def strip_labels(operator: MagneticOperator2D) -> np.ndarray:
@@ -366,15 +423,19 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
                           shift: float = 0.0) -> np.ndarray:
     """m_count smallest eigenvalues of the operator, ascending.
 
-    When the operator commutes exactly with the reflection t -> -t it is
-    split into its even and odd blocks (`reflection_blocks`); otherwise, or
-    when a block is too small to hold m_count levels, it is one block. The
-    first block is solved by shift-invert Lanczos at `shift`, a forecast of
-    a point below the ground state, asking for exactly m_count levels. The
-    shift is kept only when the factor of H_even - shift, whose inertia is
-    read once the Lanczos is done, has no negative pivot (Sylvester
-    inertia); otherwise the result is dropped and the block is solved again
-    at 0. The odd block is certified at the largest even level
+    When the operator commutes exactly with the reflection t -> -t (its
+    link phases equal their mirror image bit for bit) it is split into its
+    even and odd blocks, each built from the lower half of the grid and
+    folded as Q^T H Q would be (`reflection_block`); otherwise, or when a
+    block is too small to hold m_count levels, it is one block. The even
+    block is built and solved first, and the odd block is built only once
+    the even factor is freed, so no matrix of the whole grid is alive while
+    a block is factored. The first block is solved by shift-invert Lanczos
+    at `shift`, a forecast of a point below the ground state, asking for
+    exactly m_count levels. The shift is kept only when the factor of
+    H_even - shift, whose inertia is read once the Lanczos is done, has no
+    negative pivot (Sylvester inertia); otherwise the result is dropped and
+    the block is solved again at 0. The odd block is certified at the largest even level
     lambda_{m-1} by a lower bound H_cut <= H_odd, decoupled into the strips
     of `strip_labels` (41 or more columns on the default grids): when one
     banded Cholesky of H_cut - lambda_{m-1} succeeds (`strip_bound_clears`),
@@ -394,32 +455,31 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     not converge raises ConvergenceError with its last Ritz values. Each
     Lanczos stops once its Ritz vectors have residuals within
     RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`). Every returned pair
-    satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on the full operator; a
-    larger residual raises."""
-    H = operator.hermitian
+    satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on the full operator,
+    assembled for that check once the blocks are solved; a larger residual
+    raises."""
     where = f"h={operator.h:g}"
-    blocks = reflection_blocks(operator)
-    if any(Q is not None and Q.shape[1] < m_count for _, Q in blocks):
-        blocks = [("full", None)]        # a block too small for m_count levels
-    (name, Q), *rest = blocks
-    block = H if Q is None else (Q.T @ H @ Q).tocsr()
-    vals, vecs = _block_pairs(block, m_count, shift, f"{where}, {name} block")
-    if Q is not None:
-        vecs = Q @ vecs
-    for name, Q in rest:
-        block = (Q.T @ H @ Q).tocsr()
-        if strip_bound_clears(block, vals[-1], strip_labels(operator)):
-            continue
-        more, more_vecs = _block_pairs(block, m_count, shift, f"{where}, {name} block")
-        merged = np.concatenate([vals, more])
-        order = np.argsort(merged, kind="stable")[:m_count]
-        entered = np.count_nonzero(order >= m_count)
-        if entered:
-            warnings.warn(f"{where}, {name} block: {entered} of the {m_count} "
-                          f"lowest levels; merged", ShiftCertificateWarning,
-                          stacklevel=2)
-        vals = merged[order]
-        vecs = np.hstack([vecs, Q @ more_vecs])[:, order]
+    if (operator.n_t - 2) // 2 * operator.n_s < m_count or not _mirror_symmetric(operator):
+        H = operator.hermitian            # one block
+        vals, vecs = _block_pairs(H, m_count, shift, f"{where}, full block")
+    else:
+        vals, vecs = _block_pairs(reflection_block(operator, 1), m_count, shift,
+                                  f"{where}, even block")
+        vecs = _unfold(operator, vecs, 1)
+        odd = reflection_block(operator, -1)
+        if not strip_bound_clears(odd, vals[-1], strip_labels(operator)):
+            more, more_vecs = _block_pairs(odd, m_count, shift, f"{where}, odd block")
+            merged = np.concatenate([vals, more])
+            order = np.argsort(merged, kind="stable")[:m_count]
+            entered = np.count_nonzero(order >= m_count)
+            if entered:
+                warnings.warn(f"{where}, odd block: {entered} of the {m_count} "
+                              f"lowest levels; merged", ShiftCertificateWarning,
+                              stacklevel=2)
+            vals = merged[order]
+            vecs = np.hstack([vecs, _unfold(operator, more_vecs, -1)])[:, order]
+        del odd                           # before the whole grid is assembled
+        H = operator.hermitian
     for i in range(m_count):
         v = vecs[:, i]
         resid = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)

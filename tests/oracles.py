@@ -10,7 +10,10 @@ the five band-minimum columns by the Hermite route for k <= 3 and by
 Richardson extrapolation over a pair of finite-difference grids for k >= 4,
 with d2 from the bordered reduced-resolvent system there.
 The fiber oracle reduces the 2D operator with an s-independent profile to
-one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve.
+one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve;
+`reflection_blocks` splits the 2D operator by the reflection t -> -t with
+explicit isometries Q, the reference for the blocks the library folds from
+the grid.
 The large-alpha ratio compares the band with its semiclassical growth law.
 `gauss_legendre_reference` is the quadrature rule of `sl_engine._rule` with
 its Golub-Welsch nodes from LAPACK's tridiagonal solver, which the library
@@ -212,6 +215,41 @@ def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
     vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                             select_range=(0, m_count - 1))
     return h**2 * vals
+
+
+def reflection_blocks(operator):
+    """The isometries Q that split the 2D operator H = `operator.hermitian`
+    by the reflection t -> -t, as sparse matrices over the whole grid; the
+    library folds the blocks Q^T H Q from the lower half of the grid
+    instead (`model2d.reflection_block`).
+
+    When P H P == H holds bit for bit, with P the reflection of the interior
+    t rows, this returns [("even", Q_even), ("odd", Q_odd)]. The columns of
+    Q_even are (e_i + e_Pi)/sqrt(2) over the row pairs and e_i on the centre
+    row (odd interior count); those of Q_odd are (e_i - e_Pi)/sqrt(2).
+    Without the symmetry the operator stays one block: [("full", None)].
+    """
+    H = operator.hermitian
+    n_s, nt = operator.n_s, operator.n_t - 2
+    i = np.arange(nt)[:, None]
+    j = np.arange(n_s)[None, :]
+    mirror = ((nt - 1 - i) * n_s + j).ravel()
+    if (H[mirror][:, mirror] != H).nnz:
+        return [("full", None)]
+    N = H.shape[0]
+    lo = (i[:nt // 2] * n_s + j).ravel()
+    hi = mirror[:lo.size]
+    col = np.arange(lo.size)
+    w = np.full(lo.size, np.sqrt(0.5))
+    centre = np.arange(lo.size, N - lo.size)    # the centre row, if any
+    Q_even = sp.csr_matrix((np.concatenate([w, w, np.ones(centre.size)]),
+                            (np.concatenate([lo, hi, centre]),
+                             np.concatenate([col, col, centre]))),
+                           shape=(N, N - lo.size))
+    Q_odd = sp.csr_matrix((np.concatenate([w, -w]),
+                           (np.concatenate([lo, hi]), np.concatenate([col, col]))),
+                          shape=(N, lo.size))
+    return [("even", Q_even), ("odd", Q_odd)]
 
 
 def gauss_legendre_reference(size: int) -> tuple[np.ndarray, np.ndarray]:

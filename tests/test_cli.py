@@ -582,18 +582,36 @@ class TestMiniwellPredict:
 
 class TestValidate2D:
     def test_validate2d_runs(self, tmp_path, sweep_config_file, capsys):
-        with pytest.warns(UserWarning, match="asymptotic window"):
-            rc = run_cli(["validate2d", "--config", sweep_config_file,
-                          "--levels", "3", "--out", str(tmp_path)])
+        rc = run_cli(["validate2d", "--config", sweep_config_file,
+                      "--levels", "3", "--out", str(tmp_path)])
         assert rc == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "leading exponent" in out
+        assert "warning: h=0.2 outside the asymptotic window" in err
         data = json.loads((tmp_path / "sweep2d.json").read_text())
         assert sorted(data) == SWEEP2D_KEYS
         assert len(data["h_values"]) == 5
         assert len(data["eigenvalues"][0]) == 3
         assert (tmp_path / "sweep2d.csv").read_text().splitlines()[0] == \
             "h,lambda_0,lambda_1,lambda_2,z_0,z_1,z_2"
+
+    def test_warnings_printed_without_source_location(self, tmp_path):
+        # a magwell process on the k=3 sweep of CI: the sweep's warning
+        # reaches stderr as one line, as a failure would, naming no file
+        import magwell
+        src = str(Path(magwell.__file__).resolve().parents[1])
+        config = tmp_path / "k3-sweep.json"
+        config.write_text(json.dumps({"k": 3, "S": 8.0, "s1": 2.4,
+                                      "h_list": [0.2, 0.1, 0.05, 0.02]}))
+        child = subprocess.run(
+            [sys.executable, "-m", "magwell.cli", "validate2d", "--config",
+             str(config), "--levels", "3", "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert child.returncode == 0
+        assert child.stderr == ("warning: h=0.2 outside the asymptotic window: "
+                                "leading term 5.185e-02 < 10 x miniwell term "
+                                "1.082e-02\n")
+        assert ".py:" not in child.stderr
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # the grid of every h exceeds the grid budget, so the sweep cannot

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import multiprocessing
 import warnings
@@ -22,14 +23,14 @@ from magwell.model2d import (
     ShiftCertificateWarning,
     assemble_2d,
     lowest_eigenvalues_2d,
-    reflection_blocks,
+    reflection_block,
     run_sweep,
     strip_labels,
 )
 from magwell.sl_engine import AssemblyError, ConvergenceError
 
 from conftest import set_blas_threads
-from oracles import fiber_eigenvalues
+from oracles import fiber_eigenvalues, reflection_blocks
 
 
 def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0):
@@ -289,6 +290,7 @@ class TestReflectionBlocks:
             H = op.hermitian
             p = mirror_permutation(op)
             assert ((H[p][:, p] != H).nnz == 0) is symmetric
+            assert model2d._mirror_symmetric(op) is symmetric
             blocks = reflection_blocks(op)
             assert [name for name, _ in blocks] == (
                 ["even", "odd"] if symmetric else ["full"])
@@ -299,6 +301,7 @@ class TestReflectionBlocks:
         cfg = Field2DConfig.default(k=k)
         op = assemble_2d(cfg, cfg.h_list[0])
         assert [name for name, _ in reflection_blocks(op)] == ["even", "odd"]
+        assert model2d._mirror_symmetric(op)
 
     def test_odd_k_beyond_one_matches_dense(self):
         # k=3: 741 unknowns in four strips along s; the levels are the even
@@ -388,6 +391,61 @@ class TestReflectionBlocks:
         assert 2 * cfg.magnetic_length_s(h) <= widths.min() * cfg.S / op.n_s
 
 
+def folded_grids():
+    """The grids on which the folded blocks are checked: the four of the
+    sweep2d benchmark, k = 1 and 3 on S = 8 at four h (odd and even
+    interior t counts), and the smallest that grid_for accepts, with n_s of
+    1 to 3 (links that share a column) and n_t of 3 to 5."""
+    sweep = Field2DConfig.default(k=1)
+    for h in np.geomspace(0.02, 0.002, 7)[::2]:
+        yield pytest.param(sweep, float(h), id=f"sweep2d-h{h:.3g}")
+    for k in (1, 3):
+        for h in (0.2, 0.1, 0.05, 0.02):
+            cfg = Field2DConfig.default(k=k, S=8.0, s1=2.4, h_list=(h,))
+            yield pytest.param(cfg, h, id=f"k{k}-S8-h{h:g}")
+    for S, n_s in ((0.5, 1), (1.5, 2), (2.5, 3)):
+        for T, n_t in ((0.5, 3), (0.9, 4), (1.3, 5)):
+            cfg = Field2DConfig.default(k=1, S=S, s1=0.1, T=T, h_list=(0.5,),
+                                        points_per_length=1)
+            yield pytest.param(cfg, 0.5, id=f"grid-{n_s}x{n_t}")
+
+
+class TestFoldedBlocks:
+    @pytest.mark.parametrize("config, h", folded_grids())
+    def test_blocks_equal_the_isometry_products_bit_for_bit(self, config, h):
+        op = assemble_2d(config, h)
+        H = op.hermitian
+        blocks = reflection_blocks(op)
+        assert [name for name, _ in blocks] == ["even", "odd"]
+        assert model2d._mirror_symmetric(op)
+        for (name, Q), parity in zip(blocks, (1, -1)):
+            want = (Q.T @ H @ Q).tocsr()
+            got = reflection_block(op, parity)
+            assert got.shape == want.shape, name
+            assert np.array_equal(got.indptr, want.indptr), name
+            assert np.array_equal(got.indices, want.indices), name
+            assert got.data.tobytes() == want.data.tobytes(), name
+
+    def test_even_block_factored_with_no_full_grid_matrix(self, monkeypatch):
+        # k=1 on the (25, 18) grid: when its even block of 200 unknowns is
+        # factored, no sparse matrix of the grid's order, 400, exists
+        op = assemble_2d(small_config(), 0.5)
+        N = op.n_s * (op.n_t - 2)
+        factored = []
+        factor = _shift_invert._factor
+
+        def spy(H, shift):
+            orders = {n for obj in gc.get_objects() if sp.issparse(obj)
+                      for n in obj.shape}
+            factored.append((H.shape[0], N in orders))
+            return factor(H, shift)
+
+        monkeypatch.setattr(_shift_invert, "_factor", spy)
+        lowest_eigenvalues_2d(op, 3)
+        assert factored[0] == (N // 2, False)
+        assert not any(full for _, full in factored)
+
+
 class TestShiftInvertRoute:
     """The factor-once route against scipy's own sigma=0 shift-invert, which
     factors with its default COLAMD ordering."""
@@ -460,7 +518,10 @@ class TestGaugeInvariance:
         data[backward] *= np.exp(1j * ds * dphi_mid[j_col[backward]] / h)
         H2 = sp.csr_matrix((data, (rows, cols)), shape=H2.shape)
         assert (H2 != H2.getH()).nnz == 0
-        vals2 = lowest_eigenvalues_2d(dataclasses.replace(op, hermitian=H2), 4)
+        # the shifted link phases assemble that conjugated operator
+        op2 = dataclasses.replace(op, theta=op.theta + ds * dphi_mid / h)
+        assert abs(op2.hermitian - H2).max() <= 1e-13 * abs(H2).max()
+        vals2 = lowest_eigenvalues_2d(op2, 4)
         assert np.max(np.abs(vals - vals2)) < 1e-9
 
 

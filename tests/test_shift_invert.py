@@ -17,8 +17,10 @@ from magwell._shift_invert import (
     strip_lower_bound,
 )
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
-from magwell.model2d import Field2DConfig, assemble_2d, reflection_blocks
+from magwell.model2d import Field2DConfig, assemble_2d
 from magwell.sl_engine import ConvergenceError
+
+from oracles import reflection_blocks
 
 
 COLUMNS = 38       # n_s of the grid of `reflection_block`
