@@ -44,9 +44,13 @@ def sweep_workers(n_items: int) -> int:
     both OpenBLAS (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else
     OMP_NUM_THREADS) and MKL (MKL_NUM_THREADS, else OMP_NUM_THREADS) read 1.
     Otherwise 1, in process: under BLAS's default threading each worker
-    starts one BLAS thread per core, and such a pool ran slower than the
-    serial h sweep. Also 1 where `os.fork` or `os.sched_getaffinity` is
-    missing.
+    starts one BLAS thread per core, and the workers' threads contend for
+    the cores. On a 2-core machine the default seven-h k=1 sweep
+    (`run_sweep`) took 33.6 s, and 231 s in a second run, on a forced
+    two-worker pool under the default OpenBLAS threading, against 7.1 to
+    7.2 s in process; with BLAS pinned to one thread it took 5.0 to 5.9 s
+    in process and 2.7 to 3.0 s on the pool (wall times). Also 1 where
+    `os.fork` or `os.sched_getaffinity` is missing.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1

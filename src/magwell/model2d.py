@@ -30,10 +30,10 @@ The absence of odd levels among the lowest ones is certified by one banded
 Cholesky of a lower bound of the odd block that splits into strips about
 two magnetic lengths wide along s (`strip_labels`,
 `_shift_invert.strip_bound_clears`). When that bound is inconclusive, the
-odd block is solved too. The operator on the whole grid is assembled only
-for the residual check that closes the solve, once no factor is alive, or
-when it is solved as one block (even k, or blocks too small for the levels
-asked).
+odd block is solved too, and its levels are merged by value. The pairs of
+each solved block are residual-checked on that block. The operator on the
+whole grid is assembled only when it is solved as one block (even k, or
+blocks too small for the levels asked).
 """
 from __future__ import annotations
 
@@ -222,7 +222,7 @@ class MagneticOperator2D:
     `hermitian` assembles the whole operator (complex Hermitian CSR, equal
     to its conjugate transpose bit for bit) at each access, and
     `reflection_block` one block of it; `lowest_eigenvalues_2d` builds only
-    what it solves.
+    the blocks it solves or certifies, and checks residuals on those.
     """
 
     h: float
@@ -380,19 +380,6 @@ def reflection_block(operator: MagneticOperator2D, parity: int) -> sp.csr_matrix
     return _assemble(operator, nt // 2 + (parity > 0) * (nt % 2), parity)
 
 
-def _unfold(operator: MagneticOperator2D, vecs: np.ndarray, parity: int) -> np.ndarray:
-    """The grid vectors Q v of the columns v of `vecs`, vectors of the
-    `parity` block (see `reflection_block`)."""
-    nt, n_s = operator.n_t - 2, operator.n_s
-    pairs = nt // 2
-    half = vecs.reshape(-1, n_s, vecs.shape[1])
-    full = np.zeros((nt, n_s, vecs.shape[1]), dtype=vecs.dtype)
-    full[:pairs] = np.sqrt(0.5) * half[:pairs]
-    full[nt - pairs:] = parity * full[:pairs][::-1]
-    full[pairs:len(half)] = half[pairs:]              # the centre row, if any
-    return full.reshape(nt * n_s, -1)
-
-
 def strip_labels(operator: MagneticOperator2D) -> np.ndarray:
     """The strip along s of each unknown i n_s + j of the odd reflection
     block: its column j among equal strips of at least ceil(2 h^{1/(2(k+2))}
@@ -405,18 +392,26 @@ def strip_labels(operator: MagneticOperator2D) -> np.ndarray:
     return np.arange((operator.n_t - 2) // 2 * n_s) % n_s * n_strips // n_s
 
 
-def _block_pairs(H, count: int, shift: float, where: str):
-    """The `count` lowest eigenpairs of one block, by shift-invert at
-    `shift` when its factor certifies it, else (with a warning) at 0."""
+def _block_levels(H, count: int, shift: float, where: str) -> np.ndarray:
+    """The `count` lowest levels of one block H, by shift-invert at `shift`
+    when its factor certifies it, else (with a warning) at 0. Every pair
+    the Lanczos returned satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on
+    this H; a larger residual raises ConvergenceError naming `where`."""
     try:
-        return lowest_sparse_eigenpairs(H, count, shift=shift)
+        vals, vecs = lowest_sparse_eigenpairs(H, count, shift=shift)
     except ShiftRejected as exc:
         below = exc.negative_pivots
         pivots = "untrusted inertia" if below is None else f"{below} negative pivots"
         warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
                       f"({pivots}); refactored at 0",
                       ShiftCertificateWarning, stacklevel=3)
-    return lowest_sparse_eigenpairs(H, count)
+        vals, vecs = lowest_sparse_eigenpairs(H, count)
+    for i, (value, v) in enumerate(zip(vals, vecs.T)):
+        resid = np.linalg.norm(H @ v - value * v) / np.linalg.norm(v)
+        if resid > RESIDUAL_TOL:
+            raise ConvergenceError(f"{where}: eigenpair {i} residual {resid:.2e} "
+                                   f"exceeds {RESIDUAL_TOL:g}")
+    return vals
 
 
 def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
@@ -429,8 +424,8 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     folded as Q^T H Q would be (`reflection_block`); otherwise, or when a
     block is too small to hold m_count levels, it is one block. The even
     block is built and solved first, and the odd block is built only once
-    the even factor is freed, so no matrix of the whole grid is alive while
-    a block is factored. The first block is solved by shift-invert Lanczos
+    the even factor is freed; the split path builds no matrix of the whole
+    grid. The first block is solved by shift-invert Lanczos
     at `shift`, a forecast of a point below the ground state, asking for
     exactly m_count levels. The shift is kept only when the factor of
     H_even - shift, whose inertia is read once the Lanczos is done, has no
@@ -443,9 +438,10 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     1.99-2.17 times above lambda_3 on the default k=1 sweep, 2.70-3.30 times
     at k=3 and 1.79-2.78 times on the S=8 test sweeps. Otherwise the odd
     block is solved for m_count levels at `shift`, certified as the first,
-    and merged. A ShiftCertificateWarning is emitted for each refactorisation
-    at 0, and one naming their count when odd levels enter the lowest
-    m_count; an inconclusive bound alone emits none. Every sparse factor
+    and its levels are merged with the even ones by value. A
+    ShiftCertificateWarning is emitted for each refactorisation at 0, and
+    one naming their count when odd levels enter the lowest m_count; an
+    inconclusive bound alone emits none. Every sparse factor
     uses the symmetric minimum-degree ordering MMD_AT_PLUS_A, and only one
     factor is alive at a time. The Lanczos runs from a single start vector,
     so within a block it resolves no exact multiplicity and
@@ -454,39 +450,29 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     into blocks, each solved or certified on its own. A Lanczos that does
     not converge raises ConvergenceError with its last Ritz values. Each
     Lanczos stops once its Ritz vectors have residuals within
-    RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`). Every returned pair
-    satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on the full operator,
-    assembled for that check once the blocks are solved; a larger residual
-    raises."""
+    RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`). Every pair of every
+    solved block, odd pairs that do not enter the result included,
+    satisfies |H_b v - lambda v| <= RESIDUAL_TOL |v| on the block H_b that
+    was solved; a larger residual raises, naming h and the block. As each
+    block is Q^T H Q with an isometry Q, the same bound holds for Q v on
+    the whole operator, up to rounding."""
     where = f"h={operator.h:g}"
     if (operator.n_t - 2) // 2 * operator.n_s < m_count or not _mirror_symmetric(operator):
-        H = operator.hermitian            # one block
-        vals, vecs = _block_pairs(H, m_count, shift, f"{where}, full block")
-    else:
-        vals, vecs = _block_pairs(reflection_block(operator, 1), m_count, shift,
-                                  f"{where}, even block")
-        vecs = _unfold(operator, vecs, 1)
-        odd = reflection_block(operator, -1)
-        if not strip_bound_clears(odd, vals[-1], strip_labels(operator)):
-            more, more_vecs = _block_pairs(odd, m_count, shift, f"{where}, odd block")
-            merged = np.concatenate([vals, more])
-            order = np.argsort(merged, kind="stable")[:m_count]
-            entered = np.count_nonzero(order >= m_count)
-            if entered:
-                warnings.warn(f"{where}, odd block: {entered} of the {m_count} "
-                              f"lowest levels; merged", ShiftCertificateWarning,
-                              stacklevel=2)
-            vals = merged[order]
-            vecs = np.hstack([vecs, _unfold(operator, more_vecs, -1)])[:, order]
-        del odd                           # before the whole grid is assembled
-        H = operator.hermitian
-    for i in range(m_count):
-        v = vecs[:, i]
-        resid = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
-        if resid > RESIDUAL_TOL:
-            raise ConvergenceError(f"eigenpair {i} residual {resid:.2e} "
-                                   f"exceeds {RESIDUAL_TOL:g}")
-    return vals
+        return _block_levels(operator.hermitian, m_count, shift, f"{where}, full block")
+    vals = _block_levels(reflection_block(operator, 1), m_count, shift,
+                         f"{where}, even block")
+    odd = reflection_block(operator, -1)
+    if strip_bound_clears(odd, vals[-1], strip_labels(operator)):
+        return vals
+    more = _block_levels(odd, m_count, shift, f"{where}, odd block")
+    merged = np.concatenate([vals, more])
+    order = np.argsort(merged, kind="stable")[:m_count]
+    entered = np.count_nonzero(order >= m_count)
+    if entered:
+        warnings.warn(f"{where}, odd block: {entered} of the {m_count} "
+                      f"lowest levels; merged", ShiftCertificateWarning,
+                      stacklevel=2)
+    return merged[order]
 
 
 @dataclass(frozen=True)

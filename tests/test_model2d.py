@@ -12,6 +12,7 @@ from scipy.sparse.linalg import eigsh
 from magwell import _shift_invert, model2d
 from magwell._workers import sweep_workers
 from magwell._shift_invert import (
+    RESIDUAL_TOL,
     lowest_sparse_eigenpairs,
     strip_bound_clears,
     strip_lower_bound,
@@ -244,7 +245,8 @@ class TestEigenvalues:
             return vals, vecs + 1e-6
 
         monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", perturbed)
-        with pytest.raises(ConvergenceError, match="residual"):
+        with pytest.raises(ConvergenceError, match=r"^h=0.5, even block: eigenpair 0 "
+                                                   r"residual .* exceeds 1e-09$"):
             lowest_eigenvalues_2d(op, 3)
 
 
@@ -377,6 +379,25 @@ class TestReflectionBlocks:
         assert strip_bound_clears(odd, vals[-1], labels)
         assert np.array_equal(vals, lowest_sparse_eigenpairs(even, 4)[0])
 
+    def test_odd_pairs_checked_when_the_odd_block_is_solved(self, monkeypatch):
+        # singleton strips make the odd block be solved; none of its levels
+        # enters the lowest four, yet its pairs are checked on that block
+        op = self.asymptotic_operator()
+        solved = []
+
+        def perturbed(H, count, shift=0.0):
+            vals, vecs = lowest_sparse_eigenpairs(H, count, shift=shift)
+            solved.append(H.shape[0])
+            return vals, vecs + 1e-6 if len(solved) == 2 else vecs
+
+        monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", perturbed)
+        monkeypatch.setattr(model2d, "strip_labels",
+                            lambda op: np.arange((op.n_t - 2) // 2 * op.n_s))
+        with pytest.raises(ConvergenceError, match=r"^h=0.1, odd block: eigenpair 0 "
+                                                   r"residual .* exceeds 1e-09$"):
+            lowest_eigenvalues_2d(op, 4)
+        assert len(solved) == 2
+
     def test_strips_are_about_two_magnetic_lengths(self):
         cfg = Field2DConfig.default(k=1)
         h = cfg.h_list[0]
@@ -408,6 +429,16 @@ def folded_grids():
             cfg = Field2DConfig.default(k=1, S=S, s1=0.1, T=T, h_list=(0.5,),
                                         points_per_length=1)
             yield pytest.param(cfg, 0.5, id=f"grid-{n_s}x{n_t}")
+
+
+def residual_grids():
+    """The grids on which block residuals are compared with whole-grid
+    ones: k = 1 and 3 on S = 8 at three h, and the largest h of sweep2d."""
+    for k in (1, 3):
+        for h in (0.2, 0.05, 0.02):
+            cfg = Field2DConfig.default(k=k, S=8.0, s1=2.4, h_list=(h,))
+            yield pytest.param(cfg, h, id=f"k{k}-S8-h{h:g}")
+    yield pytest.param(Field2DConfig.default(k=1), 0.02, id="sweep2d-h0.02")
 
 
 class TestFoldedBlocks:
@@ -444,6 +475,40 @@ class TestFoldedBlocks:
         lowest_eigenvalues_2d(op, 3)
         assert factored[0] == (N // 2, False)
         assert not any(full for _, full in factored)
+
+    def test_split_solve_assembles_no_whole_grid_matrix(self, monkeypatch):
+        # k=1 on the (25, 18) grid: every matrix built spans 8 of the 16
+        # interior t rows
+        op = assemble_2d(small_config(), 0.5)
+        rows = []
+        assemble = model2d._assemble
+
+        def spy(operator, count, parity=0):
+            rows.append(count)
+            return assemble(operator, count, parity)
+
+        monkeypatch.setattr(model2d, "_assemble", spy)
+        lowest_eigenvalues_2d(op, 3)
+        assert rows and max(rows) < op.n_t - 2
+
+    @pytest.mark.parametrize("config, h", residual_grids())
+    def test_block_residuals_are_the_whole_grid_residuals(self, config, h):
+        # Q is an isometry and each block is Q^T H Q: the residual of a
+        # block pair on its block and that of Q v on the whole operator
+        # agree to rounding, eps ||H||_1, and both meet RESIDUAL_TOL
+        op = assemble_2d(config, h)
+        H = op.hermitian
+        rounding = np.finfo(float).eps * abs(H).sum(axis=0).max()
+        for (name, Q), parity in zip(reflection_blocks(op), (1, -1)):
+            block = reflection_block(op, parity)
+            vals, vecs = lowest_sparse_eigenpairs(block, 4)
+            on_block = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+            grid = Q @ vecs
+            on_grid = np.linalg.norm(H @ grid - grid * vals, axis=0)
+            on_block /= np.linalg.norm(vecs, axis=0)
+            on_grid /= np.linalg.norm(grid, axis=0)
+            assert np.max(np.abs(on_block - on_grid)) <= rounding, name
+            assert max(on_block.max(), on_grid.max()) <= RESIDUAL_TOL, name
 
 
 class TestShiftInvertRoute:
