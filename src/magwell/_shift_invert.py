@@ -1,6 +1,5 @@
-"""Lowest eigenpairs of a sparse Hermitian matrix by shift-invert Lanczos,
-and Sylvester-inertia counts from the same factor: the one sparse
-eigen-solve route of the package.
+"""Lowest eigenpairs of a sparse Hermitian matrix by shift-invert Lanczos:
+the one sparse eigen-solve route of the package.
 
 The Lanczos is the spectral transformation of Ericsson and Ruhe (Math.
 Comp. 35, 1980): it runs on OP = (H - shift)^{-1}, applied by one sparse LU
@@ -16,18 +15,15 @@ caller uses. It works from a single start vector, so it resolves no exact
 multiplicity (the Krylov space holds one vector of each eigenspace) and
 sees no level that an exact symmetry keeps orthogonal to that vector. The
 2D solver splits off the one exact symmetry of its operator, the
-reflection t -> -t, and solves or certifies each block on its own. That a
-block has no level at or below a point is certified without a sparse
-factor, by one banded Cholesky of a lower bound that decouples the block
-into strips (`strip_bound_clears`).
+reflection t -> -t, and solves or certifies each block on its own. This
+module reads no inertia: the caller certifies that its shift lies below
+the spectrum before the factor is built (the 2D solver by one banded
+Cholesky per band of a lower bound, `model2d._bound_clears`).
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dstemr
 from scipy.sparse.linalg import splu
 
@@ -38,77 +34,18 @@ RESIDUAL_TOL = 1e-9           # ten times the residual bound of a returned unit 
 _EPS = np.finfo(float).eps
 
 
-class ShiftRejected(Exception):
-    """The factor of H - shift does not certify that shift lies below the
-    spectrum of H. `negative_pivots` is the number of eigenvalues below the
-    shift, or None when the factor's inertia cannot be trusted."""
-
-    def __init__(self, negative_pivots: Optional[int]):
-        super().__init__(f"negative pivots: {negative_pivots}")
-        self.negative_pivots = negative_pivots
-
-
 def _factor(H, shift: float):
     """LU factor of H - shift with a symmetric minimum-degree ordering (MMD
     on A^T + A). `diag_pivot_thresh=0` keeps every pivot on the diagonal
     unless it is exactly zero, so the factor of a Hermitian matrix is a
     symmetric one, P (H - shift) P^T = L D L^H with U = D L^H, whenever
     perm_r == perm_c. It fills far less than scipy's default COLAMD column
-    ordering."""
+    ordering. The options also fix every rounding of the factor and its
+    solves, hence every byte of the levels, and keep the pivots that the
+    tests' inertia oracle reads (`oracles.inertia_below`)."""
     A = H - shift * sp.identity(H.shape[0], dtype=H.dtype, format="csc") if shift else H
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
-
-
-def _negative_pivots(lu) -> Optional[int]:
-    """Negative entries of diag(U) of a symmetric factor, which by Sylvester's
-    law of inertia is the number of eigenvalues below the factored shift;
-    None when the factor is not symmetric (perm_r != perm_c) or has a zero
-    or non-finite pivot. Reading `lu.U` makes SuperLU copy L and U."""
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    d = lu.U.diagonal().real
-    if not np.all(np.isfinite(d)) or np.any(d == 0.0):
-        return None
-    return int(np.count_nonzero(d < 0.0))
-
-
-def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
-    """H_cut <= H, block diagonal over the strips `labels[i]` of the unknowns
-    of the sparse Hermitian H: every entry (r, c) with labels[r] != labels[c]
-    is dropped and |H_rc| is subtracted from the diagonal entries r and c.
-    H - H_cut is then the sum over the dropped links of the 2x2 forms
-    [[|a|, a], [conj(a), |a|]], each positive semidefinite, so H_cut <= H for
-    any labelling: a discrete Dirichlet-Neumann bracketing (Reed and Simon
-    IV, XIII.15). Each eigenvalue of H_cut lies at or below the matching one
-    of H, so H_cut has at least as many eigenvalues below any x as H."""
-    C = H.tocoo()
-    cut = labels[C.row] != labels[C.col]
-    loss = np.bincount(C.row[cut], weights=np.abs(C.data[cut]), minlength=H.shape[0])
-    keep = ~cut
-    kept = sp.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])), shape=H.shape)
-    return (kept - sp.diags(loss, dtype=float)).tocsr()
-
-
-def strip_bound_clears(H, shift: float, labels: np.ndarray) -> bool:
-    """Whether the strip-decoupled lower bound `strip_lower_bound(H, labels)`
-    lies above `shift`, which proves that H has no eigenvalue at or below
-    it. Taken strip by strip (a stable sort of `labels`), the bound is
-    banded; for strips of whole grid columns its bandwidth is the widest
-    strip's. The answer is whether one banded Cholesky (LAPACK pbtrf) of
-    the bound minus `shift` succeeds."""
-    order = np.argsort(labels, kind="stable")
-    cut = sp.triu(strip_lower_bound(H, labels)[order][:, order], format="coo")
-    width = int(np.max(cut.col - cut.row))
-    # LAPACK upper band storage, in Fortran order so that pbtrf factors it in place
-    band = np.zeros((width + 1, H.shape[0]), dtype=H.dtype, order="F")
-    band[width + cut.row - cut.col, cut.col] = cut.data
-    band[width] -= shift
-    try:
-        cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError:      # a pivot at or below 0
-        return False
-    return True
 
 
 def _residual_small(r: float, next_norm: float, theta: float) -> bool:
@@ -218,15 +155,12 @@ def lowest_sparse_eigenpairs(H, k: int, *, shift: float = 0.0):
     calls are deterministic; it returns the k levels just above the shift,
     which are the k lowest when no level lies below it. It stops once the
     values are converged to rounding and each unit Ritz vector v has
-    |H v - lambda v| <= RESIDUAL_TOL/10 (the stop rule of `_lanczos`). At
-    shift 0 the caller vouches that H is positive definite and no inertia
-    is read. At a nonzero shift the inertia of the same factor is read once
-    the Lanczos has returned or failed, when its basis is freed: a negative
-    pivot (the shift does not lie below the whole spectrum) or an inertia
-    that cannot be trusted raises ShiftRejected, whatever the Lanczos gave,
-    so the caller can warn and solve again at shift 0. The factor is local to the
-    call and freed before it returns or raises, so a caller that solves one
-    matrix after another never holds two factors. When the k levels do not
+    |H v - lambda v| <= RESIDUAL_TOL/10 (the stop rule of `_lanczos`). The
+    caller vouches that no level lies at or below the shift (at 0, that H
+    is positive definite): no inertia is read, so a shift above the ground
+    state returns levels above it, not the lowest. The factor is local to
+    the call and freed before it returns or raises, so a caller that solves
+    one matrix after another never holds two factors. When the k levels do not
     converge within LANCZOS_MAX_STEPS steps, ConvergenceError carries the
     last Ritz values as `estimates`. A k outside 1..n, or one whose first
     test step min(2k, n) lies past the last step, raises ValueError first.
@@ -235,17 +169,9 @@ def lowest_sparse_eigenpairs(H, k: int, *, shift: float = 0.0):
     if not 1 <= k <= n or min(2 * k, n) > LANCZOS_MAX_STEPS:
         raise ValueError(f"cannot take {k} eigenvalues of a matrix of order {n} "
                          f"in {LANCZOS_MAX_STEPS} Lanczos steps")
-    try:
-        lu = _factor(H, shift)
-    except RuntimeError:           # SuperLU: factor is exactly singular
-        if shift:
-            raise ShiftRejected(None) from None
-        raise
+    lu = _factor(H, shift)
     theta, vecs, converged = _lanczos(lu.solve, lambda v: H @ v - shift * v, n, k, H.dtype)
-    below = _negative_pivots(lu) if shift else 0
-    del lu                         # free it before the caller refactors
-    if below != 0:
-        raise ShiftRejected(below)
+    del lu                         # a raised error keeps this frame, not the factor
     vals = shift + 1.0 / theta
     order = np.argsort(vals)
     if not converged:

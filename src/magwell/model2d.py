@@ -23,17 +23,16 @@ a hop to the centre row 2(w x), and at an even interior count the last
 pair row's hop to its mirror image folds onto its diagonal d as
 2((w d +- w hop) w). These are the roundings of the sparse product Q^T H Q
 with the reflection isometries Q, so the blocks equal it bit for bit. The
-even block is built and solved first; it is solved at a shift forecast
-just below the ground state, and that shift is certified by Sylvester
-inertia of its factor. The odd block is built once that factor is freed.
-The absence of odd levels among the lowest ones is certified by one banded
-Cholesky of a lower bound of the odd block that splits into strips about
-two magnetic lengths wide along s (`strip_labels`,
-`_shift_invert.strip_bound_clears`). When that bound is inconclusive, the
-odd block is solved too, and its levels are merged by value. The pairs of
-each solved block are residual-checked on that block. The operator on the
-whole grid is assembled only when it is solved as one block (even k, or
-blocks too small for the levels asked).
+even block is built and solved first, at a shift forecast just below the
+ground state, and the odd block once that factor is freed. That a block
+has no level at or below a point (the shift, or for the odd block the
+largest even level) is certified before any factor, by one banded
+Cholesky per t-band of a lower bound of the block (`_bound_clears`). An
+uncertified shift is dropped for 0; an inconclusive odd bound has the odd
+block solved too, its levels merged by value. The pairs of each solved
+block are residual-checked on that block. The operator on the whole grid
+is assembled only when it is solved as one block (even k, or blocks too
+small for the levels asked).
 """
 from __future__ import annotations
 
@@ -44,11 +43,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 
 from . import _workers
 from ._files import read_fields
-from ._shift_invert import (RESIDUAL_TOL, ShiftRejected, lowest_sparse_eigenpairs,
-                            strip_bound_clears)
+from ._shift_invert import RESIDUAL_TOL, lowest_sparse_eigenpairs
 from .sl_engine import AssemblyError, ConvergenceError, SolverError
 from .montgomery import _shifted_gauge, minimizer_state
 from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
@@ -355,8 +354,9 @@ def _fold(data: np.ndarray, nt: int, parity: int, hop: complex, diagonal) -> Non
 
 
 class ShiftCertificateWarning(UserWarning):
-    """The 2D solve did more work than forecast: it refactored a block at
-    shift 0, or merged levels of the odd block into the lowest ones."""
+    """The 2D solve did more work than forecast: the lower bound of
+    `_bound_clears` did not certify the forecast shift of a block, which was
+    solved at 0 instead, or odd levels were merged into the lowest ones."""
 
 
 def _mirror_symmetric(operator: MagneticOperator2D) -> bool:
@@ -380,32 +380,104 @@ def reflection_block(operator: MagneticOperator2D, parity: int) -> sp.csr_matrix
     return _assemble(operator, nt // 2 + (parity > 0) * (nt % 2), parity)
 
 
-def strip_labels(operator: MagneticOperator2D) -> np.ndarray:
-    """The strip along s of each unknown i n_s + j of the odd reflection
-    block: its column j among equal strips of at least ceil(2 h^{1/(2(k+2))}
-    / ds) columns, about two magnetic lengths. All strips take at least that
-    width, so no narrow remainder strip is left."""
+def _bound_cuts(operator: MagneticOperator2D, rows: int) -> tuple[list[int], int]:
+    """(edges, j_star): where the lower bound of `_bound_clears` cuts a block
+    on the first `rows` interior t rows. Its t-bands are the row runs
+    [edges[b], edges[b + 1]): the rows with |t| < 3 l_t, and outside them
+    one band per l_t, with l_t = (h / omega)^{1/(k+2)} the magnetic length
+    at the weakest field that the outermost row's link phases ds g(t) omega
+    / h sample (one band when they see none). The ring of each row opens
+    after column j_star, whose link has the largest |theta|: the strongest
+    field."""
+    n_t = operator.n_t
+    t = operator.T * (2.0 * np.arange(1, rows + 1) - (n_t - 1)) / (n_t - 1)
+    phases = np.abs(operator.theta[0])
+    ds = operator.S / operator.n_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l_t = (ds * abs(_shifted_gauge(operator.k, 0.0, t[:1])[0]) / phases.min()
+               ) ** (1.0 / (operator.k + 2))
+        far = np.abs(t) / (l_t if l_t > 0 else np.inf) - 3.0
+    band = np.where(far < 0, 0.0, np.sign(t) * (1.0 + np.floor(far)))
+    edges = [0, *(np.flatnonzero(band[1:] != band[:-1]) + 1).tolist(), rows]
+    return edges, int(np.argmax(phases))
+
+
+def _bound_bands(operator: MagneticOperator2D, H: sp.csr_matrix, x: float):
+    """H_cut - x, one t-band at a time, in LAPACK upper band storage
+    (Fortran order), for a lower bound H_cut <= H of a block H of the
+    operator on its first H.shape[0] // n_s interior t rows: the whole
+    operator, or a reflection block folded from them (`reflection_block`).
+
+    H_cut drops the t hops between the bands of `_bound_cuts` and, on rings
+    of three or more columns, the s link from column j_star to j_star + 1,
+    and subtracts the modulus of each dropped entry from both of its
+    diagonal entries. H - H_cut is then a sum of the positive semidefinite
+    2x2 forms [[|a|, a], [conj(a), |a|]], so H_cut <= H: a discrete
+    Dirichlet-Neumann bracketing (Reed and Simon IV, XIII.15). A band of m
+    rows takes its unknowns column by column from j_star + 1, t fastest, so
+    its t hops lie at offset 1 and its s links at offset m, its bandwidth.
+    The entries are read straight from diagonals of the CSR H."""
     n_s = operator.n_s
-    ds = operator.S / n_s
-    width = int(np.ceil(2.0 * operator.h ** (1.0 / (2 * (operator.k + 2))) / ds))
-    n_strips = max(n_s // width, 1)
-    return np.arange((operator.n_t - 2) // 2 * n_s) % n_s * n_strips // n_s
+    n = H.shape[0]
+    rows = n // n_s
+    edges, j_star = _bound_cuts(operator, rows)
+    hop = H.diagonal(n_s)
+    # link[u] = H[u, right(u)]: right(u) is u + 1, and u + 1 - n_s in the
+    # last column
+    link = np.zeros(n, dtype=H.dtype)
+    if n_s > 1:
+        link[:-1] = H.diagonal(1)
+        link[n_s - 1::n_s] = H.diagonal(1 - n_s)[::n_s]
+    loss = np.zeros(n)
+    if n_s > 2:                 # open each ring after column j_star
+        cut = slice(j_star, None, n_s)
+        loss[cut] = np.abs(link[cut])
+        loss[(j_star + 1) % n_s::n_s] = np.abs(link[cut])
+    for e in edges[1:-1]:       # and drop the t hops between bands
+        below = slice((e - 1) * n_s, e * n_s)
+        loss[below] += np.abs(hop[below])
+        loss[e * n_s:(e + 1) * n_s] += np.abs(hop[below])
+    order = (j_star + 1 + np.arange(n_s)) % n_s
+    diag = (H.diagonal() - loss).reshape(rows, n_s)[:, order]
+    link = link.reshape(rows, n_s)[:, order]
+    hop = hop.reshape(rows - 1, n_s)[:, order]
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = b - a
+        # store[c, r] is band column c m + r, so store's transpose is the
+        # band in Fortran order
+        store = np.zeros((n_s, m, m + 1), dtype=H.dtype)
+        store[:, :, m] = diag[a:b].T - x
+        store[:, 1:, m - 1] = hop[a:b - 1].T
+        store[1:, :, 0] = link[a:b, :-1].T
+        yield store.reshape(n_s * m, m + 1).T
 
 
-def _block_levels(H, count: int, shift: float, where: str) -> np.ndarray:
-    """The `count` lowest levels of one block H, by shift-invert at `shift`
-    when its factor certifies it, else (with a warning) at 0. Every pair
-    the Lanczos returned satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on
-    this H; a larger residual raises ConvergenceError naming `where`."""
-    try:
-        vals, vecs = lowest_sparse_eigenpairs(H, count, shift=shift)
-    except ShiftRejected as exc:
-        below = exc.negative_pivots
-        pivots = "untrusted inertia" if below is None else f"{below} negative pivots"
-        warnings.warn(f"{where}: shift {shift:.6e} not below the spectrum "
-                      f"({pivots}); refactored at 0",
-                      ShiftCertificateWarning, stacklevel=3)
-        vals, vecs = lowest_sparse_eigenpairs(H, count)
+def _bound_clears(operator: MagneticOperator2D, H: sp.csr_matrix, x: float) -> bool:
+    """Whether the lower bound H_cut of `_bound_bands` lies above x, which
+    proves that the block H has no level at or below x: one LAPACK banded
+    Cholesky (pbtrf) of H_cut - x per t-band, each factored in place, and
+    the answer is whether every one succeeds."""
+    for band in _bound_bands(operator, H, x):
+        try:
+            cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError:      # a pivot at or below 0
+            return False
+    return True
+
+
+def _block_levels(operator: MagneticOperator2D, H, count: int, shift: float,
+                  where: str) -> np.ndarray:
+    """The `count` lowest levels of one block H of the operator, by
+    shift-invert at `shift` once `_bound_clears` certifies that no level
+    lies at or below it, else (with a warning) at 0; the certificate comes
+    before any factor, so the block is factored once. Every pair the
+    Lanczos returned satisfies |H v - lambda v| <= RESIDUAL_TOL |v| on this
+    H; a larger residual raises ConvergenceError naming `where`."""
+    if shift and not _bound_clears(operator, H, shift):
+        warnings.warn(f"{where}: shift {shift:.6e} not certified below the "
+                      f"spectrum; solved at 0", ShiftCertificateWarning, stacklevel=3)
+        shift = 0.0
+    vals, vecs = lowest_sparse_eigenpairs(H, count, shift=shift)
     for i, (value, v) in enumerate(zip(vals, vecs.T)):
         resid = np.linalg.norm(H @ v - value * v) / np.linalg.norm(v)
         if resid > RESIDUAL_TOL:
@@ -425,31 +497,29 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     block is too small to hold m_count levels, it is one block. The even
     block is built and solved first, and the odd block is built only once
     the even factor is freed; the split path builds no matrix of the whole
-    grid. The first block is solved by shift-invert Lanczos
-    at `shift`, a forecast of a point below the ground state, asking for
-    exactly m_count levels. The shift is kept only when the factor of
-    H_even - shift, whose inertia is read once the Lanczos is done, has no
-    negative pivot (Sylvester inertia); otherwise the result is dropped and
-    the block is solved again at 0. The odd block is certified at the largest even level
-    lambda_{m-1} by a lower bound H_cut <= H_odd, decoupled into the strips
-    of `strip_labels` (41 or more columns on the default grids): when one
-    banded Cholesky of H_cut - lambda_{m-1} succeeds (`strip_bound_clears`),
-    no odd level is among the lowest m_count. The lowest level of H_cut lies
-    1.99-2.17 times above lambda_3 on the default k=1 sweep, 2.70-3.30 times
-    at k=3 and 1.79-2.78 times on the S=8 test sweeps. Otherwise the odd
-    block is solved for m_count levels at `shift`, certified as the first,
-    and its levels are merged with the even ones by value. A
-    ShiftCertificateWarning is emitted for each refactorisation at 0, and
-    one naming their count when odd levels enter the lowest m_count; an
-    inconclusive bound alone emits none. Every sparse factor
+    grid. The first block is solved by shift-invert Lanczos for exactly
+    m_count levels at `shift`, a forecast of a point below the ground
+    state, once a lower bound H_cut <= H of the block is found to lie above
+    it (`_bound_clears`, one banded Cholesky per t-band), before any factor
+    is built; otherwise it is solved at 0. The bound is conservative where
+    the period S is about one magnetic length h^{1/(2(k+2))} in s or less:
+    opening each ring then costs more than the forecast's margin (at k=1,
+    S = 0.5, h = 0.02 the bound lies at 0.61 lambda_0, the forecast at
+    0.63), and that h is solved at 0. The odd block is certified by the
+    same bound at the largest even level lambda_{m-1} (its bound lies
+    1.45-2.24 times above lambda_3 on the default k=1 sweep); when that is
+    inconclusive, the odd block is solved for m_count levels at `shift`,
+    certified as the first, and its levels are merged with the even ones by
+    value. A ShiftCertificateWarning is emitted for each shift not
+    certified, and one naming their count when odd levels enter the lowest
+    m_count; an inconclusive bound alone emits none. Every sparse factor
     uses the symmetric minimum-degree ordering MMD_AT_PLUS_A, and only one
     factor is alive at a time. The Lanczos runs from a single start vector,
-    so within a block it resolves no exact multiplicity and
-    sees no level that an exact symmetry keeps orthogonal to that vector.
-    The reflection t -> -t is such a symmetry, which is why it is split off
-    into blocks, each solved or certified on its own. A Lanczos that does
-    not converge raises ConvergenceError with its last Ritz values. Each
-    Lanczos stops once its Ritz vectors have residuals within
+    so within a block it resolves no exact multiplicity and sees no level
+    that an exact symmetry keeps orthogonal to that vector; the reflection
+    t -> -t is such a symmetry, which is why it is split off. A Lanczos
+    that does not converge raises ConvergenceError with its last Ritz
+    values. Each Lanczos stops once its Ritz vectors have residuals within
     RESIDUAL_TOL/10 = 1e-10 (see `_shift_invert`). Every pair of every
     solved block, odd pairs that do not enter the result included,
     satisfies |H_b v - lambda v| <= RESIDUAL_TOL |v| on the block H_b that
@@ -458,13 +528,14 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
     the whole operator, up to rounding."""
     where = f"h={operator.h:g}"
     if (operator.n_t - 2) // 2 * operator.n_s < m_count or not _mirror_symmetric(operator):
-        return _block_levels(operator.hermitian, m_count, shift, f"{where}, full block")
-    vals = _block_levels(reflection_block(operator, 1), m_count, shift,
+        return _block_levels(operator, operator.hermitian, m_count, shift,
+                             f"{where}, full block")
+    vals = _block_levels(operator, reflection_block(operator, 1), m_count, shift,
                          f"{where}, even block")
     odd = reflection_block(operator, -1)
-    if strip_bound_clears(odd, vals[-1], strip_labels(operator)):
+    if _bound_clears(operator, odd, vals[-1]):
         return vals
-    more = _block_levels(odd, m_count, shift, f"{where}, odd block")
+    more = _block_levels(operator, odd, m_count, shift, f"{where}, odd block")
     merged = np.concatenate([vals, more])
     order = np.argsort(merged, kind="stable")[:m_count]
     entered = np.count_nonzero(order >= m_count)

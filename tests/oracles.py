@@ -14,6 +14,11 @@ one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve;
 `reflection_blocks` splits the 2D operator by the reflection t -> -t with
 explicit isometries Q, the reference for the blocks the library folds from
 the grid.
+`inertia_below` counts the levels of a sparse Hermitian matrix below a
+point by Sylvester inertia of a symmetric SuperLU factor, and
+`strip_lower_bound` is the generic Dirichlet-Neumann lower bound that drops
+any set of links: the references for the banded lower bound with which the
+2D solver certifies a shift (`model2d._bound_clears`).
 The large-alpha ratio compares the band with its semiclassical growth law.
 `gauss_legendre_reference` is the quadrature rule of `sl_engine._rule` with
 its Golub-Welsch nodes from LAPACK's tridiagonal solver, which the library
@@ -29,6 +34,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import splu
 
+from magwell import _shift_invert
 from magwell.model2d import Field2DConfig
 from magwell.montgomery import _shifted_gauge, family_potential, lambda_m
 from magwell.sl_engine import eigenvalue_converged
@@ -250,6 +256,46 @@ def reflection_blocks(operator):
                            (np.concatenate([lo, hi]), np.concatenate([col, col]))),
                           shape=(N, lo.size))
     return [("even", Q_even), ("odd", Q_odd)]
+
+
+def inertia_below(H, x: float) -> int:
+    """The number of eigenvalues of the sparse Hermitian H below x, by
+    Sylvester's law of inertia: the negative pivots of the factor of
+    H - x that the solver makes (`_shift_invert._factor`), which is
+    symmetric, P (H - x) P^T = L D L^H with U = D L^H. Reading `lu.U`
+    makes SuperLU copy L and U. A factor that is not symmetric
+    (perm_r != perm_c) or has a zero or non-finite pivot fails the test
+    that asks."""
+    lu = _shift_invert._factor(H, x)
+    assert np.array_equal(lu.perm_r, lu.perm_c), "the factor is not symmetric"
+    d = lu.U.diagonal().real
+    assert np.all(np.isfinite(d)) and np.all(d != 0.0), "a pivot is zero or not finite"
+    return int(np.count_nonzero(d < 0.0))
+
+
+def cut_lower_bound(H, cut) -> sp.csr_matrix:
+    """H_cut <= H for the sparse Hermitian H: every entry (r, c) of its COO
+    form where the mask `cut` holds (a mask symmetric under r <-> c) is
+    dropped and |H_rc| is subtracted from the diagonal entry r, so from
+    both diagonal entries of a dropped pair. H - H_cut is then the sum over
+    the dropped pairs of the 2x2 forms [[|a|, a], [conj(a), |a|]], each
+    positive semidefinite: a discrete Dirichlet-Neumann bracketing (Reed and
+    Simon IV, XIII.15). Each eigenvalue of H_cut lies at or below the
+    matching one of H, so H_cut has at least as many eigenvalues below any
+    x as H."""
+    C = H.tocoo()
+    loss = np.bincount(C.row[cut], weights=np.abs(C.data[cut]), minlength=H.shape[0])
+    keep = ~cut
+    kept = sp.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])), shape=H.shape)
+    return (kept - sp.diags(loss, dtype=float)).tocsr()
+
+
+def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
+    """`cut_lower_bound` of the links between strips: every entry (r, c)
+    with labels[r] != labels[c] is dropped, so H_cut is block diagonal over
+    the strips, for any labelling."""
+    C = H.tocoo()
+    return cut_lower_bound(H, labels[C.row] != labels[C.col])
 
 
 def gauss_legendre_reference(size: int) -> tuple[np.ndarray, np.ndarray]:

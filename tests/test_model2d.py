@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import multiprocessing
+import re
 import warnings
 
 import numpy as np
@@ -11,12 +12,8 @@ from scipy.sparse.linalg import eigsh
 
 from magwell import _shift_invert, model2d
 from magwell._workers import sweep_workers
-from magwell._shift_invert import (
-    RESIDUAL_TOL,
-    lowest_sparse_eigenpairs,
-    strip_bound_clears,
-    strip_lower_bound,
-)
+from magwell._shift_invert import RESIDUAL_TOL, lowest_sparse_eigenpairs
+from magwell.asymptotics import leading_exponent
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
 from magwell.model2d import (
     Field2DConfig,
@@ -26,12 +23,12 @@ from magwell.model2d import (
     lowest_eigenvalues_2d,
     reflection_block,
     run_sweep,
-    strip_labels,
 )
+from magwell.montgomery import minimizer_state
 from magwell.sl_engine import AssemblyError, ConvergenceError
 
 from conftest import set_blas_threads
-from oracles import fiber_eigenvalues, reflection_blocks
+from oracles import cut_lower_bound, fiber_eigenvalues, inertia_below, reflection_blocks
 
 
 def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0):
@@ -50,6 +47,27 @@ def small_config(points_per_length=11, k=1):
         omega=lambda s: 1.0 + 0.5 * np.sin(np.pi * np.asarray(s) / 2.0) ** 2,
         omega_min=1.0, curvature_abs2=2.0 * 0.5 * 2 * np.pi**2 / 4.0,
         S=2.0, T=0.6, h_list=(0.5,), points_per_length=points_per_length)
+
+
+def band_matrix(band):
+    """The sparse Hermitian matrix whose LAPACK upper band storage is `band`."""
+    m = band.shape[0] - 1
+    upper = sp.diags([band[m - k, k:] for k in range(m + 1)], range(m + 1), format="csr")
+    return (upper + sp.triu(upper, 1).getH()).tocsr()
+
+
+def lowest_level(H):
+    """The lowest level of the sparse Hermitian H: dense up to 2,000
+    unknowns, else by the shift-invert Lanczos at 0."""
+    if H.shape[0] <= 2000:
+        return np.linalg.eigvalsh(H.toarray())[0]
+    return lowest_sparse_eigenpairs(H, 1)[0][0]
+
+
+def bound_bottom(op, H):
+    """The lowest level of the lower bound H_cut of the shift certificate of
+    the block H (`model2d._bound_bands`): the least over its t-bands."""
+    return min(lowest_level(band_matrix(band)) for band in model2d._bound_bands(op, H, 0.0))
 
 
 class TestConfig:
@@ -231,8 +249,7 @@ class TestEigenvalues:
         op = assemble_2d(cfg, 0.01363)
         assert op.hermitian.shape[0] == 9240
         vals = lowest_eigenvalues_2d(op, 4)
-        lu = _shift_invert._factor(op.hermitian, vals[-1] * (1 + 1e-9))
-        assert _shift_invert._negative_pivots(lu) == 4
+        assert inertia_below(op.hermitian, vals[-1] * (1 + 1e-9)) == 4
 
     def test_residual_contract(self, monkeypatch):
         # pairs that meet RESIDUAL_TOL are returned; the same solve raises
@@ -306,8 +323,9 @@ class TestReflectionBlocks:
         assert model2d._mirror_symmetric(op)
 
     def test_odd_k_beyond_one_matches_dense(self):
-        # k=3: 741 unknowns in four strips along s; the levels are the even
-        # block's and the bound certifies the odd block without a warning
+        # k=3: 741 unknowns, 342 of them in the odd block; the levels are
+        # the even block's, and the bound certifies the shift and the odd
+        # block without a warning
         cfg = Field2DConfig.default(k=3, S=8.0, s1=2.4, h_list=(0.2,),
                                     points_per_length=6)
         op = assemble_2d(cfg, 0.2)
@@ -319,13 +337,10 @@ class TestReflectionBlocks:
             shifted = lowest_eigenvalues_2d(op, 4, shift=0.97 * dense[0])
         assert np.max(np.abs(vals - dense[:4]) / dense[:4]) < 1e-11
         assert np.max(np.abs(shifted - dense[:4]) / dense[:4]) < 1e-11
-        _, Q_odd = reflection_blocks(op)[1]
-        odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
-        labels = strip_labels(op)
-        assert labels.shape == (odd.shape[0],) and labels.max() == 3
-        bound = np.linalg.eigvalsh(strip_lower_bound(odd, labels).toarray())
-        assert bound[0] > vals[-1]
-        assert strip_bound_clears(odd, vals[-1], labels)
+        odd = reflection_block(op, -1)
+        assert odd.shape[0] == 342
+        assert bound_bottom(op, odd) > vals[-1]
+        assert model2d._bound_clears(op, odd, vals[-1])
 
     @staticmethod
     def asymptotic_operator():
@@ -333,32 +348,67 @@ class TestReflectionBlocks:
         cfg = Field2DConfig.default(k=1, S=5.0, s1=1.5, T=0.8, h_list=(0.1,))
         return assemble_2d(cfg, 0.1)
 
+    @staticmethod
+    def forecast_shift(h):
+        # run_sweep's shift at k=1, omega_min = 1: 0.97 nu_hat h^{4/3}
+        return 0.97 * minimizer_state(1).report.nu_hat * h ** float(leading_exponent(1))
+
     def test_certified_shift_matches_shift_zero(self):
         op = self.asymptotic_operator()
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShiftCertificateWarning)
             ref = lowest_eigenvalues_2d(op, 4)
-            vals = lowest_eigenvalues_2d(op, 4, shift=0.97 * ref[0])
+            vals = lowest_eigenvalues_2d(op, 4, shift=self.forecast_shift(0.1))
         assert np.allclose(vals, ref, rtol=1e-12, atol=0)
+
+    def test_shift_just_below_the_ground_state_falls_back(self):
+        # the bound lies below 0.97 lambda_0 on this grid, though above the
+        # forecast shift: a conservative certificate, which warns and
+        # solves at 0
+        op = self.asymptotic_operator()
+        ref = lowest_eigenvalues_2d(op, 4)
+        assert self.forecast_shift(0.1) < bound_bottom(op, reflection_block(op, 1)) \
+            < 0.97 * ref[0]
+        with pytest.warns(ShiftCertificateWarning,
+                          match=r"^h=0.1, even block: shift .* not certified below "
+                                r"the spectrum; solved at 0$"):
+            vals = lowest_eigenvalues_2d(op, 4, shift=0.97 * ref[0])
+        assert np.array_equal(vals, ref)
 
     def test_shift_above_ground_state_falls_back(self):
         op = self.asymptotic_operator()
         ref = lowest_eigenvalues_2d(op, 4)
+        shift = 0.5 * (ref[0] + ref[1])
         with pytest.warns(ShiftCertificateWarning,
-                          match=r"h=0.1, even block: .*\(1 negative pivots\)"):
-            vals = lowest_eigenvalues_2d(op, 4, shift=0.5 * (ref[0] + ref[1]))
-        assert np.allclose(vals, ref, rtol=1e-12, atol=0)
+                          match=rf"^h=0.1, even block: shift {shift:.6e} not certified "
+                                r"below the spectrum; solved at 0$"):
+            vals = lowest_eigenvalues_2d(op, 4, shift=shift)
+        assert np.array_equal(vals, ref)
+
+    def test_rejected_shift_factors_each_block_once(self, monkeypatch):
+        # the bound rejects the shift before any factor: the even block is
+        # factored once, at 0, and the odd block is certified unfactored
+        op = self.asymptotic_operator()
+        ref = lowest_eigenvalues_2d(op, 4)
+        factored = []
+        factor = _shift_invert._factor
+
+        def spy(H, shift):
+            factored.append((H.shape[0], shift))
+            return factor(H, shift)
+
+        monkeypatch.setattr(_shift_invert, "_factor", spy)
+        with pytest.warns(ShiftCertificateWarning):
+            lowest_eigenvalues_2d(op, 4, shift=0.5 * (ref[0] + ref[1]))
+        assert factored == [(reflection_block(op, 1).shape[0], 0.0)]
 
     def test_inconclusive_bound_solves_the_odd_block(self, monkeypatch):
-        # one unknown per strip cuts every link: the bound is the Gershgorin
-        # diagonal, far below lambda_3; the odd block is then solved, none
-        # of its levels enters the lowest four, no warning is emitted, and
-        # the levels are the even block's
+        # with the bound made inconclusive, the odd block is solved; none of
+        # its levels enters the lowest four, no warning is emitted, and the
+        # levels are the even block's
         op = self.asymptotic_operator()
-        (_, Q_even), (_, Q_odd) = reflection_blocks(op)
-        even = (Q_even.T @ op.hermitian @ Q_even).tocsr()
-        odd = (Q_odd.T @ op.hermitian @ Q_odd).tocsr()
-        singletons = np.arange(odd.shape[0])
+        even = reflection_block(op, 1)
+        odd = reflection_block(op, -1)
         solved = []
 
         def spy(H, count, shift=0.0):
@@ -367,21 +417,20 @@ class TestReflectionBlocks:
             return pairs
 
         monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", spy)
-        monkeypatch.setattr(model2d, "strip_labels", lambda op: singletons)
+        monkeypatch.setattr(model2d, "_bound_clears", lambda operator, H, x: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShiftCertificateWarning)
             vals = lowest_eigenvalues_2d(op, 4)
-        assert not strip_bound_clears(odd, vals[-1], singletons)
         assert len(solved) == 2 and solved[1][0] > vals[-1]
-        # the strips lowest_eigenvalues_2d uses settle it on the bound
-        labels = strip_labels(op)
-        assert labels.shape == (odd.shape[0],)
-        assert strip_bound_clears(odd, vals[-1], labels)
+        # the bound lowest_eigenvalues_2d uses settles it unsolved
+        monkeypatch.undo()
+        assert model2d._bound_clears(op, odd, vals[-1])
         assert np.array_equal(vals, lowest_sparse_eigenpairs(even, 4)[0])
 
     def test_odd_pairs_checked_when_the_odd_block_is_solved(self, monkeypatch):
-        # singleton strips make the odd block be solved; none of its levels
-        # enters the lowest four, yet its pairs are checked on that block
+        # an inconclusive bound makes the odd block be solved; none of its
+        # levels enters the lowest four, yet its pairs are checked on that
+        # block
         op = self.asymptotic_operator()
         solved = []
 
@@ -391,25 +440,172 @@ class TestReflectionBlocks:
             return vals, vecs + 1e-6 if len(solved) == 2 else vecs
 
         monkeypatch.setattr(model2d, "lowest_sparse_eigenpairs", perturbed)
-        monkeypatch.setattr(model2d, "strip_labels",
-                            lambda op: np.arange((op.n_t - 2) // 2 * op.n_s))
+        monkeypatch.setattr(model2d, "_bound_clears", lambda operator, H, x: False)
         with pytest.raises(ConvergenceError, match=r"^h=0.1, odd block: eigenpair 0 "
                                                    r"residual .* exceeds 1e-09$"):
             lowest_eigenvalues_2d(op, 4)
         assert len(solved) == 2
 
-    def test_strips_are_about_two_magnetic_lengths(self):
+    def test_bands_are_magnetic_lengths(self):
+        # at h = 0.002 on the default grid, l_t = h^{1/3} spans about 20
+        # rows: the inner band holds the rows with |t| < 3 l_t, and each
+        # band outside it one magnetic length
         cfg = Field2DConfig.default(k=1)
-        h = cfg.h_list[0]
+        h = 0.002
         op = assemble_2d(cfg, h)
-        labels = strip_labels(op)
-        assert np.array_equal(labels[:op.n_s], labels[op.n_s:2 * op.n_s])
-        widths = np.bincount(labels[:op.n_s])
-        assert np.all(np.diff(labels[:op.n_s]) >= 0)
-        # ceil(2 h^{1/6} / ds) = 41 columns on the default grid; the
-        # n_s // 41 strips share the remainder, so none is narrower
-        assert widths.min() >= 41 and widths.max() <= 42
-        assert 2 * cfg.magnetic_length_s(h) <= widths.min() * cfg.S / op.n_s
+        rows = (op.n_t - 2) // 2 + 1
+        edges, j_star = model2d._bound_cuts(op, rows)
+        assert edges[0] == 0 and edges[-1] == rows
+        heights = np.diff(edges)
+        dt = 2 * cfg.T / (op.n_t - 1)
+        l_t = cfg.magnetic_length_t(h)
+        assert abs(heights[-1] * dt - 3 * l_t) <= dt
+        assert np.all(np.abs(heights[1:-1] * dt - l_t) <= dt)
+        assert heights[0] * dt <= l_t + dt
+        # the ring opens where the field is strongest, s1 + S/2
+        s = cfg.s_midpoints(op.n_s)[j_star]
+        assert abs(s - (4.2 + 7.0)) <= cfg.S / op.n_s
+
+
+def blocks(op):
+    """(name, block) of each nonempty block that lowest_eigenvalues_2d
+    solves or certifies: even and odd when the operator is mirror-symmetric,
+    else the full one."""
+    if not model2d._mirror_symmetric(op):
+        return [("full", op.hermitian)]
+    pairs = [("even", reflection_block(op, 1)), ("odd", reflection_block(op, -1))]
+    return [(name, H) for name, H in pairs if H.shape[0]]
+
+
+def oracle_bands(op, H):
+    """The bands of `model2d._bound_bands(op, H, 0)`, built instead by the
+    oracles' `cut_lower_bound` from the same cut set (the t hops between the
+    bands of `_bound_cuts` and, on rings of three or more columns, the link
+    after column j_star), in the same order, in upper band storage."""
+    n_s = op.n_s
+    rows = H.shape[0] // n_s
+    edges, j_star = model2d._bound_cuts(op, rows)
+    C = H.tocoo()
+    band_of = np.repeat(np.searchsorted(edges, np.arange(rows), side="right"), n_s)
+    after = (j_star + 1) % n_s
+    ring = (n_s > 2) & (C.row // n_s == C.col // n_s) & (
+        ((C.row % n_s == j_star) & (C.col % n_s == after))
+        | ((C.col % n_s == j_star) & (C.row % n_s == after)))
+    bound = cut_lower_bound(H, (band_of[C.row] != band_of[C.col]) | ring)
+    order = (j_star + 1 + np.arange(n_s)) % n_s
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = b - a
+        index = (np.arange(a, b)[None, :] * n_s + order[:, None]).ravel()
+        upper = sp.triu(bound[index][:, index], format="coo")
+        assert np.all(upper.col - upper.row <= m)
+        band = np.zeros((m + 1, index.size), dtype=H.dtype)
+        band[m + upper.row - upper.col, upper.col] = upper.data
+        yield band
+
+
+def bound_grids():
+    """The grids on which the lower bound of the shift certificate is
+    checked: the (25, 18) grid at k=1 (even and odd blocks) and at k=2 (the
+    full block), the h = 0.1 asymptotic operator, and the nine smallest
+    grids that grid_for accepts, with n_s of 1 to 3 and n_t of 3 to 5."""
+    yield pytest.param(small_config(), 0.5, id="small-k1")
+    yield pytest.param(small_config(k=2), 0.5, id="small-k2")
+    yield pytest.param(Field2DConfig.default(k=1, S=5.0, s1=1.5, T=0.8, h_list=(0.1,)),
+                       0.1, id="asymptotic-h0.1")
+    for S, n_s in ((0.5, 1), (1.5, 2), (2.5, 3)):
+        for T, n_t in ((0.5, 3), (0.9, 4), (1.3, 5)):
+            cfg = Field2DConfig.default(k=1, S=S, s1=0.1, T=T, h_list=(0.5,),
+                                        points_per_length=1)
+            yield pytest.param(cfg, 0.5, id=f"grid-{n_s}x{n_t}")
+
+
+class TestBoundCertificate:
+    """The lower bound H_cut <= H by which `model2d._bound_clears` certifies
+    that a block has no level at or below a point."""
+
+    @pytest.mark.parametrize("config, h", bound_grids())
+    def test_bound_is_below_and_decides_the_cholesky(self, config, h):
+        op = assemble_2d(config, h)
+        for name, H in blocks(op):
+            bottom = bound_bottom(op, H)
+            norm = abs(H).sum(axis=1).max()
+            assert 0 < bottom <= lowest_level(H) + 1e-12 * norm, name
+            assert model2d._bound_clears(op, H, bottom * (1 - 1e-6)), name
+            assert not model2d._bound_clears(op, H, bottom * (1 + 1e-6)), name
+
+    @pytest.mark.parametrize("config, h", bound_grids())
+    def test_bands_are_the_oracle_cut(self, config, h):
+        # the off-diagonal entries are copied, so they agree bit for bit;
+        # the diagonal loses up to three moduli, summed in another order
+        op = assemble_2d(config, h)
+        for name, H in blocks(op):
+            got = list(model2d._bound_bands(op, H, 0.0))
+            want = list(oracle_bands(op, H))
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                assert g.flags.f_contiguous and g.shape == w.shape, name
+                assert np.array_equal(g[:-1], w[:-1]), name
+                assert np.allclose(g[-1], w[-1], rtol=4 * np.finfo(float).eps, atol=0), name
+
+    def test_every_band_is_checked(self):
+        # an even block of 22 rows in two t-bands; the diagonal of one band
+        # at a time is lowered past the Gershgorin bound of the block, so
+        # that band alone has a bound level below x, and the certificate
+        # fails
+        cfg = Field2DConfig.default(k=1, S=1.0, s1=0.3, T=0.8, h_list=(0.01,),
+                                    points_per_length=6)
+        op = assemble_2d(cfg, 0.01)
+        H = reflection_block(op, 1)
+        rows = H.shape[0] // op.n_s
+        edges, _ = model2d._bound_cuts(op, rows)
+        assert len(edges) == 3
+        bottom = bound_bottom(op, H)
+        x = 0.5 * bottom
+        assert model2d._bound_clears(op, H, x)
+        for a, b in zip(edges[:-1], edges[1:]):
+            lowered = np.zeros(H.shape[0])
+            lowered[a * op.n_s:b * op.n_s] = 2.0 * abs(H).sum(axis=1).max()
+            assert not model2d._bound_clears(op, (H - sp.diags(lowered)).tocsr(), x)
+
+    def test_no_inertia_is_read_on_any_path(self, monkeypatch):
+        # a certified shift, a rejected one, the odd block solved and
+        # merged, and the full block of even k: no factor's U (or L) is read
+        factor = _shift_invert._factor
+
+        class NoInertia:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                assert name not in ("U", "L"), f"lu.{name} read"
+                return getattr(self.lu, name)
+
+        monkeypatch.setattr(_shift_invert, "_factor",
+                            lambda H, shift: NoInertia(factor(H, shift)))
+        op = TestReflectionBlocks.asymptotic_operator()
+        ref = lowest_eigenvalues_2d(op, 4)
+        lowest_eigenvalues_2d(op, 4, shift=TestReflectionBlocks.forecast_shift(0.1))
+        with pytest.warns(ShiftCertificateWarning, match="not certified"):
+            lowest_eigenvalues_2d(op, 4, shift=0.5 * (ref[0] + ref[1]))
+        small = assemble_2d(small_config(points_per_length=8), 0.5)
+        with pytest.warns(ShiftCertificateWarning, match="odd block"):
+            lowest_eigenvalues_2d(small, 5, shift=0.9 * lowest_eigenvalues_2d(small, 1)[0])
+        full = assemble_2d(small_config(k=2), 0.5)
+        lowest_eigenvalues_2d(full, 3, shift=0.9 * lowest_eigenvalues_2d(full, 1)[0])
+
+    def test_short_period_forecast_not_certified(self):
+        # S = 0.5 is about one magnetic length in s at h = 0.02 (0.52):
+        # opening the ring there costs more than the 3% margin of the
+        # forecast, so that h is solved at 0, with a warning; a period of
+        # 1.9 magnetic lengths or more cleared at every h tried
+        config = Field2DConfig.from_json({"k": 1, "S": 0.5,
+                                          "h_list": [0.02, 0.01, 0.005, 0.002]})
+        rep, _ = recorded_sweep(config, 4)
+        certs = [w for w in rep.warnings_issued if "block" in w]
+        assert [w for w in certs if "not certified" in w] == [certs[0]]
+        assert re.fullmatch(r"h=0.02, even block: shift \S+ not certified below "
+                            r"the spectrum; solved at 0", certs[0])
+        assert "h=0.002, odd block: 1 of the 4 lowest levels; merged" in certs
 
 
 def folded_grids():

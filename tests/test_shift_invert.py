@@ -1,8 +1,8 @@
 """The shift-invert Lanczos of `magwell._shift_invert` against dense
 `eigvalsh`: complex Hermitian and real symmetric matrices, near-degenerate
-pairs, the residual bound of its stop rule, the inertia certificate of a
-shift, the strip-decoupled lower bound whose banded Cholesky certifies
-that no level lies below a point, and the typed failure."""
+pairs, the residual bound of its stop rule, the factor it makes, which the
+inertia oracle reads, the strip-decoupled lower bound of the oracles, and
+the typed failure."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,16 +11,13 @@ from magwell import _shift_invert
 from magwell._shift_invert import (
     LANCZOS_MAX_STEPS,
     RESIDUAL_TOL,
-    ShiftRejected,
     lowest_sparse_eigenpairs,
-    strip_bound_clears,
-    strip_lower_bound,
 )
 from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
 from magwell.model2d import Field2DConfig, assemble_2d
 from magwell.sl_engine import ConvergenceError
 
-from oracles import reflection_blocks
+from oracles import inertia_below, reflection_blocks, strip_lower_bound
 
 
 COLUMNS = 38       # n_s of the grid of `reflection_block`
@@ -162,18 +159,25 @@ class TestStopRule:
 
 
 class TestShiftCertificate:
-    def test_shift_above_ground_state_raises_with_count(self):
+    def test_inertia_below_counts_the_levels_under_a_shift(self):
+        # the solver's factor of B - shift is symmetric, and its negative
+        # pivots count the levels below the shift (Sylvester inertia)
         B = reflection_block(0)
         dense = np.linalg.eigvalsh(B.toarray())
-        for below in (1, 3):
-            shift = 0.5 * (dense[below - 1] + dense[below])
-            with pytest.raises(ShiftRejected) as err:
-                lowest_sparse_eigenpairs(B, 4, shift=shift)
-            assert err.value.negative_pivots == below
+        for below in (0, 1, 3):
+            shift = 0.5 * (dense[below - 1] + dense[below]) if below else 0.9 * dense[0]
+            assert inertia_below(B, shift) == below
+
+
+def clears(H, x, labels):
+    """Whether the strip bound of H has no level at or below x, by the
+    inertia of the oracle's factor."""
+    return inertia_below(strip_lower_bound(H, labels), x) == 0
 
 
 class TestStripLowerBound:
-    """H_cut <= H for strips of 8 columns and for an arbitrary labelling."""
+    """The oracles' H_cut <= H for strips of 8 columns and for an arbitrary
+    labelling."""
 
     @staticmethod
     def labellings(n):
@@ -201,19 +205,19 @@ class TestStripLowerBound:
         labels = self.labellings(B.shape[0])[kind]
         bound = np.linalg.eigvalsh(strip_lower_bound(B, labels).toarray())
         dense = np.linalg.eigvalsh(B.toarray())
-        clears = []
+        cleared = []
         for x in (0.5 * dense[0], 0.5 * (dense[0] + dense[1]),
                   0.5 * (dense[3] + dense[4]), dense[40] + 1e-9):
             assert np.count_nonzero(bound < x) >= np.count_nonzero(dense < x)
-            clears.append(strip_bound_clears(B, x, labels))
-            assert clears[-1] == (bound[0] > x)
+            cleared.append(clears(B, x, labels))
+            assert cleared[-1] == (bound[0] > x)
         # the strips clear the lowest point and no other; the random
         # labelling cuts more links and clears none
-        assert clears == [kind == "strips", False, False, False]
+        assert cleared == [kind == "strips", False, False, False]
 
     def test_every_strip_is_checked(self):
         # all strips but the last raised above the Gershgorin bound of B:
-        # the lowest level then lives in the last strip, the last in the band
+        # the lowest level then lives in the last strip
         B = reflection_block(1)
         labels = self.labellings(B.shape[0])["strips"]
         raise_by = 2.0 * abs(B).sum(axis=1).max()
@@ -221,9 +225,9 @@ class TestStripLowerBound:
         dense = np.linalg.eigvalsh(H.toarray())
         x = 0.5 * (dense[0] + dense[1])
         assert np.count_nonzero(dense < x) == 1
-        assert not strip_bound_clears(H, x, labels)
+        assert not clears(H, x, labels)
         bound = np.linalg.eigvalsh(strip_lower_bound(H, labels).toarray())
-        assert strip_bound_clears(H, 0.5 * bound[0], labels)
+        assert clears(H, 0.5 * bound[0], labels)
 
 
 class TestFailures:
