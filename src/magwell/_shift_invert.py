@@ -5,11 +5,12 @@ The Lanczos is the spectral transformation of Ericsson and Ruhe (Math.
 Comp. 35, 1980): it runs on OP = (H - shift)^{-1}, applied by one sparse LU
 factor, whose largest eigenvalues theta are the levels lambda = shift +
 1/theta just above the shift. It keeps the whole Krylov basis, fully
-reorthogonalised, and stops at the first step where every wanted Ritz pair
-passes two bounds (`_ritz_test`): (a) its value is converged to rounding,
-r^2/gap <= eps |theta| with r = |beta_m s_{m,i}| (Kato-Temple), and (b) its
-vector's residual in H, read from the Lanczos relation, is within a tenth
-of RESIDUAL_TOL, the residual the 2D solver checks. ARPACK's test
+reorthogonalised, and stops at the first step where the wanted Ritz pairs
+pass two bounds in turn (`_lanczos`): (a) every value is converged to
+rounding, r^2/gap <= eps |theta| with r = |beta_m s_{m,i}| (Kato-Temple,
+`_ritz_test`), and only then (b) every vector's residual in H, read from
+the Lanczos relation at the cost of one product with H - shift, is within
+a tenth of RESIDUAL_TOL, the residual the 2D solver checks. ARPACK's test
 r <= eps |theta| converges the vectors to rounding as well, which no
 caller uses. It works from a single start vector, so it resolves no exact
 multiplicity (the Krylov space holds one vector of each eigenspace) and
@@ -48,29 +49,17 @@ def _factor(H, shift: float):
                 options={"SymmetricMode": True})
 
 
-def _residual_small(r: float, next_norm: float, theta: float) -> bool:
-    """Bound (b) of the stop rule for one Ritz pair (see `_ritz_test`)."""
-    return r * next_norm <= 0.1 * RESIDUAL_TOL * abs(theta)
-
-
-def _ritz_test(alpha, beta, m: int, il: int, iu: int, next_norm: float):
+def _ritz_test(alpha, beta, m: int, il: int, iu: int):
     """(theta, S, passed): the eigenpairs il..iu (1-based, ascending) of the
-    Lanczos tridiagonal T_m, and whether every one passes both bounds of the
-    stop rule. dstemr (LAPACK) computes only the pairs il-1..iu+1 that lie
-    in 1..m, so every tested pair has its neighbours. With
-    r_i = |beta_m s_{m,i}| and next_norm = |(H - shift) v_{m+1}|:
-
-    (a) value: r_i^2 / gap_i <= eps |theta_i|, where gap_i is the distance
-        to the nearest other Ritz value less that neighbour's own r, and
-        gap_i <= 0 fails. theta_i is then within rounding of an eigenvalue
-        of the operator (the Kato-Temple bound; Parlett, The Symmetric
-        Eigenvalue Problem, SIAM 1998, 11.7).
-    (b) residual: r_i next_norm / |theta_i| <= RESIDUAL_TOL / 10. By the
-        Lanczos relation (H - lambda_i) y_i = -(beta_m s_{m,i} / theta_i)
-        (H - shift) v_{m+1}, the left side is the residual in H of the
-        Ritz vector y_i at lambda_i = shift + 1/theta_i.
-
-    A next_norm of 0 tests (a) alone. A failed dstemr passes nothing."""
+    Lanczos tridiagonal T_m, and whether every one passes bound (a) of the
+    stop rule, its value (see `_lanczos` for bound (b)). dstemr (LAPACK)
+    computes only the pairs il-1..iu+1 that lie in 1..m, so every tested
+    pair has its neighbours. With r_i = |beta_m s_{m,i}|, pair i passes when
+    r_i^2 / gap_i <= eps |theta_i|, where gap_i is the distance to the
+    nearest other Ritz value less that neighbour's own r, and gap_i <= 0
+    fails. theta_i is then within rounding of an eigenvalue of the operator
+    (the Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM
+    1998, 11.7). A failed dstemr passes nothing."""
     lo, hi = max(il - 1, 1), min(iu + 1, m)
     # dstemr overwrites its off-diagonal argument, hence the copy
     _, theta, S, info = dstemr(alpha[:m], beta[:m].copy(), 2, 0.0, 0.0, lo, hi)
@@ -83,8 +72,7 @@ def _ritz_test(alpha, beta, m: int, il: int, iu: int, next_norm: float):
     passed = info == 0
     for i in range(il - lo + 1, iu - lo + 2):
         gap = min(t[i] - t[i - 1] - r[i - 1], t[i + 1] - t[i] - r[i + 1])
-        passed = (passed and gap > 0.0 and r[i] * r[i] <= _EPS * abs(t[i]) * gap
-                  and _residual_small(r[i], next_norm, t[i]))
+        passed = passed and gap > 0.0 and r[i] * r[i] <= _EPS * abs(t[i]) * gap
     want = slice(il - lo, iu - lo + 1)
     return theta[want], S[:, want], passed
 
@@ -98,19 +86,19 @@ def _lanczos(solve, shifted, n: int, k: int, dtype):
     Starts from solve(1/sqrt(n)). Each new vector is orthogonalised against
     the whole basis by two classical Gram-Schmidt passes; the basis is kept
     in Fortran order, so its leading columns are a view that BLAS reads in
-    place. From step min(2k, n) on, the k largest Ritz pairs are tested at
-    every step (`_ritz_test`), and the iteration stops at the first step
-    where all k pass: (a) each value is converged to rounding and (b) each
-    vector's residual in H, read from the Lanczos relation at the cost of
-    one product with H - shift, is within RESIDUAL_TOL/10. Both follow from
-    ARPACK's test |beta_m s_{m,i}| <= eps |theta_i| whenever r_i <= gap_i
-    and RESIDUAL_TOL/10 >= eps |(H - shift) v_{m+1}|, so the rule never
-    stops later than ARPACK's there. The k-th pair, nearest the
-    unwanted part of the spectrum, converges last, so its value alone is
-    tested first (`next_norm` 0 leaves out the residual); once it passes,
-    the product with H gives that same pair's residual, and the test of all
-    k follows only once the residual passes too. A zero beta
-    means the Krylov space is invariant: its Ritz values are exact.
+    place. From step min(2k, n) on, the stop rule runs at every step in two
+    steps, and the iteration stops at the first step where both pass:
+    (a) the values of all k largest Ritz pairs are converged to rounding
+    (`_ritz_test`); only then (b) the one product with H - shift gives
+    next_norm = |(H - shift) v_{m+1}|, and every Ritz vector y_i has
+    |beta_m s_{m,i}| next_norm <= RESIDUAL_TOL/10 |theta_i|. By the Lanczos
+    relation (H - lambda_i) y_i = -(beta_m s_{m,i} / theta_i)
+    (H - shift) v_{m+1}, the left side over |theta_i| is the residual in H
+    of y_i at lambda_i = shift + 1/theta_i. Both follow from ARPACK's test
+    |beta_m s_{m,i}| <= eps |theta_i| whenever r_i <= gap_i and
+    RESIDUAL_TOL/10 >= eps |(H - shift) v_{m+1}|, so the rule never stops
+    later than ARPACK's there. A zero beta means the Krylov space is
+    invariant: its Ritz values are exact and their residuals zero.
     """
     m_max = min(n, LANCZOS_MAX_STEPS)
     V = np.empty((n, m_max), dtype=dtype, order="F")
@@ -129,20 +117,17 @@ def _lanczos(solve, shifted, n: int, k: int, dtype):
         beta[j] = np.linalg.norm(w)
         m = j + 1
         if m >= k and (m >= m_test or beta[j] == 0.0):
-            il = m - k + 1
-            theta, S, passed = _ritz_test(alpha, beta, m, il, il, 0.0)
+            theta, S, passed = _ritz_test(alpha, beta, m, m - k + 1, m)
             if passed:
                 next_norm = np.linalg.norm(shifted(w)) / beta[j] if beta[j] else 0.0
-                passed = _residual_small(abs(beta[j] * S[m - 1, 0]), next_norm, theta[0])
-            if passed:
-                theta, S, passed = _ritz_test(alpha, beta, m, il, m, next_norm)
-            if passed:
-                return theta, basis @ S, True
+                if np.all(np.abs(beta[j] * S[m - 1]) * next_norm
+                          <= 0.1 * RESIDUAL_TOL * np.abs(theta)):
+                    return theta, basis @ S, True
         if beta[j] == 0.0:
             break
         if m < m_max:
             V[:, m] = w / beta[j]
-    theta = _ritz_test(alpha, beta, m, max(m - k + 1, 1), m, 0.0)[0]
+    theta = _ritz_test(alpha, beta, m, max(m - k + 1, 1), m)[0]
     return theta, None, False
 
 

@@ -15,10 +15,11 @@ one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve;
 explicit isometries Q, the reference for the blocks the library folds from
 the grid.
 `inertia_below` counts the levels of a sparse Hermitian matrix below a
-point by Sylvester inertia of a symmetric SuperLU factor, and
-`strip_lower_bound` is the generic Dirichlet-Neumann lower bound that drops
-any set of links: the references for the banded lower bound with which the
-2D solver certifies a shift (`model2d._bound_clears`).
+point by Sylvester inertia of a symmetric SuperLU factor. `cut_lower_bound`
+is the generic Dirichlet-Neumann lower bound that drops any set of links:
+the reference for the bands of the banded lower bound with which the 2D
+solver certifies a shift (`model2d._bound_clears`); `strip_lower_bound` is
+its cut of the links between strips.
 The large-alpha ratio compares the band with its semiclassical growth law.
 `gauss_legendre_reference` is the quadrature rule of `sl_engine._rule` with
 its Golub-Welsch nodes from LAPACK's tridiagonal solver, which the library

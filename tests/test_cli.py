@@ -595,6 +595,17 @@ class TestValidate2D:
         assert (tmp_path / "sweep2d.csv").read_text().splitlines()[0] == \
             "h,lambda_0,lambda_1,lambda_2,z_0,z_1,z_2"
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 17: the residual bound is absolute, so at large h, whose "
+        "levels are large, rounding alone exceeds it"))
+    def test_large_h_sweep_runs(self, tmp_path):
+        # exits 1 with "h=1000, even block: eigenpair 0 residual 2.49e-08
+        # exceeds 1e-09"
+        path = tmp_path / "cfg.json"
+        path.write_text('{"h_list": [1e3, 1e2, 10, 1]}')
+        assert run_cli(["validate2d", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 0
+
     def test_warnings_printed_without_source_location(self, tmp_path):
         # a magwell process on the k=3 sweep of CI: the sweep's warning
         # reaches stderr as one line, as a failure would, naming no file

@@ -31,9 +31,9 @@ from conftest import set_blas_threads
 from oracles import cut_lower_bound, fiber_eigenvalues, inertia_below, reflection_blocks
 
 
-def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0):
+def constant_profile_config(S=4.0, T=0.8, h=(0.02,), omega0=1.0, k=1):
     return Field2DConfig(
-        k=1,
+        k=k,
         omega=lambda s: omega0 * np.ones_like(np.asarray(s, dtype=float)),
         omega_min=omega0, curvature_abs2=1.0,
         S=S, T=T, h_list=tuple(h))
@@ -240,7 +240,7 @@ class TestEigenvalues:
         assert np.allclose(vals, dense[:5], atol=1e-9)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 12: at shift 0 the Lanczos misses levels of an even-k "
+        "ROADMAP item 17: at shift 0 the Lanczos misses levels of an even-k "
         "operator whose symmetry s -> 2 s1 - s, t -> -t it does not split off"))
     def test_even_k_default_profile_at_shift_zero(self):
         # k=2, N = 9,240: the inertia of H - lambda_3 (1 + 1e-9) counts the
@@ -747,6 +747,23 @@ class TestFiberOracle:
         n_s, _ = cfg.grid_for(h)
         fib = np.sort(np.concatenate(
             [fiber_eigenvalues(cfg, h, m, 2) for m in range(n_s)]))[:5]
+        assert np.max(np.abs(vals2d - fib)) < 1e-7
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 17: the single-vector Lanczos returns one copy of an "
+        "exactly double level"))
+    def test_constant_field_double_level(self):
+        # k=2, N = 28,785: Fourier modes +p and -p have the same fiber
+        # levels, so the union is l0, l1, l1, l2 (ratios 1, 1.0702, 1.0702,
+        # 1.2779); the 2D solve returns 1, 1.0702, 1.2779, 1.6135
+        h = 0.01
+        cfg = constant_profile_config(S=8.0, h=(h,), k=2)
+        op = assemble_2d(cfg, h)
+        assert op.hermitian.shape[0] == 28785
+        vals2d = lowest_eigenvalues_2d(op, 4)
+        n_s, _ = cfg.grid_for(h)
+        fib = np.sort(np.concatenate(
+            [fiber_eigenvalues(cfg, h, m, 2) for m in range(n_s)]))[:4]
         assert np.max(np.abs(vals2d - fib)) < 1e-7
 
 

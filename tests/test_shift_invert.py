@@ -102,28 +102,65 @@ class TestAgainstDense:
         self.check_pair_resolved(1e-12)
 
 
+def spied_stop_rule(monkeypatch):
+    """The events of the stop rule in one solve, in order: ("values", m,
+    theta, S, beta_m, passed) for each test of the Ritz values and
+    ("product", m, next_norm) for each product with H - shift, where
+    next_norm = |(H - shift) v_{m+1}|; ("return", m) ends a solve that
+    returned its Ritz pairs at step m."""
+    events = []
+    ritz_test, lanczos = _shift_invert._ritz_test, _shift_invert._lanczos
+
+    def spy_ritz(alpha, beta, m, il, iu):
+        theta, S, passed = ritz_test(alpha, beta, m, il, iu)
+        events.append(("values", m, theta, S, beta[m - 1], passed))
+        return theta, S, passed
+
+    def spy_lanczos(solve, shifted, n, k, dtype):
+        def spy_shifted(w):
+            out = shifted(w)
+            # w = beta_m v_{m+1} with beta_m = |w|
+            events.append(("product", events[-1][1],
+                           np.linalg.norm(out) / np.linalg.norm(w)))
+            return out
+
+        theta, Y, converged = lanczos(solve, spy_shifted, n, k, dtype)
+        if converged:
+            events.append(("return", events[-1][1]))
+        return theta, Y, converged
+
+    monkeypatch.setattr(_shift_invert, "_ritz_test", spy_ritz)
+    monkeypatch.setattr(_shift_invert, "_lanczos", spy_lanczos)
+    return events
+
+
+def residual_bounds(values, product):
+    """|beta_m s_{m,i}| next_norm / |theta_i| of each tested pair: bound
+    (b) of the stop rule, the residual in H of its Ritz vector."""
+    _, _, theta, S, beta_m, _ = values
+    return np.abs(beta_m * S[-1]) * product[2] / np.abs(theta)
+
+
 class TestStopRule:
+    @staticmethod
+    def block_and_shift(at):
+        B = reflection_block(0)
+        dense = np.linalg.eigvalsh(B.toarray())
+        return B, dense, 0.9 * dense[0] if at == "shift" else 0.0
+
     @pytest.mark.parametrize("at", ["zero", "shift"])
     def test_residual_bound_is_the_residual(self, monkeypatch, at):
         # rule (b) reads the residual |B y - lambda y| of each Ritz vector
         # from the Lanczos relation; on the returned pairs it agrees with
         # the residual computed from the vectors, to rounding in B
-        B = reflection_block(0)
-        dense = np.linalg.eigvalsh(B.toarray())
-        shift = 0.9 * dense[0] if at == "shift" else 0.0
-        tested = []
-        real = _shift_invert._ritz_test
-
-        def spy(alpha, beta, m, il, iu, next_norm):
-            theta, S, passed = real(alpha, beta, m, il, iu, next_norm)
-            r = np.abs(beta[m - 1] * S[m - 1])
-            tested.append((shift + 1.0 / theta, r * next_norm / np.abs(theta)))
-            return theta, S, passed
-
-        monkeypatch.setattr(_shift_invert, "_ritz_test", spy)
+        B, dense, shift = self.block_and_shift(at)
+        events = spied_stop_rule(monkeypatch)
         vals, vecs = lowest_sparse_eigenpairs(B, 4, shift=shift)
-        levels, bound = tested[-1]
-        bound = bound[np.argsort(levels)]
+        values = [e for e in events if e[0] == "values"][-1]
+        product = [e for e in events if e[0] == "product"][-1]
+        assert values[1] == product[1]
+        levels = shift + 1.0 / values[2]
+        bound = residual_bounds(values, product)[np.argsort(levels)]
         resid = np.linalg.norm(B @ vecs - vecs * vals, axis=0)
         assert np.all(bound <= 0.1 * RESIDUAL_TOL)
         assert np.max(np.abs(bound - resid)) <= 4 * np.finfo(float).eps * dense[-1]
@@ -131,23 +168,24 @@ class TestStopRule:
         assert np.max(resid) > 20 * np.finfo(float).eps * dense[-1]
 
     @pytest.mark.parametrize("at", ["zero", "shift"])
-    def test_all_pairs_tested_once_the_last_passes(self, monkeypatch, at):
-        # the k-th pair converges last: the test of all k pairs runs only
-        # once its value and its residual pass, and then stops the Lanczos
-        B = reflection_block(0)
-        shift = 0.9 * np.linalg.eigvalsh(B.toarray())[0] if at == "shift" else 0.0
-        full = []
-        real = _shift_invert._ritz_test
-
-        def spy(alpha, beta, m, il, iu, next_norm):
-            out = real(alpha, beta, m, il, iu, next_norm)
-            if iu > il:
-                full.append(out[2])
-            return out
-
-        monkeypatch.setattr(_shift_invert, "_ritz_test", spy)
+    def test_product_only_once_all_values_pass(self, monkeypatch, at):
+        # each test step checks the values of all k pairs; the product with
+        # B - shift runs at exactly the steps where every value passed, and
+        # the Lanczos returns at the first of them whose residuals pass
+        B, _, shift = self.block_and_shift(at)
+        events = spied_stop_rule(monkeypatch)
         lowest_sparse_eigenpairs(B, 4, shift=shift)
-        assert full == [True]
+        assert events[-1][0] == "return"
+        values = [e for e in events if e[0] == "values"]
+        assert all(len(e[2]) == 4 for e in values)
+        assert [e[1] for e in values] == list(range(values[0][1], events[-1][1] + 1))
+        passed = {e[1]: e for e in values if e[5]}
+        products = [e for e in events if e[0] == "product"]
+        assert [e[1] for e in products] == list(passed)
+        within = [bool(np.all(residual_bounds(passed[e[1]], e) <= 0.1 * RESIDUAL_TOL))
+                  for e in products]
+        assert within == [False] * (len(within) - 1) + [True]
+        assert products[-1][1] == events[-1][1]
 
     def test_vectors_meet_the_residual_tol(self):
         # the values converge with residuals above 1e-12; rule (b) keeps
