@@ -49,32 +49,32 @@ def _factor(H, shift: float):
                 options={"SymmetricMode": True})
 
 
-def _ritz_test(alpha, beta, m: int, il: int, iu: int):
-    """(theta, S, passed): the eigenpairs il..iu (1-based, ascending) of the
-    Lanczos tridiagonal T_m, and whether every one passes bound (a) of the
-    stop rule, its value (see `_lanczos` for bound (b)). dstemr (LAPACK)
-    computes only the pairs il-1..iu+1 that lie in 1..m, so every tested
-    pair has its neighbours. With r_i = |beta_m s_{m,i}|, pair i passes when
+def _ritz_test(alpha, beta, m: int, k: int):
+    """(theta, S, passed): the min(k, m) largest eigenpairs (ascending) of
+    the Lanczos tridiagonal T_m, and whether every one passes bound (a) of
+    the stop rule, its value (see `_lanczos` for bound (b)). dstemr (LAPACK)
+    computes only the pairs max(m - k, 1)..m (1-based), so every tested pair
+    has its neighbours. With r_i = |beta_m s_{m,i}|, pair i passes when
     r_i^2 / gap_i <= eps |theta_i|, where gap_i is the distance to the
     nearest other Ritz value less that neighbour's own r, and gap_i <= 0
     fails. theta_i is then within rounding of an eigenvalue of the operator
     (the Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM
     1998, 11.7). A failed dstemr passes nothing."""
-    lo, hi = max(il - 1, 1), min(iu + 1, m)
+    lo = max(m - k, 1)
     # dstemr overwrites its off-diagonal argument, hence the copy
-    _, theta, S, info = dstemr(alpha[:m], beta[:m].copy(), 2, 0.0, 0.0, lo, hi)
-    count = hi - lo + 1
+    _, theta, S, info = dstemr(alpha[:m], beta[:m].copy(), 2, 0.0, 0.0, lo, m)
+    count = m - lo + 1
     theta, S = theta[:count], S[:, :count]
     # a few pairs, tested at every step: plain floats, padded with a
     # neighbour at infinity on each side
     t = [-np.inf, *theta.tolist(), np.inf]
     r = [0.0, *np.abs(beta[m - 1] * S[m - 1]).tolist(), 0.0]
     passed = info == 0
-    for i in range(il - lo + 1, iu - lo + 2):
+    first = count - min(k, m)           # the first wanted pair
+    for i in range(first + 1, count + 1):
         gap = min(t[i] - t[i - 1] - r[i - 1], t[i + 1] - t[i] - r[i + 1])
         passed = passed and gap > 0.0 and r[i] * r[i] <= _EPS * abs(t[i]) * gap
-    want = slice(il - lo, iu - lo + 1)
-    return theta[want], S[:, want], passed
+    return theta[first:], S[:, first:], passed
 
 
 def _lanczos(solve, shifted, n: int, k: int, dtype):
@@ -117,7 +117,7 @@ def _lanczos(solve, shifted, n: int, k: int, dtype):
         beta[j] = np.linalg.norm(w)
         m = j + 1
         if m >= k and (m >= m_test or beta[j] == 0.0):
-            theta, S, passed = _ritz_test(alpha, beta, m, m - k + 1, m)
+            theta, S, passed = _ritz_test(alpha, beta, m, k)
             if passed:
                 next_norm = np.linalg.norm(shifted(w)) / beta[j] if beta[j] else 0.0
                 if np.all(np.abs(beta[j] * S[m - 1]) * next_norm
@@ -127,7 +127,7 @@ def _lanczos(solve, shifted, n: int, k: int, dtype):
             break
         if m < m_max:
             V[:, m] = w / beta[j]
-    theta = _ritz_test(alpha, beta, m, max(m - k + 1, 1), m)[0]
+    theta = _ritz_test(alpha, beta, m, k)[0]
     return theta, None, False
 
 

@@ -112,18 +112,28 @@ class ExponentFit:
     r_squared: float
 
 
+def fit_refusal(h_list: Sequence[float]) -> str:
+    """Why `exponent_fit` refuses these h, or "" when it takes them: it
+    needs at least 4 samples spanning a decade."""
+    h = np.asarray(h_list, dtype=float)
+    if len(h) < 4:
+        return "need at least 4 samples"
+    if np.max(h) / np.min(h) < 10.0 - 1e-9:
+        return "h must span at least one decade"
+    return ""
+
+
 def exponent_fit(h_list: Sequence[float], energy_list: Sequence[float]) -> ExponentFit:
     """Least-squares power law through log(energy) = log(c) + p log(h).
 
-    Requires at least 4 samples spanning a decade in h and positive
-    energies.
+    Requires at least 4 samples spanning a decade in h (`fit_refusal`) and
+    positive energies.
     """
     h = np.asarray(h_list, dtype=float)
     e = np.asarray(energy_list, dtype=float)
-    if len(h) < 4:
-        raise ValueError("need at least 4 samples")
-    if np.max(h) / np.min(h) < 10.0 - 1e-9:
-        raise ValueError("h must span at least one decade")
+    refusal = fit_refusal(h)
+    if refusal:
+        raise ValueError(refusal)
     if np.any(e <= 0):
         raise ValueError("energies must be positive")
     x = np.log(h)

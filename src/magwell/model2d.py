@@ -17,14 +17,13 @@ bit, so the link phases of each t row equal those of its mirror image and
 the operator commutes exactly with the reflection t -> -t. The eigensolver
 then splits it into even and odd blocks of about N/2 unknowns. Each block
 is assembled straight from the lower half of the grid (plus the centre row
-for the even block, when the interior t count is odd): an entry between
-two pair rows is 2((w x) w) with w = sqrt(1/2) and x the operator's entry,
-a hop to the centre row 2(w x), and at an even interior count the last
-pair row's hop to its mirror image folds onto its diagonal d as
-2((w d +- w hop) w). These are the roundings of the sparse product Q^T H Q
-with the reflection isometries Q, so the blocks equal it bit for bit. The
-even block is built and solved first, at a shift forecast just below the
-ground state, and the odd block once that factor is freed. That a block
+for the even block, when the interior t count is odd) as the exact
+restriction Q^T H Q, Q the reflection isometry: the pair rows keep the
+operator's own entries, at an even interior count the last pair row's hop
+to its mirror image is summed onto its diagonal d as d +- hop, and a hop
+to the centre row is sqrt(2) hop. The even block is built and solved
+first, at a shift forecast just below the ground state, and the odd block
+once that factor is freed. That a block
 has no level at or below a point (the shift, or for the odd block the
 largest even level) is certified before any factor, by one banded
 Cholesky per t-band of a lower bound of the block (`_bound_clears`). An
@@ -51,8 +50,8 @@ from ._shift_invert import RESIDUAL_TOL, lowest_sparse_eigenpairs
 from .sl_engine import AssemblyError, ConvergenceError, SolverError
 from .montgomery import _shifted_gauge, minimizer_state
 from .miniwell import build_effective_operator, flat_model_geometry, spectrum_K
-from .asymptotics import (_SQUARE_MAX, exponent_fit, leading_exponent, quasimode_energy,
-                          splitting_exponent)
+from .asymptotics import (_SQUARE_MAX, exponent_fit, fit_refusal, leading_exponent,
+                          quasimode_energy, splitting_exponent)
 
 
 GRID_BUDGET = (1024, 512)     # (max n_s, max n_t) of any assembled grid
@@ -288,69 +287,39 @@ def assemble_2d(config: Field2DConfig, h: float) -> MagneticOperator2D:
 
 def _assemble(operator: MagneticOperator2D, rows: int, parity: int = 0) -> sp.csr_matrix:
     """The operator on its first `rows` interior t rows (its principal
-    submatrix there), or with parity +1 or -1 the reflection block folded
-    from it (see `reflection_block`), as CSR with sorted indices.
+    submatrix there), or with parity +1 or -1 its exact restriction Q^T H Q
+    to the functions of that parity (see `reflection_block`), as CSR with
+    sorted indices: one COO build, whose duplicates the conversion sums.
 
-    Unknown i n_s + j holds, in column order, its t hop to row i - 1, its s
-    ring in row i and its t hop to row i + 1: the entries of the five-point
-    scheme, each summed in the order in which a sparse sum of the t hops,
-    the s links and then the diagonal adds them.
+    Unknown i n_s + j holds its s links, its diagonal and its t hops, with
+    the values of a sparse sum of the t hops, the s links and then the
+    diagonal: where the links and the diagonal share a column (n_s <= 2)
+    they are summed in that order. The restriction keeps the operator's
+    entries between pair rows. When the interior count nt is even, the t hop
+    from the last pair row to its mirror image is summed last onto that
+    row's diagonal entry d, d + parity hop; with a centre row, the even
+    block's hops to it are sqrt(2) hop, and the odd block has no centre row.
     """
-    n_s, h = operator.n_s, operator.h
+    n_s, h, nt = operator.n_s, operator.h, operator.n_t - 2
     dt = 2 * operator.T / (operator.n_t - 1)
     ds = operator.S / n_s
     hop = complex(-(h**2) / dt**2)
     link = -(h**2 / ds**2) * np.exp(-1j * operator.theta[:rows])
-    j = np.arange(n_s)
-    # the s entries of node j, in the order they are added: the link from
-    # j - 1, the link to j + 1 and the diagonal; with n_s <= 2 they share
-    # columns, so the ring of each node is every column
-    adds = np.stack([(j - 1) % n_s, (j + 1) % n_s, j], axis=1)
-    if n_s > 2:
-        ring = np.sort(adds, axis=1)
-        slot = np.argsort(np.argsort(adds, axis=1), axis=1)
-    else:
-        ring = np.tile(j, (n_s, 1))
-        slot = adds
-    pattern = np.concatenate([(j - n_s)[:, None], ring, (j + n_s)[:, None]], axis=1)
-    index = (np.arange(rows, dtype=np.int32)[:, None, None] * n_s
-             + pattern.astype(np.int32))
-    data = np.zeros(index.shape, dtype=complex)
-    data[..., 0] = data[..., -1] = hop
     diagonal = 2 * h**2 / dt**2 + 2 * h**2 / ds**2
-    for s, value in zip(slot.T, (np.roll(link, 1, axis=1).conj(), link, diagonal)):
-        data[:, j, s + 1] += value
-    if parity:
-        _fold(data, operator.n_t - 2, parity, hop, diagonal=(j, slot[:, 2] + 1))
-    keep = np.ones(index.shape, dtype=bool)
-    keep[:1, :, 0] = keep[-1:, :, -1] = False       # no row below 0 or above rows - 1
-    indptr = np.zeros(rows * n_s + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
-    return sp.csr_matrix((data[keep], index[keep], indptr), shape=(rows * n_s,) * 2)
-
-
-def _fold(data: np.ndarray, nt: int, parity: int, hop: complex, diagonal) -> None:
-    """Fold the entries `data` of the first t rows, in place, into those of
-    Q^T H Q with Q the isometry onto the functions of `parity` (see
-    `reflection_block`), each entry rounded as that sparse product rounds
-    it. With w = sqrt(1/2), an entry x between two pair rows becomes
-    2((w x) w); the hops between the last pair row and the centre row
-    become 2(w hop); the centre row's own entries stay. When the interior
-    count `nt` is even, the last pair row's hop to its mirror image folds
-    onto its diagonal entries d, at the (node, slot) index `diagonal` of a
-    row, as 2((w d + parity w hop) w)."""
-    w = np.sqrt(0.5)
-    pairs = nt // 2
-    lower = data[:pairs]
-    if nt % 2 == 0:
-        seam = 2 * ((w * lower[-1][diagonal] + parity * w * hop) * w)
-    lower *= w
-    lower *= w
-    lower *= 2
-    if nt % 2 == 0:
-        lower[-1][diagonal] = seam
-    elif len(data) > pairs and pairs:           # the centre row
-        data[pairs - 1, :, -1] = data[pairs, :, 0] = 2 * (w * hop)
+    node = np.arange(rows * n_s, dtype=np.int32).reshape(rows, n_s)
+    right = np.roll(node, -1, axis=1)
+    below, above = node[:-1], node[1:]
+    t_hop = np.full(below.shape, hop)
+    if parity > 0 and nt % 2:
+        t_hop[-1:] *= np.sqrt(2.0)
+    seam = node[-1:] if parity and nt % 2 == 0 else node[:0]
+    # + 0 gives the conjugate of a real link (theta = 0) the imaginary part
+    # +0 that the sparse sum gives it
+    row = np.concatenate([node, right, node, seam, below, above], axis=None)
+    col = np.concatenate([right, node, node, seam, above, below], axis=None)
+    data = np.concatenate([link, link.conj() + 0.0, np.full(node.shape, diagonal),
+                           np.full(seam.shape, parity * hop), t_hop, t_hop], axis=None)
+    return sp.coo_matrix((data, (row, col)), shape=(rows * n_s,) * 2).tocsr()
 
 
 class ShiftCertificateWarning(UserWarning):
@@ -374,8 +343,9 @@ def reflection_block(operator: MagneticOperator2D, parity: int) -> sp.csr_matrix
     the nt // 2 lowest interior t rows, P the reflection, and for the even
     block e_i on the centre row when the interior count nt is odd. The block
     takes the unknowns in that order, as the lower rows of the grid, and
-    each entry is rounded as the sparse product Q^T H Q rounds it: the two
-    blocks together have the spectrum of H."""
+    holds the exact entries of Q^T H Q, each the operator's own entry or
+    one rounding from it (`_assemble`): the two blocks together have the
+    spectrum of H."""
     nt = operator.n_t - 2
     return _assemble(operator, nt // 2 + (parity > 0) * (nt % 2), parity)
 
@@ -406,7 +376,7 @@ def _bound_bands(operator: MagneticOperator2D, H: sp.csr_matrix, x: float):
     """H_cut - x, one t-band at a time, in LAPACK upper band storage
     (Fortran order), for a lower bound H_cut <= H of a block H of the
     operator on its first H.shape[0] // n_s interior t rows: the whole
-    operator, or a reflection block folded from them (`reflection_block`).
+    operator, or a reflection block restricted to them (`reflection_block`).
 
     H_cut drops the t hops between the bands of `_bound_cuts` and, on rings
     of three or more columns, the s link from column j_star to j_star + 1,
@@ -492,8 +462,8 @@ def lowest_eigenvalues_2d(operator: MagneticOperator2D, m_count: int,
 
     When the operator commutes exactly with the reflection t -> -t (its
     link phases equal their mirror image bit for bit) it is split into its
-    even and odd blocks, each built from the lower half of the grid and
-    folded as Q^T H Q would be (`reflection_block`); otherwise, or when a
+    even and odd blocks, each built from the lower half of the grid as
+    its exact restriction Q^T H Q (`reflection_block`); otherwise, or when a
     block is too small to hold m_count levels, it is one block. The even
     block is built and solved first, and the odd block is built only once
     the even factor is freed; the split path builds no matrix of the whole
@@ -591,10 +561,13 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     """Measure the low spectrum across the h sweep and compare with the
     semiclassical predictions.
 
-    Needs m_count >= 2 (ValueError otherwise). Skips (and records) h values
-    that `assemble_2d` refuses with ResolutionError. Each h
-    is solved at the shift 0.97 nu_hat omega_min^{2/(k+2)} h^{(2k+2)/(k+2)},
-    certified inside `lowest_eigenvalues_2d`; every failed certificate is
+    Needs m_count >= 2, and an h_list that the power-law fits can take, at
+    least 4 h spanning a decade (`fit_refusal`): ValueError otherwise,
+    before any solve. Skips (and records) h values that `assemble_2d`
+    refuses with ResolutionError; when the usable h left cannot be fitted,
+    ConvergenceError. Each h is solved at the shift
+    0.97 nu_hat omega_min^{2/(k+2)} h^{(2k+2)/(k+2)}, certified inside
+    `lowest_eigenvalues_2d`; every failed certificate is
     warned and recorded in `warnings_issued`. Fits the leading power law on
     lambda_0(h) and the splitting law on lambda_1 - lambda_0; per-gap
     splitting coefficients are extrapolated to h -> 0 by removing the first
@@ -611,6 +584,9 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
     if m_count < 2:
         raise ValueError(f"the sweep fits level splittings, so it needs "
                          f"m_count >= 2, got {m_count}")
+    refusal = fit_refusal(config.h_list)
+    if refusal:
+        raise ValueError(f"h_list cannot be fitted: {refusal}")
     report = minimizer_state(config.k).report
     nu_hat = report.nu_hat
     geom = flat_model_geometry(config.omega_min, config.curvature_abs2)
@@ -638,8 +614,9 @@ def run_sweep(config: Field2DConfig, m_count: int = 4) -> Sweep2DReport:
                     issued.append(str(message))
             rows.append(vals)
             kept.append(h)
-    if len(kept) < 4:
-        raise ConvergenceError("fewer than 4 usable h values in the sweep")
+    if fit_refusal(kept):
+        raise ConvergenceError(f"fewer than 4 usable h values in the sweep that span "
+                               f"a decade: usable h [{', '.join(f'{h:g}' for h in kept)}]")
 
     hs = np.array(kept)
     lam = np.array(rows)

@@ -12,8 +12,8 @@ with d2 from the bordered reduced-resolvent system there.
 The fiber oracle reduces the 2D operator with an s-independent profile to
 one 1D problem per discrete Fourier mode, bypassing the 2D sparse solve;
 `reflection_blocks` splits the 2D operator by the reflection t -> -t with
-explicit isometries Q, the reference for the blocks the library folds from
-the grid.
+explicit isometries Q, the reference for the reflection blocks that the
+library assembles from the lower half of the grid.
 `inertia_below` counts the levels of a sparse Hermitian matrix below a
 point by Sylvester inertia of a symmetric SuperLU factor. `cut_lower_bound`
 is the generic Dirichlet-Neumann lower bound that drops any set of links:
@@ -227,8 +227,9 @@ def fiber_eigenvalues(config: Field2DConfig, h: float, mode: int,
 def reflection_blocks(operator):
     """The isometries Q that split the 2D operator H = `operator.hermitian`
     by the reflection t -> -t, as sparse matrices over the whole grid; the
-    library folds the blocks Q^T H Q from the lower half of the grid
-    instead (`model2d.reflection_block`).
+    library assembles the exact blocks Q^T H Q from the lower half of the
+    grid instead (`model2d.reflection_block`), which the rounded product
+    Q.T @ H @ Q matches to a few eps.
 
     When P H P == H holds bit for bit, with P the reflection of the interior
     t rows, this returns [("even", Q_even), ("odd", Q_odd)]. The columns of

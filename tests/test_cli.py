@@ -417,6 +417,12 @@ class TestKSweep:
     ])
     def test_pinned_and_unpinned_write_the_same_bytes(self, tmp_path, monkeypatch,
                                                       capsys, command, files):
+        """Whether the BLAS thread variables read pinned (where `sweep_workers`
+        would pick two workers) or not, the command solves its k in this
+        process and writes the same bytes. This BLAS is already loaded, so
+        the variables do not change its threads: the test checks the path
+        taken, not BLAS numerics, which the CI job compares in fresh
+        processes."""
         written = {}
         for threads in (1, None):
             set_blas_threads(monkeypatch, threads)
@@ -630,7 +636,7 @@ class TestValidate2D:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
             "k": 1, "omega_min": 1.0, "a": 1.0, "S": 8.0, "s1": 2.4,
-            "T": 0.8, "h_list": [2.4e-4, 2.2e-4, 2e-4, 1.8e-4],
+            "T": 0.8, "h_list": [2.4e-4, 1e-4, 5e-5, 2.4e-5],
         }))
         for threads in (1, None):
             set_blas_threads(monkeypatch, threads)

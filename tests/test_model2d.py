@@ -640,18 +640,37 @@ def residual_grids():
 class TestFoldedBlocks:
     @pytest.mark.parametrize("config, h", folded_grids())
     def test_blocks_equal_the_isometry_products_bit_for_bit(self, config, h):
+        # each block is Q^T H Q in exact arithmetic, rounded once: the
+        # principal submatrix of H on its rows, bit for bit, but at the
+        # seam, where at an even interior count the last pair row's diagonal
+        # is H_ii + parity hop, and with a centre row the even block's hops
+        # to it are sqrt(2) hop, each computed from H's own (summed)
+        # entries; the product as float64 rounds it agrees to 4 eps
         op = assemble_2d(config, h)
         H = op.hermitian
+        n_s, nt = op.n_s, op.n_t - 2
+        assert model2d._mirror_symmetric(op)
         blocks = reflection_blocks(op)
         assert [name for name, _ in blocks] == ["even", "odd"]
-        assert model2d._mirror_symmetric(op)
         for (name, Q), parity in zip(blocks, (1, -1)):
-            want = (Q.T @ H @ Q).tocsr()
             got = reflection_block(op, parity)
-            assert got.shape == want.shape, name
+            n = got.shape[0]
+            want = H[:n][:, :n]
+            last = np.arange(nt // 2 * n_s - n_s, nt // 2 * n_s)   # last pair row
+            if nt % 2 == 0:
+                want[last, last] = (np.asarray(H[last, last]).ravel()
+                                    + parity * np.asarray(H[last, last + n_s]).ravel())
+            elif parity > 0 and nt > 1:
+                want[last, last + n_s] = want[last + n_s, last] = (
+                    np.sqrt(2.0) * np.asarray(H[last, last + n_s]).ravel())
             assert np.array_equal(got.indptr, want.indptr), name
             assert np.array_equal(got.indices, want.indices), name
             assert got.data.tobytes() == want.data.tobytes(), name
+            product = (Q.T @ H @ Q).tocsr()
+            assert np.array_equal(product.indptr, got.indptr), name
+            assert np.array_equal(product.indices, got.indices), name
+            assert np.all(np.abs(product.data - got.data)
+                          <= 4 * np.finfo(float).eps * np.abs(got.data)), name
 
     def test_even_block_factored_with_no_full_grid_matrix(self, monkeypatch):
         # k=1 on the (25, 18) grid: when its even block of 200 unknowns is
@@ -829,6 +848,32 @@ class TestSweepSmoke:
         assert rep.skipped_h == (5e-6, 4e-6)
         assert rep.h_values == (0.2, 0.1, 0.05, 0.02)
 
+    @pytest.mark.parametrize("h_list, reason", [
+        ((0.02, 0.015, 0.01, 0.008), "h must span at least one decade"),
+        ((0.02, 0.01), "need at least 4 samples"),
+    ], ids=["span", "count"])
+    def test_unfittable_h_list_refused_before_any_solve(self, monkeypatch, h_list,
+                                                        reason):
+        def solve(*args):
+            raise AssertionError("an h_list that cannot be fitted was solved")
+
+        monkeypatch.setattr(model2d, "minimizer_state", solve)
+        monkeypatch.setattr(model2d, "assemble_2d", solve)
+        config = Field2DConfig.default(k=1, h_list=h_list)
+        with pytest.raises(ValueError, match=f"^h_list cannot be fitted: {reason}$"):
+            run_sweep(config)
+
+    def test_usable_h_spanning_less_than_a_decade_raises(self):
+        # the two smallest h exceed the grid budget (budget_sweep), and the
+        # four left span less than a decade: a numerical failure, not a
+        # usage error
+        config = dataclasses.replace(budget_sweep(),
+                                     h_list=(0.2, 0.1, 0.05, 0.03, 5e-6, 4e-6))
+        with pytest.raises(ConvergenceError, match=r"^fewer than 4 usable h values in "
+                           r"the sweep that span a decade: usable h "
+                           r"\[0.2, 0.1, 0.05, 0.03\]$"):
+            run_sweep(config, m_count=2)
+
 
 def certificate_sweep():
     # on a short cylinder at large h, levels odd in t are among the
@@ -885,10 +930,10 @@ class TestSweepPool:
     def test_every_h_skipped_raises(self, blas):
         # the grid of every h exceeds the grid budget, (642, 516) and up:
         # each h is skipped before assembly, and the sweep is left with too
-        # few h to fit
+        # few h to fit, though the h asked for span a decade
         config = Field2DConfig.from_json({
             "k": 1, "omega_min": 1.0, "a": 1.0, "S": 8.0, "s1": 2.4,
-            "T": 0.8, "h_list": [2.4e-4, 2.2e-4, 2e-4, 1.8e-4]})
+            "T": 0.8, "h_list": [2.4e-4, 1e-4, 5e-5, 2.4e-5]})
         with pytest.raises(ConvergenceError, match="fewer than 4 usable h"):
             run_sweep(config)
         assert multiprocessing.active_children() == []

@@ -111,8 +111,8 @@ def spied_stop_rule(monkeypatch):
     events = []
     ritz_test, lanczos = _shift_invert._ritz_test, _shift_invert._lanczos
 
-    def spy_ritz(alpha, beta, m, il, iu):
-        theta, S, passed = ritz_test(alpha, beta, m, il, iu)
+    def spy_ritz(alpha, beta, m, k):
+        theta, S, passed = ritz_test(alpha, beta, m, k)
         events.append(("values", m, theta, S, beta[m - 1], passed))
         return theta, S, passed
 
