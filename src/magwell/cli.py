@@ -150,7 +150,11 @@ def _verify_one_k(k: int) -> dict:
     }
     if k % 2 == 1:
         checks["condik_odd"] = bool(r.condik_odd_holds)
-        checks["parity"] = st.spectrum.parity == ("even", "odd", "even")
+        # the split solve puts the even levels in slots 0, 2 and the odd one
+        # in slot 1; these are the levels' parities only if the slots ascend
+        # (Sturm ordering)
+        checks["parity"] = (st.spectrum.parity == ("even", "odd", "even")
+                            and bool(np.all(np.diff(st.spectrum.eigenvalues) > 0)))
     rng = np.random.default_rng(VERIFY_SEED + k)
     ok_scaling = True
     for _ in range(2):

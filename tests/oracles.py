@@ -18,8 +18,7 @@ library assembles from the lower half of the grid.
 point by Sylvester inertia of a symmetric SuperLU factor. `cut_lower_bound`
 is the generic Dirichlet-Neumann lower bound that drops any set of links:
 the reference for the bands of the banded lower bound with which the 2D
-solver certifies a shift (`model2d._bound_clears`); `strip_lower_bound` is
-its cut of the links between strips.
+solver certifies a shift (`model2d._bound_clears`).
 The large-alpha ratio compares the band with its semiclassical growth law.
 `gauss_legendre_reference` is the quadrature rule of `sl_engine._rule` with
 its Golub-Welsch nodes from LAPACK's tridiagonal solver, which the library
@@ -290,14 +289,6 @@ def cut_lower_bound(H, cut) -> sp.csr_matrix:
     keep = ~cut
     kept = sp.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])), shape=H.shape)
     return (kept - sp.diags(loss, dtype=float)).tocsr()
-
-
-def strip_lower_bound(H, labels: np.ndarray) -> sp.csr_matrix:
-    """`cut_lower_bound` of the links between strips: every entry (r, c)
-    with labels[r] != labels[c] is dropped, so H_cut is block diagonal over
-    the strips, for any labelling."""
-    C = H.tocoo()
-    return cut_lower_bound(H, labels[C.row] != labels[C.col])
 
 
 def gauss_legendre_reference(size: int) -> tuple[np.ndarray, np.ndarray]:

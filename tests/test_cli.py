@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import multiprocessing
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from magwell import montgomery
-from magwell._workers import sweep_workers
 from magwell.cli import main
 from magwell.sl_engine import ConvergenceError
 
@@ -283,30 +283,24 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_nan_profile_refused_before_any_solve(self, tmp_path):
-        # pi (s - s1) overflows, so omega is NaN at every sample; pooled and in
-        # process alike, the config is refused before a NaN operator reaches
-        # the sparse factorisation
+        # pi (s - s1) overflows, so omega is NaN at every sample; the config
+        # is refused on reading, before the sweep picks a pool and before a
+        # NaN operator reaches the sparse factorisation
         path = tmp_path / "cfg.json"
         path.write_text('{"s1": 1e308, "h_list": [0.2, 0.1, 0.05, 0.02]}')
         import magwell
         src = str(Path(magwell.__file__).resolve().parents[1])
-        for threads in ("1", None):
-            env = {name: value for name, value in os.environ.items()
-                   if name not in BLAS_THREAD_VARS}
-            env["PYTHONPATH"] = src
-            if threads:
-                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                           MKL_NUM_THREADS=threads)
-            out = tmp_path / f"out-{threads}"
-            child = subprocess.run(
-                [sys.executable, "-m", "magwell.cli", "validate2d", "--config",
-                 str(path), "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=60)
-            assert child.returncode == 2
-            assert child.stderr == ("usage error: omega must be finite and >= 0 at "
-                                    "every grid sample, got nan at "
-                                    "s=0.01907356948228883 (h=0.2)\n")
-            assert not out.exists()
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        child = subprocess.run(
+            [sys.executable, "-m", "magwell.cli", "validate2d", "--config",
+             str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 2
+        assert child.stderr == ("usage error: omega must be finite and >= 0 at "
+                                "every grid sample, got nan at "
+                                "s=0.01907356948228883 (h=0.2)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_h_list_not_list_is_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -367,16 +361,14 @@ class TestTable1:
             return real(k, *args, **kwargs)
 
         monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
-        for threads in (1, None):
-            set_blas_threads(monkeypatch, threads)
-            out = tmp_path / f"threads-{threads}"
-            assert run_cli(["table1", "--k", "1..3", "--out", str(out)]) == 1
-            assert multiprocessing.active_children() == []
-            assert capsys.readouterr().err == "k=2: FAILED (forced at k=2)\n"
-            rows = (out / "table1.csv").read_text().splitlines()
-            assert [row.split(",")[0] for row in rows[1:]] == ["1", "3"]
-            data = json.loads((out / "table1.json").read_text())
-            assert sorted(data) == ["1", "3"]
+        set_blas_threads(monkeypatch, 1)
+        assert run_cli(["table1", "--k", "1..3", "--out", str(tmp_path)]) == 1
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == "k=2: FAILED (forced at k=2)\n"
+        rows = (tmp_path / "table1.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["1", "3"]
+        data = json.loads((tmp_path / "table1.json").read_text())
+        assert sorted(data) == ["1", "3"]
 
     def test_no_table_when_every_k_fails(self, tmp_path, monkeypatch, capsys):
         def fail(k, *args, **kwargs):
@@ -408,31 +400,9 @@ class TestTable1:
 
 
 class TestKSweep:
-    """table1 and verify solve their k in process, one after another,
-    whether BLAS runs one thread on the two cores shown or its default."""
-
-    @pytest.mark.parametrize("command, files", [
-        ("table1", ["table1.csv", "table1.json"]),
-        ("verify", ["verify.json"]),
-    ])
-    def test_pinned_and_unpinned_write_the_same_bytes(self, tmp_path, monkeypatch,
-                                                      capsys, command, files):
-        """Whether the BLAS thread variables read pinned (where `sweep_workers`
-        would pick two workers) or not, the command solves its k in this
-        process and writes the same bytes. This BLAS is already loaded, so
-        the variables do not change its threads: the test checks the path
-        taken, not BLAS numerics, which the CI job compares in fresh
-        processes."""
-        written = {}
-        for threads in (1, None):
-            set_blas_threads(monkeypatch, threads)
-            assert sweep_workers(3) == (2 if threads else 1)
-            out = tmp_path / f"threads-{threads}"
-            assert run_cli([command, "--k", "1..3", "--out", str(out)]) == 0
-            assert multiprocessing.active_children() == []
-            written[threads] = ([(out / name).read_bytes() for name in files],
-                                capsys.readouterr())
-        assert written[1] == written[None]
+    """table1 and verify solve their k in process, one after another, also
+    with BLAS pinned to one thread on two cores, where an h sweep would run
+    in worker processes."""
 
     def test_every_k_solved_in_the_calling_process(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -441,14 +411,13 @@ class TestKSweep:
             raise ConvergenceError(f"pid {os.getpid()}")
 
         monkeypatch.setattr(montgomery, "minimizer_state", fail_with_pid)
-        for threads in (1, None):
-            set_blas_threads(monkeypatch, threads)
-            assert run_cli(["table1", "--k", "1..3", "--out", str(tmp_path)]) == 1
-            assert multiprocessing.active_children() == []
-            lines = capsys.readouterr().err.splitlines()
-            assert [line.split(":")[0] for line in lines] == ["k=1", "k=2", "k=3"]
-            pids = {line.split("pid ")[1].rstrip(")") for line in lines}
-            assert pids == {str(os.getpid())}
+        set_blas_threads(monkeypatch, 1)
+        assert run_cli(["table1", "--k", "1..3", "--out", str(tmp_path)]) == 1
+        assert multiprocessing.active_children() == []
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["k=1", "k=2", "k=3"]
+        pids = {line.split("pid ")[1].rstrip(")") for line in lines}
+        assert pids == {str(os.getpid())}
 
     @pytest.mark.parametrize("command", ["table1", "verify"])
     def test_other_error_at_one_k_exits_2(self, tmp_path, monkeypatch,
@@ -463,14 +432,12 @@ class TestKSweep:
             return real(k, *args, **kwargs)
 
         monkeypatch.setattr(montgomery, "minimizer_state", bad_at_k2)
-        for threads in (1, None):
-            set_blas_threads(monkeypatch, threads)
-            out = tmp_path / f"threads-{threads}"
-            assert run_cli([command, "--k", "1..3", "--out", str(out)]) == 2
-            assert multiprocessing.active_children() == []
-            err = capsys.readouterr().err
-            assert err == "usage error: forced at k=2\n"
-            assert not out.exists()
+        set_blas_threads(monkeypatch, 1)
+        out = tmp_path / "out"
+        assert run_cli([command, "--k", "1..3", "--out", str(out)]) == 2
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == "usage error: forced at k=2\n"
+        assert not out.exists()
 
 
 class TestProfile:
@@ -518,14 +485,33 @@ class TestVerify:
             return real(k, *args, **kwargs)
 
         monkeypatch.setattr(montgomery, "minimizer_state", fail_at_k2)
-        for threads in (1, None):
-            set_blas_threads(monkeypatch, threads)
-            out = tmp_path / f"threads-{threads}"
-            assert run_cli(["verify", "--k", "1..3", "--out", str(out)]) == 1
-            assert multiprocessing.active_children() == []
-            assert capsys.readouterr().err == "k=2: FAILED (forced at k=2)\n"
-            report = json.loads((out / "verify.json").read_text())
-            assert [entry["k"] for entry in report] == [1, 3]
+        set_blas_threads(monkeypatch, 1)
+        assert run_cli(["verify", "--k", "1..3", "--out", str(tmp_path)]) == 1
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == "k=2: FAILED (forced at k=2)\n"
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert [entry["k"] for entry in report] == [1, 3]
+
+    def test_parity_fails_when_the_slots_do_not_ascend(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # slots 1 and 2 swapped: the labels still read even, odd, even, but
+        # the odd slot holds a level above the second even one
+        real = montgomery.minimizer_state
+
+        def swapped(k, *args, **kwargs):
+            st = real(k, *args, **kwargs)
+            spec = st.spectrum
+            order = [0, 2, 1]
+            return dataclasses.replace(st, spectrum=dataclasses.replace(
+                spec, eigenvalues=spec.eigenvalues[order],
+                eigenfunctions=spec.eigenfunctions[order]))
+
+        monkeypatch.setattr(montgomery, "minimizer_state", swapped)
+        assert run_cli(["verify", "--k", "1", "--out", str(tmp_path)]) == 1
+        assert "parity=FAIL" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert not report[0]["checks"]["parity"] and not report[0]["passed"]
+        assert all(ok for name, ok in report[0]["checks"].items() if name != "parity")
 
 
 class TestMiniwellPredict:

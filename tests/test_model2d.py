@@ -611,8 +611,9 @@ class TestBoundCertificate:
 def folded_grids():
     """The grids on which the folded blocks are checked: the four of the
     sweep2d benchmark, k = 1 and 3 on S = 8 at four h (odd and even
-    interior t counts), and the smallest that grid_for accepts, with n_s of
-    1 to 3 (links that share a column) and n_t of 3 to 5."""
+    interior t counts), the smallest that grid_for accepts, with n_s of 1
+    to 3 (links that share a column) and n_t of 3 to 5, and one of n_s = 1,
+    n_t = 6, which pins the order of the seam sum."""
     sweep = Field2DConfig.default(k=1)
     for h in np.geomspace(0.02, 0.002, 7)[::2]:
         yield pytest.param(sweep, float(h), id=f"sweep2d-h{h:.3g}")
@@ -625,6 +626,12 @@ def folded_grids():
             cfg = Field2DConfig.default(k=1, S=S, s1=0.1, T=T, h_list=(0.5,),
                                         points_per_length=1)
             yield pytest.param(cfg, 0.5, id=f"grid-{n_s}x{n_t}")
+    # one column and 4 interior t rows: the seam diagonal of the last pair
+    # row, (links + diagonal) + parity hop, rounds differently when the hop
+    # is summed first
+    cfg = Field2DConfig.default(k=1, S=0.5, s1=0.1, T=1.7, h_list=(0.5,),
+                                points_per_length=1)
+    yield pytest.param(cfg, 0.5, id="grid-1x6")
 
 
 def residual_grids():

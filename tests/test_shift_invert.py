@@ -1,8 +1,7 @@
 """The shift-invert Lanczos of `magwell._shift_invert` against dense
 `eigvalsh`: complex Hermitian and real symmetric matrices, near-degenerate
 pairs, the residual bound of its stop rule, the factor it makes, which the
-inertia oracle reads, the strip-decoupled lower bound of the oracles, and
-the typed failure."""
+inertia oracle reads, and the typed failure."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,22 +16,18 @@ from magwell.miniwell import EffectiveOperatorK, _hermite_axis, _oracle_matrix
 from magwell.model2d import Field2DConfig, assemble_2d
 from magwell.sl_engine import ConvergenceError
 
-from oracles import inertia_below, reflection_blocks, strip_lower_bound
+from oracles import inertia_below, reflection_blocks
 
 
-COLUMNS = 38       # n_s of the grid of `reflection_block`
-
-
-def reflection_block(which: int):
-    """Complex Hermitian even (0) or odd (1) block of a small k=1 operator
-    on the (38, 24) grid: 418 unknowns each, block index i*38 + j for
-    column j."""
+def reflection_block():
+    """Complex Hermitian even block of a small k=1 operator on the (38, 24)
+    grid: 418 unknowns, block index i*38 + j for column j."""
     cfg = Field2DConfig.default(k=1, S=3.0, s1=0.9, h_list=(0.5,),
                                 points_per_length=11)
     op = assemble_2d(cfg, 0.5)
-    assert (op.n_s, op.n_t) == (COLUMNS, 24)
-    name, Q = reflection_blocks(op)[which]
-    assert name == ("even", "odd")[which]
+    assert (op.n_s, op.n_t) == (38, 24)
+    name, Q = reflection_blocks(op)[0]
+    assert name == "even"
     return (Q.T @ op.hermitian @ Q).tocsr()
 
 
@@ -54,7 +49,7 @@ def rotated_diagonal(d):
 
 class TestAgainstDense:
     def test_complex_hermitian_block(self):
-        B = reflection_block(0)
+        B = reflection_block()
         assert B.dtype == np.complex128
         # the reference levels are the Rayleigh quotients of LAPACK's
         # eigenvectors: its eigenvalues alone are off by 1.5e-12 relative
@@ -144,7 +139,7 @@ def residual_bounds(values, product):
 class TestStopRule:
     @staticmethod
     def block_and_shift(at):
-        B = reflection_block(0)
+        B = reflection_block()
         dense = np.linalg.eigvalsh(B.toarray())
         return B, dense, 0.9 * dense[0] if at == "shift" else 0.0
 
@@ -190,7 +185,7 @@ class TestStopRule:
     def test_vectors_meet_the_residual_tol(self):
         # the values converge with residuals above 1e-12; rule (b) keeps
         # the vectors within RESIDUAL_TOL
-        B = reflection_block(0)
+        B = reflection_block()
         vals, vecs = lowest_sparse_eigenpairs(B, 4)
         residual = np.max(np.linalg.norm(B @ vecs - vecs * vals, axis=0))
         assert 1e-12 < residual <= RESIDUAL_TOL
@@ -200,72 +195,11 @@ class TestShiftCertificate:
     def test_inertia_below_counts_the_levels_under_a_shift(self):
         # the solver's factor of B - shift is symmetric, and its negative
         # pivots count the levels below the shift (Sylvester inertia)
-        B = reflection_block(0)
+        B = reflection_block()
         dense = np.linalg.eigvalsh(B.toarray())
         for below in (0, 1, 3):
             shift = 0.5 * (dense[below - 1] + dense[below]) if below else 0.9 * dense[0]
             assert inertia_below(B, shift) == below
-
-
-def clears(H, x, labels):
-    """Whether the strip bound of H has no level at or below x, by the
-    inertia of the oracle's factor."""
-    return inertia_below(strip_lower_bound(H, labels), x) == 0
-
-
-class TestStripLowerBound:
-    """The oracles' H_cut <= H for strips of 8 columns and for an arbitrary
-    labelling."""
-
-    @staticmethod
-    def labellings(n):
-        rng = np.random.default_rng(7)
-        return {"strips": np.arange(n) % COLUMNS // 8, "random": rng.integers(0, 5, n)}
-
-    @pytest.mark.parametrize("kind", ["strips", "random"])
-    def test_bound_is_below_and_decoupled(self, kind):
-        B = reflection_block(1)
-        labels = self.labellings(B.shape[0])[kind]
-        cut = strip_lower_bound(B, labels)
-        assert (cut != cut.getH()).nnz == 0
-        norm = np.max(np.abs(np.linalg.eigvalsh(B.toarray())))
-        assert np.linalg.eigvalsh((B - cut).toarray())[0] >= -1e-12 * norm
-        C = cut.tocoo()
-        assert np.all(labels[C.row] == labels[C.col])
-        # only the diagonal of the unknowns on a cut link moves, and down
-        lowered = cut.diagonal().real < B.diagonal().real
-        assert np.any(lowered)
-        assert np.all(cut.diagonal()[~lowered] == B.diagonal()[~lowered])
-
-    @pytest.mark.parametrize("kind", ["strips", "random"])
-    def test_count_of_the_bound_is_no_smaller(self, kind):
-        B = reflection_block(1)
-        labels = self.labellings(B.shape[0])[kind]
-        bound = np.linalg.eigvalsh(strip_lower_bound(B, labels).toarray())
-        dense = np.linalg.eigvalsh(B.toarray())
-        cleared = []
-        for x in (0.5 * dense[0], 0.5 * (dense[0] + dense[1]),
-                  0.5 * (dense[3] + dense[4]), dense[40] + 1e-9):
-            assert np.count_nonzero(bound < x) >= np.count_nonzero(dense < x)
-            cleared.append(clears(B, x, labels))
-            assert cleared[-1] == (bound[0] > x)
-        # the strips clear the lowest point and no other; the random
-        # labelling cuts more links and clears none
-        assert cleared == [kind == "strips", False, False, False]
-
-    def test_every_strip_is_checked(self):
-        # all strips but the last raised above the Gershgorin bound of B:
-        # the lowest level then lives in the last strip
-        B = reflection_block(1)
-        labels = self.labellings(B.shape[0])["strips"]
-        raise_by = 2.0 * abs(B).sum(axis=1).max()
-        H = (B + sp.diags(np.where(labels < labels.max(), raise_by, 0.0))).tocsr()
-        dense = np.linalg.eigvalsh(H.toarray())
-        x = 0.5 * (dense[0] + dense[1])
-        assert np.count_nonzero(dense < x) == 1
-        assert not clears(H, x, labels)
-        bound = np.linalg.eigvalsh(strip_lower_bound(H, labels).toarray())
-        assert clears(H, 0.5 * bound[0], labels)
 
 
 class TestFailures:
